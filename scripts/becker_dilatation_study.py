@@ -20,14 +20,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
-from loewnerqc.extension import becker_extension, beltrami_formula
+from loewnerqc.extension import becker_dilatation
 from loewnerqc.artifacts import write_table_csv
 
 
 def study(k: float, n_cells: int, n_theta: int):
     p = HerglotzSpec.rational([1, k], [1, -k])
+    one = HerglotzSpec.constant(1)
     fld = assemble_field(p, DenjoyWolffSpec.constant(0))
-    g_fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0))
+    g_fld = assemble_field(one, DenjoyWolffSpec.constant(0))
     grid = circle_grid((0.3, 0.6), 8)
     cps = np.linspace(0.0, 0.64, n_cells + 1)
     t0 = time.perf_counter()
@@ -35,15 +36,8 @@ def study(k: float, n_cells: int, n_theta: int):
                                        second_radius=False)
     gf = chains.decreasing_chain(g_fld, cps, grid, n_theta=n_theta,
                                  second_radius=False)
-    ext = becker_extension(ff)
-    fs = beltrami_formula(p, HerglotzSpec.constant(1), 0.0, cps, ff.theta,
-                          ff.trace_radius, gf.traces, gf.trace_valid,
-                          gf.trace_derivs)
-    both = ext.fd_valid & fs.valid
-    mu_f = float(np.nanmax(np.abs(fs.mu_pair[fs.valid])))
-    mu_fd = float(np.nanmax(np.abs(ext.mu_fd[ext.fd_valid])))
-    agree = float(np.abs(fs.mu[both] - ext.mu_fd[both]).max())
-    return mu_f, mu_fd, agree, time.perf_counter() - t0
+    _, rep = becker_dilatation(ff, gf, p, one, k)
+    return rep.max_mu_formula, rep.max_mu_fd, rep.agreement, time.perf_counter() - t0
 
 
 def main():

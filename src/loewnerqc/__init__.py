@@ -19,7 +19,7 @@ from .chains import (MobiusNormalizer, ChainFrames, RangeReport, normalize, limi
                      verify_psi_normalization, frames_coincide_up_to_rotation)
 from .extension import (ExtensionAtlas, BeckerExtension, boundary_trace, build_extension,
                         becker_extension, beltrami_formula, beltrami_fd,
-                        dilatation_report, interior_dilatation, AtlasRejected)
+                        becker_dilatation, dilatation_report, interior_dilatation, AtlasRejected)
 from .approx import (StepApproximant, step_approximate, field_deviation,
                      random_deviation_check, ef_convergence, chain_convergence,
                      gronwall_envelope)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import SeedGrid
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, _field_pair
 from .evolution import solve_forward
 from .chains import range_normalized_chain
 
@@ -79,9 +79,9 @@ class DeviationReport:
 
 
 def _deviation_arrays(z, tau_v, tau_n_v, p_v):
-    a = (z - tau_v) * (np.conj(tau_v) * z - 1.0)
-    an = (z - tau_n_v) * (np.conj(tau_n_v) * z - 1.0)
-    measured = np.abs((a - an) * p_v)
+    g = _field_pair(z, tau_v, p_v, 0.0)[0]
+    g_n = _field_pair(z, tau_n_v, p_v, 0.0)[0]
+    measured = np.abs(g - g_n)
     bound = 4.0 * np.abs(tau_v - tau_n_v) * np.abs(p_v)
     return measured, bound
 
@@ -222,7 +222,7 @@ def _envelope_inputs(field_exact, tau, approximant, s, t_end, r_compact, n_fine=
     sup_p = np.array([float(np.abs(field_exact.p.evaluate(ring, float(x))).max()) for x in xs])
     integrand = 4.0 * dev * sup_p
     hs = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(xs))])
-    gs = np.array([float(np.abs(field_exact.dz_g(ring, float(x))).max()) for x in xs])
+    gs = np.array([float(np.abs(field_exact.pair(ring, float(x))[1]).max()) for x in xs])
     return xs, hs, gs
 
 

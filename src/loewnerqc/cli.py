@@ -22,8 +22,8 @@ from .herglotz import (assemble_field, check_herglotz, check_becker, check_pair,
 from .evolution import solve_forward, verify_semigroup, schwarz_pick_check
 from .chains import (range_normalized_chain, decreasing_chain, beta_limit,
                      verify_transitions, verify_chain_pde, verify_containment)
-from .extension import (build_extension, becker_extension, beltrami_formula,
-                        dilatation_report, AtlasRejected)
+from .extension import (build_extension, becker_dilatation, dilatation_report,
+                        AtlasRejected)
 from .approx import (step_approximate, field_deviation, random_deviation_check,
                      ef_convergence, chain_convergence, merge_tables)
 from .config import ScenarioConfig, parse_config, ConfigError
@@ -179,23 +179,13 @@ def _cmd_becker(cfg, out, summary):
         return False
     fld = _field(cfg)
     f_frames = _build_frames(cfg, fld, n_default=65)
-    ext = becker_extension(f_frames)
     q = cfg.q_or_default()
     g_fld = assemble_field(q, DenjoyWolffSpec.constant(0.0))
     g_frames = decreasing_chain(g_fld, cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
                                 n_theta=cfg.grid.theta_nodes,
                                 delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
-    fs = beltrami_formula(cfg.p, q, 0.0, f_frames.checkpoints, f_frames.theta,
-                          f_frames.trace_radius, g_frames.traces,
-                          g_frames.trace_valid, g_frames.trace_derivs)
-    max_mu_f = float(np.nanmax(np.abs(fs.mu_pair[fs.valid]))) if fs.valid.any() else np.nan
-    fd_vals = np.abs(ext.mu_fd[ext.fd_valid])
-    max_mu_fd = float(fd_vals.max()) if fd_vals.size else np.nan
-    both = ext.fd_valid & fs.valid
-    agreement = float(np.abs(fs.mu[both] - ext.mu_fd[both]).max()) if both.any() else np.nan
-    passed = bool(np.isfinite(max_mu_f) and np.isfinite(max_mu_fd)
-                  and max_mu_f <= cfg.criteria.k + cfg.criteria.tol_dilat
-                  and max_mu_fd <= cfg.criteria.k + cfg.criteria.tol_dilat)
+    ext, rep = becker_dilatation(f_frames, g_frames, cfg.p, q, cfg.criteria.k,
+                                 cfg.criteria.tol_dilat)
     if cfg.outputs.csv:
         rows = []
         for i, r in enumerate(ext.r):
@@ -205,14 +195,14 @@ def _cmd_becker(cfg, out, summary):
         artifacts.write_table_csv(["r", "theta", "re_F", "im_F", "abs_mu_fd"],
                                   rows, out / "becker_extension.csv")
     summary["metrics"].update({
-        "max_mu_formula": max_mu_f,
-        "max_mu_fd": max_mu_fd,
-        "mu_agreement": agreement,
+        "max_mu_formula": rep.max_mu_formula,
+        "max_mu_fd": rep.max_mu_fd,
+        "mu_agreement": rep.agreement,
         "continuity_mismatch": ext.continuity_mismatch,
         "r_max": ext.r_max,
     })
     summary["warnings"].extend(f_frames.warnings)
-    return passed
+    return rep.passed
 
 
 def _cmd_check(cfg, out, summary):

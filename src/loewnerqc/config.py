@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import SeedGrid, circle_grid
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, SpecError
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, SpecError, _interp_table
 
 
 class ConfigError(ValueError):
@@ -101,25 +101,29 @@ class ScenarioConfig:
         return self.q if self.q is not None else HerglotzSpec.constant(1.0)
 
 
+def _time_table(rows, path, errors, build=_interp_table):
+    """build(ts, values) from [[t, value], ...] rows, or None after recording why not."""
+    try:
+        ts = [float(r[0]) for r in rows]
+        vs = [_as_complex(r[1], path, errors) for r in rows]
+    except (TypeError, IndexError, ValueError):
+        errors.append(f"{path} must be [[t, value], ...] rows")
+        return None
+    try:
+        return build(ts, vs)
+    except SpecError as e:
+        errors.append(f"{path}: {e}")
+        return None
+
+
 def _build_time_profile(d, path, errors):
     """A time -> complex callable from a config node (constant or table)."""
     if isinstance(d, dict) and d.get("type") == "constant":
         c = _as_complex(d.get("value", 1.0), f"{path}.value", errors)
         return lambda t: c
     if isinstance(d, dict) and d.get("type") == "table":
-        pts = d.get("points", [])
-        try:
-            ts = [float(r[0]) for r in pts]
-            vs = [_as_complex(r[1], f"{path}.points", errors) for r in pts]
-            ts_a, vs_a = np.asarray(ts), np.asarray(vs, complex)
-            if ts_a.size == 0 or np.any(np.diff(ts_a) <= 0):
-                errors.append(f"{path}.points must be nonempty with increasing times")
-                return lambda t: 1.0 + 0j
-            return lambda t: complex(np.interp(t, ts_a, vs_a.real) +
-                                     1j * np.interp(t, ts_a, vs_a.imag))
-        except (TypeError, IndexError):
-            errors.append(f"{path}.points must be [[t, value], ...] rows")
-            return lambda t: 1.0 + 0j
+        f = _time_table(d.get("points", []), f"{path}.points", errors)
+        return f if f is not None else (lambda t: 1.0 + 0j)
     errors.append(f"{path} must be a constant or table profile")
     return lambda t: 1.0 + 0j
 
@@ -151,9 +155,8 @@ def build_herglotz(d, path, errors) -> HerglotzSpec:
             if not table:
                 errors.append(f"{path}.table of [t, value] rows is required for user_sampled")
                 return fallback
-            ts = [float(r[0]) for r in table]
-            vs = [_as_complex(r[1], f"{path}.table", errors) for r in table]
-            return HerglotzSpec.from_time_table(ts, vs)
+            spec = _time_table(table, f"{path}.table", errors, HerglotzSpec.from_time_table)
+            return spec if spec is not None else fallback
     except (SpecError, ValueError, TypeError) as e:
         errors.append(f"{path}: {e}")
         return fallback
@@ -183,15 +186,13 @@ def build_tau(d, path, errors) -> DenjoyWolffSpec:
             if not table:
                 errors.append(f"{path}.table of [t, value] rows is required for sampled")
                 return fallback
-            ts = np.asarray([float(r[0]) for r in table])
-            vs = np.asarray([_as_complex(r[1], f"{path}.table", errors) for r in table], complex)
-            if np.any(np.diff(ts) <= 0):
-                errors.append(f"{path}.table times must be strictly increasing")
-                return fallback
-            bound = float(np.abs(vs).max()) if vs.size else 0.0
-            return DenjoyWolffSpec.sampled(
-                lambda t: complex(np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)),
-                modulus_bound=bound)
+
+            def sampled(ts, vs):
+                return DenjoyWolffSpec.sampled(_interp_table(ts, vs),
+                                               modulus_bound=max(map(abs, vs)))
+
+            spec = _time_table(table, f"{path}.table", errors, sampled)
+            return spec if spec is not None else fallback
     except (SpecError, ValueError, TypeError) as e:
         errors.append(f"{path}: {e}")
         return fallback

@@ -104,9 +104,9 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
            breakpoints, hmax: float, guard: float):
     """March the augmented system from t0 to t1, recording at record_times.
 
-    segment_rhs(a, b) must return a fused (G, dG/dz) evaluator valid on
-    [a, b]; segments never straddle a breakpoint.  Returns per-seed outputs
-    in the original seed order.
+    segment_rhs(a, b) must return an evaluator pair(z, t) -> (G, dG/dz)
+    valid on [a, b]; segments never straddle a breakpoint.  Returns
+    per-seed outputs in the original seed order.
     """
     n = seeds.size
     rec = np.asarray(record_times, dtype=float)

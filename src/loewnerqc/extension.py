@@ -296,20 +296,6 @@ class ExtensionAtlas:
     coverage: Coverage
     warnings: list[str] = field(default_factory=list)
 
-    def max_mu_formula(self) -> float:
-        m = np.abs(self.mu_pair[self.valid & self.formula_valid])
-        return float(m.max()) if m.size else np.nan
-
-    def max_mu_fd(self) -> float:
-        m = np.abs(self.mu_fd[self.valid & self.fd_valid])
-        return float(m.max()) if m.size else np.nan
-
-    def agreement(self) -> float:
-        both = self.valid & self.formula_valid & self.fd_valid
-        if not both.any():
-            return np.nan
-        return float(np.abs(self.mu_formula[both] - self.mu_fd[both]).max())
-
 
 def _injectivity_witness(points: np.ndarray):
     """Nearest-neighbour separation of the unmasked source points."""
@@ -493,26 +479,50 @@ class DilatationReport:
     n_masked: int
 
 
+def _dilatation(mu_pair, mu_formula, formula_ok, mu_fd, fd_ok, valid,
+                k: float, tol_dilat: float, formula_withheld: bool = False) -> DilatationReport:
+    """Both estimators' max |mu| on their cells, their agreement, the verdict.
+
+    Pass iff every available estimator stays under k + tol_dilat.  When the
+    formula side was withheld (measurable tau), the verdict rests on the
+    finite-difference estimator alone.
+    """
+    mf_vals = np.abs(mu_pair[formula_ok])
+    fd_vals = np.abs(mu_fd[fd_ok])
+    mf = float(mf_vals.max()) if mf_vals.size else np.nan
+    md = float(fd_vals.max()) if fd_vals.size else np.nan
+    both = formula_ok & fd_ok
+    agree = float(np.abs(mu_formula[both] - mu_fd[both]).max()) if both.any() else np.nan
+    sense = bool((fd_vals < 1.0).all()) if fd_vals.size else False
+    passed = bool(np.isfinite(md) and md <= k + tol_dilat
+                  and (formula_withheld or (np.isfinite(mf) and mf <= k + tol_dilat)))
+    n_masked = valid.size - int(np.count_nonzero(valid))
+    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, valid.size, n_masked)
+
+
 def dilatation_report(atlas: ExtensionAtlas, k: float,
                       tol_dilat: float = TOL_DILAT) -> DilatationReport:
-    """Pass iff every available estimator stays under k + tol on unmasked cells.
+    """Dilatation verdict of the welded extension on its unmasked cells."""
+    return _dilatation(atlas.mu_pair, atlas.mu_formula, atlas.valid & atlas.formula_valid,
+                       atlas.mu_fd, atlas.valid & atlas.fd_valid, atlas.valid,
+                       k, tol_dilat, formula_withheld=not atlas.formula_valid.any())
 
-    When the formula side was withheld (measurable tau), the verdict rests
-    on the finite-difference estimator alone.
+
+def becker_dilatation(f_frames: ChainFrames, g_frames: ChainFrames,
+                      p: HerglotzSpec, q: HerglotzSpec, k: float,
+                      tol_dilat: float = TOL_DILAT):
+    """Radial extension of f_0 (tau = 0) and its dilatation verdict.
+
+    The formula side pairs p with q on the g-chain traces; the
+    finite-difference side is the radial extension's own estimator.
+    Returns (BeckerExtension, DilatationReport).
     """
-    mf = atlas.max_mu_formula()
-    md = atlas.max_mu_fd()
-    agree = atlas.agreement()
-    fd_vals = np.abs(atlas.mu_fd[atlas.valid & atlas.fd_valid])
-    sense = bool((fd_vals < 1.0).all()) if fd_vals.size else False
-    fd_ok = bool(np.isfinite(md) and md <= k + tol_dilat)
-    if atlas.formula_valid.any():
-        passed = fd_ok and bool(np.isfinite(mf) and mf <= k + tol_dilat)
-    else:
-        passed = fd_ok
-    n_cells = atlas.valid.size
-    n_masked = n_cells - int(np.count_nonzero(atlas.valid))
-    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, n_cells, n_masked)
+    ext = becker_extension(f_frames)
+    fs = beltrami_formula(p, q, 0.0, f_frames.checkpoints, f_frames.theta,
+                          f_frames.trace_radius, g_frames.traces,
+                          g_frames.trace_valid, g_frames.trace_derivs)
+    return ext, _dilatation(fs.mu_pair, fs.mu, fs.valid, ext.mu_fd, ext.fd_valid,
+                            ext.valid, k, tol_dilat)
 
 
 def interior_dilatation(field, radii=None, n_theta: int = 128, tol: float = 1e-9,

@@ -6,9 +6,11 @@ tau(t) into the closed disk it assembles the vector field
 
     G(z, t) = (z - tau(t)) (conj(tau(t)) z - 1) p(z, t),
 
-whose flow is the evolution family.  This module holds the data model
-and every pointwise criterion check on p (Herglotz property, Becker and
-pair inequalities, sector bound, Cayley transfer to the half plane).
+whose flow is the evolution family.  Every Herglotz kind is one evaluator
+``pair(z, t) -> (p, dp/dz)``, and every field evaluation goes through one
+kernel that applies the product rule to it.  The module also holds every
+pointwise criterion check on p (Herglotz property, Becker and pair
+inequalities, sector bound, Cayley transfer to the half plane).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class SpecError(ValueError):
 
 
 def _interp_table(ts, vs):
+    """Complex linear interpolant t -> value through the nodes (ts, vs)."""
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(vs, dtype=complex)
     if ts.size != vs.size or ts.size == 0:
@@ -55,44 +58,36 @@ def _horner(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return v
 
 
+def _full(z: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
+    """(p, dp/dz) of a value c that does not depend on z."""
+    pv = np.full_like(z, c)
+    return pv, np.zeros_like(pv)
+
+
 @dataclass
 class HerglotzSpec:
     """One of the built-in Herglotz-function kinds plus its evaluator.
 
-    ``evaluate(z, t)`` takes a complex ndarray ``z`` and a scalar time and
-    returns an ndarray of p values.  Built-in kinds also carry an analytic
-    z-derivative (``deriv``); user-sampled data fall back to centered
-    differences inside the integrator.  ``z_independent`` marks kinds whose
-    value does not depend on z at all.
+    ``pair(z, t)`` takes a complex ndarray ``z`` and a scalar time and
+    returns the ndarrays ``(p, dp/dz)``; it is the integrator's hot path.
+    Built-in kinds differentiate analytically, user-sampled z-dependent
+    data by a centered difference of step ``DZ_STEP``.  ``evaluate(z, t)``
+    is the value alone.
     """
 
     kind: str
-    evaluate: Callable[[np.ndarray, float], np.ndarray]
-    z_independent: bool = False
-    deriv: Callable[[np.ndarray, float], np.ndarray] | None = None
-    fused: Callable[[np.ndarray, float], tuple] | None = None
+    pair: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
     params: dict = field(default_factory=dict)
 
-    def evaluate_with_deriv(self, z: np.ndarray, t: float):
-        """(p, dp/dz) in one call; the integrator's hot path."""
-        z = np.asarray(z, dtype=complex)
-        if self.fused is not None:
-            return self.fused(z, t)
-        pv = self.evaluate(z, t)
-        if self.z_independent:
-            return pv, np.zeros_like(pv)
-        if self.deriv is not None:
-            return pv, self.deriv(z, t)
-        dp = (self.evaluate(z + DZ_STEP, t) - self.evaluate(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
-        return pv, dp
+    def evaluate(self, z, t: float) -> np.ndarray:
+        return self.pair(np.asarray(z, dtype=complex), t)[0]
 
     @classmethod
     def constant(cls, c) -> "HerglotzSpec":
         c = complex(c)
         if c.real < 0:
             raise SpecError(f"constant Herglotz value {c} has Re < 0")
-        return cls("constant", lambda z, t: np.full_like(np.asarray(z, dtype=complex), c),
-                   z_independent=True, params={"value": c})
+        return cls("constant", lambda z, t: _full(z, c), params={"value": c})
 
     @classmethod
     def mobius_kernel(cls, driving: Callable[[float], complex]) -> "HerglotzSpec":
@@ -102,23 +97,14 @@ class HerglotzSpec:
         Re p > 0 on the disk.
         """
 
-        def kappa(t):
+        def pair(z, t):
             kap = complex(driving(t))
             if abs(abs(kap) - 1.0) > 1e-9:
                 raise SpecError(f"mobius_kernel driving |kappa({t})| = {abs(kap)}, expected 1")
-            return kap
+            w = kap - z
+            return (kap + z) / w, 2.0 * kap / w ** 2
 
-        def ev(z, t):
-            kap = kappa(t)
-            z = np.asarray(z, dtype=complex)
-            return (kap + z) / (kap - z)
-
-        def dv(z, t):
-            kap = kappa(t)
-            z = np.asarray(z, dtype=complex)
-            return 2.0 * kap / (kap - z) ** 2
-
-        return cls("mobius_kernel", ev, deriv=dv, params={"driving": driving})
+        return cls("mobius_kernel", pair, params={"driving": driving})
 
     @classmethod
     def sector(cls, opening: float, profile: Callable[[float], complex]) -> "HerglotzSpec":
@@ -127,14 +113,13 @@ class HerglotzSpec:
             raise SpecError(f"sector opening {opening} outside [0, 1)")
         half = opening * math.pi / 2.0
 
-        def ev(z, t):
+        def pair(z, t):
             c = complex(profile(t))
             if c != 0 and abs(math.atan2(c.imag, c.real)) > half + 1e-12:
                 raise SpecError(f"sector profile value {c} leaves |arg| <= {half}")
-            return np.full_like(np.asarray(z, dtype=complex), c)
+            return _full(z, c)
 
-        return cls("sector", ev, z_independent=True,
-                   params={"opening": opening, "profile": profile})
+        return cls("sector", pair, params={"opening": opening, "profile": profile})
 
     @classmethod
     def rational(cls, numerator, denominator) -> "HerglotzSpec":
@@ -146,40 +131,33 @@ class HerglotzSpec:
         dnum = np.polynomial.polynomial.polyder(num) if num.size > 1 else np.zeros(1, complex)
         dden = np.polynomial.polynomial.polyder(den) if den.size > 1 else np.zeros(1, complex)
 
-        def ev(z, t):
-            z = np.asarray(z, dtype=complex)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _horner(z, num) / _horner(z, den)
-
-        def dv(z, t):
-            z = np.asarray(z, dtype=complex)
+        def pair(z, t):
             n, d = _horner(z, num), _horner(z, den)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return (_horner(z, dnum) * d - n * _horner(z, dden)) / (d * d)
+                inv = 1.0 / d
+                pv = n * inv
+                return pv, (_horner(z, dnum) - pv * _horner(z, dden)) * inv
 
-        def fused(z, t):
-            n, d = _horner(z, num), _horner(z, den)
-            inv = 1.0 / d
-            return n * inv, (_horner(z, dnum) - n * inv * _horner(z, dden)) * inv
-
-        return cls("rational_table", ev, deriv=dv, fused=fused,
-                   params={"numerator": num, "denominator": den})
+        return cls("rational_table", pair, params={"numerator": num, "denominator": den})
 
     @classmethod
     def sampled(cls, fn: Callable[[np.ndarray, float], np.ndarray],
                 z_independent: bool = False) -> "HerglotzSpec":
         """Wrap a user evaluator; it must accept ndarray z and scalar t."""
-        return cls("user_sampled", fn, z_independent=z_independent)
+        if z_independent:
+            def pair(z, t):
+                pv = fn(z, t)
+                return pv, np.zeros_like(pv)
+        else:
+            def pair(z, t):
+                return fn(z, t), (fn(z + DZ_STEP, t) - fn(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
+        return cls("user_sampled", pair)
 
     @classmethod
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
         """z-independent samples p(t), linearly interpolated between nodes."""
         f = _interp_table(ts, values)
-
-        def ev(z, t):
-            return np.full_like(np.asarray(z, dtype=complex), f(t))
-
-        return cls("user_sampled", ev, z_independent=True,
+        return cls("user_sampled", lambda z, t: _full(z, f(t)),
                    params={"ts": np.asarray(ts, float), "values": np.asarray(values, complex)})
 
 
@@ -266,6 +244,16 @@ class DenjoyWolffSpec:
         return None
 
 
+def _field_pair(z: np.ndarray, tv, pv: np.ndarray, dp: np.ndarray):
+    """(G, dG/dz) for G = (z - tv)(conj(tv) z - 1) p, by the product rule.
+
+    G is exactly 0 at z = tv.  tv may be a scalar or an array shaped like z.
+    """
+    tconj = np.conj(tv)
+    af = (z - tv) * (tconj * z - 1.0)
+    return af * pv, (2.0 * tconj * z - (1.0 + abs(tv) ** 2)) * pv + af * dp
+
+
 @dataclass
 class VectorFieldHandle:
     """Assembled Berkson-Porta vector field with its discontinuity set."""
@@ -280,57 +268,31 @@ class VectorFieldHandle:
             raise SpecError(f"|tau({t})| = {abs(v)} > 1")
         return v
 
-    def g(self, z: np.ndarray, t: float) -> np.ndarray:
-        """G(z,t) by the product formula; exactly 0 at z = tau(t)."""
+    def pair(self, z: np.ndarray, t: float):
+        """(G, dG/dz) at time t, with |tau(t)| <= 1 checked."""
         z = np.asarray(z, dtype=complex)
-        tv = self.tau_at(t)
-        return (z - tv) * (np.conj(tv) * z - 1.0) * self.p.evaluate(z, t)
-
-    def dz_g(self, z: np.ndarray, t: float) -> np.ndarray:
-        """dG/dz via the product rule on the Berkson-Porta factors."""
-        z = np.asarray(z, dtype=complex)
-        tv = self.tau_at(t)
-        a = (z - tv) * (np.conj(tv) * z - 1.0)
-        da = 2.0 * np.conj(tv) * z - (1.0 + abs(tv) ** 2)
-        pv, dp = self.p.evaluate_with_deriv(z, t)
-        return da * pv + a * dp
+        return _field_pair(z, self.tau_at(t), *self.p.pair(z, t))
 
     def segment_rhs(self, a: float, b: float) -> Callable:
-        """Fused (G, dG/dz) evaluator valid on [a, b].
+        """(G, dG/dz) evaluator ``pair(z, t)`` valid on [a, b].
 
-        Segments never straddle a breakpoint; for step tau the value is
-        resolved once at the segment midpoint so that stage evaluations at
-        the segment endpoints cannot pick up the neighbouring interval.
-        The two outputs share their p evaluations.
+        Segments never straddle a breakpoint; where tau is constant on the
+        segment it is resolved once (at the midpoint for step data), so that
+        stage evaluations at the segment endpoints cannot pick up the
+        neighbouring interval.  Elsewhere tau is read at every stage.
         """
-        p = self.p
+        p_pair = self.p.pair
         frozen = self.tau.frozen_on(a, b)
         if frozen is not None:
-            tv0 = complex(frozen)
-            if tv0 == 0:
-                # radial case: G = -z p, dG = -p - z dp
-                def pair(z, t):
-                    pv, dp = p.evaluate_with_deriv(z, t)
-                    zp = z * pv
-                    return -zp, -pv - z * dp
-            else:
-                tconj = np.conj(tv0)
-                mod2 = 1.0 + abs(tv0) ** 2
+            tv = complex(frozen)
 
-                def pair(z, t):
-                    af = (z - tv0) * (tconj * z - 1.0)
-                    pv, dp = p.evaluate_with_deriv(z, t)
-                    return af * pv, (2.0 * tconj * z - mod2) * pv + af * dp
+            def pair(z, t):
+                return _field_pair(z, tv, *p_pair(z, t))
         else:
             tau_of = self.tau.value
 
             def pair(z, t):
-                tv = complex(tau_of(t))
-                tconj = np.conj(tv)
-                af = (z - tv) * (tconj * z - 1.0)
-                da = 2.0 * tconj * z - (1.0 + abs(tv) ** 2)
-                pv, dp = p.evaluate_with_deriv(z, t)
-                return af * pv, da * pv + af * dp
+                return _field_pair(z, complex(tau_of(t)), *p_pair(z, t))
 
         return pair
 

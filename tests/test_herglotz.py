@@ -16,31 +16,91 @@ TIMES = np.linspace(0.0, 2.0, 5)
 
 def test_field_product_formula_radial():
     fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0))
-    assert fld.g(np.array([0.5 + 0j]), 0.3)[0] == pytest.approx(-0.5)
+    assert fld.pair(np.array([0.5 + 0j]), 0.3)[0][0] == pytest.approx(-0.5)
 
 
 def test_field_product_formula_chordal():
     fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
-    assert fld.g(np.array([0j]), 0.0)[0] == pytest.approx(1.0)
+    assert fld.pair(np.array([0j]), 0.0)[0][0] == pytest.approx(1.0)
 
 
 def test_field_zero_at_interior_denjoy_wolff_point():
     fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0.3))
-    assert fld.g(np.array([0.3 + 0j]), 1.7)[0] == 0.0
+    assert fld.pair(np.array([0.3 + 0j]), 1.7)[0][0] == 0.0
 
 
 @given(st.complex_numbers(max_magnitude=0.99), st.floats(0.0, 10.0))
 def test_field_vanishes_exactly_at_tau(tau, t):
     fld = assemble_field(HerglotzSpec.rational([1, 0.4], [1, -0.4]),
                          DenjoyWolffSpec.constant(tau))
-    assert fld.g(np.array([complex(tau)]), t)[0] == 0.0
+    assert fld.pair(np.array([complex(tau)]), t)[0][0] == 0.0
 
 
 def test_field_coarse_bound():
     # |G| <= 4 sup|p| on compacts of the disk
     fld = assemble_field(HerglotzSpec.constant(2.5), DenjoyWolffSpec.constant(0.7j))
-    vals = np.abs(fld.g(GRID, 0.0))
+    vals = np.abs(fld.pair(GRID, 0.0)[0])
     assert vals.max() <= 4.0 * 2.5 + 1e-12
+
+
+# Berkson-Porta kernel: every p kind under every tau regime, against the
+# closed form (z - tau)(conj(tau) z - 1) p with p written out by hand.
+def _sector_profile(t):
+    return (1 + t) * np.exp(0.25j * math.pi * np.sin(t))
+
+
+def _z_dependent(z, t):
+    return (1 + t) * (2 + z * z)
+
+
+P_KINDS = {
+    "constant": (HerglotzSpec.constant(0.7 + 0.2j), lambda z, t: 0.7 + 0.2j + 0 * z),
+    "mobius_kernel": (HerglotzSpec.mobius_kernel(lambda t: np.exp(1j * t)),
+                      lambda z, t: (np.exp(1j * t) + z) / (np.exp(1j * t) - z)),
+    "sector": (HerglotzSpec.sector(0.5, _sector_profile),
+               lambda z, t: _sector_profile(t) + 0 * z),
+    "rational_table": (HerglotzSpec.rational([1, 0.5], [1, -0.5]),
+                       lambda z, t: (1 + 0.5 * z) / (1 - 0.5 * z)),
+    "sampled": (HerglotzSpec.sampled(_z_dependent), _z_dependent),
+    "from_time_table": (HerglotzSpec.from_time_table([0.0, 1.0, 3.0], [1, 1 + 2j, 0.5]),
+                        lambda z, t: (1 + 2j * t if t <= 1 else
+                                      1 + 2j + (t - 1) * (-0.25 - 1j)) + 0 * z),
+}
+
+BREAK = 1.0
+# regime -> (tau spec, [(segment a, segment b, read time t, tau(t))])
+TAU_REGIMES = {
+    "zero": (DenjoyWolffSpec.constant(0), [(0.0, 2.0, 0.7, 0j)]),
+    "interior": (DenjoyWolffSpec.constant(0.3 - 0.4j), [(0.0, 2.0, 0.7, 0.3 - 0.4j)]),
+    "boundary": (DenjoyWolffSpec.constant(1j), [(0.0, 2.0, 0.7, 1j)]),
+    "step": (DenjoyWolffSpec.step([BREAK], [0.3, 0.6j]),
+             [(0.0, BREAK, BREAK - 1e-9, 0.3), (BREAK, 2.0, BREAK + 1e-9, 0.6j),
+              (0.0, BREAK, BREAK, 0.3), (BREAK, 2.0, BREAK, 0.6j)]),
+    "sampled": (DenjoyWolffSpec.sampled(lambda t: 0.5 * np.exp(1j * t)),
+                [(0.0, 2.0, t, 0.5 * np.exp(1j * t)) for t in (0.7, 1.9)]),
+}
+
+
+@pytest.mark.parametrize("regime", TAU_REGIMES)
+@pytest.mark.parametrize("kind", P_KINDS)
+def test_field_pair_matches_closed_form(kind, regime):
+    spec, p_exact = P_KINDS[kind]
+    tau, reads = TAU_REGIMES[regime]
+    fld = assemble_field(spec, tau)
+    z = criteria_grid(radii=(0.2, 0.5, 0.8), n_angles=16)
+    h = 1e-6
+    for a, b, t, tv in reads:
+        def g_exact(w):
+            return (w - tv) * (np.conj(tv) * w - 1) * p_exact(w, t)
+
+        g_ref = g_exact(z)
+        dg_ref = (g_exact(z + h) - g_exact(z - h)) / (2 * h)
+        evaluated = [fld.segment_rhs(a, b)(z, t)]
+        if a < t < b:   # at a segment end only the closure keeps its segment's tau
+            evaluated.append(fld.pair(z, t))
+        for g, dg in evaluated:
+            assert np.abs(g - g_ref).max() <= 1e-12 * (1 + np.abs(g_ref).max())
+            assert np.abs(dg - dg_ref).max() <= 1e-6 * (1 + np.abs(dg_ref).max())
 
 
 def test_tau_modulus_rejected():
