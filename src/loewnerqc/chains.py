@@ -12,12 +12,18 @@ followed by the scaling limit
     h_s(z) = lim_{u -> inf} psi_{s,u}(z) / psi'_{0,u}(0),
     f_t = h_t o M_t^{-1}.
 
-The limit is evaluated on a doubling horizon schedule u = t + 2^k and
-accelerated by iterated Richardson extrapolation in 1/(u - t): for
-boundary Denjoy-Wolff data the raw iterates converge only like O(1/u),
-far too slowly for the verification tolerances, while the accelerated
-diagonal reaches them by horizon t + 64.  Raw and accelerated deltas are
-both reported, never asserted exact.
+The horizon schedule u = t + offset follows the regime the data put the
+limit in.  For boundary Denjoy-Wolff data the raw iterates converge only
+like O(1/u), far too slowly for the verification tolerances; the offsets
+double (1, 2, 4, ..., t_inf) and the iterates are accelerated by
+polynomial (Neville) and rational (Bulirsch-Stoer) extrapolation in the
+node x = 1/(u - t).  For a constant interior tau the iterates converge
+geometrically, like exp(-lambda (u - t)) with
+lambda = (1 - |tau|^2) Re p(tau, u); when every 4-unit step at least
+halves the error, the offsets 20, 24, 28 are inserted between 16 and 32
+and the raw stop usually fires there, before the renormalization reaches
+its noise floor.  Raw and accelerated deltas are both reported, never
+asserted exact.
 
 Decreasing chains g_t = omega_{0,t} come from direct reverse integration
 and need no limit.
@@ -25,6 +31,7 @@ and need no limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +54,45 @@ class NormalizationError(RuntimeError):
     """phi'_{0,t}(0) vanished or went non-finite; univalence is broken."""
 
 
-def horizon_offsets(t_inf: float = DEFAULT_T_INF) -> np.ndarray:
-    """Doubling offsets 1, 2, 4, ... capped by t_inf."""
+# Offsets inserted between 16 and 32 when the limit contracts geometrically.
+_GEOMETRIC_OFFSETS = (20.0, 24.0, 28.0)
+
+
+def _contracts_geometrically(field: VectorFieldHandle, t: float) -> bool:
+    """True when the scaling limit from t converges geometrically and fast.
+
+    That needs a constant interior tau with
+    (1 - |tau|^2) Re p(tau, u) >= ln 2 / 4 at every integer u in
+    [t + 16, t + 32]: each 4-unit step of the horizon then at least halves
+    the error, so the raw successive-estimate stop still bounds what is left.
+    """
+    if not field.tau.is_constant():
+        return False
+    tv = complex(field.tau.params["value"])
+    if not abs(tv) < 1.0:
+        return False
+    z = np.array([tv])
+    lam = 1.0 - abs(tv) ** 2
+    for u in range(math.ceil(t + 16.0), math.floor(t + 32.0) + 1):
+        if not lam * field.p.evaluate(z, float(u))[0].real >= math.log(2.0) / 4.0:
+            return False
+    return True
+
+
+def horizon_offsets(t_inf: float = DEFAULT_T_INF, field: VectorFieldHandle | None = None,
+                    t: float = 0.0) -> np.ndarray:
+    """Offsets u - t of the scaling-limit horizons, capped by t_inf.
+
+    Doubling 1, 2, 4, ... by default.  For a field whose limit from t
+    contracts geometrically, 20, 24 and 28 are inserted between 16 and 32.
+    """
     k = int(np.floor(np.log2(t_inf) + 1e-12))
-    return 2.0 ** np.arange(0, k + 1)
+    offsets = 2.0 ** np.arange(0, k + 1)
+    if field is not None and t_inf >= _GEOMETRIC_OFFSETS[0] \
+            and _contracts_geometrically(field, t):
+        extra = [o for o in _GEOMETRIC_OFFSETS if o <= t_inf]
+        offsets = np.sort(np.concatenate([offsets, extra]))
+    return offsets
 
 
 @dataclass
@@ -146,50 +188,64 @@ def verify_psi_normalization(field: VectorFieldHandle, pairs, tol: float = 1e-9,
     return worst <= tol_norm, worst
 
 
-def _polynomial_table(its: np.ndarray) -> np.ndarray:
-    """Richardson (polynomial Neville at x=0) table for x_k = 2^{-k} nodes."""
+def _polynomial_table(its: np.ndarray, xs: np.ndarray):
+    """Last two rows of the Neville table at x = 0 on the nodes xs.
+
+    T[k, m] = (x_{k-m} T[k, m-1] - x_k T[k-1, m-1]) / (x_{k-m} - x_k) is
+    the degree-m polynomial extrapolant through nodes k-m..k.  Rows roll,
+    so memory stays O(K N); entries past the diagonal are NaN.
+    """
     K = its.shape[0]
-    tab = np.full((K, K) + its.shape[1:], np.nan, dtype=complex)
-    tab[:, 0] = its
+    prev = np.full(its.shape, np.nan, dtype=complex)
+    cur = np.full(its.shape, np.nan, dtype=complex)
+    cur[0] = its[0]
     for k in range(1, K):
+        prev, cur = cur, prev
+        cur[0] = its[k]
         for m in range(1, k + 1):
-            c = 2.0 ** m
-            tab[k, m] = (c * tab[k, m - 1] - tab[k - 1, m - 1]) / (c - 1.0)
-    return tab
+            a, b = xs[k - m], xs[k]
+            cur[m] = (a * cur[m - 1] - b * prev[m - 1]) / (a - b)
+    return prev, cur
 
 
-def _rational_table(its: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Bulirsch-Stoer rational extrapolation table at x = 0.
+def _rational_table(its: np.ndarray, xs: np.ndarray):
+    """Last two rows of the Bulirsch-Stoer rational table at x = 0.
 
     Column c holds the order-(c-1) rational extrapolants; T[i, 0] is the
     conventional zero column of the recursion.  Exact for iterates that are
     Mobius functions of x, which is what boundary Denjoy-Wolff data produce.
+    Rows roll as in ``_polynomial_table``.
     """
     K = its.shape[0]
-    T = np.full((K, K + 1) + its.shape[1:], np.nan, dtype=complex)
-    T[:, 0] = 0.0
-    T[:, 1] = its
-    for k in range(1, K):
-        for i in range(k, K):
-            num = T[i, k] - T[i - 1, k]
-            den_inner = T[i, k] - T[i - 1, k - 1]
+    prev = np.full((K + 1,) + its.shape[1:], np.nan, dtype=complex)
+    cur = np.full((K + 1,) + its.shape[1:], np.nan, dtype=complex)
+    cur[0] = 0.0
+    cur[1] = its[0]
+    for i in range(1, K):
+        prev, cur = cur, prev
+        cur[0] = 0.0
+        cur[1] = its[i]
+        for k in range(1, i + 1):
+            num = cur[k] - prev[k]
+            den_inner = cur[k] - prev[k - 1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(den_inner != 0, num / den_inner, 0.0)
                 factor = (xs[i - k] / xs[i]) * (1.0 - ratio) - 1.0
                 upd = np.where(factor != 0, num / factor, 0.0)
-            T[i, k + 1] = T[i, k] + upd
-    return T
+            cur[k + 1] = cur[k] + upd
+    return prev, cur
 
 
-def _best_extrapolant(its: np.ndarray):
-    """Per-point extrapolated limit of a doubling-horizon sequence.
+def _best_extrapolant(its: np.ndarray, xs: np.ndarray):
+    """Per-point extrapolated limit at x = 0 of iterates taken at nodes xs.
 
-    Candidates are the raw tail, the last-row polynomial extrapolants (which
-    use only the finest horizons) and the last-row rational extrapolants;
-    each point picks the candidate with the smallest internal error
-    estimate.  Near the Denjoy-Wolff point the 1/u power series can diverge
-    while the rational extrapolant stays exact, so no depth is forced
-    globally.  Returns (values, per-point error estimates).
+    xs = 1/(u - t) for the horizons u of a limit.  Candidates are the raw
+    tail, the last-row polynomial extrapolants (which use only the finest
+    horizons) and the last-row rational extrapolants; each point picks the
+    candidate with the smallest internal error estimate.  Near the
+    Denjoy-Wolff point the 1/u power series can diverge while the rational
+    extrapolant stays exact, so no depth is forced globally.  Returns
+    (values, per-point error estimates).
     """
     its = np.asarray(its, dtype=complex)
     K = its.shape[0]
@@ -198,21 +254,20 @@ def _best_extrapolant(its: np.ndarray):
     cand_vals = [its[-1]]
     cand_errs = [np.abs(its[-1] - its[-2])]
 
-    poly = _polynomial_table(its)
+    prev, last = _polynomial_table(its, xs)
     for m in range(1, K):
-        est = np.abs(poly[K - 1, m] - poly[K - 1, m - 1])
+        est = np.abs(last[m] - last[m - 1])
         if m <= K - 2:
-            est = est + np.abs(poly[K - 1, m] - poly[K - 2, m])
-        cand_vals.append(poly[K - 1, m])
+            est = est + np.abs(last[m] - prev[m])
+        cand_vals.append(last[m])
         cand_errs.append(est)
 
-    xs = 2.0 ** -np.arange(K)
-    rat = _rational_table(its, xs)
+    prev, last = _rational_table(its, xs)
     for c in range(2, K + 1):
-        est = np.abs(rat[K - 1, c] - rat[K - 1, c - 1])
+        est = np.abs(last[c] - last[c - 1])
         if c <= K - 1:
-            est = est + np.abs(rat[K - 1, c] - rat[K - 2, c])
-        cand_vals.append(rat[K - 1, c])
+            est = est + np.abs(last[c] - prev[c])
+        cand_vals.append(last[c])
         cand_errs.append(est)
 
     vals = np.stack(cand_vals)
@@ -252,13 +307,18 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
                 normalizer: MobiusNormalizer | None = None) -> ChainLimitResult:
     """Evaluate f_t at the given interior points through the scaling limit.
 
-    The horizon schedule doubles its offset from t until either the raw
-    iterates agree to tol_limit in sup norm (early stop, the plain limit)
-    or the schedule is exhausted, in which case Richardson extrapolation
-    against 1/(u - t) supplies the returned values.
+    The horizons u = t + horizon_offsets(t_inf, field, t) double, with
+    t + 20, 24, 28 inserted where the limit contracts geometrically.  The
+    iteration stops once the raw iterates agree to tol_limit in sup norm
+    (the plain limit), once the extrapolants certify every point (from
+    five horizons on), or when the schedule is exhausted; in the last two
+    cases extrapolation in x = 1/(u - t) supplies the returned values.
+    A normalizer passed in must tabulate the same horizons.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    horizons = t + horizon_offsets(t_inf)
+    offsets = horizon_offsets(t_inf, field, t)
+    xs = 1.0 / offsets
+    horizons = t + offsets
     if normalizer is None:
         normalizer = _normalizer_for(field, horizons, tol)
 
@@ -305,8 +365,8 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
         # before the raw tail does; stop once they certify every live point,
         # derivatives included (they converge slower for boundary tau data)
         if len(its) >= 5 and live.any():
-            v_try, ve = _best_extrapolant(np.stack(its))
-            d_try, de = _best_extrapolant(np.stack(dits))
+            v_try, ve = _best_extrapolant(np.stack(its), xs[:len(its)])
+            d_try, de = _best_extrapolant(np.stack(dits), xs[:len(its)])
             v_ok = ve[live] <= tol_limit * np.maximum(1.0, np.abs(v_try[live]))
             d_ok = de[live] <= tol_limit * np.maximum(1.0, np.abs(d_try[live]))
             if bool(v_ok.all()) and bool(d_ok.all()):
@@ -323,8 +383,8 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
         acc_delta = raw_delta
         accelerated = False
     else:
-        values, pdelta = _best_extrapolant(its)
-        derivs, _ = _best_extrapolant(dits)
+        values, pdelta = _best_extrapolant(its, xs[:its.shape[0]])
+        derivs, _ = _best_extrapolant(dits, xs[:its.shape[0]])
         acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
         accelerated = True
     values = np.where(valid, values, np.nan + 0j)
@@ -344,7 +404,7 @@ def chain_limit(field: VectorFieldHandle, s: float, grid, tol: float = 1e-9,
     limit is evaluated there.
     """
     pts = grid.points if isinstance(grid, SeedGrid) else np.atleast_1d(np.asarray(grid, complex))
-    horizons = s + horizon_offsets(t_inf)
+    horizons = s + horizon_offsets(t_inf, field, s)
     normalizer = _normalizer_for(field, np.concatenate([[s], horizons]), tol)
     moved = normalizer.m(s, pts)
     res = limit_frame(field, s, moved, tol, t_inf, tol_limit, normalizer)
@@ -435,12 +495,13 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     cps = np.unique(np.asarray(checkpoints, dtype=float))
     if via_transition is None:
         via_transition = cps.size > 12
-    offsets = horizon_offsets(t_inf)
     t_last = float(cps[-1])
+    # the normalizer tabulates every horizon the limits below will visit
     if via_transition:
-        all_times = t_last + offsets
+        all_times = t_last + horizon_offsets(t_inf, field, t_last)
     else:
-        all_times = np.unique((cps[:, None] + offsets[None, :]).ravel())
+        all_times = np.unique(np.concatenate(
+            [c + horizon_offsets(t_inf, field, c) for c in cps]))
     normalizer = _normalizer_for(field, all_times, tol)
 
     pts, _ = _frame_points(grid, n_theta, delta_trace, second_radius)
@@ -602,6 +663,8 @@ def beta_limit(field: VectorFieldHandle, probes=None, t_inf: float = DEFAULT_T_I
     if np.any(np.abs(probes) >= 1.0):
         raise ValueError("beta probes must be interior")
 
+    # pure doubling whatever the regime: the classifier reads tail ratios
+    # of successive doublings
     horizons = horizon_offsets(t_inf)
     traj = solve_forward(field, 0.0, float(horizons[-1]), probes, tol=tol,
                          checkpoints=horizons, atol=_ATOL_FLOOR)
@@ -611,7 +674,7 @@ def beta_limit(field: VectorFieldHandle, probes=None, t_inf: float = DEFAULT_T_I
         hist[k] = np.abs(dw) / (1.0 - np.abs(w) ** 2)
 
     raw_last = hist[-1]
-    best, _ = _best_extrapolant(hist.astype(complex))
+    best, _ = _best_extrapolant(hist.astype(complex), 1.0 / horizons)
     # the raw sequence is non-increasing and nonnegative, so the limit is
     # bracketed by [0, last raw value]
     extrap = np.clip(best.real, 0.0, raw_last)

@@ -7,6 +7,7 @@ path so a config author sees the whole damage at once.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -25,13 +26,61 @@ class ConfigError(ValueError):
 
 
 def _as_complex(v, path, errors):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and \
-            all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    errors.append(f"{path} must be a number or an [re, im] pair")
-    return 0j
+    try:
+        if isinstance(v, (int, float)):
+            c = complex(v)
+        elif isinstance(v, (list, tuple)) and len(v) == 2 and \
+                all(isinstance(x, (int, float)) for x in v):
+            c = complex(v[0], v[1])
+        else:
+            c = None
+    except OverflowError:
+        c = None
+    if c is None or not cmath.isfinite(c):
+        errors.append(f"{path} must be a finite number or an [re, im] pair")
+        return 0j
+    return c
+
+
+def _real(v, path, errors, default: float) -> float:
+    """float(v) for a finite number; otherwise default, with the error recorded."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        errors.append(f"{path} must be a finite number")
+        return default
+    return x
+
+
+def _integer(v, path, errors, default: int) -> int:
+    x = _real(v, path, errors, math.nan)
+    if math.isnan(x):
+        return default
+    if x != int(x):
+        errors.append(f"{path} must be an integer")
+        return default
+    return int(x)
+
+
+def _real_list(v, path, errors, default) -> list:
+    try:
+        out = [float(x) for x in v] if isinstance(v, list) else None
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not all(math.isfinite(x) for x in out):
+        errors.append(f"{path} must be a list of finite numbers")
+        return list(default)
+    return out
+
+
+def _section(doc, key, errors) -> dict:
+    d = doc.get(key, {})
+    if not isinstance(d, dict):
+        errors.append(f"{key} must be an object")
+        return {}
+    return d
 
 
 @dataclass
@@ -106,7 +155,7 @@ def _time_table(rows, path, errors, build=_interp_table):
     try:
         ts = [float(r[0]) for r in rows]
         vs = [_as_complex(r[1], path, errors) for r in rows]
-    except (TypeError, IndexError, ValueError):
+    except (TypeError, IndexError, KeyError, ValueError, OverflowError):
         errors.append(f"{path} must be [[t, value], ...] rows")
         return None
     try:
@@ -157,7 +206,7 @@ def build_herglotz(d, path, errors) -> HerglotzSpec:
                 return fallback
             spec = _time_table(table, f"{path}.table", errors, HerglotzSpec.from_time_table)
             return spec if spec is not None else fallback
-    except (SpecError, ValueError, TypeError) as e:
+    except (SpecError, ValueError, TypeError, OverflowError) as e:
         errors.append(f"{path}: {e}")
         return fallback
     errors.append(f"{path}.kind '{kind}' is unknown "
@@ -193,7 +242,7 @@ def build_tau(d, path, errors) -> DenjoyWolffSpec:
 
             spec = _time_table(table, f"{path}.table", errors, sampled)
             return spec if spec is not None else fallback
-    except (SpecError, ValueError, TypeError) as e:
+    except (SpecError, ValueError, TypeError, OverflowError) as e:
         errors.append(f"{path}: {e}")
         return fallback
     errors.append(f"{path}.kind '{kind}' is unknown (constant | step | sampled)")
@@ -212,10 +261,10 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
     q = build_herglotz(doc["q"], "q", errors) if "q" in doc else None
 
     tc = TimeConfig()
-    td = doc.get("time", {})
-    tc.t_end = float(td.get("t_end", tc.t_end))
-    tc.tol = float(td.get("tol", tc.tol))
-    tc.checkpoints = list(td.get("checkpoints", []))
+    td = _section(doc, "time", errors)
+    tc.t_end = _real(td.get("t_end", tc.t_end), "time.t_end", errors, tc.t_end)
+    tc.tol = _real(td.get("tol", tc.tol), "time.tol", errors, tc.tol)
+    tc.checkpoints = _real_list(td.get("checkpoints", []), "time.checkpoints", errors, [])
     if tc.t_end <= 0:
         errors.append("time.t_end must be positive")
     if tc.tol <= 0:
@@ -223,13 +272,19 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
     cps = tc.checkpoints
     if any(b <= a for a, b in zip(cps, cps[1:])):
         errors.append("time.checkpoints must be ascending")
+    if any(not 0.0 <= c <= tc.t_end for c in cps):
+        errors.append("time.checkpoints must lie in [0, t_end]")
 
     gc = GridConfig()
-    gd = doc.get("grid", {})
-    gc.circles = list(gd.get("circles", gc.circles))
-    gc.angles = int(gd.get("angles", gc.angles))
-    gc.delta_trace = float(gd.get("delta_trace", gc.delta_trace))
-    gc.theta_nodes = int(gd.get("theta_nodes", gc.theta_nodes))
+    gd = _section(doc, "grid", errors)
+    gc.circles = _real_list(gd.get("circles", gc.circles), "grid.circles", errors, gc.circles)
+    gc.angles = _integer(gd.get("angles", gc.angles), "grid.angles", errors, gc.angles)
+    gc.delta_trace = _real(gd.get("delta_trace", gc.delta_trace), "grid.delta_trace",
+                           errors, gc.delta_trace)
+    gc.theta_nodes = _integer(gd.get("theta_nodes", gc.theta_nodes), "grid.theta_nodes",
+                              errors, gc.theta_nodes)
+    if not gc.circles:
+        errors.append("grid.circles must not be empty")
     if any(not 0 < r < 1 for r in gc.circles):
         errors.append("grid.circles must lie in (0, 1)")
     if gc.angles < 4:
@@ -240,35 +295,40 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
         errors.append("grid.theta_nodes must be >= 8")
 
     cc = CriteriaConfig()
-    cd = doc.get("criteria", {})
-    cc.k = float(cd.get("k", cc.k))
+    cd = _section(doc, "criteria", errors)
+    cc.k = _real(cd.get("k", cc.k), "criteria.k", errors, cc.k)
     if not 0.0 <= cc.k < 1.0:
         errors.append("criteria.k must lie in [0,1)")
     for name_ in ("tol_criterion", "tol_herglotz", "tol_holo", "tol_chain",
                   "tol_beta", "tol_limit", "tol_dilat"):
-        v = float(cd.get(name_, getattr(cc, name_)))
-        if v <= 0 or not math.isfinite(v):
+        default = getattr(cc, name_)
+        v = _real(cd.get(name_, default), f"criteria.{name_}", errors, default)
+        if v <= 0:
             errors.append(f"criteria.{name_} must be a positive number")
         setattr(cc, name_, v)
-    cc.t_inf = float(cd.get("t_inf", cc.t_inf))
+    cc.t_inf = _real(cd.get("t_inf", cc.t_inf), "criteria.t_inf", errors, cc.t_inf)
     if cc.t_inf < 1:
         errors.append("criteria.t_inf must be >= 1")
 
     oc = OutputConfig()
-    od = doc.get("outputs", {})
+    od = _section(doc, "outputs", errors)
     oc.svg = bool(od.get("svg", oc.svg))
     oc.csv = bool(od.get("csv", oc.csv))
     oc.json_summary = str(od.get("json_summary", oc.json_summary))
 
+    default_levels = [4, 8, 16, 32]
+    levels = _real_list(doc.get("approx_levels", default_levels), "approx_levels",
+                        errors, default_levels)
+    if not levels or any(n < 1 or n != int(n) for n in levels):
+        errors.append("approx_levels must be positive integers")
+        levels = default_levels
     cfg = ScenarioConfig(
         name=str(doc.get("scenario", name)), p=p, tau=tau, q=q,
         time=tc, grid=gc, criteria=cc, outputs=oc,
-        rng_seed=int(doc.get("rng_seed", 20240601)),
-        approx_levels=list(doc.get("approx_levels", [4, 8, 16, 32])),
-        approx_horizon=float(doc.get("approx_horizon", 4.0)),
+        rng_seed=_integer(doc.get("rng_seed", 20240601), "rng_seed", errors, 20240601),
+        approx_levels=[int(n) for n in levels],
+        approx_horizon=_real(doc.get("approx_horizon", 4.0), "approx_horizon", errors, 4.0),
     )
-    if any(int(n) < 1 for n in cfg.approx_levels):
-        errors.append("approx_levels must be positive integers")
     return cfg, errors
 
 

@@ -12,7 +12,9 @@ The stepper is an embedded Dormand-Prince 5(4) pair with a shared
 adaptive step across all seeds of a batch (the error norm maxes over
 live seeds, so each seed still meets the tolerance), step boundaries
 aligned to the Denjoy-Wolff discontinuity set, and honest truncation
-when a trajectory reaches the boundary guard.
+when a trajectory reaches the boundary guard or a point where the field
+is not finite.  Truncation is per seed: the healthy seeds of the batch go
+on.
 """
 
 from __future__ import annotations
@@ -140,6 +142,17 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
     record(0, stops[0])
     h = min(hmax, max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
 
+    def drop(mask, t_now):
+        """Truncate the active seeds selected by mask at t_now."""
+        nonlocal active, y, k1
+        gone = active[mask]
+        truncated[gone] = True
+        trunc_time[gone] = t_now
+        keep = ~mask
+        active = active[keep]
+        y = y[:, keep]
+        k1 = k1[:, keep]
+
     for si in range(len(stops) - 1):
         a, b = float(stops[si]), float(stops[si + 1])
         if active.size == 0:
@@ -150,11 +163,26 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
         k1 = _rhs(pair_fn, t, y)
         K = np.empty((7,) + y.shape, dtype=complex)
         Kf = K.reshape(7, -1)
+        bad = np.zeros(active.size, dtype=bool)
         while t < b - 1e-14 * max(1.0, abs(b)):
             if active.size == 0:
                 break
             h = min(h, b - t)
-            if h < _H_MIN_FACTOR * max(1.0, abs(t)):
+            h_min = _H_MIN_FACTOR * max(1.0, abs(t))
+            # a seed whose field is not finite where it stands, or whose
+            # steps stay non-finite down to the smallest step, cannot be
+            # advanced; it is truncated alone and the others go on
+            sick = ~np.isfinite(k1).all(axis=0)
+            if h < h_min:
+                sick |= bad
+            if sick.any():
+                warnings.append(f"non-finite field at t = {t}; "
+                                f"{int(np.count_nonzero(sick))} seed(s) truncated")
+                drop(sick, t)
+                bad = np.zeros(active.size, dtype=bool)
+                h = max(h, h_min)
+                continue
+            if h < h_min:
                 warnings.append(f"step size underflow at t = {t}; live seeds truncated")
                 truncated[active] = True
                 trunc_time[active] = t
@@ -185,18 +213,18 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                 steps[active] += 1
                 hit = abs_new[0] >= 1.0 - guard
                 if hit.any():
-                    gone = active[hit]
-                    truncated[gone] = True
-                    trunc_time[gone] = t
-                    keep = ~hit
-                    active = active[keep]
-                    y = y[:, keep]
-                    k1 = k1[:, keep]
+                    drop(hit, t)
+                    bad = np.zeros(active.size, dtype=bool)
                 factor = 5.0 if errmax == 0.0 else min(5.0, max(0.2, 0.9 * errmax ** -0.2))
                 h = min(hmax, h * factor)
             else:
                 rejected += 1
-                h = h * (0.2 if not np.isfinite(errmax) else max(0.2, 0.9 * errmax ** -0.2))
+                # errmax covers finite entries only, so a non-finite state
+                # takes the floor factor; a rejected step never grows h
+                if bad.any() or not np.isfinite(errmax):
+                    h *= 0.2
+                else:
+                    h *= min(1.0, max(0.2, 0.9 * errmax ** -0.2))
         record(si + 1, b)
 
     return values, derivs, truncated, trunc_time, steps, rejected, warnings

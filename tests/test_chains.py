@@ -189,3 +189,114 @@ def test_unconverged_frames_are_flagged():
     res = chains.limit_frame(fld, 1.0, GRID.points[:4], tol=1e-9, tol_limit=1e-12)
     assert not res.converged
     assert np.isfinite(res.acc_delta)
+
+
+# ---------------------------------------------------------------------------
+# regime-aware horizons and extrapolation on arbitrary nodes
+
+STEP_TAU = assemble_field(HerglotzSpec.constant(1),
+                          DenjoyWolffSpec.step([1.0], [0.3, 0.6j]))
+DOUBLING_64 = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+GEOMETRIC_64 = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 20.0, 24.0, 28.0, 32.0, 64.0])
+
+
+@pytest.mark.parametrize("a", [0.5, 0.3 - 0.4j])
+def test_interior_chain_closed_form(a):
+    # p = 1, tau = a: f_t(z) = (exp(lam t) T_a(z) + a) / lam with the disk
+    # automorphism T_a(z) = (z - a)/(1 - conj(a) z) and lam = 1 - |a|^2
+    fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(a))
+    lam = 1.0 - abs(a) ** 2
+    fr = chains.range_normalized_chain(fld, [0.0, 0.5, 1.0], GRID, n_theta=32)
+    ta = (GRID.points - a) / (1.0 - np.conj(a) * GRID.points)
+    ref = (np.exp(lam * fr.checkpoints)[:, None] * ta[None, :] + a) / lam
+    assert fr.converged.all()
+    assert np.abs(fr.values - ref).max() < 1e-7
+
+
+def test_horizon_offsets_follow_the_regime():
+    assert np.array_equal(chains.horizon_offsets(), DOUBLING_64)
+    for fld in (CHORDAL, ROTATION, STEP_TAU):
+        for t in (0.0, 0.5, 1.5):
+            assert np.array_equal(chains.horizon_offsets(64.0, fld, t), DOUBLING_64)
+    for fld in (EXP, BECKER):
+        assert np.array_equal(chains.horizon_offsets(64.0, fld, 0.5), GEOMETRIC_64)
+    assert np.array_equal(chains.horizon_offsets(16.0, BECKER, 0.0), DOUBLING_64[:5])
+    assert np.array_equal(chains.horizon_offsets(24.0, BECKER, 0.0), GEOMETRIC_64[:7])
+    # Re p(0, u) = 0.1 < ln 2 / 4: too slow for 4-unit steps to halve the error
+    slow = assemble_field(HerglotzSpec.constant(0.1 + 1j), DenjoyWolffSpec.constant(0))
+    assert np.array_equal(chains.horizon_offsets(64.0, slow, 0.0), DOUBLING_64)
+
+
+def _doubling_extrapolant(its):
+    """The extrapolant as computed on doubling nodes with full c = 2**m tables."""
+    K = its.shape[0]
+    poly = np.full((K, K) + its.shape[1:], np.nan, dtype=complex)
+    poly[:, 0] = its
+    for k in range(1, K):
+        for m in range(1, k + 1):
+            c = 2.0 ** m
+            poly[k, m] = (c * poly[k, m - 1] - poly[k - 1, m - 1]) / (c - 1.0)
+    xs = 2.0 ** -np.arange(K)
+    rat = np.full((K, K + 1) + its.shape[1:], np.nan, dtype=complex)
+    rat[:, 0] = 0.0
+    rat[:, 1] = its
+    for k in range(1, K):
+        for i in range(k, K):
+            num = rat[i, k] - rat[i - 1, k]
+            den_inner = rat[i, k] - rat[i - 1, k - 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(den_inner != 0, num / den_inner, 0.0)
+                factor = (xs[i - k] / xs[i]) * (1.0 - ratio) - 1.0
+                upd = np.where(factor != 0, num / factor, 0.0)
+            rat[i, k + 1] = rat[i, k] + upd
+    vals, errs = [its[-1]], [np.abs(its[-1] - its[-2])]
+    for m in range(1, K):
+        est = np.abs(poly[K - 1, m] - poly[K - 1, m - 1])
+        if m <= K - 2:
+            est = est + np.abs(poly[K - 1, m] - poly[K - 2, m])
+        vals.append(poly[K - 1, m])
+        errs.append(est)
+    for c in range(2, K + 1):
+        est = np.abs(rat[K - 1, c] - rat[K - 1, c - 1])
+        if c <= K - 1:
+            est = est + np.abs(rat[K - 1, c] - rat[K - 2, c])
+        vals.append(rat[K - 1, c])
+        errs.append(est)
+    vals, errs = np.stack(vals), np.stack(errs)
+    errs = np.where(np.isfinite(errs) & np.isfinite(vals), errs, np.inf)
+    pick = np.argmin(errs, axis=0)
+    gather = (pick,) + tuple(np.indices(pick.shape))
+    return vals[gather], errs[gather]
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 7, 9])
+def test_best_extrapolant_on_doubling_nodes_is_bit_identical(K):
+    rng = np.random.default_rng(K)
+    x = 2.0 ** -np.arange(K)
+    # limits with O(x) tails, Mobius tails and plain noise
+    base = rng.normal(size=40) + 1j * rng.normal(size=40)
+    its = np.concatenate([
+        base[:20] + np.outer(x, rng.normal(size=20)) + np.outer(x ** 2, rng.normal(size=20)),
+        (base[20:30] + x[:, None]) / (1.0 + 0.3 * x[:, None]),
+        rng.normal(size=(K, 10)) + 1j * rng.normal(size=(K, 10)),
+    ], axis=1)
+    want_v, want_e = _doubling_extrapolant(its)
+    got_v, got_e = chains._best_extrapolant(its, 1.0 / chains.horizon_offsets(2.0 ** (K - 1)))
+    assert np.array_equal(got_v, want_v)
+    assert np.array_equal(got_e, want_e)
+    hist = np.abs(its.real[:, :5]) + 0.1
+    got, _ = chains._best_extrapolant(hist.astype(complex), 1.0 / 2.0 ** np.arange(K))
+    want, _ = _doubling_extrapolant(hist.astype(complex))
+    assert np.array_equal(got, want)
+
+
+def test_best_extrapolant_exact_on_nonuniform_nodes():
+    xs = 1.0 / GEOMETRIC_64[:9]
+    x = xs[:, None]
+    limit = np.array([0.3 + 0.1j, -1.2, 2.0j])
+    poly = limit + 0.7 * x - (0.4 + 0.2j) * x ** 2 + 0.05j * x ** 3
+    vals, _ = chains._best_extrapolant(poly, xs)
+    assert np.abs(vals - limit).max() < 1e-12
+    mobius = (limit + (0.5 - 0.3j) * x) / (1.0 + 0.8 * x)
+    vals, _ = chains._best_extrapolant(mobius, xs)
+    assert np.abs(vals - limit).max() < 1e-12

@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewnerqc.config import parse_config, validate_config, ConfigError
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
@@ -38,6 +40,55 @@ def test_errors_are_aggregated_not_fail_fast():
         "time": {"t_end": -1},
     })
     assert len(errors) >= 3
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"time": {"t_end": "abc"}}, "time.t_end"),
+    ({"grid": {"circles": 0.5}}, "grid.circles"),
+    ({"grid": {"circles": []}}, "grid.circles"),
+    ({"approx_levels": []}, "approx_levels"),
+    ({"grid": {"angles": "eight"}}, "grid.angles"),
+    ({"approx_levels": ["x"]}, "approx_levels"),
+    ({"criteria": {"t_inf": math.nan}}, "criteria.t_inf"),
+    ({"criteria": {"t_inf": math.inf}}, "criteria.t_inf"),
+    ({"time": {"t_end": 1.0, "checkpoints": [0.0, 2.0]}}, "time.checkpoints"),
+    ({"time": [1.0]}, "time"),
+])
+def test_malformed_values_are_collected(doc, path):
+    cfg, errors = validate_config(doc)
+    assert any(e.startswith(path + " ") for e in errors), errors
+
+
+def test_cli_main_non_finite_t_inf_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"criteria": {"t_inf": Infinity}, "time": {"t_end": "abc"}}')
+    code = main(["chain", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "criteria.t_inf" in err and "time.t_end" in err
+
+
+_KEYS = ["scenario", "p", "q", "tau", "time", "grid", "criteria", "outputs", "rng_seed",
+         "approx_levels", "approx_horizon", "kind", "value", "numerator", "denominator",
+         "opening", "profile", "driving", "type", "points", "table", "breakpoints",
+         "values", "t_end", "tol", "checkpoints", "circles", "angles", "delta_trace",
+         "theta_nodes", "k", "t_inf", "tol_limit", "tol_chain", "svg", "json_summary"]
+_KINDS = ["constant", "mobius_kernel", "sector", "rational_table", "user_sampled",
+          "step", "sampled", "table"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(_KINDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=8) | _JSON)
+def test_validate_config_never_raises(doc):
+    cfg, errors = validate_config(doc)
+    assert isinstance(errors, list)
+    assert all(isinstance(e, str) for e in errors)
 
 
 def test_parse_config_missing_file():

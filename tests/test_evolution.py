@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +12,7 @@ from loewnerqc.grids import circle_grid, hyperbolic_distance
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc.evolution import (solve_forward, solve_reverse, verify_semigroup,
                                  schwarz_pick_check, derivative_at_origin)
+from loewnerqc.config import GridConfig
 
 EXP = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0))
 CHORDAL = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
@@ -160,6 +167,37 @@ def test_boundary_guard_truncates_honestly():
     assert tr.truncated[0]
     assert np.isnan(tr.at(4.0)[0].real)
     assert np.isfinite(tr.truncation_time[0])
+
+
+def test_seed_on_a_pole_is_truncated_alone():
+    # p = 1/(1 - 2z) has its pole at the default seed 0.5: the field is not
+    # finite there, so that seed stops where it starts and the rest go on
+    fld = assemble_field(HerglotzSpec.rational([1], [1, -2]), DenjoyWolffSpec.constant(0))
+    grid = GridConfig().seed_grid()
+    tr = solve_forward(fld, 0.0, 1.0, grid, tol=1e-9)
+    at_start = np.flatnonzero(tr.truncated & (tr.truncation_time == 0.0))
+    assert grid.points[at_start].tolist() == [0.5]
+    healthy = tr.live()
+    assert healthy.sum() > len(grid) // 2
+    assert np.isfinite(tr.at(1.0)[healthy]).all()
+    assert tr.warnings == ["non-finite field at t = 0.0; 1 seed(s) truncated"]
+
+
+def test_pole_config_evolve_ends_and_fails(tmp_path):
+    cfg = tmp_path / "pole.json"
+    cfg.write_text(json.dumps({"p": {"kind": "rational_table", "numerator": [1],
+                                     "denominator": [1, -2]}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loewnerqc", "evolve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [w for w in summary["warnings"] if "non-finite" in w] == \
+        ["non-finite field at t = 0.0; 1 seed(s) truncated"]
 
 
 def test_deterministic_repeat():
