@@ -32,10 +32,8 @@ def study(k: float, n_cells: int, n_theta: int):
     grid = circle_grid((0.3, 0.6), 8)
     cps = np.linspace(0.0, 0.64, n_cells + 1)
     t0 = time.perf_counter()
-    ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta,
-                                       second_radius=False)
-    gf = chains.decreasing_chain(g_fld, cps, grid, n_theta=n_theta,
-                                 second_radius=False)
+    ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta)
+    gf = chains.decreasing_chain(g_fld, cps, grid, n_theta=n_theta)
     _, rep = becker_dilatation(ff, gf, p, one, k)
     return rep.max_mu_formula, rep.max_mu_fd, rep.agreement, time.perf_counter() - t0
 

@@ -143,10 +143,10 @@ def _jsonable(x):
     if isinstance(x, (np.floating, float)):
         v = float(x)
         return v if np.isfinite(v) else None
-    if isinstance(x, (np.integer, int)):
-        return int(x)
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
     if isinstance(x, (np.complexfloating, complex)):
         return [float(np.real(x)), float(np.imag(x))]
     if isinstance(x, np.ndarray):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered
+from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row
 from .herglotz import VectorFieldHandle
 from .evolution import TrajectorySet, solve_forward, solve_reverse
 
@@ -113,10 +113,7 @@ class MobiusNormalizer:
             raise NormalizationError("|beta(t)| drifted from 1")
 
     def _i(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-10 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not tabulated")
-        return i
+        return time_row(self.times, t, "time {t} not tabulated")
 
     def psi_prime0(self, t: float) -> float:
         """psi'_{0,t}(0) = |phi'_{0,t}(0)| / (1 - |alpha(t)|^2), positive real."""
@@ -419,11 +416,12 @@ def chain_limit(field: VectorFieldHandle, s: float, grid, tol: float = 1e-9,
 
 @dataclass
 class ChainFrames:
-    """Discretized chain: interior values plus near-boundary traces per time.
+    """Discretized chain: values on the seed grid, on one near-boundary trace
+    ring (1 - delta_trace) e^{i theta} and at the origin, one row per time.
 
-    ``derivs`` carries d f_t / dz from the variational equation, exact up to
-    integration error (no grid differencing).  ``traces_mid`` holds a second
-    ring at half the trace offset for Richardson-style boundary diagnostics.
+    The ``*derivs`` arrays carry d f_t / dz from the variational equation,
+    exact up to integration error (no grid differencing).  Decreasing
+    chains need no limit: their rows are converged with zero deltas.
     """
 
     tag: str
@@ -437,7 +435,6 @@ class ChainFrames:
     traces: np.ndarray
     trace_derivs: np.ndarray
     trace_valid: np.ndarray
-    traces_mid: np.ndarray | None
     origin_values: np.ndarray
     origin_derivs: np.ndarray
     converged: np.ndarray
@@ -450,47 +447,62 @@ class ChainFrames:
         return self.theta.size
 
     def row(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.checkpoints - t)))
-        if abs(self.checkpoints[i] - t) > 1e-10 * max(1.0, abs(t)):
-            raise KeyError(f"checkpoint {t} not stored")
-        return i
+        return time_row(self.checkpoints, t, "checkpoint {t} not stored")
 
 
-def _frame_points(grid: SeedGrid, n_theta: int, delta_trace: float, second: bool):
-    ring = trace_ring(n_theta, delta_trace)
-    blocks = [grid.points, ring]
-    if second:
-        blocks.append(trace_ring(n_theta, delta_trace / 2.0))
-    blocks.append(np.zeros(1, complex))
-    return np.concatenate(blocks), ring
+def _frame_points(grid: SeedGrid, n_theta: int, delta_trace: float) -> np.ndarray:
+    """Frame points in column order: grid | trace ring | origin."""
+    return np.concatenate([grid.points, trace_ring(n_theta, delta_trace), np.zeros(1, complex)])
 
 
-def _split_frame(vals, derivs, data_ok, trace_ok, n_grid, n_theta, second):
-    g = slice(0, n_grid)
-    r1 = slice(n_grid, n_grid + n_theta)
-    r2 = slice(n_grid + n_theta, n_grid + 2 * n_theta) if second else None
-    o = -1
-    return (vals[g], derivs[g], data_ok[g],
-            vals[r1], derivs[r1], trace_ok[r1],
-            (vals[r2] if second else None),
-            vals[o], derivs[o])
+def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, raw, acc) -> ChainFrames:
+    """ChainFrames from (checkpoint x frame point) arrays in _frame_points order.
+
+    ok marks valid (finite, untruncated) data and conv per-point limit
+    convergence, or is None for a chain built without a limit.  A row
+    counts as converged when every valid grid point converged and at least
+    one grid point is valid; unconverged rows and masked trace nodes are
+    reported as warnings.
+    """
+    n_grid = len(grid)
+    g, r = slice(0, n_grid), slice(n_grid, n_grid + n_theta)
+    warnings: list[str] = []
+    if conv is None:
+        tvalid = ok[:, r]
+        converged = np.ones(cps.size, bool)
+    else:
+        # trace nodes also need per-point convergence: atlases consume them blindly
+        tvalid = ok[:, r] & conv[:, r]
+        converged = (conv[:, g] | ~ok[:, g]).all(axis=1) & ok[:, g].any(axis=1)
+        for i, t in enumerate(cps):
+            if not converged[i]:
+                warnings.append(f"chain limit unconverged on the grid at t = {t} "
+                                f"(delta {acc[i]:.3g})")
+            n_masked = int(np.count_nonzero(~tvalid[i]))
+            if n_masked:
+                warnings.append(f"{n_masked} trace node(s) masked at t = {t}")
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return ChainFrames(tag, cps, grid, vals[:, g], ders[:, g], ok[:, g],
+                       theta, 1.0 - delta_trace, vals[:, r], ders[:, r], tvalid,
+                       vals[:, -1], ders[:, -1], converged, raw, acc, warnings)
 
 
 def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
                            n_theta: int = 256, delta_trace: float = 1e-3,
                            tol: float = 1e-9, t_inf: float = DEFAULT_T_INF,
                            tol_limit: float = DEFAULT_TOL_LIMIT,
-                           second_radius: bool = True,
                            via_transition: bool | None = None) -> ChainFrames:
     """Frames of the range-normalized chain f_t at every checkpoint.
 
-    Two construction modes share the same limit evaluator.  The direct mode
-    runs one scaling limit per checkpoint.  The composition mode pushes all
-    frame points to the last checkpoint by short integrations and evaluates
-    a single batched limit there, using f_s = f_T o phi_{s,T}; it is picked
-    automatically for dense checkpoint grids, where it is much cheaper.
-    Transition verification should run against direct-mode frames so that
-    the identity is not checked against its own construction.
+    Every frame samples the seed grid, one trace ring at |z| = 1 -
+    delta_trace and the origin.  Two construction modes share the same
+    limit evaluator.  The direct mode runs one scaling limit per
+    checkpoint.  The composition mode pushes all frame points to the last
+    checkpoint by short integrations and evaluates a single batched limit
+    there, using f_s = f_T o phi_{s,T}; it is picked automatically for
+    dense checkpoint grids, where it is much cheaper.  Transition
+    verification should run against direct-mode frames so that the
+    identity is not checked against its own construction.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
     if via_transition is None:
@@ -504,77 +516,37 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
             [c + horizon_offsets(t_inf, field, c) for c in cps]))
     normalizer = _normalizer_for(field, all_times, tol)
 
-    pts, _ = _frame_points(grid, n_theta, delta_trace, second_radius)
-    n_grid, nt = len(grid), cps.size
-    npts = pts.size
-    values = np.empty((nt, n_grid), complex)
-    derivs = np.empty((nt, n_grid), complex)
-    gvalid = np.empty((nt, n_grid), bool)
-    traces = np.empty((nt, n_theta), complex)
-    tderivs = np.empty((nt, n_theta), complex)
-    tvalid = np.empty((nt, n_theta), bool)
-    tmid = np.empty((nt, n_theta), complex) if second_radius else None
-    origin_v = np.empty(nt, complex)
-    origin_d = np.empty(nt, complex)
-    converged = np.empty(nt, bool)
-    raw_d = np.empty(nt)
-    acc_d = np.empty(nt)
-    warnings: list[str] = []
-
-    def fill_row(i, row_vals, row_ders, data_ok, conv_ok, raw, acc):
-        # validity (finite, untruncated) and convergence are kept apart: the
-        # grid mask records validity while trace nodes additionally require
-        # per-point convergence, since atlases consume them blindly.  Frame
-        # convergence is judged on the interior grid.
-        (values[i], derivs[i], gvalid[i], traces[i], tderivs[i], tvalid[i],
-         mid, origin_v[i], origin_d[i]) = _split_frame(
-            row_vals, row_ders, data_ok, data_ok & conv_ok, n_grid, n_theta, second_radius)
-        if second_radius:
-            tmid[i] = mid
-        converged[i] = bool((conv_ok[:n_grid] | ~data_ok[:n_grid]).all()
-                            and data_ok[:n_grid].any())
-        raw_d[i] = raw
-        acc_d[i] = acc
-        if not converged[i]:
-            warnings.append(f"chain limit unconverged on the grid at t = {cps[i]} "
-                            f"(delta {acc:.3g})")
-        n_masked = int(np.count_nonzero(~tvalid[i]))
-        if n_masked:
-            warnings.append(f"{n_masked} trace node(s) masked at t = {cps[i]}")
-
+    pts = _frame_points(grid, n_theta, delta_trace)
+    nt = cps.size
     if via_transition:
-        images = np.empty((nt, npts), complex)
-        leg_ders = np.empty((nt, npts), complex)
-        leg_ok = np.empty((nt, npts), bool)
-        for i, t in enumerate(cps[:-1]):
-            leg = solve_forward(field, float(t), t_last, pts, tol=tol, atol=_ATOL_FLOOR)
-            images[i] = leg.at(t_last)
-            leg_ders[i] = leg.deriv_at(t_last)
-            leg_ok[i] = leg.live() & np.isfinite(images[i])
-        images[-1] = pts
-        leg_ders[-1] = 1.0
-        leg_ok[-1] = True
+        legs = [solve_forward(field, float(t), t_last, pts, tol=tol, atol=_ATOL_FLOOR)
+                for t in cps[:-1]]
+        images = np.stack([leg.at(t_last) for leg in legs] + [pts])
+        leg_ders = np.stack([leg.deriv_at(t_last) for leg in legs] + [np.ones_like(pts)])
+        leg_ok = np.stack([leg.live() for leg in legs] + [np.ones(pts.shape, bool)]) \
+            & np.isfinite(images)
         res = limit_frame(field, t_last, images.ravel(), tol, t_inf, tol_limit, normalizer)
-        rv = res.values.reshape(nt, npts)
-        rd = res.derivs.reshape(nt, npts) * leg_ders
-        data_ok = res.valid.reshape(nt, npts) & leg_ok
-        conv_ok = res.point_converged.reshape(nt, npts)
-        for i in range(nt):
-            fill_row(i, rv[i], rd[i], data_ok[i], conv_ok[i], res.raw_delta, res.acc_delta)
+        shape = images.shape
+        frames = _frames("range-normalized", cps, grid, n_theta, delta_trace,
+                         res.values.reshape(shape), res.derivs.reshape(shape) * leg_ders,
+                         res.valid.reshape(shape) & leg_ok,
+                         res.point_converged.reshape(shape),
+                         np.full(nt, res.raw_delta), np.full(nt, res.acc_delta))
     else:
-        for i, t in enumerate(cps):
-            res = limit_frame(field, float(t), pts, tol, t_inf, tol_limit, normalizer)
-            fill_row(i, res.values, res.derivs, res.valid, res.point_converged,
-                     res.raw_delta, res.acc_delta)
+        rows = [limit_frame(field, float(t), pts, tol, t_inf, tol_limit, normalizer)
+                for t in cps]
+        frames = _frames("range-normalized", cps, grid, n_theta, delta_trace,
+                         np.stack([r.values for r in rows]),
+                         np.stack([r.derivs for r in rows]),
+                         np.stack([r.valid for r in rows]),
+                         np.stack([r.point_converged for r in rows]),
+                         np.array([r.raw_delta for r in rows]),
+                         np.array([r.acc_delta for r in rows]))
 
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    frames = ChainFrames("range-normalized", cps, grid, values, derivs, gvalid,
-                         theta, 1.0 - delta_trace, traces, tderivs, tvalid, tmid,
-                         origin_v, origin_d, converged, raw_d, acc_d, warnings)
     # f_0 in S: f_0(0) = 0 and f_0'(0) = 1 up to the chain tolerance
     if cps[0] == 0.0:
-        m0 = abs(origin_v[0])
-        d0 = abs(origin_d[0] - 1.0)
+        m0 = abs(frames.origin_values[0])
+        d0 = abs(frames.origin_derivs[0] - 1.0)
         if m0 > TOL_CHAIN or d0 > TOL_CHAIN:
             frames.warnings.append(
                 f"f_0 normalization residuals |f_0(0)| = {m0:.3g}, |f_0'(0)-1| = {d0:.3g}")
@@ -583,39 +555,25 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
 
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
                      n_theta: int = 256, delta_trace: float = 1e-3,
-                     tol: float = 1e-9, second_radius: bool = True) -> ChainFrames:
-    """Decreasing chain g_t = omega_{0,t} by reverse integration per checkpoint."""
+                     tol: float = 1e-9) -> ChainFrames:
+    """Decreasing chain g_t = omega_{0,t} by reverse integration per checkpoint.
+
+    The frames sample the same points as ``range_normalized_chain``: the
+    seed grid, one trace ring at |z| = 1 - delta_trace and the origin.
+    """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
-    pts, ring = _frame_points(grid, n_theta, delta_trace, second_radius)
-    n_grid, nt = len(grid), cps.size
-    values = np.empty((nt, n_grid), complex)
-    derivs = np.empty((nt, n_grid), complex)
-    gvalid = np.empty((nt, n_grid), bool)
-    traces = np.empty((nt, n_theta), complex)
-    tderivs = np.empty((nt, n_theta), complex)
-    tvalid = np.empty((nt, n_theta), bool)
-    tmid = np.empty((nt, n_theta), complex) if second_radius else None
-    origin_v = np.empty(nt, complex)
-    origin_d = np.empty(nt, complex)
-
-    for i, t in enumerate(cps):
+    pts = _frame_points(grid, n_theta, delta_trace)
+    rows = []
+    for t in cps:
         if t == 0.0:
-            vals, dvs, ok = pts.copy(), np.ones_like(pts), np.ones(pts.shape, bool)
-        else:
-            traj = solve_reverse(field, float(t), pts, tol=tol, checkpoints=[0.0])
-            vals, dvs = traj.at(0.0), traj.deriv_at(0.0)
-            ok = traj.live() & np.isfinite(vals)
-        (values[i], derivs[i], gvalid[i], traces[i], tderivs[i], tvalid[i],
-         mid, origin_v[i], origin_d[i]) = _split_frame(
-            vals, dvs, ok, ok, n_grid, n_theta, second_radius)
-        if second_radius:
-            tmid[i] = mid
-
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    ones = np.ones(nt, bool)
-    return ChainFrames("decreasing", cps, grid, values, derivs, gvalid,
-                       theta, 1.0 - delta_trace, traces, tderivs, tvalid, tmid,
-                       origin_v, origin_d, ones, np.zeros(nt), np.zeros(nt))
+            rows.append((pts, np.ones_like(pts), np.ones(pts.shape, bool)))
+            continue
+        traj = solve_reverse(field, float(t), pts, tol=tol, checkpoints=[0.0])
+        vals = traj.at(0.0)
+        rows.append((vals, traj.deriv_at(0.0), traj.live() & np.isfinite(vals)))
+    vals, ders, ok = (np.stack(col) for col in zip(*rows))
+    return _frames("decreasing", cps, grid, n_theta, delta_trace, vals, ders, ok, None,
+                   np.zeros(cps.size), np.zeros(cps.size))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +729,6 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
 class PdeReport:
     rel_residual: float
     abs_residual: float
-    rel_residual_griddiff: float | None
     dt: float
     n_interior: int
     resolution_limited: bool
@@ -784,10 +741,7 @@ def verify_chain_pde(frames: ChainFrames, field: VectorFieldHandle,
 
     d f_t / dt comes from centered differences of the frames; d f_t / dz is
     the stored variational derivative.  The residual is reported relative to
-    |d f/dz| * sup|p|.  A secondary residual recomputed with chord
-    differences of f along each stored circle is included when the grid has
-    circle structure (its angular floor usually dominates, which is why the
-    variational derivative is the primary route).
+    |d f/dz| * sup|p|.
     """
     cps = frames.checkpoints
     if cps.size < 3:
@@ -826,25 +780,7 @@ def verify_chain_pde(frames: ChainFrames, field: VectorFieldHandle,
     rel_res = float(np.nanmax(rel)) if rel.size else np.nan
     abs_res = float(np.nanmax(resid)) if resid.size else np.nan
 
-    rel_grid = None
-    g = frames.grid
-    if g.n_angles >= 8:
-        dz_grid = np.empty_like(frames.values)
-        for ci in range(len(g.radii)):
-            sl = slice(ci * g.n_angles, (ci + 1) * g.n_angles)
-            zc = g.points[sl]
-            fc = frames.values[:, sl]
-            dz_grid[:, sl] = (np.roll(fc, -1, axis=1) - np.roll(fc, 1, axis=1)) / \
-                (np.roll(zc, -1) - np.roll(zc, 1))
-        dzg = dz_grid[:, sel]
-        rhs_g = rhs / np.where(dfs == 0, np.nan, dfs) * dzg
-        with np.errstate(invalid="ignore"):
-            rg = np.abs(lhs[interior] - rhs_g[interior]) / \
-                (np.abs(dzg[interior]) * max(sup_p, 1e-300))
-        rel_grid = float(np.nanmax(rg)) if rg.size else np.nan
-
-    return PdeReport(rel_res, abs_res, rel_grid, dt, interior.size,
-                     bool(dt > 0.05), sup_p)
+    return PdeReport(rel_res, abs_res, dt, interior.size, bool(dt > 0.05), sup_p)
 
 
 @dataclass

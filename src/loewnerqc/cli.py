@@ -17,8 +17,7 @@ import numpy as np
 from . import artifacts
 from .grids import criteria_grid
 from .herglotz import (assemble_field, check_herglotz, check_becker, check_pair,
-                       holomorphy_residual, rotation_only, DenjoyWolffSpec,
-                       sector_bound)
+                       holomorphy_residual, rotation_only, sector_bound)
 from .evolution import solve_forward, verify_semigroup, schwarz_pick_check
 from .chains import (range_normalized_chain, decreasing_chain, beta_limit,
                      verify_transitions, verify_chain_pde, verify_containment)
@@ -65,13 +64,19 @@ def _cmd_evolve(cfg, out, summary):
     return semi.residual <= cfg.criteria.tol_chain and sp.passed
 
 
-def _build_frames(cfg, fld, n_default: int = 9, second_radius: bool = True):
+def _build_frames(cfg, fld, n_default: int = 9):
     cps = cfg.time.checkpoint_array(n_default)
     return range_normalized_chain(
         fld, cps, cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
         delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol,
-        t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit,
-        second_radius=second_radius)
+        t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
+
+
+def _build_g_frames(cfg, q):
+    """Decreasing chain of (q, tau) on the 65-checkpoint grid of the welding."""
+    return decreasing_chain(assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65),
+                            cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
+                            delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
 
 
 def _cmd_chain(cfg, out, summary):
@@ -132,12 +137,8 @@ def _cmd_extend(cfg, out, summary):
     grid = criteria_grid(n_angles=64)
     pair_rep = check_pair(cfg.p, q, grid, _check_times(cfg), cfg.criteria.k,
                           tol=cfg.criteria.tol_criterion)
-    f_frames = _build_frames(cfg, fld, n_default=65, second_radius=False)
-    g_fld = assemble_field(q, cfg.tau)
-    g_frames = decreasing_chain(g_fld, cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
-                                n_theta=cfg.grid.theta_nodes,
-                                delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol,
-                                second_radius=False)
+    f_frames = _build_frames(cfg, fld, n_default=65)
+    g_frames = _build_g_frames(cfg, q)
     if cfg.tau.kind == "step":
         summary["warnings"].append(
             "step tau: formula-side dilatation evaluated piecewise per "
@@ -180,10 +181,7 @@ def _cmd_becker(cfg, out, summary):
     fld = _field(cfg)
     f_frames = _build_frames(cfg, fld, n_default=65)
     q = cfg.q_or_default()
-    g_fld = assemble_field(q, DenjoyWolffSpec.constant(0.0))
-    g_frames = decreasing_chain(g_fld, cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
-                                n_theta=cfg.grid.theta_nodes,
-                                delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
+    g_frames = _build_g_frames(cfg, q)
     ext, rep = becker_dilatation(f_frames, g_frames, cfg.p, q, cfg.criteria.k,
                                  cfg.criteria.tol_dilat)
     if cfg.outputs.csv:

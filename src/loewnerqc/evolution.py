@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import DELTA_GUARD, SeedGrid, hyperbolic_distance
+from .grids import DELTA_GUARD, SeedGrid, hyperbolic_distance, time_row
 from .herglotz import VectorFieldHandle
 
 # Dormand-Prince 5(4) tableau (complex dtype keeps the stage products in BLAS).
@@ -78,10 +78,7 @@ class TrajectorySet:
         return 0 if self.direction == "forward" else len(self.times) - 1
 
     def row(self, time: float) -> int:
-        i = int(np.argmin(np.abs(self.times - time)))
-        if abs(self.times[i] - time) > 1e-10 * max(1.0, abs(time)):
-            raise KeyError(f"time {time} not stored (nearest {self.times[i]})")
-        return i
+        return time_row(self.times, time, "time {t} not stored (nearest {nearest})")
 
     def at(self, time: float) -> np.ndarray:
         return self.values[self.row(time)]

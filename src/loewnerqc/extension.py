@@ -31,19 +31,13 @@ class AtlasRejected(RuntimeError):
     """Source points collide en masse; welding hypotheses or integration broke."""
 
 
-def boundary_trace(frames: ChainFrames, t: float, second_radius: bool = False):
+def boundary_trace(frames: ChainFrames, t: float):
     """Stored near-boundary trace of a frame at checkpoint t.
 
-    Returns (theta, values, valid_mask) and appends the half-offset ring
-    when it was built and requested.
+    Returns (theta, values, valid_mask).
     """
     i = frames.row(t)
-    out = (frames.theta, frames.traces[i], frames.trace_valid[i])
-    if second_radius:
-        if frames.traces_mid is None:
-            raise ValueError("frames were built without the second trace radius")
-        return out + (frames.traces_mid[i],)
-    return out
+    return frames.theta, frames.traces[i], frames.trace_valid[i]
 
 
 def phi_tau(z: np.ndarray, tau: complex) -> np.ndarray:
@@ -70,10 +64,8 @@ class FormulaSamples:
 
 def _tau_per_row(tau, t_grid):
     if isinstance(tau, DenjoyWolffSpec):
-        return np.array([complex(tau.value(float(t))) for t in t_grid]), tau.breakpoints
-    if callable(tau):
-        return np.array([complex(tau(float(t))) for t in t_grid]), ()
-    return np.full(t_grid.size, complex(tau)), ()
+        return np.array([complex(tau.value(float(t))) for t in t_grid])
+    return np.full(t_grid.size, complex(tau))
 
 
 def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
@@ -95,14 +87,14 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     finite-difference estimator).  |mu| never depends on the prefactor, so
     the certified quantity needs no derivative data at all.
 
-    tau may be a constant, a Denjoy-Wolff spec, or a callable; the ratio is
-    derived for tau constant in time, so step data are evaluated piecewise
-    per constancy interval.
+    tau may be a constant or a Denjoy-Wolff spec; the ratio is derived for
+    tau constant in time, so step data are evaluated piecewise per
+    constancy interval.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     theta = np.asarray(theta, dtype=float)
     zeta = trace_radius * np.exp(1j * theta)
-    tau_rows, _ = _tau_per_row(tau, t_grid)
+    tau_rows = _tau_per_row(tau, t_grid)
 
     nt, ntheta = t_grid.size, theta.size
     mu_pair = np.empty((nt, ntheta), complex)
@@ -414,12 +406,31 @@ class BeckerExtension:
     r_max: float
 
 
+def _polar_mu(values: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """e^{2i theta} (F_r + i F_theta / r) / (F_r - i F_theta / r) on a polar grid.
+
+    values[i, j] = F(r_i e^{i theta_j}) with theta uniform and periodic;
+    both partials are centered differences.
+    """
+    fr = nonuniform_centered(values, r, axis=0)
+    ft = periodic_centered(values, 2.0 * np.pi / theta.size, axis=1)
+    e2 = np.exp(2j * theta)[None, :]
+    num = fr + 1j * ft / r[:, None]
+    den = fr - 1j * ft / r[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return e2 * num / den
+
+
 def becker_extension(frames: ChainFrames, r_grid=None) -> BeckerExtension:
     """Sample the radial extension of f_0 from range-normalized frames.
 
     Between checkpoints the trace is interpolated linearly in t = log r.
     The Wirtinger quotient mu_fd comes from polar centered differences of
     the samples, an estimator fully independent of the Herglotz data.
+    ``continuity_mismatch`` = (delta / 2) max |f_0'| on the trace ring,
+    delta = 1 - trace_radius: to first order in delta the distance between
+    f_0 on the ring and on the ring at half the offset, the gap the
+    trace leaves across |z| = 1.
     """
     if frames.tag != "range-normalized":
         raise ValueError("radial extension needs range-normalized frames")
@@ -441,25 +452,14 @@ def becker_extension(frames: ChainFrames, r_grid=None) -> BeckerExtension:
     values = (1.0 - lam) * frames.traces[idx] + lam * frames.traces[idx + 1]
     valid = frames.trace_valid[idx] & frames.trace_valid[idx + 1]
 
-    # two-sided matching across |z| = 1: the r -> 1+ samples against the
-    # best available interior stand-in (the half-offset ring when built),
-    # an O(delta_trace) gap by construction
-    i0 = frames.row(0.0)
-    inner_ring = frames.traces_mid[i0] if frames.traces_mid is not None else frames.traces[i0]
-    mismatch = float(np.nanmax(np.abs(frames.traces[i0] - inner_ring)))
+    delta = 1.0 - frames.trace_radius
+    mismatch = float(0.5 * delta * np.nanmax(np.abs(frames.trace_derivs[frames.row(0.0)])))
 
-    # mu = e^{2 i theta} (F_r + i F_theta / r) / (F_r - i F_theta / r)
     mu_fd = np.full(values.shape, np.nan + 0j)
     fd_ok = np.zeros(values.shape, bool)
     if r.size >= 3:
-        fr = nonuniform_centered(values, r, axis=0)
-        ft = periodic_centered(values, 2.0 * np.pi / frames.n_theta, axis=1)
-        e2 = np.exp(2j * frames.theta)[None, :]
-        num = fr + 1j * ft / r[:, None]
-        den = fr - 1j * ft / r[:, None]
         inner = slice(1, -1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_fd[inner] = e2 * num[inner] / den[inner]
+        mu_fd[inner] = _polar_mu(values, r, frames.theta)[inner]
         fd_ok[inner] = valid[inner] & np.isfinite(mu_fd[inner])
         mu_fd[~fd_ok] = np.nan + 0j
 
@@ -539,12 +539,7 @@ def interior_dilatation(field, radii=None, n_theta: int = 128, tol: float = 1e-9
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     pts = radii[:, None] * np.exp(1j * theta)[None, :]
     res = limit_frame(field, 0.0, pts.ravel(), tol, t_inf)
-    vals = res.values.reshape(pts.shape)
-    fr = nonuniform_centered(vals, radii, axis=0)
-    ft = periodic_centered(vals, 2.0 * np.pi / n_theta, axis=1)
-    e2 = np.exp(2j * theta)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = e2 * (fr + 1j * ft / radii[:, None]) / (fr - 1j * ft / radii[:, None])
+    mu = _polar_mu(res.values.reshape(pts.shape), radii, theta)
     inner = np.abs(mu[1:-1])
     inner = inner[np.isfinite(inner)]
     return float(inner.max()) if inner.size else np.nan

@@ -63,6 +63,18 @@ def trace_ring(n_theta: int, delta: float) -> np.ndarray:
     return (1.0 - delta) * np.exp(1j * theta)
 
 
+def time_row(times: np.ndarray, t: float, missing: str) -> int:
+    """Row of the stored time nearest t, within 1e-10 max(1, |t|).
+
+    Otherwise raises KeyError(missing), formatted with t and the nearest
+    stored time as ``{t}`` and ``{nearest}``.
+    """
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-10 * max(1.0, abs(t)):
+        raise KeyError(missing.format(t=t, nearest=times[i]))
+    return i
+
+
 def hyperbolic_distance(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Poincare distance on the disk, arctanh of the pseudo-hyperbolic ratio."""
     z = np.asarray(z, dtype=complex)

@@ -99,10 +99,8 @@ def test_criterion_04_becker_dilatation():
 
     def study(n_cells, n_theta):
         cps = np.linspace(0.0, 0.64, n_cells + 1)
-        ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta,
-                                           second_radius=False)
-        gf = chains.decreasing_chain(g_fld, cps, grid, n_theta=n_theta,
-                                     second_radius=False)
+        ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta)
+        gf = chains.decreasing_chain(g_fld, cps, grid, n_theta=n_theta)
         ext = becker_extension(ff)
         fs = beltrami_formula(p, ONE, 0.0, cps, ff.theta, ff.trace_radius,
                               gf.traces, gf.trace_valid, gf.trace_derivs)

@@ -140,6 +140,39 @@ def test_decreasing_chain_exponential():
     assert rep.lambda_diameter == pytest.approx(2 * np.exp(-1) * (1 - 1e-3), rel=1e-6)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda cps: chains.range_normalized_chain(EXP, cps, GRID, n_theta=16,
+                                                           via_transition=False), id="direct"),
+    pytest.param(lambda cps: chains.range_normalized_chain(EXP, cps, GRID, n_theta=16,
+                                                           via_transition=True), id="composition"),
+    pytest.param(lambda cps: chains.decreasing_chain(EXP, cps, GRID, n_theta=16),
+                 id="decreasing"),
+])
+def test_chain_frames_closed_form_exponential(build):
+    # f_t = e^t z and g_t = e^{-t} z: every stored field has a closed form
+    cps = np.array([0.0, 0.25, 0.5])
+    fr = build(cps)
+    sign = -1.0 if fr.tag == "decreasing" else 1.0
+    scale = np.exp(sign * cps)[:, None]
+    ring = (1 - 1e-3) * np.exp(2j * np.pi * np.arange(16) / 16)
+    assert np.array_equal(fr.checkpoints, cps)
+    assert np.array_equal(fr.theta, 2 * np.pi * np.arange(16) / 16)
+    assert fr.trace_radius == 1 - 1e-3
+    assert fr.values.shape == fr.derivs.shape == fr.grid_valid.shape == (3, len(GRID))
+    assert fr.traces.shape == fr.trace_derivs.shape == fr.trace_valid.shape == (3, 16)
+    assert np.abs(fr.values - scale * GRID.points).max() < 1e-8
+    assert np.abs(fr.derivs - scale).max() < 1e-8
+    assert np.abs(fr.traces - scale * ring).max() < 1e-8
+    assert np.abs(fr.trace_derivs - scale).max() < 1e-8
+    assert np.abs(fr.origin_values).max() < 1e-8
+    assert np.abs(fr.origin_derivs - scale[:, 0]).max() < 1e-8
+    assert fr.grid_valid.all() and fr.trace_valid.all() and fr.converged.all()
+    assert fr.warnings == []
+    if fr.tag == "decreasing":
+        assert np.array_equal(fr.raw_delta, np.zeros(3))
+        assert np.array_equal(fr.acc_delta, np.zeros(3))
+
+
 def test_decreasing_chain_chordal_lambda_collapses():
     cps = [0.0, 2.0, 8.0, 24.0]
     fr = chains.decreasing_chain(CHORDAL, cps, GRID, n_theta=64)

@@ -119,6 +119,7 @@ def test_run_pipeline_check_writes_summary(tmp_path):
     data = json.loads((tmp_path / "summary.json").read_text())
     assert data["scenario"] == "exponential"
     assert data["command"] == "check"
+    assert data["pass"] is True
     assert set(data) >= {"scenario", "command", "pass", "metrics", "warnings", "runtime_ms"}
 
 

@@ -81,9 +81,6 @@ def test_boundary_trace_accessor():
     assert ok.all()
     ref = np.exp(0.1) * (1 - 1e-3) * np.exp(1j * th)
     assert np.abs(vals - ref).max() < 1e-8
-    th, vals, ok, mid = boundary_trace(ff, 0.1, second_radius=True)
-    refm = np.exp(0.1) * (1 - 5e-4) * np.exp(1j * th)
-    assert np.abs(mid - refm).max() < 1e-8
 
 
 def test_conformal_welding_atlas():

@@ -1,0 +1,29 @@
+"""The experiment scripts under scripts/ import and run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("name", ["approximation_table", "becker_dilatation_study",
+                                  "scenario_gallery"])
+def test_script_loads(name):
+    assert callable(_load(name).main)
+
+
+def test_becker_dilatation_study_small_grid():
+    mu_f, mu_fd, agree, secs = _load("becker_dilatation_study").study(0.5, 8, 32)
+    assert np.isfinite([mu_f, mu_fd, agree, secs]).all()
+    # |mu| = k |zeta| on the trace ring |zeta| = 1 - 1e-3
+    assert mu_f == pytest.approx(0.4995, abs=1e-12)
