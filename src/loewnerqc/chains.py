@@ -12,6 +12,10 @@ followed by the scaling limit
     h_s(z) = lim_{u -> inf} psi_{s,u}(z) / psi'_{0,u}(0),
     f_t = h_t o M_t^{-1}.
 
+A limit from t carries the origin's image phi_{0,t}(0) as one more seed
+of its batch and reads alpha(u) and phi'_{0,u}(0) from it at each horizon
+it visits, so no caller tabulates a normalizer for it.
+
 The horizon schedule u = t + offset follows the regime the data put the
 limit in.  For boundary Denjoy-Wolff data the raw iterates converge only
 like O(1/u), far too slowly for the verification tolerances; the offsets
@@ -32,7 +36,7 @@ and need no limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,6 +99,15 @@ def horizon_offsets(t_inf: float = DEFAULT_T_INF, field: VectorFieldHandle | Non
     return offsets
 
 
+def _psi_prime0(alpha, dphi):
+    """psi'_{0,t}(0) = |phi'_{0,t}(0)| / (1 - |alpha(t)|^2), positive real."""
+    return np.abs(dphi) / (1.0 - np.abs(alpha) ** 2)
+
+
+def _m_inv(alpha, beta, w):
+    return (w - alpha) / (beta * (1.0 - np.conj(alpha) * w))
+
+
 @dataclass
 class MobiusNormalizer:
     """alpha, beta tables and the disk automorphisms M_t at stored times."""
@@ -118,7 +131,7 @@ class MobiusNormalizer:
     def psi_prime0(self, t: float) -> float:
         """psi'_{0,t}(0) = |phi'_{0,t}(0)| / (1 - |alpha(t)|^2), positive real."""
         i = self._i(t)
-        return float(np.abs(self.phi_prime0[i]) / (1.0 - np.abs(self.alpha[i]) ** 2))
+        return float(_psi_prime0(self.alpha[i], self.phi_prime0[i]))
 
     def m(self, t: float, z):
         i = self._i(t)
@@ -128,15 +141,7 @@ class MobiusNormalizer:
 
     def m_inv(self, t: float, w):
         i = self._i(t)
-        a, b = self.alpha[i], self.beta[i]
-        w = np.asarray(w, dtype=complex)
-        return (w - a) / (b * (1.0 - np.conj(a) * w))
-
-    def m_inv_deriv(self, t: float, w):
-        i = self._i(t)
-        a, b = self.alpha[i], self.beta[i]
-        w = np.asarray(w, dtype=complex)
-        return (1.0 - np.abs(a) ** 2) / (b * (1.0 - np.conj(a) * w) ** 2)
+        return _m_inv(self.alpha[i], self.beta[i], np.asarray(w, dtype=complex))
 
 
 def normalize(traj: TrajectorySet) -> MobiusNormalizer:
@@ -300,8 +305,8 @@ class ChainLimitResult:
 
 
 def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
-                t_inf: float = DEFAULT_T_INF, tol_limit: float = DEFAULT_TOL_LIMIT,
-                normalizer: MobiusNormalizer | None = None) -> ChainLimitResult:
+                t_inf: float = DEFAULT_T_INF,
+                tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
     """Evaluate f_t at the given interior points through the scaling limit.
 
     The horizons u = t + horizon_offsets(t_inf, field, t) double, with
@@ -310,18 +315,28 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
     (the plain limit), once the extrapolants certify every point (from
     five horizons on), or when the schedule is exhausted; in the last two
     cases extrapolation in x = 1/(u - t) supplies the returned values.
-    A normalizer passed in must tabulate the same horizons.
+
+    The normalizer rides along: phi_{0,t}(0), from one short 0 -> t solve,
+    is one more seed of every leg, and each horizon u reads alpha(u) and
+    phi'_{0,u}(0) from it.  It counts for nothing in the result.  If it
+    truncates, or phi'_{0,u}(0) vanishes or goes non-finite, at a horizon
+    the iteration visits, NormalizationError is raised.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    n = pts.size
     offsets = horizon_offsets(t_inf, field, t)
     xs = 1.0 / offsets
     horizons = t + offsets
-    if normalizer is None:
-        normalizer = _normalizer_for(field, horizons, tol)
+    alpha, dphi = 0j, 1.0 + 0j
+    if t != 0.0:
+        # a truncated origin leaves NaN, which the first horizon rejects
+        o = solve_forward(field, 0.0, t, np.zeros(1, complex), tol=tol, atol=_ATOL_FLOOR)
+        alpha, dphi = o.at(t)[0], o.deriv_at(t)[0]
 
-    vals = pts.copy()
-    ders = np.ones_like(pts)
-    live = np.ones(pts.shape, bool)
+    vals = np.append(pts, alpha)
+    ders = np.append(np.ones_like(pts), dphi)
+    carried = np.ones(n + 1, bool)
+    live = carried[:n]                       # the points; the last entry is the seed
     its, dits = [], []
     raw_delta = np.nan
     prev_u = t
@@ -330,17 +345,23 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
     for u in horizons:
         u = float(u)
         if live.any():
-            leg = solve_forward(field, prev_u, u, vals[live], tol=tol, atol=_ATOL_FLOOR)
+            leg = solve_forward(field, prev_u, u, vals[carried], tol=tol, atol=_ATOL_FLOOR)
             lv, ld = leg.at(u), leg.deriv_at(u)
             ok = leg.live() & np.isfinite(lv) & np.isfinite(ld)
-            upd = np.flatnonzero(live)
+            upd = np.flatnonzero(carried)
             vals[upd[ok]] = lv[ok]
             ders[upd[ok]] = ld[ok] * ders[upd[ok]]
-            live[upd[~ok]] = False
+            carried[upd[~ok]] = False
         prev_u = u
-        sp = normalizer.psi_prime0(u)
-        its.append(np.where(live, normalizer.m_inv(u, vals) / sp, np.nan + 0j))
-        dits.append(np.where(live, normalizer.m_inv_deriv(u, vals) * ders / sp, np.nan + 0j))
+        alpha, dphi = vals[n], ders[n]
+        if not (carried[n] and np.isfinite(dphi) and dphi != 0):
+            raise NormalizationError(f"phi'_{{0,u}}(0) lost, vanished or non-finite at u = {u}")
+        beta = dphi / abs(dphi)
+        sp = _psi_prime0(alpha, dphi)
+        w = vals[:n]
+        m_inv_deriv = (1.0 - abs(alpha) ** 2) / (beta * (1.0 - np.conj(alpha) * w) ** 2)
+        its.append(np.where(live, _m_inv(alpha, beta, w) / sp, np.nan + 0j))
+        dits.append(np.where(live, m_inv_deriv * ders[:n] / sp, np.nan + 0j))
         if len(its) >= 2 and live.any():
             d_new = float(np.abs((its[-1] - its[-2])[live]).max())
             # once psi'_{0,u}(0) decays toward machine scale the Mobius
@@ -397,17 +418,13 @@ def chain_limit(field: VectorFieldHandle, s: float, grid, tol: float = 1e-9,
                 tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
     """h_s on the seed grid: the scaling limit of psi_{s,u} / psi'_{0,u}(0).
 
-    Since h_s = f_s o M_s, the points are pushed through M_s and the frame
-    limit is evaluated there.
+    Since h_s = f_s o M_s, the points are pushed through M_s, tabulated
+    at s alone, and the frame limit, which carries its own normalizer to
+    every horizon, is evaluated there.
     """
     pts = grid.points if isinstance(grid, SeedGrid) else np.atleast_1d(np.asarray(grid, complex))
-    horizons = s + horizon_offsets(t_inf, field, s)
-    normalizer = _normalizer_for(field, np.concatenate([[s], horizons]), tol)
-    moved = normalizer.m(s, pts)
-    res = limit_frame(field, s, moved, tol, t_inf, tol_limit, normalizer)
-    return ChainLimitResult(s, pts, res.values, res.derivs, res.valid,
-                            res.point_delta, res.point_converged, res.converged,
-                            res.raw_delta, res.acc_delta, res.horizon_used, res.accelerated)
+    moved = _normalizer_for(field, [s], tol).m(s, pts)
+    return replace(limit_frame(field, s, moved, tol, t_inf, tol_limit), points=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +512,21 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     """Frames of the range-normalized chain f_t at every checkpoint.
 
     Every frame samples the seed grid, one trace ring at |z| = 1 -
-    delta_trace and the origin.  Two construction modes share the same
-    limit evaluator.  The direct mode runs one scaling limit per
-    checkpoint.  The composition mode pushes all frame points to the last
-    checkpoint by short integrations and evaluates a single batched limit
-    there, using f_s = f_T o phi_{s,T}; it is picked automatically for
-    dense checkpoint grids, where it is much cheaper.  Transition
-    verification should run against direct-mode frames so that the
-    identity is not checked against its own construction.
+    delta_trace and the origin.  Two construction modes share one limit
+    evaluator, ``limit_frame``, which carries the normalizer with the frame
+    points and raises NormalizationError if it breaks down.  The direct
+    mode runs one limit per checkpoint.  The composition mode pushes all
+    frame points to the last checkpoint by short integrations and
+    evaluates one batched limit there, using f_s = f_T o phi_{s,T}; it is
+    picked for dense checkpoint grids, where it is much cheaper.
+    Transition verification should run against direct-mode frames, so the
+    identity is not checked against its own construction.  The caller
+    checks f_0(0) = 0 and f_0'(0) = 1 against its own tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
     if via_transition is None:
         via_transition = cps.size > 12
     t_last = float(cps[-1])
-    # the normalizer tabulates every horizon the limits below will visit
-    if via_transition:
-        all_times = t_last + horizon_offsets(t_inf, field, t_last)
-    else:
-        all_times = np.unique(np.concatenate(
-            [c + horizon_offsets(t_inf, field, c) for c in cps]))
-    normalizer = _normalizer_for(field, all_times, tol)
-
     pts = _frame_points(grid, n_theta, delta_trace)
     nt = cps.size
     if via_transition:
@@ -525,32 +536,21 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
         leg_ders = np.stack([leg.deriv_at(t_last) for leg in legs] + [np.ones_like(pts)])
         leg_ok = np.stack([leg.live() for leg in legs] + [np.ones(pts.shape, bool)]) \
             & np.isfinite(images)
-        res = limit_frame(field, t_last, images.ravel(), tol, t_inf, tol_limit, normalizer)
+        res = limit_frame(field, t_last, images.ravel(), tol, t_inf, tol_limit)
         shape = images.shape
-        frames = _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                         res.values.reshape(shape), res.derivs.reshape(shape) * leg_ders,
-                         res.valid.reshape(shape) & leg_ok,
-                         res.point_converged.reshape(shape),
-                         np.full(nt, res.raw_delta), np.full(nt, res.acc_delta))
-    else:
-        rows = [limit_frame(field, float(t), pts, tol, t_inf, tol_limit, normalizer)
-                for t in cps]
-        frames = _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                         np.stack([r.values for r in rows]),
-                         np.stack([r.derivs for r in rows]),
-                         np.stack([r.valid for r in rows]),
-                         np.stack([r.point_converged for r in rows]),
-                         np.array([r.raw_delta for r in rows]),
-                         np.array([r.acc_delta for r in rows]))
-
-    # f_0 in S: f_0(0) = 0 and f_0'(0) = 1 up to the chain tolerance
-    if cps[0] == 0.0:
-        m0 = abs(frames.origin_values[0])
-        d0 = abs(frames.origin_derivs[0] - 1.0)
-        if m0 > TOL_CHAIN or d0 > TOL_CHAIN:
-            frames.warnings.append(
-                f"f_0 normalization residuals |f_0(0)| = {m0:.3g}, |f_0'(0)-1| = {d0:.3g}")
-    return frames
+        return _frames("range-normalized", cps, grid, n_theta, delta_trace,
+                       res.values.reshape(shape), res.derivs.reshape(shape) * leg_ders,
+                       res.valid.reshape(shape) & leg_ok,
+                       res.point_converged.reshape(shape),
+                       np.full(nt, res.raw_delta), np.full(nt, res.acc_delta))
+    rows = [limit_frame(field, float(t), pts, tol, t_inf, tol_limit) for t in cps]
+    return _frames("range-normalized", cps, grid, n_theta, delta_trace,
+                   np.stack([r.values for r in rows]),
+                   np.stack([r.derivs for r in rows]),
+                   np.stack([r.valid for r in rows]),
+                   np.stack([r.point_converged for r in rows]),
+                   np.array([r.raw_delta for r in rows]),
+                   np.array([r.acc_delta for r in rows]))
 
 
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
@@ -694,10 +694,12 @@ class TransitionReport:
 def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None,
                        tol: float = 1e-9, tol_chain: float = TOL_CHAIN,
                        t_inf: float = DEFAULT_T_INF) -> TransitionReport:
-    """Check f_s = f_t o phi_{s,t} on the stored grid for checkpoint pairs.
+    """Check f_s = f_t o phi_{s,t} on the stored grid and origin for checkpoint pairs.
 
     Both sides come from independent computations: the stored frame at s
-    against a fresh limit evaluation at the integrated image points.
+    against a fresh limit evaluation at the integrated image points.  The
+    origin is among them, so the pairs (0, t) also check the stored f_0(0)
+    against f_t(phi_{0,t}(0)) from a batch of its own.
     """
     if frames.tag != "range-normalized":
         raise ValueError("transition identity applies to range-normalized frames")
@@ -706,19 +708,22 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
         pairs = [(cps[i], cps[i + 1]) for i in range(len(cps) - 1)]
         if len(cps) > 2:
             pairs.append((cps[0], cps[-1]))
+    pts = np.append(frames.grid.points, 0.0)
     worst = 0.0
     detail = []
     excluded = 0
     for s, t in pairs:
         i, j = frames.row(s), frames.row(t)
-        traj = solve_forward(field, float(s), float(t), frames.grid.points, tol=tol)
+        stored = np.append(frames.values[i], frames.origin_values[i])
+        traj = solve_forward(field, float(s), float(t), pts, tol=tol)
         img = traj.at(float(t))
-        ok = traj.live() & frames.grid_valid[i] & np.isfinite(img)
+        valid = np.append(frames.grid_valid[i], np.isfinite(stored[-1]))
+        ok = traj.live() & valid & np.isfinite(img)
         excluded += int(np.count_nonzero(~ok))
         if not ok.any():
             continue
         res = limit_frame(field, float(t), img[ok], tol, t_inf)
-        diff = np.abs(res.values - frames.values[i][ok])
+        diff = np.abs(res.values - stored[ok])
         r = float(np.nanmax(diff))
         detail.append((float(s), float(t), r))
         worst = max(worst, r)

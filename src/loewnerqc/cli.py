@@ -8,6 +8,7 @@ under the output directory, and exits 0 iff all requested checks pass.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -90,17 +91,25 @@ def _cmd_chain(cfg, out, summary):
         artifacts.write_frames_csv(frames, out / "frames_f.csv")
     if cfg.outputs.svg:
         artifacts.write_traces_svg(frames, out / "traces_f.svg")
+    m0 = abs(frames.origin_values[0])
+    d0 = abs(frames.origin_derivs[0] - 1.0)
     summary["metrics"].update({
         "transition_residual": trans.residual,
-        "f0_origin": abs(frames.origin_values[0]),
-        "f0_derivative_gap": abs(frames.origin_derivs[0] - 1.0),
+        "f0_origin": m0,
+        "f0_derivative_gap": d0,
         "frames_converged": bool(frames.converged.all()),
     })
     if pde is not None:
         summary["metrics"]["pde_relative_residual"] = pde.rel_residual
         summary["metrics"]["pde_resolution_limited"] = pde.resolution_limited
     summary["warnings"].extend(frames.warnings)
-    return trans.passed and bool(frames.converged.all())
+    # f_0 in S: f_0(0) = 0 and f_0'(0) = 1 up to the chain tolerance
+    tol0 = cfg.criteria.tol_chain
+    f0_ok = frames.checkpoints[0] != 0.0 or (m0 <= tol0 and d0 <= tol0)
+    if not f0_ok:
+        summary["warnings"].append(
+            f"f_0 normalization residuals |f_0(0)| = {m0:.3g}, |f_0'(0)-1| = {d0:.3g}")
+    return trans.passed and bool(frames.converged.all()) and f0_ok
 
 
 def _cmd_range(cfg, out, summary):
@@ -331,6 +340,9 @@ def main(argv=None) -> int:
         return 2
 
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            print("config error: time.tol must be positive", file=sys.stderr)
+            return 2
         cfg.time.tol = args.tol
     if args.k is not None:
         if not 0.0 <= args.k < 1.0:

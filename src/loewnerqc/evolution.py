@@ -70,12 +70,7 @@ class TrajectorySet:
     steps_accepted: np.ndarray
     steps_rejected: int
     tol: float
-    labels: list | None = None
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def seed_row(self) -> int:
-        return 0 if self.direction == "forward" else len(self.times) - 1
 
     def row(self, time: float) -> int:
         return time_row(self.times, time, "time {t} not stored (nearest {nearest})")
@@ -229,8 +224,8 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
 
 def _as_seed_array(seeds):
     if isinstance(seeds, SeedGrid):
-        return seeds.points.copy(), seeds.labels
-    return np.atleast_1d(np.asarray(seeds, dtype=complex)), None
+        return seeds.points.copy()
+    return np.atleast_1d(np.asarray(seeds, dtype=complex))
 
 
 def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
@@ -244,7 +239,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
     """
     if t_end < s:
         raise ValueError(f"t_end = {t_end} < s = {s}")
-    pts, labels = _as_seed_array(seeds)
+    pts = _as_seed_array(seeds)
     if np.any(np.abs(pts) >= 1.0 - guard + 1e-15):
         raise ValueError("seed modulus reaches the boundary guard")
     rec = np.unique(np.concatenate(
@@ -258,7 +253,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
     values[0] = pts          # EF1 exactly
     derivs[0] = 1.0
     return TrajectorySet("forward", s, rec, pts, values, derivs, truncated,
-                         ttime, steps, rej, tol, labels, warn)
+                         ttime, steps, rej, tol, warn)
 
 
 def solve_reverse(field: VectorFieldHandle, t: float, seeds,
@@ -271,7 +266,7 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
     """
     if t < 0:
         raise ValueError(f"t = {t} < 0")
-    pts, labels = _as_seed_array(seeds)
+    pts = _as_seed_array(seeds)
     if np.any(np.abs(pts) >= 1.0 - guard + 1e-15):
         raise ValueError("seed modulus reaches the boundary guard")
     rec_s = np.unique(np.concatenate(
@@ -295,7 +290,7 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
     derivs[-1] = 1.0
     ttime = t - ttime_sig
     return TrajectorySet("reverse", t, rec_s, pts, values, derivs, truncated,
-                         ttime, steps, rej, tol, labels, warn)
+                         ttime, steps, rej, tol, warn)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +312,7 @@ def verify_semigroup(field: VectorFieldHandle, s: float, u: float, t: float,
     """max |phi_{s,t}(z) - phi_{u,t}(phi_{s,u}(z))| by independent integrations."""
     if not s <= u <= t:
         raise ValueError("need s <= u <= t")
-    pts, _ = _as_seed_array(seeds)
+    pts = _as_seed_array(seeds)
     direct = solve_forward(field, s, t, pts, tol=tol)
     first = solve_forward(field, s, u, pts, tol=tol)
     mid = first.at(u)

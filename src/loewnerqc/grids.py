@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,16 +15,12 @@ CRITERIA_RADII = tuple(np.round(np.arange(0.10, 0.951, 0.05), 2)) + (0.99,)
 
 @dataclass
 class SeedGrid:
-    """Interior sample points with labels back to their (circle, angle) construction.
+    """Interior sample points, strictly inside the boundary guard.
 
-    Points from :func:`circle_grid` are ordered circle-major, so points of
-    circle ``i`` occupy the contiguous slice ``[i * n_angles, (i+1) * n_angles)``.
+    Points from :func:`circle_grid` are ordered circle-major.
     """
 
     points: np.ndarray
-    labels: list[tuple[int, int]] = field(default_factory=list)
-    radii: tuple[float, ...] = ()
-    n_angles: int = 0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
@@ -35,20 +31,11 @@ class SeedGrid:
     def __len__(self) -> int:
         return self.points.size
 
-    def circle(self, i: int) -> np.ndarray:
-        """Points of the i-th circle (requires a circle_grid construction)."""
-        if self.n_angles == 0:
-            raise ValueError("grid was not built from circles")
-        return self.points[i * self.n_angles:(i + 1) * self.n_angles]
-
 
 def circle_grid(radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), n_angles: int = 8) -> SeedGrid:
     """Concentric-circle seed grid, circle-major ordering."""
-    radii = tuple(float(r) for r in radii)
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    pts = np.concatenate([r * np.exp(1j * theta) for r in radii])
-    labels = [(i, j) for i in range(len(radii)) for j in range(n_angles)]
-    return SeedGrid(points=pts, labels=labels, radii=radii, n_angles=n_angles)
+    return SeedGrid(np.concatenate([float(r) * np.exp(1j * theta) for r in radii]))
 
 
 def criteria_grid(radii=CRITERIA_RADII, n_angles: int = 256) -> np.ndarray:

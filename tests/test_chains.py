@@ -101,6 +101,40 @@ def test_transition_identity():
     rep = chains.verify_transitions(fr, BECKER)
     assert rep.passed
     assert rep.residual < 1e-6
+    # the origin is checked too: a stored f_0(0) off by 1e-3 fails the report
+    fr.origin_values[0] += 1e-3
+    rep = chains.verify_transitions(fr, BECKER)
+    assert not rep.passed
+    assert rep.residual == pytest.approx(1e-3, rel=1e-3)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_limit_frame_carries_its_normalizer(monkeypatch, t):
+    # every solve is the short 0 -> t origin solve or a leg carrying the
+    # points plus the origin seed; no separate normalizer runs past t
+    calls = []
+
+    def spy(field, s, t_end, seeds, *args, **kwargs):
+        calls.append((s, t_end, np.atleast_1d(seeds).size))
+        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "solve_forward", spy)
+    pts = GRID.points[:5]
+    res = chains.limit_frame(BECKER, t, pts)
+    assert res.converged
+    assert calls
+    assert all(end == t or n == pts.size + 1 for _, end, n in calls), calls
+
+
+def test_limit_frame_raises_when_the_origin_seed_is_lost(monkeypatch):
+    def lose_seed(*args, **kwargs):
+        traj = solve_forward(*args, **kwargs)
+        traj.truncated[-1] = True
+        return traj
+
+    monkeypatch.setattr(chains, "solve_forward", lose_seed)
+    with pytest.raises(chains.NormalizationError):
+        chains.limit_frame(BECKER, 0.0, GRID.points[:5])
 
 
 def test_chain_growth_with_interior_normalization():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from loewnerqc.config import parse_config, validate_config, ConfigError
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
+from loewnerqc import cli
 from loewnerqc.cli import run_pipeline, main
 
 
@@ -175,6 +176,29 @@ def test_cli_main_k_override(tmp_path):
     code = main(["check", "--scenario", "exponential", "--out", str(tmp_path),
                  "--k", "0.25"])
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_cli_main_bad_tol_override_is_a_config_error(tmp_path, capsys, tol):
+    code = main(["evolve", "--scenario", "exponential", "--out", str(tmp_path),
+                 "--tol", tol])
+    assert code == 2
+    assert "config error: time.tol must be positive" in capsys.readouterr().err
+
+
+def test_chain_verdict_holds_f0_to_the_scenario_tolerance(tmp_path, monkeypatch):
+    real = cli.range_normalized_chain
+
+    def shifted(*args, **kwargs):
+        frames = real(*args, **kwargs)
+        frames.origin_values[0] = 1e-3
+        return frames
+
+    monkeypatch.setattr(cli, "range_normalized_chain", shifted)
+    code, summary = run_pipeline(builtin_scenario("exponential"), "chain", tmp_path)
+    assert code == 1 and summary["pass"] is False
+    assert any(w.startswith("f_0 normalization residuals |f_0(0)| = 0.001")
+               for w in summary["warnings"]), summary["warnings"]
 
 
 def test_cli_main_unknown_scenario(tmp_path):
