@@ -47,7 +47,7 @@ class StepApproximant:
         if tail is None:
             return DenjoyWolffSpec.step(list(self.breakpoints), list(self.values))
         return DenjoyWolffSpec.step_with_tail(list(self.breakpoints), list(self.values),
-                                              self.horizon, tail.value)
+                                              self.horizon, tail)
 
     def value(self, t):
         idx = np.searchsorted(self.breakpoints, t, side="right")
@@ -306,12 +306,15 @@ def chain_convergence(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
                                  (time.perf_counter() - t0) * 1e3))
             continue
         err = float(np.nanmax(np.abs(np.where(ok, fr.values - ref.values, 0.0))))
-        # the differences must dominate the limit-evaluation noise floor,
-        # otherwise the level says nothing about chain convergence
-        noise = ref_noise + float(np.nanmax(fr.acc_delta))
-        if err <= 10.0 * noise:
+        # the differences must dominate the noise floor of the frame
+        # evaluation (limit or quadrature) and of the integration, which
+        # gets the same 10 tol relative margin as the ef column; otherwise
+        # the level says nothing about chain convergence
+        f_max = float(np.abs(np.where(ok, ref.values, 0.0)).max())
+        noise = 10.0 * (ref_noise + float(np.nanmax(fr.acc_delta))) + 10.0 * tol * f_max
+        if err <= noise:
             warnings.append(
-                f"level {n}: chain difference {err:.3g} at the limit noise floor "
+                f"level {n}: chain difference {err:.3g} at the noise floor "
                 f"{noise:.3g}, level excluded")
             err = np.nan
         rows.append(LevelRow(int(n), ap.deviation, np.nan, err, np.nan,

@@ -1,25 +1,47 @@
 """Loewner chains from evolution families.
 
-The range-normalized chain over an evolution family is recovered through
-the Mobius normalization
+The range-normalized chain f_t is the chain with f_0(0) = 0, f_0'(0) = 1
+and f_s = f_t o phi_{s,t}.  Two evaluators produce it.
+
+The exact autonomous tail.  Every spec declares an autonomy time T_aut
+past which p and tau no longer depend on t (0 for constants, the last
+breakpoint of step data, the last node of a table; None for an arbitrary
+callable).  When the tail has an interior Denjoy-Wolff point tau and
+Re lambda > 0, lambda = (1 - |tau|^2) p(tau), its semigroup has a Koenigs
+function K with K' G = -lambda K, K(tau) = 0, K'(tau) = 1, and the chain
+is unique up to an affine map because its range is the plane, so
+
+    f_t = A e^{lambda (t - T_aut)} K + B          for t >= T_aut,
+    f_t = f_{T_aut} o phi_{t,T_aut}               for t < T_aut.
+
+log(K(z) / (z - tau)) is a Gauss-Legendre quadrature of
+-lambda / G(w) - 1 / (w - tau) over the segment tau -> z, whose integrand
+is analytic with a removable point at tau; panels are bisected where the
+24- and 48-node rules disagree, which grades them toward singularities of
+1/p near the circle.  A and B follow from f_0(0) = 0 and f_0'(0) = 1
+through the origin's image phi_{0,T_aut}(0).
+
+The scaling limit, the fallback for a callable with no declared T_aut,
+for Re lambda = 0 (rotations) and for a boundary tau (chordal data): the
+Mobius normalization
 
     phi_{s,t} = M_t o psi_{s,t} o M_s^{-1},
     M_t(z) = (beta(t) z + alpha(t)) / (1 + beta(t) conj(alpha(t)) z),
 
 with alpha(t) = phi_{0,t}(0) and beta(t) = phi'_{0,t}(0)/|phi'_{0,t}(0)|,
-followed by the scaling limit
+followed by
 
     h_s(z) = lim_{u -> inf} psi_{s,u}(z) / psi'_{0,u}(0),
     f_t = h_t o M_t^{-1}.
 
-A limit from t carries the origin's image phi_{0,t}(0) as one more seed
-of its batch and reads alpha(u) and phi'_{0,u}(0) from it at each horizon
-it visits, so no caller tabulates a normalizer for it.
+Either evaluator carries the origin's image phi_{0,.}(0) as one more seed
+of its batch and reads alpha and phi'_{0,.}(0) from it, so no caller
+tabulates a normalizer.
 
-The horizon schedule u = t + offset follows the regime the data put the
-limit in.  For boundary Denjoy-Wolff data the raw iterates converge only
-like O(1/u), far too slowly for the verification tolerances; the offsets
-double (1, 2, 4, ..., t_inf) and the iterates are accelerated by
+The horizon schedule of the limit, u = t + offset, follows the regime the
+data put it in.  For boundary Denjoy-Wolff data the raw iterates converge
+only like O(1/u), far too slowly for the verification tolerances; the
+offsets double (1, 2, 4, ..., t_inf) and the iterates are accelerated by
 polynomial (Neville) and rational (Bulirsch-Stoer) extrapolation in the
 node x = 1/(u - t).  For a constant interior tau the iterates converge
 geometrically, like exp(-lambda (u - t)) with
@@ -35,6 +57,7 @@ and need no limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +79,86 @@ _ATOL_FLOOR = 1e-300
 
 class NormalizationError(RuntimeError):
     """phi'_{0,t}(0) vanished or went non-finite; univalence is broken."""
+
+
+@functools.cache
+def _gauss01(n: int):
+    """n-node Gauss-Legendre rule on [0, 1].
+
+    Built on first use: the eigenvalue solve behind it makes the linear
+    algebra library allocate its buffers, which a run that never takes
+    the exact tail need not pay for.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+# levels of panel bisection per Koenigs integral
+_KOENIGS_SPLITS = 40
+
+
+def _autonomous_tail(field: VectorFieldHandle):
+    """(T_aut, tau, lambda) when the field has an exact autonomous tail, else None.
+
+    That needs a declared autonomy time, a tail tau inside the disk (not on
+    the circle up to rounding) and Re lambda > 0 for
+    lambda = (1 - |tau|^2) p(tau, T_aut).
+    """
+    t_aut = field.t_aut
+    if t_aut is None:
+        return None
+    t_aut = max(float(t_aut), 0.0)
+    tv = complex(field.tau_at(t_aut))
+    lam = complex((1.0 - abs(tv) ** 2) * field.p.evaluate(np.array([tv]), t_aut)[0])
+    if not (1.0 - abs(tv) ** 2 > 1e-9 and lam.real > 0.0):
+        return None
+    return t_aut, tv, lam
+
+
+def _koenigs(field: VectorFieldHandle, tail, z: np.ndarray, tol_q: float):
+    """Koenigs function K, its derivative and log-error estimate at the points z.
+
+    log(K(z) / (z - tau)) integrates -lambda / G(w) - 1 / (w - tau) over
+    the segment tau -> z of each point with the 48-node Gauss-Legendre
+    rule; |Q48 - Q24|, with the 24-node rule, is the panel's error estimate, and a panel whose estimate exceeds
+    tol_q times its share of the segment is bisected.  Returns
+    (K, K', summed error estimates of log K).
+    """
+    t_aut, tv, lam = tail
+    p = field.p
+    z = np.asarray(z, dtype=complex)
+    total = np.zeros(z.size, dtype=complex)
+    err = np.zeros(z.size)
+    idx = np.arange(z.size)
+    lo, hi = np.zeros(z.size), np.ones(z.size)
+    tconj = np.conj(tv)
+
+    def quad(n_nodes, seg, lo, hi):
+        x, wts = _gauss01(n_nodes)
+        w = tv + seg[:, None] * (lo[:, None] + (hi - lo)[:, None] * x[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = (-lam / ((tconj * w - 1.0) * p.evaluate(w, t_aut)) - 1.0) / (w - tv)
+            return np.where(seg == 0, 0.0, seg * (hi - lo) * (h @ wts))
+
+    for level in range(_KOENIGS_SPLITS + 1):
+        seg = z[idx] - tv
+        q48 = quad(48, seg, lo, hi)
+        est = np.abs(q48 - quad(24, seg, lo, hi))
+        done = ~(est > tol_q * (hi - lo)) | (level == _KOENIGS_SPLITS)
+        np.add.at(total, idx[done], q48[done])
+        np.add.at(err, idx[done], est[done])
+        if done.all():
+            break
+        idx, lo, hi = idx[~done], lo[~done], hi[~done]
+        mid = 0.5 * (lo + hi)
+        idx, lo, hi = np.tile(idx, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    e = np.exp(total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (z - tv) * e
+        kd = -lam * e / ((tconj * z - 1.0) * p.evaluate(z, t_aut))
+    at_tau = z == tv
+    k[at_tau], kd[at_tau] = 0.0, 1.0
+    return k, kd, err
 
 
 # Offsets inserted between 16 and 32 when the limit contracts geometrically.
@@ -307,32 +410,95 @@ class ChainLimitResult:
 def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
                 t_inf: float = DEFAULT_T_INF,
                 tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
-    """Evaluate f_t at the given interior points through the scaling limit.
+    """Evaluate f_t at the given interior points.
 
-    The horizons u = t + horizon_offsets(t_inf, field, t) double, with
-    t + 20, 24, 28 inserted where the limit contracts geometrically.  The
-    iteration stops once the raw iterates agree to tol_limit in sup norm
-    (the plain limit), once the extrapolants certify every point (from
-    five horizons on), or when the schedule is exhausted; in the last two
-    cases extrapolation in x = 1/(u - t) supplies the returned values.
+    With an exact autonomous tail (see the module docstring) and t < T_aut
+    the points and the origin seed are pushed to T_aut in one batch; for
+    t >= T_aut nothing moves, the seed stops at T_aut and
+    e^{lambda (t - T_aut)} carries the rest.  K is evaluated by quadrature
+    and the affine map fixed by f_0(0) = 0, f_0'(0) = 1 is applied.
+    ``point_delta`` is then the quadrature's error estimate,
+    ``horizon_used`` is max(t, T_aut), and nothing is accelerated.
 
-    The normalizer rides along: phi_{0,t}(0), from one short 0 -> t solve,
-    is one more seed of every leg, and each horizon u reads alpha(u) and
-    phi'_{0,u}(0) from it.  It counts for nothing in the result.  If it
-    truncates, or phi'_{0,u}(0) vanishes or goes non-finite, at a horizon
-    the iteration visits, NormalizationError is raised.
+    Otherwise the scaling limit runs: the horizons u = t +
+    horizon_offsets(t_inf, field, t) double, with t + 20, 24, 28 inserted
+    where the limit contracts geometrically.  The iteration stops once the
+    raw iterates agree to tol_limit in sup norm (the plain limit), once
+    the extrapolants certify every point (from five horizons on), or when
+    the schedule is exhausted; in the last two cases extrapolation in
+    x = 1/(u - t) supplies the returned values.
+
+    Either way the normalizer rides along: phi_{0,s}(0), from one short
+    0 -> s solve (s = t, or min(t, T_aut) on the exact tail), is one more
+    seed of every leg.  It counts for nothing in the result.  If it
+    truncates, or phi'_{0,.}(0) vanishes or goes non-finite, where it is
+    read, NormalizationError is raised.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    tail = _autonomous_tail(field)
+    if tail is None:
+        return _scaling_limit(field, t, pts, _origin_seed(field, t, tol), tol, t_inf, tol_limit)
+    s = min(t, tail[0])
+    return _tail_frame(field, tail, t, pts, s, _origin_seed(field, s, tol), tol, tol_limit)
+
+
+def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
+    """(phi_{0,t}(0), phi'_{0,t}(0)) from one short solve; NaN once truncated."""
+    if t == 0.0:
+        return 0j, 1.0 + 0j
+    o = solve_forward(field, 0.0, t, np.zeros(1, complex), tol=tol, atol=_ATOL_FLOOR)
+    return o.at(t)[0], o.deriv_at(t)[0]
+
+
+def _tail_frame(field, tail, t, pts, s, seed, tol, tol_limit) -> ChainLimitResult:
+    """f_t at pts through the exact tail, from the origin seed at time s.
+
+    Either s = t < T_aut: points and seed are pushed to T_aut together and
+    f_t = f_{T_aut} o phi_{t,T_aut}; or T_aut <= s <= t: nothing moves and
+    f_t = A e^{lambda (t - s)} K + B.  A and B put f_0 in S through the
+    seed: f_s(phi_{0,s}(0)) = 0 and f_s'(phi_{0,s}(0)) phi'_{0,s}(0) = 1.
+    """
+    t_aut, tv, lam = tail
+    n = pts.size
+    vals = np.append(pts, seed[0])
+    ders = np.append(np.ones_like(pts), seed[1])
+    ok = np.isfinite(vals)
+    if t < t_aut and ok[n]:
+        leg = solve_forward(field, t, t_aut, np.where(ok, vals, 0.0), tol=tol,
+                            atol=_ATOL_FLOOR)
+        vals, ders = leg.at(t_aut), leg.deriv_at(t_aut) * ders
+        ok &= leg.live() & np.isfinite(vals) & np.isfinite(ders)
+    alpha, dphi = vals[n], ders[n]
+    if not (ok[n] and np.isfinite(dphi) and dphi != 0):
+        raise NormalizationError(
+            f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {max(s, t_aut)}")
+    # invalid points sit at tau, where K needs no quadrature
+    k, kd, err = _koenigs(field, tail, np.where(ok, vals, tv), 1e-2 * tol_limit)
+    a = 1.0 / (kd[n] * dphi)
+    b = -a * k[n]
+    a = a * np.exp(lam * (t - s))
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = a * k[:n] + b
+        derivs = a * kd[:n] * ders[:n]
+        pdelta = np.abs(a * k[:n]) * err[:n] + (np.abs(values) + abs(b)) * err[n]
+    valid = ok[:n] & np.isfinite(values) & np.isfinite(derivs)
+    values = np.where(valid, values, np.nan + 0j)
+    derivs = np.where(valid, derivs, np.nan + 0j)
+    point_conv = valid & (pdelta <= tol_limit * np.maximum(1.0, np.abs(values)))
+    converged = bool(point_conv[valid].all()) if valid.any() else False
+    acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
+    return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv, converged,
+                            acc_delta, acc_delta, max(t, t_aut), False)
+
+
+def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResult:
+    """The horizon loop of ``limit_frame``, from the origin seed at t."""
     n = pts.size
     offsets = horizon_offsets(t_inf, field, t)
     xs = 1.0 / offsets
     horizons = t + offsets
-    alpha, dphi = 0j, 1.0 + 0j
-    if t != 0.0:
-        # a truncated origin leaves NaN, which the first horizon rejects
-        o = solve_forward(field, 0.0, t, np.zeros(1, complex), tol=tol, atol=_ATOL_FLOOR)
-        alpha, dphi = o.at(t)[0], o.deriv_at(t)[0]
-
+    # a truncated origin leaves NaN, which the first horizon rejects
+    alpha, dphi = seed
     vals = np.append(pts, alpha)
     ders = np.append(np.ones_like(pts), dphi)
     carried = np.ones(n + 1, bool)
@@ -418,13 +584,23 @@ def chain_limit(field: VectorFieldHandle, s: float, grid, tol: float = 1e-9,
                 tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
     """h_s on the seed grid: the scaling limit of psi_{s,u} / psi'_{0,u}(0).
 
-    Since h_s = f_s o M_s, the points are pushed through M_s, tabulated
-    at s alone, and the frame limit, which carries its own normalizer to
-    every horizon, is evaluated there.
+    Since h_s = f_s o M_s, the points are pushed through M_s, built from
+    the origin seed phi_{0,s}(0) that the frame evaluation then carries on
+    (the exact tail or the scaling limit, as in ``limit_frame``).
     """
     pts = grid.points if isinstance(grid, SeedGrid) else np.atleast_1d(np.asarray(grid, complex))
-    moved = _normalizer_for(field, [s], tol).m(s, pts)
-    return replace(limit_frame(field, s, moved, tol, t_inf, tol_limit), points=pts)
+    seed = _origin_seed(field, s, tol)
+    alpha, dphi = seed
+    if not (np.isfinite(alpha) and np.isfinite(dphi) and dphi != 0):
+        raise NormalizationError(f"phi'_{{0,s}}(0) lost, vanished or non-finite at s = {s}")
+    beta = dphi / abs(dphi)
+    moved = (beta * pts + alpha) / (1.0 + beta * np.conj(alpha) * pts)
+    tail = _autonomous_tail(field)
+    if tail is None:
+        res = _scaling_limit(field, s, moved, seed, tol, t_inf, tol_limit)
+    else:
+        res = _tail_frame(field, tail, s, moved, s, seed, tol, tol_limit)
+    return replace(res, points=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +688,42 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     """Frames of the range-normalized chain f_t at every checkpoint.
 
     Every frame samples the seed grid, one trace ring at |z| = 1 -
-    delta_trace and the origin.  Two construction modes share one limit
-    evaluator, ``limit_frame``, which carries the normalizer with the frame
-    points and raises NormalizationError if it breaks down.  The direct
-    mode runs one limit per checkpoint.  The composition mode pushes all
-    frame points to the last checkpoint by short integrations and
-    evaluates one batched limit there, using f_s = f_T o phi_{s,T}; it is
-    picked for dense checkpoint grids, where it is much cheaper.
-    Transition verification should run against direct-mode frames, so the
-    identity is not checked against its own construction.  The caller
-    checks f_0(0) = 0 and f_0'(0) = 1 against its own tolerance.
+    delta_trace and the origin.  All modes share one frame evaluator,
+    ``limit_frame``, which carries the normalizer with the frame points
+    and raises NormalizationError if it breaks down.
+
+    When the field has an exact autonomous tail from T_aut <= the first
+    checkpoint t_0, one evaluation at t_0 fixes the chain: the Denjoy-Wolff
+    point tau rides along as one more point, its image is B, and every row
+    is f_t = B + e^{lambda (t - t_0)} (f_{t_0} - B), so no row integrates
+    anything.  Otherwise, or when ``via_transition`` is given, the direct
+    mode runs one evaluation per checkpoint, and the composition mode
+    pushes all frame points to the last checkpoint by short integrations
+    and evaluates there once, using f_s = f_T o phi_{s,T}; it is picked
+    for more than 12 checkpoints, where it is much cheaper.  Transition
+    verification should run against direct-mode frames, so the identity
+    is not checked against its own construction.  The caller checks
+    f_0(0) = 0 and f_0'(0) = 1 against its own tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
-    if via_transition is None:
-        via_transition = cps.size > 12
+    tail = _autonomous_tail(field)
     t_last = float(cps[-1])
     pts = _frame_points(grid, n_theta, delta_trace)
     nt = cps.size
+    if via_transition is None and tail is not None and tail[0] <= cps[0]:
+        _, tv, lam = tail
+        res = limit_frame(field, float(cps[0]), np.append(pts, tv), tol, t_inf, tol_limit)
+        b = res.values[-1]
+        scale = np.exp(lam * (cps - cps[0]))[:, None]
+        vals = b + scale * (res.values[:-1] - b)
+        delta = np.abs(scale) * res.point_delta[:-1]
+        ok = np.repeat(res.valid[None, :-1], nt, axis=0)
+        conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
+        acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
+        return _frames("range-normalized", cps, grid, n_theta, delta_trace, vals,
+                       scale * res.derivs[:-1], ok, conv, acc, acc)
+    if via_transition is None:
+        via_transition = cps.size > 12
     if via_transition:
         legs = [solve_forward(field, float(t), t_last, pts, tol=tol, atol=_ATOL_FLOOR)
                 for t in cps[:-1]]
@@ -697,9 +892,10 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
     """Check f_s = f_t o phi_{s,t} on the stored grid and origin for checkpoint pairs.
 
     Both sides come from independent computations: the stored frame at s
-    against a fresh limit evaluation at the integrated image points.  The
-    origin is among them, so the pairs (0, t) also check the stored f_0(0)
-    against f_t(phi_{0,t}(0)) from a batch of its own.
+    against a fresh ``limit_frame`` evaluation (exact tail or scaling
+    limit) at the integrated image points.  The origin is among them, so
+    the pairs (0, t) also check the stored f_0(0) against f_t(phi_{0,t}(0))
+    from a batch of its own.
     """
     if frames.tag != "range-normalized":
         raise ValueError("transition identity applies to range-normalized frames")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import SeedGrid, circle_grid
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, SpecError, _interp_table
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, SpecError, _interp_table, _table_time
 
 
 class ConfigError(ValueError):
@@ -150,7 +150,7 @@ class ScenarioConfig:
         return self.q if self.q is not None else HerglotzSpec.constant(1.0)
 
 
-def _time_table(rows, path, errors, build=_interp_table):
+def _time_table(rows, path, errors, build):
     """build(ts, values) from [[t, value], ...] rows, or None after recording why not."""
     try:
         ts = [float(r[0]) for r in rows]
@@ -166,15 +166,21 @@ def _time_table(rows, path, errors, build=_interp_table):
 
 
 def _build_time_profile(d, path, errors):
-    """A time -> complex callable from a config node (constant or table)."""
+    """(callable t -> complex, t_aut, nodes) from a config node (constant or table).
+
+    A constant profile is autonomous from 0; a table from its last node.
+    """
     if isinstance(d, dict) and d.get("type") == "constant":
         c = _as_complex(d.get("value", 1.0), f"{path}.value", errors)
-        return lambda t: c
+        return (lambda t: c), 0.0, ()
     if isinstance(d, dict) and d.get("type") == "table":
-        f = _time_table(d.get("points", []), f"{path}.points", errors)
-        return f if f is not None else (lambda t: 1.0 + 0j)
-    errors.append(f"{path} must be a constant or table profile")
-    return lambda t: 1.0 + 0j
+        made = _time_table(d.get("points", []), f"{path}.points", errors,
+                           lambda ts, vs: (_interp_table(ts, vs),) + _table_time(ts))
+        if made is not None:
+            return made
+    else:
+        errors.append(f"{path} must be a constant or table profile")
+    return (lambda t: 1.0 + 0j), 0.0, ()
 
 
 def build_herglotz(d, path, errors) -> HerglotzSpec:
@@ -189,12 +195,12 @@ def build_herglotz(d, path, errors) -> HerglotzSpec:
         if kind == "mobius_kernel":
             driving = _build_time_profile(d.get("driving", {"type": "constant", "value": 1.0}),
                                           f"{path}.driving", errors)
-            return HerglotzSpec.mobius_kernel(driving)
+            return HerglotzSpec.mobius_kernel(*driving)
         if kind == "sector":
             opening = float(d.get("opening", 0.5))
             profile = _build_time_profile(d.get("profile", {"type": "constant", "value": 1.0}),
                                           f"{path}.profile", errors)
-            return HerglotzSpec.sector(opening, profile)
+            return HerglotzSpec.sector(opening, *profile)
         if kind == "rational_table":
             num = [_as_complex(c, f"{path}.numerator", errors) for c in d.get("numerator", [1.0])]
             den = [_as_complex(c, f"{path}.denominator", errors) for c in d.get("denominator", [1.0])]
@@ -235,12 +241,8 @@ def build_tau(d, path, errors) -> DenjoyWolffSpec:
             if not table:
                 errors.append(f"{path}.table of [t, value] rows is required for sampled")
                 return fallback
-
-            def sampled(ts, vs):
-                return DenjoyWolffSpec.sampled(_interp_table(ts, vs),
-                                               modulus_bound=max(map(abs, vs)))
-
-            spec = _time_table(table, f"{path}.table", errors, sampled)
+            spec = _time_table(table, f"{path}.table", errors,
+                               DenjoyWolffSpec.from_time_table)
             return spec if spec is not None else fallback
     except (SpecError, ValueError, TypeError, OverflowError) as e:
         errors.append(f"{path}: {e}")

@@ -11,7 +11,8 @@ the flow never come from finite-differencing trajectories.
 The stepper is an embedded Dormand-Prince 5(4) pair with a shared
 adaptive step across all seeds of a batch (the error norm maxes over
 live seeds, so each seed still meets the tolerance), step boundaries
-aligned to the Denjoy-Wolff discontinuity set, and honest truncation
+aligned to the field's stops (the jumps of tau and the table nodes of
+the data), and honest truncation
 when a trajectory reaches the boundary guard or a point where the field
 is not finite.  Truncation is per seed: the healthy seeds of the batch go
 on.
@@ -249,7 +250,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
 
     values, derivs, truncated, ttime, steps, rej, warn = _drive(
         field.segment_rhs, s, t_end, pts, tol, tol if atol is None else atol, rec,
-        field.discontinuities, hmax, guard)
+        field.stops, hmax, guard)
     values[0] = pts          # EF1 exactly
     derivs[0] = 1.0
     return TrajectorySet("forward", s, rec, pts, values, derivs, truncated,
@@ -279,7 +280,7 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
         return lambda w, sig: pair(w, t - sig)
 
     rec_sigma = np.sort(t - rec_s)
-    bps = [t - b for b in field.discontinuities]
+    bps = [t - b for b in field.stops]
     values, derivs, truncated, ttime_sig, steps, rej, warn = _drive(
         segment_rhs, 0.0, t, pts, tol, tol, rec_sigma, bps, hmax, guard)
 

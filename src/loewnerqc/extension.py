@@ -186,6 +186,11 @@ def _offsets(points: np.ndarray, centers: np.ndarray):
     return d, finite & (anisotropy > 1e-4)
 
 
+# interior time rows per stencil-fit block: the 9-point stencil stacks and
+# the four chart fits of a block are the transient memory of the fit
+_FIT_ROWS = 16
+
+
 def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
     """Per-cell Wirtinger quotient of target(source) on 3x3 stencils.
 
@@ -197,26 +202,34 @@ def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
     therefore fit in the reciprocal chart 1/w, and each cell picks the
     target chart (Phi or 1/Phi) whose quadratic model fits better.  The
     surviving estimate must pass model-order cross-validation (_fit_mu);
-    everything else is masked.  Returns (mu, fit_valid).
+    everything else is masked.  Cells are fitted in blocks of _FIT_ROWS
+    time rows, which bounds the transient memory.  Returns (mu, fit_valid).
     """
     nt, ntheta = source.shape
     mu = np.full((nt, ntheta), np.nan + 0j)
     ok = np.zeros((nt, ntheta), bool)
     if nt < 3 or ntheta < 3:
         return mu, ok
+    for r0 in range(1, nt - 1, _FIT_ROWS):
+        rows = slice(r0, min(r0 + _FIT_ROWS, nt - 1))
+        mu[rows], ok[rows] = _fit_rows(source, target, valid, rows)
+    return mu, ok
 
+
+def _fit_rows(source, target, valid, rows: slice):
+    """(mu, ok) of the interior cells in the given rows; see _lsq_wirtinger."""
     stn_s, stn_v, stn_ok = [], [], []
     for di in (-1, 0, 1):
-        rows = slice(1 + di, nt - 1 + di)
+        near = slice(rows.start + di, rows.stop + di)
         for dj in (-1, 0, 1):
-            stn_s.append(np.roll(source[rows], -dj, axis=1))
-            stn_v.append(np.roll(target[rows], -dj, axis=1))
-            stn_ok.append(np.roll(valid[rows], -dj, axis=1))
-    S = np.stack(stn_s)            # [9, nt-2, ntheta]
+            stn_s.append(np.roll(source[near], -dj, axis=1))
+            stn_v.append(np.roll(target[near], -dj, axis=1))
+            stn_ok.append(np.roll(valid[near], -dj, axis=1))
+    S = np.stack(stn_s)            # [9, rows, ntheta]
     V = np.stack(stn_v)
     OK = np.stack(stn_ok).all(axis=0)
 
-    centers = source[1:-1]
+    centers = source[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
         S_inv = np.where(np.abs(S) > 1e-300, 1.0 / S, np.nan + 0j)
         c_inv = np.where(np.abs(centers) > 1e-300, 1.0 / centers, np.nan + 0j)
@@ -228,7 +241,7 @@ def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
 
     # all four charts; the residuals of a chart containing a pole and of a
     # smooth chart differ by orders of magnitude, so argmin is decisive
-    cand_mu, cand_res, cand_ok = [], [], []
+    cand_mu, cand_res = [], []
     for d, iso, tw in ((d_dir, iso_dir, None), (d_inv, iso_inv, twist)):
         for vals in (V, V_inv):
             m, r, g = _fit_mu(d, vals)
@@ -236,16 +249,13 @@ def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
                 m = m * tw
             cand_mu.append(m)
             cand_res.append(np.where(g & iso, r, np.inf))
-            cand_ok.append(g & iso)
     res = np.stack(cand_res)
     pick = np.argmin(res, axis=0)
     gather = (pick,) + tuple(np.indices(pick.shape))
     best = np.stack(cand_mu)[gather]
     best_res = res[gather]
     cell_ok = OK & np.isfinite(best_res) & (best_res < 0.02) & np.isfinite(best)
-    mu[1:-1] = np.where(cell_ok, best, np.nan + 0j)
-    ok[1:-1] = cell_ok
-    return mu, ok
+    return np.where(cell_ok, best, np.nan + 0j), cell_ok
 
 
 def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None = None):

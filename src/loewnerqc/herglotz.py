@@ -11,6 +11,13 @@ whose flow is the evolution family.  Every Herglotz kind is one evaluator
 kernel that applies the product rule to it.  The module also holds every
 pointwise criterion check on p (Herglotz property, Becker and pair
 inequalities, sector bound, Cayley transfer to the half plane).
+
+Each spec declares its autonomy time ``t_aut``: from then on it no longer
+depends on t (0 for constants, the last jump of step data, the last node
+of a linearly interpolated table, which ``np.interp`` clamps), or None
+for an arbitrary callable.  Table specs also record their ``nodes``,
+where the data have kinks; the assembled field makes them integration
+stops, apart from the jumps that delimit welding pieces.
 """
 
 from __future__ import annotations
@@ -64,6 +71,12 @@ def _full(z: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
     return pv, np.zeros_like(pv)
 
 
+def _table_time(ts) -> tuple[float, tuple[float, ...]]:
+    """(t_aut, nodes) of a time table: it is constant past its last node."""
+    nodes = tuple(float(t) for t in ts)
+    return nodes[-1], nodes
+
+
 @dataclass
 class HerglotzSpec:
     """One of the built-in Herglotz-function kinds plus its evaluator.
@@ -72,12 +85,15 @@ class HerglotzSpec:
     returns the ndarrays ``(p, dp/dz)``; it is the integrator's hot path.
     Built-in kinds differentiate analytically, user-sampled z-dependent
     data by a centered difference of step ``DZ_STEP``.  ``evaluate(z, t)``
-    is the value alone.
+    is the value alone.  ``t_aut`` and ``nodes`` are described in the
+    module docstring.
     """
 
     kind: str
     pair: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
     params: dict = field(default_factory=dict)
+    t_aut: float | None = None
+    nodes: tuple[float, ...] = ()
 
     def evaluate(self, z, t: float) -> np.ndarray:
         return self.pair(np.asarray(z, dtype=complex), t)[0]
@@ -87,14 +103,16 @@ class HerglotzSpec:
         c = complex(c)
         if c.real < 0:
             raise SpecError(f"constant Herglotz value {c} has Re < 0")
-        return cls("constant", lambda z, t: _full(z, c), params={"value": c})
+        return cls("constant", lambda z, t: _full(z, c), params={"value": c}, t_aut=0.0)
 
     @classmethod
-    def mobius_kernel(cls, driving: Callable[[float], complex]) -> "HerglotzSpec":
+    def mobius_kernel(cls, driving: Callable[[float], complex], t_aut: float | None = None,
+                      nodes=()) -> "HerglotzSpec":
         """Slit-type kernel p(z,t) = (kappa(t) + z) / (kappa(t) - z).
 
         kappa must be unimodular; this orientation satisfies p(0,t) = 1 and
-        Re p > 0 on the disk.
+        Re p > 0 on the disk.  ``t_aut`` and ``nodes`` are those of the
+        driving function (None for an arbitrary callable).
         """
 
         def pair(z, t):
@@ -104,11 +122,16 @@ class HerglotzSpec:
             w = kap - z
             return (kap + z) / w, 2.0 * kap / w ** 2
 
-        return cls("mobius_kernel", pair, params={"driving": driving})
+        return cls("mobius_kernel", pair, params={"driving": driving}, t_aut=t_aut,
+                   nodes=tuple(nodes))
 
     @classmethod
-    def sector(cls, opening: float, profile: Callable[[float], complex]) -> "HerglotzSpec":
-        """z-independent values confined to the sector |arg| <= opening*pi/2."""
+    def sector(cls, opening: float, profile: Callable[[float], complex],
+               t_aut: float | None = None, nodes=()) -> "HerglotzSpec":
+        """z-independent values confined to the sector |arg| <= opening*pi/2.
+
+        ``t_aut`` and ``nodes`` are those of the profile.
+        """
         if not 0.0 <= opening < 1.0:
             raise SpecError(f"sector opening {opening} outside [0, 1)")
         half = opening * math.pi / 2.0
@@ -119,7 +142,8 @@ class HerglotzSpec:
                 raise SpecError(f"sector profile value {c} leaves |arg| <= {half}")
             return _full(z, c)
 
-        return cls("sector", pair, params={"opening": opening, "profile": profile})
+        return cls("sector", pair, params={"opening": opening, "profile": profile},
+                   t_aut=t_aut, nodes=tuple(nodes))
 
     @classmethod
     def rational(cls, numerator, denominator) -> "HerglotzSpec":
@@ -138,7 +162,8 @@ class HerglotzSpec:
                 pv = n * inv
                 return pv, (_horner(z, dnum) - pv * _horner(z, dden)) * inv
 
-        return cls("rational_table", pair, params={"numerator": num, "denominator": den})
+        return cls("rational_table", pair, params={"numerator": num, "denominator": den},
+                   t_aut=0.0)
 
     @classmethod
     def sampled(cls, fn: Callable[[np.ndarray, float], np.ndarray],
@@ -157,25 +182,33 @@ class HerglotzSpec:
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
         """z-independent samples p(t), linearly interpolated between nodes."""
         f = _interp_table(ts, values)
+        t_aut, nodes = _table_time(ts)
         return cls("user_sampled", lambda z, t: _full(z, f(t)),
-                   params={"ts": np.asarray(ts, float), "values": np.asarray(values, complex)})
+                   params={"ts": np.asarray(ts, float), "values": np.asarray(values, complex)},
+                   t_aut=t_aut, nodes=nodes)
 
 
 @dataclass
 class DenjoyWolffSpec:
-    """Denjoy-Wolff function tau(t) into the closed unit disk."""
+    """Denjoy-Wolff function tau(t) into the closed unit disk.
+
+    ``breakpoints`` are its jumps; ``t_aut`` and ``nodes`` are described in
+    the module docstring.
+    """
 
     kind: str
     value: Callable[[float], complex]
     breakpoints: tuple[float, ...] = ()
     params: dict = field(default_factory=dict)
+    t_aut: float | None = None
+    nodes: tuple[float, ...] = ()
 
     @classmethod
     def constant(cls, tau) -> "DenjoyWolffSpec":
         tau = complex(tau)
         if abs(tau) > 1.0 + 1e-12:
             raise SpecError(f"|tau| = {abs(tau)} > 1")
-        return cls("constant", lambda t: tau, params={"value": tau})
+        return cls("constant", lambda t: tau, params={"value": tau}, t_aut=0.0)
 
     @classmethod
     def step(cls, breakpoints, values) -> "DenjoyWolffSpec":
@@ -194,8 +227,10 @@ class DenjoyWolffSpec:
         def f(t):
             return complex(arr_v[np.searchsorted(arr_b, t, side="right")])
 
+        jumps = [b for b, v0, v1 in zip(bps, vals, vals[1:]) if v1 != v0]
         return cls("step", f, breakpoints=tuple(bps),
-                   params={"breakpoints": arr_b, "values": arr_v})
+                   params={"breakpoints": arr_b, "values": arr_v},
+                   t_aut=jumps[-1] if jumps else 0.0)
 
     @classmethod
     def sampled(cls, fn: Callable[[float], complex], modulus_bound: float = 1.0) -> "DenjoyWolffSpec":
@@ -204,23 +239,42 @@ class DenjoyWolffSpec:
         return cls("sampled", fn, params={"modulus_bound": modulus_bound})
 
     @classmethod
+    def from_time_table(cls, ts, values) -> "DenjoyWolffSpec":
+        """Sampled tau(t), linearly interpolated between the nodes ts."""
+        spec = cls.sampled(_interp_table(ts, values),
+                           modulus_bound=max(abs(complex(v)) for v in values))
+        spec.t_aut, spec.nodes = _table_time(ts)
+        return spec
+
+    @classmethod
     def step_with_tail(cls, breakpoints, values, horizon: float,
-                       tail: Callable[[float], complex]) -> "DenjoyWolffSpec":
-        """Step cells on [0, horizon), an arbitrary evaluator beyond.
+                       tail: "DenjoyWolffSpec") -> "DenjoyWolffSpec":
+        """Step cells on [0, horizon), the spec ``tail`` beyond.
 
         Used by the approximation experiments: the data are approximated on
         a finite window and agree with the target exactly afterwards, which
         is what makes the weak-convergence experiments measure the window
-        approximation instead of an incidental tail mismatch.
+        approximation instead of an incidental tail mismatch.  The tail's
+        jumps and nodes past the horizon carry over.  The spec is
+        autonomous from the tail's autonomy time if that lies past the
+        horizon, otherwise from its last jump (at the horizon or before).
         """
         base = cls.step(list(breakpoints), list(values))
         horizon = float(horizon)
 
         def f(t):
-            return base.value(t) if t < horizon else complex(tail(t))
+            return base.value(t) if t < horizon else complex(tail.value(t))
 
-        return cls("step_tail", f, breakpoints=tuple(breakpoints) + (horizon,),
-                   params={"horizon": horizon, "step": base, "tail": tail})
+        t_aut = tail.t_aut
+        if t_aut is not None and t_aut <= horizon:
+            t_aut = horizon if complex(tail.value(horizon)) != complex(values[-1]) \
+                else base.t_aut
+
+        return cls("step_tail", f,
+                   breakpoints=tuple(breakpoints) + (horizon,)
+                   + tuple(b for b in tail.breakpoints if b > horizon),
+                   params={"horizon": horizon, "step": base, "tail": tail},
+                   t_aut=t_aut, nodes=tuple(n for n in tail.nodes if n > horizon))
 
     def is_constant(self, value=None) -> bool:
         if self.kind != "constant":
@@ -231,16 +285,21 @@ class DenjoyWolffSpec:
         """Constant tau value on [a, b], or None when tau varies there.
 
         Integration segments never straddle a breakpoint, so freezing at the
-        segment midpoint removes the boundary ambiguity of step data; tails
-        and sampled data stay time-dependent.
+        segment midpoint removes the boundary ambiguity of step data; a tail
+        freezes where its own spec does, and sampled data stay
+        time-dependent.
         """
         if self.kind == "constant":
             return self.params["value"]
         mid = 0.5 * (a + b)
         if self.kind == "step":
             return complex(self.value(mid))
-        if self.kind == "step_tail" and b <= self.params["horizon"] + 1e-12:
-            return complex(self.value(mid))
+        if self.kind == "step_tail":
+            horizon = self.params["horizon"]
+            if b <= horizon + 1e-12:
+                return complex(self.value(mid))
+            if a >= horizon - 1e-12:
+                return self.params["tail"].frozen_on(a, b)
         return None
 
 
@@ -256,11 +315,25 @@ def _field_pair(z: np.ndarray, tv, pv: np.ndarray, dp: np.ndarray):
 
 @dataclass
 class VectorFieldHandle:
-    """Assembled Berkson-Porta vector field with its discontinuity set."""
+    """Assembled Berkson-Porta vector field.
+
+    ``discontinuities`` are the jumps of tau, where welding pieces meet.
+    ``stops`` adds the kinks (the table nodes of p and tau); the
+    integrators end a step at each of them, so the error control never
+    works across a corner of the data.  ``t_aut`` is the autonomy time of
+    the field: the later of p's and tau's, or None if either is unknown.
+    """
 
     p: HerglotzSpec
     tau: DenjoyWolffSpec
     discontinuities: tuple[float, ...]
+    stops: tuple[float, ...] = ()
+
+    @property
+    def t_aut(self) -> float | None:
+        if self.p.t_aut is None or self.tau.t_aut is None:
+            return None
+        return max(self.p.t_aut, self.tau.t_aut)
 
     def tau_at(self, t: float) -> complex:
         v = complex(self.tau.value(t))
@@ -304,7 +377,8 @@ def assemble_field(p: HerglotzSpec, tau: DenjoyWolffSpec,
         v = complex(tau.value(float(t)))
         if abs(v) > 1.0 + 1e-12:
             raise SpecError(f"|tau({t})| = {abs(v)} > 1")
-    return VectorFieldHandle(p=p, tau=tau, discontinuities=tau.breakpoints)
+    stops = tuple(sorted(set(tau.breakpoints) | set(tau.nodes) | set(p.nodes)))
+    return VectorFieldHandle(p=p, tau=tau, discontinuities=tau.breakpoints, stops=stops)
 
 
 # ---------------------------------------------------------------------------

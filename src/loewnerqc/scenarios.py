@@ -55,9 +55,10 @@ def _docs(k: float = 0.5):
             "time": {"t_end": 1.0},
             "criteria": {"k": math.sin(sector_k * math.pi / 2.0) + 1e-9},
         },
-        # the last two carry looser chain tolerances: interior-attracting
-        # long-time data hit the Mobius-renormalization noise floor near
-        # 1e-6, which is still three orders under anything asserted of them
+        # the last two carry looser chain tolerances, set for the noise
+        # floor near 1e-6 that the scaling limit's Mobius renormalization
+        # hits on interior-attracting long-time data; their chains now come
+        # from the exact autonomous tail, far under either tolerance
         "measurable-tau": {
             "scenario": "measurable-tau",
             "p": {"kind": "constant", "value": 1.0},

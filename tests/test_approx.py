@@ -112,3 +112,47 @@ def test_merge_tables_joins_by_level():
     assert [r.n for r in merged.rows] == [4, 8]
     assert np.isfinite(merged.rows[0].ef_error)
     assert np.isfinite(merged.rows[0].chain_error)
+
+
+def test_step_tail_forwards_the_tail_spec():
+    tail = DenjoyWolffSpec.from_time_table([0.0, 3.0, 6.0], [0.1, 0.2, 0.4])
+    spec = step_approximate(tail, 4, 4.0).to_spec(tail=tail)
+    assert spec.kind == "step_tail"
+    assert spec.t_aut == 6.0 and spec.nodes == (6.0,)
+    assert spec.breakpoints == (1.0, 2.0, 3.0, 4.0)
+    assert spec.value(5.0) == pytest.approx(0.1 + (0.2 - 0.1) / 3 * 3 + (0.4 - 0.2) / 3 * 2)
+    # past a tail that is constant from the horizon on, the last jump counts:
+    # the cell [6, 8) samples the tail's final value 0.4
+    assert step_approximate(tail, 4, 8.0).to_spec(tail=tail).t_aut == 6.0
+    const = DenjoyWolffSpec.constant(0.2)
+    assert step_approximate(const, 4, 4.0).to_spec(tail=const).t_aut == 0.0
+    assert step_approximate(TAU_MEASURABLE, 4, 4.0).to_spec(tail=TAU_MEASURABLE).t_aut is None
+    step = DenjoyWolffSpec.step([1.0, 5.0], [0.3, 0.6j, 0.2])
+    spec = step_approximate(step, 4, 4.0).to_spec(tail=step)
+    assert spec.breakpoints[-2:] == (4.0, 5.0) and spec.t_aut == 5.0
+    step = DenjoyWolffSpec.step([1.0, 2.0], [0.3, 0.6j, 0.6j])
+    assert step.t_aut == 1.0
+    assert step_approximate(step, 4, 4.0).to_spec(tail=step).t_aut == 1.0
+    assert spec.frozen_on(4.0, 5.0) == 0.6j and spec.frozen_on(5.0, 6.0) == 0.2
+
+
+def test_chain_convergence_excludes_integration_noise():
+    # step approximants that reproduce a step tau exactly differ from it
+    # only by integration noise: every level sits at the floor
+    step = DenjoyWolffSpec.step([1.0], [0.3, 0.6j])
+    grid = circle_grid((0.3, 0.6), 4)
+    tab = chain_convergence(ONE, step, [4, 8], grid, [0.5, 1.0, 2.0], horizon=4.0)
+    assert np.isnan(tab.column("chain_error")).all()
+    assert all("noise floor" in w for w in tab.warnings[:2])
+
+
+def test_chain_convergence_measurable_table():
+    # the config-built table takes the exact tail: its levels stay above the
+    # floor and strictly decreasing
+    tau = DenjoyWolffSpec.from_time_table([t / 8.0 for t in range(64)],
+                                          [(t / 8.0) / (1.0 + t / 8.0) for t in range(64)])
+    grid = circle_grid((0.3, 0.6), 8)
+    tab = chain_convergence(ONE, tau, [4, 8, 16, 32], grid, [0.5, 1.0, 1.5, 2.0])
+    errs = tab.column("chain_error")
+    assert tab.strictly_decreasing and np.isfinite(errs).all()
+    assert 1e-5 < errs[-1] < 1e-2

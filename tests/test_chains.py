@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc.evolution import solve_forward
 from loewnerqc import chains
+from loewnerqc.scenarios import builtin_scenario
 
 EXP = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0))
 CHORDAL = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
@@ -12,6 +15,10 @@ ROTATION = assemble_field(HerglotzSpec.constant(1j), DenjoyWolffSpec.constant(0)
 BECKER = assemble_field(HerglotzSpec.rational([1, 0.5], [1, -0.5]),
                         DenjoyWolffSpec.constant(0))
 GRID = circle_grid((0.2, 0.5, 0.8), 8)
+# the Becker p as an opaque callable declares no autonomy time, so its
+# frames come from the scaling limit
+BECKER_SAMPLED = assemble_field(HerglotzSpec.sampled(BECKER.p.evaluate),
+                                DenjoyWolffSpec.constant(0))
 
 
 def chordal_chain(z, t):
@@ -120,7 +127,7 @@ def test_limit_frame_carries_its_normalizer(monkeypatch, t):
 
     monkeypatch.setattr(chains, "solve_forward", spy)
     pts = GRID.points[:5]
-    res = chains.limit_frame(BECKER, t, pts)
+    res = chains.limit_frame(BECKER_SAMPLED, t, pts)
     assert res.converged
     assert calls
     assert all(end == t or n == pts.size + 1 for _, end, n in calls), calls
@@ -134,7 +141,7 @@ def test_limit_frame_raises_when_the_origin_seed_is_lost(monkeypatch):
 
     monkeypatch.setattr(chains, "solve_forward", lose_seed)
     with pytest.raises(chains.NormalizationError):
-        chains.limit_frame(BECKER, 0.0, GRID.points[:5])
+        chains.limit_frame(BECKER_SAMPLED, 0.0, GRID.points[:5])
 
 
 def test_chain_growth_with_interior_normalization():
@@ -367,3 +374,159 @@ def test_best_extrapolant_exact_on_nonuniform_nodes():
     mobius = (limit + (0.5 - 0.3j) * x) / (1.0 + 0.8 * x)
     vals, _ = chains._best_extrapolant(mobius, xs)
     assert np.abs(vals - limit).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the exact autonomous tail and the scaling limit it falls back to
+
+def _builtin_field(name, declared=True):
+    """The builtin's field; without ``declared`` p hides its autonomy time."""
+    cfg = builtin_scenario(name)
+    p = cfg.p if declared else dataclasses.replace(cfg.p, t_aut=None)
+    return cfg, assemble_field(p, cfg.tau)
+
+
+def test_becker_chain_matches_its_closed_form():
+    # tau = 0, p = (1 + kz)/(1 - kz): K(z) = z/(1 + kz)^2 and f_t = e^t K
+    cfg, fld = _builtin_field("becker")
+    k = 0.5
+    cps = cfg.time.checkpoint_array(65)
+    fr = chains.range_normalized_chain(fld, cps, cfg.grid.seed_grid(), n_theta=256)
+    scale = np.exp(cps)[:, None]
+    ring = fr.trace_radius * np.exp(1j * fr.theta)
+
+    def K(z):
+        return z / (1 + k * z) ** 2
+
+    def dK(z):
+        return (1 - k * z) / (1 + k * z) ** 3
+
+    z = fr.grid.points
+    assert fr.converged.all() and fr.grid_valid.all() and fr.trace_valid.all()
+    assert np.abs(fr.values - scale * K(z)).max() < 1e-12
+    assert np.abs(fr.derivs - scale * dK(z)).max() < 1e-12
+    assert np.abs(fr.traces - scale * K(ring)).max() < 1e-12
+    assert np.abs(fr.trace_derivs - scale * dK(ring)).max() < 1e-12
+    assert np.abs(fr.origin_values).max() < 1e-12
+    assert np.abs(fr.origin_derivs - scale[:, 0]).max() < 1e-12
+
+
+def _mobius(a, z):
+    return (z - a) / (1 - np.conj(a) * z)
+
+
+def _mobius_inv(a, w):
+    return (w + a) / (1 + np.conj(a) * w)
+
+
+def test_step_tau_chain_matches_the_mobius_form():
+    # tau = 0.3 on [0, 1), 0.6i after, p = 1.  For constant tau = a the flow
+    # is m_a(phi_{s,t}) = e^{-(1 - |a|^2)(t - s)} m_a, and the tail's Koenigs
+    # function is the Mobius map m_tau up to scale, so
+    # f_t = A m_tau(phi_{t,1}(z)) + B with A, B fixed by f_0 in S
+    a, tau = 0.3, 0.6j
+    cfg, fld = _builtin_field("step-tau")
+    cps = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=32, tol=1e-11)
+
+    def phi_to_1(t, z):
+        return _mobius_inv(a, np.exp(-(1 - a * a) * (1 - t)) * _mobius(a, z))
+
+    alpha = phi_to_1(0.0, 0.0)
+    h = 1e-6
+    dalpha = (phi_to_1(0.0, h) - phi_to_1(0.0, -h)) / (2 * h)
+    dm = (1 - abs(tau) ** 2) / (1 - np.conj(tau) * alpha) ** 2
+    A = 1.0 / (dm * dalpha)
+    B = -A * _mobius(tau, alpha)
+    lam = 1 - abs(tau) ** 2
+    for i, t in enumerate(cps):
+        if t <= 1.0:
+            ref = A * _mobius(tau, phi_to_1(t, GRID.points)) + B
+        else:
+            ref = A * np.exp(lam * (t - 1.0)) * _mobius(tau, GRID.points) + B
+        assert np.abs(fr.values[i] - ref).max() < 1e-8 * max(1.0, np.abs(ref).max())
+    assert fr.converged.all()
+    assert abs(fr.origin_values[0]) < 1e-9 and abs(fr.origin_derivs[0] - 1) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["becker", "exponential", "sector", "step-tau",
+                                  "measurable-tau"])
+def test_exact_tail_agrees_with_the_scaling_limit(name):
+    cfg, exact = _builtin_field(name)
+    _, limit = _builtin_field(name, declared=False)
+    assert chains._autonomous_tail(exact) is not None
+    assert chains._autonomous_tail(limit) is None
+    cps = [0.0, 0.5, 1.0, 2.0] if cfg.time.t_end >= 2.0 else [0.0, 0.5, 1.0]
+    small = circle_grid((0.3, 0.6), 8)
+    kw = dict(n_theta=16, tol=cfg.time.tol, t_inf=cfg.criteria.t_inf,
+              tol_limit=cfg.criteria.tol_limit)
+    fe = chains.range_normalized_chain(exact, cps, small, **kw)
+    fl = chains.range_normalized_chain(limit, cps, small, **kw)
+    assert fe.converged.all() and fl.converged.all()
+    for i in range(len(cps)):
+        bound = fl.acc_delta[i] + cfg.criteria.tol_chain
+        ok = fe.grid_valid[i] & fl.grid_valid[i]
+        assert ok.all()
+        assert np.abs(fe.values[i] - fl.values[i]).max() <= bound
+        tr = fe.trace_valid[i] & fl.trace_valid[i]
+        assert np.abs(fe.traces[i][tr] - fl.traces[i][tr]).max() <= bound
+        assert abs(fe.origin_values[i] - fl.origin_values[i]) <= bound
+
+
+def test_exact_tail_raises_when_the_origin_seed_is_lost(monkeypatch):
+    # step-tau at t = 0.5: the origin seed rides in the push to T_aut = 1
+    _, fld = _builtin_field("step-tau")
+
+    def lose_seed(*args, **kwargs):
+        traj = solve_forward(*args, **kwargs)
+        traj.truncated[-1] = True
+        return traj
+
+    monkeypatch.setattr(chains, "solve_forward", lose_seed)
+    with pytest.raises(chains.NormalizationError):
+        chains.limit_frame(fld, 0.5, GRID.points[:5])
+
+
+def test_exact_tail_pushes_points_and_seed_in_one_batch(monkeypatch):
+    calls = []
+
+    def spy(field, s, t_end, seeds, *args, **kwargs):
+        calls.append((s, t_end, np.atleast_1d(seeds).size))
+        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+
+    _, fld = _builtin_field("step-tau")
+    monkeypatch.setattr(chains, "solve_forward", spy)
+    res = chains.limit_frame(fld, 0.5, GRID.points[:5])
+    assert res.converged and not res.accelerated and res.horizon_used == 1.0
+    assert calls == [(0.0, 0.5, 1), (0.5, 1.0, 6)]
+    calls.clear()
+    # past T_aut nothing moves: the seed stops at T_aut and e^{lambda (t - T_aut)} scales
+    res = chains.limit_frame(fld, 1.5, GRID.points[:5])
+    assert res.horizon_used == 1.5 and calls == [(0.0, 1.0, 1)]
+
+
+def test_mobius_kernel_tail_agrees_or_is_flagged():
+    # p = (1 + z)/(1 - z), tau = 0: the Koebe chain f_t = e^t z/(1 + z)^2,
+    # whose 1/p has its pole on the circle at -1; points next to it either
+    # match the closed form and the limit or are flagged unconverged
+    def kappa(t):
+        return 1.0 + 0j
+
+    exact = assemble_field(HerglotzSpec.mobius_kernel(kappa, t_aut=0.0),
+                           DenjoyWolffSpec.constant(0))
+    limit = assemble_field(HerglotzSpec.mobius_kernel(kappa), DenjoyWolffSpec.constant(0))
+    assert chains._autonomous_tail(exact) is not None
+    assert chains._autonomous_tail(limit) is None
+    th = np.linspace(np.pi - 0.2, np.pi + 0.2, 9)
+    pts = np.concatenate([GRID.points, (1 - 1e-3) * np.exp(1j * th), 0.99 * np.exp(1j * th)])
+    t = 0.5
+    re = chains.limit_frame(exact, t, pts)
+    rl = chains.limit_frame(limit, t, pts)
+    koebe = np.exp(t) * pts / (1 + pts) ** 2
+    scale = np.maximum(1.0, np.abs(koebe))
+    good = re.point_converged
+    assert good[:len(GRID)].all()
+    assert (np.abs(re.values - koebe)[good] <= 1e-8 * scale[good]).all()
+    both = good & rl.point_converged
+    assert both[:len(GRID)].all()
+    assert (np.abs(re.values - rl.values)[both] <= 1e-8 * scale[both]).all()

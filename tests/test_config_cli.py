@@ -212,3 +212,32 @@ def test_range_classifications(tmp_path):
     code, s = run_pipeline(builtin_scenario("rotation"), "range", tmp_path / "r")
     assert s["metrics"]["classification"] == "disk"
     assert s["metrics"]["radius"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_specs_declare_their_autonomy_time():
+    from loewnerqc import chains
+    from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
+
+    want = {"becker": 0.0, "chordal": 0.0, "exponential": 0.0, "rotation": 0.0,
+            "sector": 8.0, "step-tau": 1.0, "measurable-tau": 7.875}
+    for name, t_aut in want.items():
+        cfg = builtin_scenario(name)
+        fld = assemble_field(cfg.p, cfg.tau)
+        assert fld.t_aut == t_aut, name
+        # boundary tau (chordal) and Re lambda = 0 (rotation) keep the limit
+        assert (chains._autonomous_tail(fld) is None) == (name in ("chordal", "rotation"))
+    cfg, errors = validate_config({
+        "p": {"kind": "mobius_kernel",
+              "driving": {"type": "table", "points": [[0.0, 1.0], [0.5, [0.0, 1.0]]]}},
+        "tau": {"kind": "sampled", "table": [[0.0, 0.1], [2.0, 0.2], [3.0, 0.3]]}})
+    assert not errors
+    assert (cfg.p.t_aut, cfg.p.nodes) == (0.5, (0.0, 0.5))
+    assert (cfg.tau.t_aut, cfg.tau.nodes) == (3.0, (0.0, 2.0, 3.0))
+    fld = assemble_field(cfg.p, cfg.tau)
+    assert fld.t_aut == 3.0 and fld.stops == (0.0, 0.5, 2.0, 3.0)
+    assert fld.discontinuities == ()
+    # a Python callable declares nothing, and the field inherits that
+    opaque = HerglotzSpec.sampled(lambda z, t: 1.0 + 0 * z)
+    assert opaque.t_aut is None
+    assert assemble_field(opaque, DenjoyWolffSpec.constant(0)).t_aut is None
+    assert assemble_field(cfg.p, DenjoyWolffSpec.sampled(lambda t: 0.1)).t_aut is None

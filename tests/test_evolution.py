@@ -220,3 +220,20 @@ def test_exponential_flow_property(r, angle):
     z = r * np.exp(1j * angle)
     tr = solve_forward(EXP, 0.0, 0.8, np.array([z]), tol=1e-10)
     assert abs(tr.at(0.8)[0] - z * np.exp(-0.8)) < 1e-8
+
+
+def test_table_nodes_are_integration_stops():
+    # the measurable-tau table is piecewise linear: its 64 nodes are kinks
+    # of the field, so every node ends a step, while only jumps count as
+    # discontinuities; across the whole table the origin then lands within
+    # 1e-10 of a tol-1e-12 solve
+    from loewnerqc.scenarios import builtin_scenario
+
+    cfg = builtin_scenario("measurable-tau")
+    fld = assemble_field(cfg.p, cfg.tau)
+    nodes = [t / 8.0 for t in range(64)]
+    assert fld.stops == tuple(nodes) and fld.discontinuities == ()
+    end = nodes[-1]
+    got = solve_forward(fld, 0.0, end, np.zeros(1, complex), tol=1e-9)
+    ref = solve_forward(fld, 0.0, end, np.zeros(1, complex), tol=1e-12)
+    assert abs(got.at(end)[0] - ref.at(end)[0]) < 1e-10

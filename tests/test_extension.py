@@ -163,3 +163,20 @@ def test_dilatation_fails_for_rotation_vs_one():
 
 def test_interior_dilatation_conformal():
     assert interior_dilatation(EXPF, n_theta=64) < 0.01
+
+
+def test_stencil_fit_does_not_depend_on_its_row_blocks():
+    # the fit runs over blocks of time rows; a 40-row atlas and its rows
+    # 10..30 must agree on the interior rows they share
+    t = np.linspace(0.0, 0.8, 40)
+    th = 2 * np.pi * np.arange(48) / 48
+    src = np.exp(t)[:, None] * np.exp(1j * th)[None, :]
+    dst = src + 0.3 * np.conj(src) + 0.05 * src ** 2
+    valid = np.isfinite(src)
+    valid[20, 5] = False
+    mu, ok = beltrami_fd(src, dst, valid)
+    mu_sub, ok_sub = beltrami_fd(src[10:31], dst[10:31], valid[10:31])
+    assert np.array_equal(ok[11:30], ok_sub[1:-1])
+    assert ok_sub[1:-1].sum() > 0.9 * ok_sub[1:-1].size
+    shared = ok_sub[1:-1]
+    assert np.abs(mu[11:30][shared] - mu_sub[1:-1][shared]).max() < 1e-13
