@@ -12,11 +12,10 @@ from .herglotz import (HerglotzSpec, DenjoyWolffSpec, VectorFieldHandle, SpecErr
                        assemble_field, check_herglotz, check_becker, check_pair,
                        sector_bound, cayley_transfer, holomorphy_residual, rotation_only)
 from .evolution import (TrajectorySet, solve_forward, solve_reverse, verify_semigroup,
-                        schwarz_pick_check, derivative_at_origin, IntegrationError)
-from .chains import (MobiusNormalizer, ChainFrames, RangeReport, normalize, limit_frame,
-                     chain_limit, range_normalized_chain, decreasing_chain, beta_limit,
-                     verify_transitions, verify_chain_pde, verify_containment,
-                     verify_psi_normalization, frames_coincide_up_to_rotation)
+                        schwarz_pick_check, derivative_at_origin)
+from .chains import (ChainFrames, RangeReport, limit_frame, range_normalized_chain,
+                     decreasing_chain, beta_limit, verify_transitions, verify_chain_pde,
+                     verify_containment, frames_coincide_up_to_rotation)
 from .extension import (ExtensionAtlas, BeckerExtension, boundary_trace, build_extension,
                         becker_extension, beltrami_formula, beltrami_fd,
                         becker_dilatation, dilatation_report, interior_dilatation, AtlasRejected)

@@ -38,18 +38,18 @@ Either evaluator carries the origin's image phi_{0,.}(0) as one more seed
 of its batch and reads alpha and phi'_{0,.}(0) from it, so no caller
 tabulates a normalizer.
 
-The horizon schedule of the limit, u = t + offset, follows the regime the
-data put it in.  For boundary Denjoy-Wolff data the raw iterates converge
-only like O(1/u), far too slowly for the verification tolerances; the
-offsets double (1, 2, 4, ..., t_inf) and the iterates are accelerated by
-polynomial (Neville) and rational (Bulirsch-Stoer) extrapolation in the
-node x = 1/(u - t).  For a constant interior tau the iterates converge
-geometrically, like exp(-lambda (u - t)) with
-lambda = (1 - |tau|^2) Re p(tau, u); when every 4-unit step at least
-halves the error, the offsets 20, 24, 28 are inserted between 16 and 32
-and the raw stop usually fires there, before the renormalization reaches
-its noise floor.  Raw and accelerated deltas are both reported, never
-asserted exact.
+The horizons of the limit, u = t + 1, 2, 4, ..., t_inf, double.  For
+boundary Denjoy-Wolff data the raw iterates converge only like O(1/u),
+far too slowly for the verification tolerances, so they are accelerated
+by polynomial (Neville) and rational (Bulirsch-Stoer) extrapolation in
+the node x = 1/(u - t).  Raw and accelerated deltas are both reported,
+never asserted exact.
+
+A chain is evaluated once, at one time T: the last checkpoint, or with
+an exact tail the checkpoint range's nearest point to T_aut.  Every row
+t < T pushes the frame points to T and uses f_t = f_T o phi_{t,T}; the
+rows t >= T evaluate the points themselves, and past T the tail scales
+them, f_t = B + e^{lambda (t - T)} (f_T - B) with B = f_T(tau).
 
 Decreasing chains g_t = omega_{0,t} come from direct reverse integration
 and need no limit.
@@ -58,14 +58,13 @@ and need no limit.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row
 from .herglotz import VectorFieldHandle
-from .evolution import TrajectorySet, solve_forward, solve_reverse
+from .evolution import solve_forward, solve_reverse
 
 DEFAULT_T_INF = 64.0
 DEFAULT_TOL_LIMIT = 1e-8
@@ -161,45 +160,10 @@ def _koenigs(field: VectorFieldHandle, tail, z: np.ndarray, tol_q: float):
     return k, kd, err
 
 
-# Offsets inserted between 16 and 32 when the limit contracts geometrically.
-_GEOMETRIC_OFFSETS = (20.0, 24.0, 28.0)
-
-
-def _contracts_geometrically(field: VectorFieldHandle, t: float) -> bool:
-    """True when the scaling limit from t converges geometrically and fast.
-
-    That needs a constant interior tau with
-    (1 - |tau|^2) Re p(tau, u) >= ln 2 / 4 at every integer u in
-    [t + 16, t + 32]: each 4-unit step of the horizon then at least halves
-    the error, so the raw successive-estimate stop still bounds what is left.
-    """
-    if not field.tau.is_constant():
-        return False
-    tv = complex(field.tau.params["value"])
-    if not abs(tv) < 1.0:
-        return False
-    z = np.array([tv])
-    lam = 1.0 - abs(tv) ** 2
-    for u in range(math.ceil(t + 16.0), math.floor(t + 32.0) + 1):
-        if not lam * field.p.evaluate(z, float(u))[0].real >= math.log(2.0) / 4.0:
-            return False
-    return True
-
-
-def horizon_offsets(t_inf: float = DEFAULT_T_INF, field: VectorFieldHandle | None = None,
-                    t: float = 0.0) -> np.ndarray:
-    """Offsets u - t of the scaling-limit horizons, capped by t_inf.
-
-    Doubling 1, 2, 4, ... by default.  For a field whose limit from t
-    contracts geometrically, 20, 24 and 28 are inserted between 16 and 32.
-    """
+def horizon_offsets(t_inf: float = DEFAULT_T_INF) -> np.ndarray:
+    """Offsets u - t of the scaling-limit horizons: 1, 2, 4, ..., capped by t_inf."""
     k = int(np.floor(np.log2(t_inf) + 1e-12))
-    offsets = 2.0 ** np.arange(0, k + 1)
-    if field is not None and t_inf >= _GEOMETRIC_OFFSETS[0] \
-            and _contracts_geometrically(field, t):
-        extra = [o for o in _GEOMETRIC_OFFSETS if o <= t_inf]
-        offsets = np.sort(np.concatenate([offsets, extra]))
-    return offsets
+    return 2.0 ** np.arange(0, k + 1)
 
 
 def _psi_prime0(alpha, dphi):
@@ -209,88 +173,6 @@ def _psi_prime0(alpha, dphi):
 
 def _m_inv(alpha, beta, w):
     return (w - alpha) / (beta * (1.0 - np.conj(alpha) * w))
-
-
-@dataclass
-class MobiusNormalizer:
-    """alpha, beta tables and the disk automorphisms M_t at stored times."""
-
-    times: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    phi_prime0: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.phi_prime0)) or np.any(self.phi_prime0 == 0):
-            raise NormalizationError("phi'_{0,t}(0) vanished or non-finite at a checkpoint")
-        if abs(self.alpha[0]) > 1e-14 or abs(self.beta[0] - 1.0) > 1e-14:
-            raise NormalizationError("alpha(0) != 0 or beta(0) != 1")
-        if np.abs(np.abs(self.beta) - 1.0).max() > 1e-12:
-            raise NormalizationError("|beta(t)| drifted from 1")
-
-    def _i(self, t: float) -> int:
-        return time_row(self.times, t, "time {t} not tabulated")
-
-    def psi_prime0(self, t: float) -> float:
-        """psi'_{0,t}(0) = |phi'_{0,t}(0)| / (1 - |alpha(t)|^2), positive real."""
-        i = self._i(t)
-        return float(_psi_prime0(self.alpha[i], self.phi_prime0[i]))
-
-    def m(self, t: float, z):
-        i = self._i(t)
-        a, b = self.alpha[i], self.beta[i]
-        z = np.asarray(z, dtype=complex)
-        return (b * z + a) / (1.0 + b * np.conj(a) * z)
-
-    def m_inv(self, t: float, w):
-        i = self._i(t)
-        return _m_inv(self.alpha[i], self.beta[i], np.asarray(w, dtype=complex))
-
-
-def normalize(traj: TrajectorySet) -> MobiusNormalizer:
-    """Mobius normalization tables from a forward trajectory containing seed 0."""
-    if traj.direction != "forward" or traj.start != 0.0:
-        raise ValueError("normalization needs a forward trajectory starting at s = 0")
-    idx = np.flatnonzero(traj.seeds == 0)
-    if idx.size == 0:
-        raise ValueError("trajectory does not contain the origin seed")
-    j = int(idx[0])
-    alpha = traj.values[:, j].copy()
-    dphi = traj.derivs[:, j].copy()
-    beta = dphi / np.abs(dphi)
-    return MobiusNormalizer(traj.times.copy(), alpha, beta, dphi)
-
-
-def _normalizer_for(field: VectorFieldHandle, times: np.ndarray, tol: float) -> MobiusNormalizer:
-    times = np.unique(np.concatenate([[0.0], np.asarray(times, float)]))
-    traj = solve_forward(field, 0.0, float(times[-1]), np.zeros(1, complex),
-                         tol=tol, checkpoints=times, atol=_ATOL_FLOOR)
-    return normalize(traj)
-
-
-def verify_psi_normalization(field: VectorFieldHandle, pairs, tol: float = 1e-9,
-                             tol_norm: float = 1e-9) -> tuple[bool, float]:
-    """Check psi_{s,t}(0) = 0 and psi'_{s,t}(0) > 0 for the given (s, t) pairs.
-
-    psi_{s,t} = M_t^{-1} o phi_{s,t} o M_s is rebuilt from fresh integrations;
-    returns (passed, worst residual) where the residual covers both |psi(0)|
-    and |Im log psi'(0)|.
-    """
-    pairs = list(pairs)
-    times = np.unique(np.concatenate([[0.0], [s for s, _ in pairs], [t for _, t in pairs]]))
-    nz = _normalizer_for(field, times, tol)
-    h = 1e-5
-    worst = 0.0
-    for s, t in pairs:
-        seeds = nz.m(float(s), np.array([0.0, h, -h], dtype=complex))
-        traj = solve_forward(field, float(s), float(t), seeds, tol=tol)
-        img = nz.m_inv(float(t), traj.at(float(t)))
-        worst = max(worst, float(abs(img[0])))
-        dpsi = (img[1] - img[2]) / (2.0 * h)
-        if abs(dpsi) == 0:
-            return False, np.inf
-        worst = max(worst, float(abs(np.angle(dpsi))))
-    return worst <= tol_norm, worst
 
 
 def _polynomial_table(its: np.ndarray, xs: np.ndarray):
@@ -356,31 +238,30 @@ def _best_extrapolant(its: np.ndarray, xs: np.ndarray):
     K = its.shape[0]
     if K < 2:
         return its[-1], np.full(its.shape[1:], np.nan)
-    cand_vals = [its[-1]]
-    cand_errs = [np.abs(its[-1] - its[-2])]
 
-    prev, last = _polynomial_table(its, xs)
-    for m in range(1, K):
-        est = np.abs(last[m] - last[m - 1])
-        if m <= K - 2:
-            est = est + np.abs(last[m] - prev[m])
-        cand_vals.append(last[m])
-        cand_errs.append(est)
+    def candidates():
+        prev, last = _polynomial_table(its, xs)
+        for m in range(1, K):
+            est = np.abs(last[m] - last[m - 1])
+            if m <= K - 2:
+                est = est + np.abs(last[m] - prev[m])
+            yield last[m], est
+        del prev, last                       # free the Neville rows before the rational ones
+        prev, last = _rational_table(its, xs)
+        for c in range(2, K + 1):
+            est = np.abs(last[c] - last[c - 1])
+            if c <= K - 1:
+                est = est + np.abs(last[c] - prev[c])
+            yield last[c], est
 
-    prev, last = _rational_table(its, xs)
-    for c in range(2, K + 1):
-        est = np.abs(last[c] - last[c - 1])
-        if c <= K - 1:
-            est = est + np.abs(last[c] - prev[c])
-        cand_vals.append(last[c])
-        cand_errs.append(est)
-
-    vals = np.stack(cand_vals)
-    errs = np.stack(cand_errs)
-    errs = np.where(np.isfinite(errs) & np.isfinite(vals), errs, np.inf)
-    pick = np.argmin(errs, axis=0)
-    gather = (pick,) + tuple(np.indices(pick.shape))
-    return vals[gather], errs[gather]
+    # a running minimum; a strict < keeps the first of equal estimates, as argmin would
+    best_v, best_e = its[-1], np.abs(its[-1] - its[-2])
+    best_e = np.where(np.isfinite(best_e) & np.isfinite(best_v), best_e, np.inf)
+    for v, e in candidates():
+        better = (e < best_e) & np.isfinite(e) & np.isfinite(v)
+        best_v = np.where(better, v, best_v)
+        best_e = np.where(better, e, best_e)
+    return best_v, best_e
 
 
 @dataclass
@@ -420,9 +301,8 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
     ``point_delta`` is then the quadrature's error estimate,
     ``horizon_used`` is max(t, T_aut), and nothing is accelerated.
 
-    Otherwise the scaling limit runs: the horizons u = t +
-    horizon_offsets(t_inf, field, t) double, with t + 20, 24, 28 inserted
-    where the limit contracts geometrically.  The iteration stops once the
+    Otherwise the scaling limit runs on the doubling horizons
+    u = t + horizon_offsets(t_inf).  The iteration stops once the
     raw iterates agree to tol_limit in sup norm (the plain limit), once
     the extrapolants certify every point (from five horizons on), or when
     the schedule is exhausted; in the last two cases extrapolation in
@@ -438,8 +318,8 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
     tail = _autonomous_tail(field)
     if tail is None:
         return _scaling_limit(field, t, pts, _origin_seed(field, t, tol), tol, t_inf, tol_limit)
-    s = min(t, tail[0])
-    return _tail_frame(field, tail, t, pts, s, _origin_seed(field, s, tol), tol, tol_limit)
+    return _tail_frame(field, tail, t, pts, _origin_seed(field, min(t, tail[0]), tol), tol,
+                       tol_limit)
 
 
 def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
@@ -450,15 +330,16 @@ def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
     return o.at(t)[0], o.deriv_at(t)[0]
 
 
-def _tail_frame(field, tail, t, pts, s, seed, tol, tol_limit) -> ChainLimitResult:
-    """f_t at pts through the exact tail, from the origin seed at time s.
+def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
+    """f_t at pts through the exact tail, from the origin seed at s = min(t, T_aut).
 
-    Either s = t < T_aut: points and seed are pushed to T_aut together and
-    f_t = f_{T_aut} o phi_{t,T_aut}; or T_aut <= s <= t: nothing moves and
-    f_t = A e^{lambda (t - s)} K + B.  A and B put f_0 in S through the
+    Either t < T_aut: points and seed are pushed to T_aut together and
+    f_t = f_{T_aut} o phi_{t,T_aut}; or T_aut <= t: nothing moves and
+    f_t = A e^{lambda (t - T_aut)} K + B.  A and B put f_0 in S through the
     seed: f_s(phi_{0,s}(0)) = 0 and f_s'(phi_{0,s}(0)) phi'_{0,s}(0) = 1.
     """
     t_aut, tv, lam = tail
+    s = min(t, t_aut)
     n = pts.size
     vals = np.append(pts, seed[0])
     ders = np.append(np.ones_like(pts), seed[1])
@@ -471,7 +352,7 @@ def _tail_frame(field, tail, t, pts, s, seed, tol, tol_limit) -> ChainLimitResul
     alpha, dphi = vals[n], ders[n]
     if not (ok[n] and np.isfinite(dphi) and dphi != 0):
         raise NormalizationError(
-            f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {max(s, t_aut)}")
+            f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {t_aut}")
     # invalid points sit at tau, where K needs no quadrature
     k, kd, err = _koenigs(field, tail, np.where(ok, vals, tv), 1e-2 * tol_limit)
     a = 1.0 / (kd[n] * dphi)
@@ -494,7 +375,7 @@ def _tail_frame(field, tail, t, pts, s, seed, tol, tol_limit) -> ChainLimitResul
 def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResult:
     """The horizon loop of ``limit_frame``, from the origin seed at t."""
     n = pts.size
-    offsets = horizon_offsets(t_inf, field, t)
+    offsets = horizon_offsets(t_inf)
     xs = 1.0 / offsets
     horizons = t + offsets
     # a truncated origin leaves NaN, which the first horizon rejects
@@ -508,6 +389,7 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
     prev_u = t
     used = float(horizons[-1])
     stopped_raw = False
+    certified = None                         # (values, deltas, derivs) of the extrapolants
     for u in horizons:
         u = float(u)
         if live.any():
@@ -555,52 +437,29 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
             d_ok = de[live] <= tol_limit * np.maximum(1.0, np.abs(d_try[live]))
             if bool(v_ok.all()) and bool(d_ok.all()):
                 used = u
+                certified = (v_try, ve, d_try)
                 break
 
-    its = np.stack(its)
-    dits = np.stack(dits)
     valid = live & np.isfinite(its[-1])
-    if stopped_raw or its.shape[0] < 3:
+    accelerated = not stopped_raw and len(its) >= 3
+    if not accelerated:
         values = its[-1]
         derivs = dits[-1]
-        pdelta = np.abs(its[-1] - its[-2]) if its.shape[0] >= 2 else np.full(pts.shape, np.nan)
+        pdelta = np.abs(its[-1] - its[-2]) if len(its) >= 2 else np.full(pts.shape, np.nan)
         acc_delta = raw_delta
-        accelerated = False
     else:
-        values, pdelta = _best_extrapolant(its, xs[:its.shape[0]])
-        derivs, _ = _best_extrapolant(dits, xs[:its.shape[0]])
+        if certified is None:
+            values, pdelta = _best_extrapolant(np.stack(its), xs[:len(its)])
+            derivs, _ = _best_extrapolant(np.stack(dits), xs[:len(its)])
+        else:
+            values, pdelta, derivs = certified
         acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
-        accelerated = True
     values = np.where(valid, values, np.nan + 0j)
     derivs = np.where(valid, derivs, np.nan + 0j)
     point_conv = valid & (pdelta <= tol_limit * np.maximum(1.0, np.abs(values)))
     converged = bool(point_conv[valid].all()) if valid.any() else False
     return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv,
                             converged, raw_delta, acc_delta, used, accelerated)
-
-
-def chain_limit(field: VectorFieldHandle, s: float, grid, tol: float = 1e-9,
-                t_inf: float = DEFAULT_T_INF,
-                tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
-    """h_s on the seed grid: the scaling limit of psi_{s,u} / psi'_{0,u}(0).
-
-    Since h_s = f_s o M_s, the points are pushed through M_s, built from
-    the origin seed phi_{0,s}(0) that the frame evaluation then carries on
-    (the exact tail or the scaling limit, as in ``limit_frame``).
-    """
-    pts = grid.points if isinstance(grid, SeedGrid) else np.atleast_1d(np.asarray(grid, complex))
-    seed = _origin_seed(field, s, tol)
-    alpha, dphi = seed
-    if not (np.isfinite(alpha) and np.isfinite(dphi) and dphi != 0):
-        raise NormalizationError(f"phi'_{{0,s}}(0) lost, vanished or non-finite at s = {s}")
-    beta = dphi / abs(dphi)
-    moved = (beta * pts + alpha) / (1.0 + beta * np.conj(alpha) * pts)
-    tail = _autonomous_tail(field)
-    if tail is None:
-        res = _scaling_limit(field, s, moved, seed, tol, t_inf, tol_limit)
-    else:
-        res = _tail_frame(field, tail, s, moved, s, seed, tol, tol_limit)
-    return replace(res, points=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -683,69 +542,58 @@ def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, raw, acc
 def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
                            n_theta: int = 256, delta_trace: float = 1e-3,
                            tol: float = 1e-9, t_inf: float = DEFAULT_T_INF,
-                           tol_limit: float = DEFAULT_TOL_LIMIT,
-                           via_transition: bool | None = None) -> ChainFrames:
+                           tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainFrames:
     """Frames of the range-normalized chain f_t at every checkpoint.
 
     Every frame samples the seed grid, one trace ring at |z| = 1 -
-    delta_trace and the origin.  All modes share one frame evaluator,
-    ``limit_frame``, which carries the normalizer with the frame points
-    and raises NormalizationError if it breaks down.
+    delta_trace and the origin.  One ``limit_frame`` evaluation at one time
+    T serves every row; it carries the normalizer with the frame points and
+    raises NormalizationError if it breaks down.  T is the last checkpoint,
+    or with an exact autonomous tail min(max(T_aut, t_0), t_last).  Each
+    row t < T pushes the frame points to T by one integration and uses
+    f_t = f_T o phi_{t,T}; the rows t >= T evaluate the points themselves.
+    When some row lies past T (then T >= T_aut), the Denjoy-Wolff point
+    tau rides along as one more point, its image is B, and those rows are
+    f_t = B + e^{lambda (t - T)} (f_T - B), with their deltas scaled by
+    |e^{lambda (t - T)}|.
 
-    When the field has an exact autonomous tail from T_aut <= the first
-    checkpoint t_0, one evaluation at t_0 fixes the chain: the Denjoy-Wolff
-    point tau rides along as one more point, its image is B, and every row
-    is f_t = B + e^{lambda (t - t_0)} (f_{t_0} - B), so no row integrates
-    anything.  Otherwise, or when ``via_transition`` is given, the direct
-    mode runs one evaluation per checkpoint, and the composition mode
-    pushes all frame points to the last checkpoint by short integrations
-    and evaluates there once, using f_s = f_T o phi_{s,T}; it is picked
-    for more than 12 checkpoints, where it is much cheaper.  Transition
-    verification should run against direct-mode frames, so the identity
-    is not checked against its own construction.  The caller checks
-    f_0(0) = 0 and f_0'(0) = 1 against its own tolerance.
+    ``verify_transitions`` evaluates f_t afresh at every pair, so only
+    pairs whose later time is T compare the evaluation at T with itself,
+    from another batch.  The caller checks f_0(0) = 0 and f_0'(0) = 1
+    against its own tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
     tail = _autonomous_tail(field)
     t_last = float(cps[-1])
+    t_eval = t_last if tail is None else min(max(tail[0], float(cps[0])), t_last)
     pts = _frame_points(grid, n_theta, delta_trace)
-    nt = cps.size
-    if via_transition is None and tail is not None and tail[0] <= cps[0]:
-        _, tv, lam = tail
-        res = limit_frame(field, float(cps[0]), np.append(pts, tv), tol, t_inf, tol_limit)
-        b = res.values[-1]
-        scale = np.exp(lam * (cps - cps[0]))[:, None]
-        vals = b + scale * (res.values[:-1] - b)
-        delta = np.abs(scale) * res.point_delta[:-1]
-        ok = np.repeat(res.valid[None, :-1], nt, axis=0)
-        conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
-        acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
-        return _frames("range-normalized", cps, grid, n_theta, delta_trace, vals,
-                       scale * res.derivs[:-1], ok, conv, acc, acc)
-    if via_transition is None:
-        via_transition = cps.size > 12
-    if via_transition:
-        legs = [solve_forward(field, float(t), t_last, pts, tol=tol, atol=_ATOL_FLOOR)
-                for t in cps[:-1]]
-        images = np.stack([leg.at(t_last) for leg in legs] + [pts])
-        leg_ders = np.stack([leg.deriv_at(t_last) for leg in legs] + [np.ones_like(pts)])
-        leg_ok = np.stack([leg.live() for leg in legs] + [np.ones(pts.shape, bool)]) \
-            & np.isfinite(images)
-        res = limit_frame(field, t_last, images.ravel(), tol, t_inf, tol_limit)
-        shape = images.shape
-        return _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                       res.values.reshape(shape), res.derivs.reshape(shape) * leg_ders,
-                       res.valid.reshape(shape) & leg_ok,
-                       res.point_converged.reshape(shape),
-                       np.full(nt, res.raw_delta), np.full(nt, res.acc_delta))
-    rows = [limit_frame(field, float(t), pts, tol, t_inf, tol_limit) for t in cps]
+    legs = [solve_forward(field, float(t), t_eval, pts, tol=tol, atol=_ATOL_FLOOR)
+            for t in cps[cps < t_eval]]
+    images = np.stack([leg.at(t_eval) for leg in legs] + [pts])
+    leg_ders = np.stack([leg.deriv_at(t_eval) for leg in legs] + [np.ones_like(pts)])
+    leg_ok = np.stack([leg.live() for leg in legs] + [np.ones(pts.shape, bool)]) \
+        & np.isfinite(images)
+    grows = t_last > t_eval                  # only with an exact tail
+    n, k = images.size, len(legs)            # rows k, k + 1, ... sit at or past T
+    flat = np.append(images.ravel(), tail[1]) if grows else images.ravel()
+    res = limit_frame(field, t_eval, flat, tol, t_inf, tol_limit)
+    row = np.minimum(np.arange(cps.size), k)
+    vals = res.values[:n].reshape(images.shape)[row]
+    ders = (res.derivs[:n].reshape(images.shape) * leg_ders)[row]
+    ok = (res.valid[:n].reshape(images.shape) & leg_ok)[row]
+    delta = res.point_delta[:n].reshape(images.shape)[row]
+    raw = np.full(cps.size, res.raw_delta)
+    if grows:
+        b = res.values[n]
+        scale = np.exp(tail[2] * (cps[k:] - t_eval))[:, None]
+        vals[k:] = b + scale * (vals[k:] - b)
+        ders[k:] *= scale
+        delta[k:] *= np.abs(scale)
+        raw[k:] *= np.abs(scale[:, 0])
+    conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
+    acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                   np.stack([r.values for r in rows]),
-                   np.stack([r.derivs for r in rows]),
-                   np.stack([r.valid for r in rows]),
-                   np.stack([r.point_converged for r in rows]),
-                   np.array([r.raw_delta for r in rows]),
-                   np.array([r.acc_delta for r in rows]))
+                   vals, ders, ok, conv, raw, acc)
 
 
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
@@ -816,8 +664,7 @@ def beta_limit(field: VectorFieldHandle, probes=None, t_inf: float = DEFAULT_T_I
     if np.any(np.abs(probes) >= 1.0):
         raise ValueError("beta probes must be interior")
 
-    # pure doubling whatever the regime: the classifier reads tail ratios
-    # of successive doublings
+    # the classifier reads tail ratios of successive doublings
     horizons = horizon_offsets(t_inf)
     traj = solve_forward(field, 0.0, float(horizons[-1]), probes, tol=tol,
                          checkpoints=horizons, atol=_ATOL_FLOOR)

@@ -46,10 +46,6 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 52
 _H_MIN_FACTOR = 1e-13
 
 
-class IntegrationError(RuntimeError):
-    pass
-
-
 @dataclass
 class TrajectorySet:
     """Discretized evolution (or reverse evolution) family on a seed batch.

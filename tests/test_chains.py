@@ -26,44 +26,23 @@ def chordal_chain(z, t):
 
 
 def test_normalizer_exponential_trivial():
-    traj = solve_forward(EXP, 0.0, 1.0, np.zeros(1, complex), tol=1e-10,
-                         checkpoints=[0.5, 1.0])
-    nz = chains.normalize(traj)
-    assert np.abs(nz.alpha).max() == 0.0
-    assert np.abs(nz.beta - 1.0).max() < 1e-12
-    assert nz.psi_prime0(1.0) == pytest.approx(np.exp(-1), abs=1e-9)
+    alpha, dphi = chains._origin_seed(EXP, 1.0, 1e-10)
+    assert alpha == 0.0
+    assert abs(dphi / abs(dphi) - 1.0) < 1e-12
+    assert chains._psi_prime0(alpha, dphi) == pytest.approx(np.exp(-1), abs=1e-9)
 
 
 def test_normalizer_chordal_alpha_half():
-    traj = solve_forward(CHORDAL, 0.0, 1.0, np.zeros(1, complex), tol=1e-10,
-                         checkpoints=[1.0])
-    nz = chains.normalize(traj)
-    i = nz._i(1.0)
-    assert nz.alpha[i] == pytest.approx(0.5, abs=1e-9)
-    assert abs(abs(nz.beta[i]) - 1.0) < 1e-12
-    # M_t(0) = alpha and M_t^{-1}(alpha) = 0
-    assert nz.m(1.0, np.zeros(1, complex))[0] == pytest.approx(nz.alpha[i])
-    assert abs(nz.m_inv(1.0, nz.alpha[i:i + 1])[0]) < 1e-14
+    alpha, dphi = chains._origin_seed(CHORDAL, 1.0, 1e-10)
+    assert alpha == pytest.approx(0.5, abs=1e-9)
+    # M_t^{-1}(alpha) = 0 for beta = phi'_{0,t}(0) / |phi'_{0,t}(0)|
+    assert abs(chains._m_inv(alpha, dphi / abs(dphi), alpha)) < 1e-14
 
 
 def test_normalizer_rotation_beta():
-    traj = solve_forward(ROTATION, 0.0, 1.0, np.zeros(1, complex), tol=1e-11,
-                         checkpoints=[1.0])
-    nz = chains.normalize(traj)
-    assert nz.alpha[-1] == 0.0
-    assert nz.beta[-1] == pytest.approx(np.exp(-1j), abs=1e-9)
-
-
-def test_chain_limit_exponential():
-    res = chains.chain_limit(EXP, 0.5, GRID, tol=1e-10)
-    assert res.converged
-    assert np.abs(res.values - np.exp(0.5) * GRID.points).max() < 1e-8
-
-
-def test_chain_limit_rotation_identity():
-    res = chains.chain_limit(ROTATION, 0.7, GRID, tol=1e-10)
-    assert res.converged
-    assert np.abs(res.values - GRID.points).max() < 1e-8
+    alpha, dphi = chains._origin_seed(ROTATION, 1.0, 1e-11)
+    assert alpha == 0.0
+    assert dphi == pytest.approx(np.exp(-1j), abs=1e-9)
 
 
 def test_range_normalized_chain_exponential():
@@ -92,15 +71,45 @@ def test_rotation_frames_never_grow():
     assert ok and worst < 1e-9
 
 
-def test_composition_mode_matches_direct_mode():
-    cps = np.linspace(0.0, 0.12, 13)
+@pytest.mark.parametrize("name, cps", [
+    pytest.param("becker", [0.0, 0.5, 1.0], id="becker"),       # every row scaled from T = 0
+    pytest.param("step-tau", [0.0, 0.5, 1.0, 1.5, 2.0],         # legs to T_aut = 1, then scaled
+                 id="step-tau"),
+    pytest.param("becker-sampled", [0.0, 0.06, 0.12],           # legs into the scaling limit
+                 id="becker-sampled"),
+    pytest.param("chordal", [0.0, 0.5, 1.0], id="chordal"),     # legs into the extrapolated limit
+])
+def test_frames_match_per_time_limit_frame(name, cps):
+    fld = {"becker": BECKER, "becker-sampled": BECKER_SAMPLED, "chordal": CHORDAL,
+           "step-tau": _builtin_field("step-tau")[1]}[name]
     small = circle_grid((0.3, 0.6), 8)
-    direct = chains.range_normalized_chain(BECKER, cps, small, n_theta=32,
-                                           via_transition=False)
-    comp = chains.range_normalized_chain(BECKER, cps, small, n_theta=32,
-                                         via_transition=True)
-    assert np.abs(direct.values - comp.values).max() < 1e-7
-    assert np.abs(direct.derivs - comp.derivs).max() < 1e-6
+    fr = chains.range_normalized_chain(fld, cps, small, n_theta=16)
+    pts = chains._frame_points(small, 16, 1e-3)
+    assert fr.converged.all()
+    for i, t in enumerate(fr.checkpoints):
+        ref = chains.limit_frame(fld, float(t), pts)
+        got = np.concatenate([fr.values[i], fr.traces[i], [fr.origin_values[i]]])
+        assert (np.abs(got - ref.values) <= 1e-7 * np.maximum(1.0, np.abs(ref.values))).all()
+        got = np.concatenate([fr.derivs[i], fr.trace_derivs[i], [fr.origin_derivs[i]]])
+        assert (np.abs(got - ref.derivs) <= 1e-6 * np.maximum(1.0, np.abs(ref.derivs))).all()
+
+
+def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
+    # T_aut = 1: rows before it push the frame points to 1, the origin seed
+    # runs 0 -> 1 once, and rows past 1 integrate nothing
+    calls = []
+
+    def spy(field, s, t_end, seeds, *args, **kwargs):
+        calls.append((s, t_end, np.atleast_1d(seeds).size))
+        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+
+    _, fld = _builtin_field("step-tau")
+    monkeypatch.setattr(chains, "solve_forward", spy)
+    cps = np.linspace(0.0, 2.0, 9)
+    fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=16)
+    n = len(GRID) + 16 + 1
+    assert fr.converged.all()
+    assert calls == [(t, 1.0, n) for t in cps[cps < 1.0]] + [(0.0, 1.0, 1)]
 
 
 def test_transition_identity():
@@ -181,11 +190,18 @@ def test_decreasing_chain_exponential():
     assert rep.lambda_diameter == pytest.approx(2 * np.exp(-1) * (1 - 1e-3), rel=1e-6)
 
 
+# EXP with its autonomy time hidden: no exact tail, so rows before the last
+# checkpoint are composed from legs into the scaling limit there
+EXP_UNDECLARED = assemble_field(dataclasses.replace(HerglotzSpec.constant(1), t_aut=None),
+                                DenjoyWolffSpec.constant(0))
+
+
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda cps: chains.range_normalized_chain(EXP, cps, GRID, n_theta=16,
-                                                           via_transition=False), id="direct"),
-    pytest.param(lambda cps: chains.range_normalized_chain(EXP, cps, GRID, n_theta=16,
-                                                           via_transition=True), id="composition"),
+    pytest.param(lambda cps: chains.range_normalized_chain(EXP, cps, GRID, n_theta=16),
+                 id="direct"),        # every row from one evaluation at T = 0
+    pytest.param(lambda cps: chains.range_normalized_chain(EXP_UNDECLARED, cps, GRID,
+                                                           n_theta=16),
+                 id="composition"),   # f_t = f_T o phi_{t,T} with T = 0.5
     pytest.param(lambda cps: chains.decreasing_chain(EXP, cps, GRID, n_theta=16),
                  id="decreasing"),
 ])
@@ -248,14 +264,6 @@ def test_chain_pde_second_order_in_dt():
     assert order > 1.9
 
 
-def test_psi_normalization_identities():
-    passed, worst = chains.verify_psi_normalization(
-        CHORDAL, [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)])
-    assert passed, worst
-    passed, worst = chains.verify_psi_normalization(ROTATION, [(0.2, 0.9)])
-    assert passed, worst
-
-
 def test_unconverged_frames_are_flagged():
     # measurable tau with boundary limit: honest convergence flags at default tol
     tau = DenjoyWolffSpec.sampled(lambda t: t / (1 + t))
@@ -266,12 +274,9 @@ def test_unconverged_frames_are_flagged():
 
 
 # ---------------------------------------------------------------------------
-# regime-aware horizons and extrapolation on arbitrary nodes
+# doubling horizons and extrapolation on arbitrary nodes
 
-STEP_TAU = assemble_field(HerglotzSpec.constant(1),
-                          DenjoyWolffSpec.step([1.0], [0.3, 0.6j]))
 DOUBLING_64 = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-GEOMETRIC_64 = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 20.0, 24.0, 28.0, 32.0, 64.0])
 
 
 @pytest.mark.parametrize("a", [0.5, 0.3 - 0.4j])
@@ -288,17 +293,10 @@ def test_interior_chain_closed_form(a):
 
 
 def test_horizon_offsets_follow_the_regime():
+    # pure doubling, capped by t_inf
     assert np.array_equal(chains.horizon_offsets(), DOUBLING_64)
-    for fld in (CHORDAL, ROTATION, STEP_TAU):
-        for t in (0.0, 0.5, 1.5):
-            assert np.array_equal(chains.horizon_offsets(64.0, fld, t), DOUBLING_64)
-    for fld in (EXP, BECKER):
-        assert np.array_equal(chains.horizon_offsets(64.0, fld, 0.5), GEOMETRIC_64)
-    assert np.array_equal(chains.horizon_offsets(16.0, BECKER, 0.0), DOUBLING_64[:5])
-    assert np.array_equal(chains.horizon_offsets(24.0, BECKER, 0.0), GEOMETRIC_64[:7])
-    # Re p(0, u) = 0.1 < ln 2 / 4: too slow for 4-unit steps to halve the error
-    slow = assemble_field(HerglotzSpec.constant(0.1 + 1j), DenjoyWolffSpec.constant(0))
-    assert np.array_equal(chains.horizon_offsets(64.0, slow, 0.0), DOUBLING_64)
+    assert np.array_equal(chains.horizon_offsets(16.0), DOUBLING_64[:5])
+    assert np.array_equal(chains.horizon_offsets(24.0), DOUBLING_64[:5])
 
 
 def _doubling_extrapolant(its):
@@ -365,7 +363,7 @@ def test_best_extrapolant_on_doubling_nodes_is_bit_identical(K):
 
 
 def test_best_extrapolant_exact_on_nonuniform_nodes():
-    xs = 1.0 / GEOMETRIC_64[:9]
+    xs = 1.0 / np.array([1.0, 2.0, 4.0, 8.0, 16.0, 20.0, 24.0, 28.0, 32.0])
     x = xs[:, None]
     limit = np.array([0.3 + 0.1j, -1.2, 2.0j])
     poly = limit + 0.7 * x - (0.4 + 0.2j) * x ** 2 + 0.05j * x ** 3
