@@ -19,9 +19,8 @@ from .chains import (ChainFrames, RangeReport, limit_frame, range_normalized_cha
 from .extension import (ExtensionAtlas, BeckerExtension, boundary_trace, build_extension,
                         becker_extension, beltrami_formula, beltrami_fd,
                         becker_dilatation, dilatation_report, interior_dilatation, AtlasRejected)
-from .approx import (StepApproximant, step_approximate, field_deviation,
-                     random_deviation_check, ef_convergence, chain_convergence,
-                     gronwall_envelope)
+from .approx import (step_approximate, field_deviation, random_deviation_check,
+                     ef_convergence, chain_convergence, gronwall_envelope)
 from .config import ScenarioConfig, parse_config, validate_config, ConfigError
 from .scenarios import builtin_scenario, scenario_names
 from .cli import run_pipeline

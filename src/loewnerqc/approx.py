@@ -8,7 +8,9 @@ an algebraic inequality that holds sample by sample, not just in the
 limit.  Weak convergence of the fields then forces locally uniform
 convergence of evolution families and of the range-normalized chains;
 this module realizes those statements as measurable experiments with a
-Gronwall envelope certifying each error level.
+Gronwall envelope certifying each error level.  A level-n approximant is
+itself a Denjoy-Wolff spec: n step cells on [0, horizon) that follow the
+target exactly past the horizon.
 """
 
 from __future__ import annotations
@@ -26,36 +28,17 @@ from .chains import range_normalized_chain
 DEVIATION_TOL = 1e-12
 
 
-@dataclass
-class StepApproximant:
-    """Midpoint-sampled step function on the uniform n-cell partition of [0, T]."""
+def step_approximate(tau: DenjoyWolffSpec, n: int,
+                     horizon: float) -> tuple[DenjoyWolffSpec, float]:
+    """Level-n approximant of tau and its deviation sup |tau - tau_n| on [0, horizon).
 
-    level: int
-    horizon: float
-    breakpoints: np.ndarray
-    values: np.ndarray
-    deviation: float
-
-    def to_spec(self, tail: DenjoyWolffSpec | None = None) -> DenjoyWolffSpec:
-        """As a Denjoy-Wolff spec; constant extension beyond the horizon.
-
-        With ``tail`` the spec follows the given data exactly past the
-        horizon instead, which is what the chain experiments need: a frozen
-        tail would separate the range-normalized chains by an n-independent
-        amount and hide the convergence under study.
-        """
-        if tail is None:
-            return DenjoyWolffSpec.step(list(self.breakpoints), list(self.values))
-        return DenjoyWolffSpec.step_with_tail(list(self.breakpoints), list(self.values),
-                                              self.horizon, tail)
-
-    def value(self, t):
-        idx = np.searchsorted(self.breakpoints, t, side="right")
-        return self.values[idx]
-
-
-def step_approximate(tau: DenjoyWolffSpec, n: int, horizon: float) -> StepApproximant:
-    """Level-n approximant; deviation measured on a 16n-point probe grid."""
+    tau_n samples tau at the midpoints of the uniform n-cell partition of
+    [0, horizon) and follows tau exactly past the horizon (see
+    ``DenjoyWolffSpec.step_with_tail``): a frozen tail would separate the
+    range-normalized chains by an n-independent amount and hide the
+    convergence under study.  The deviation is measured on a 16n-point
+    probe grid.
+    """
     if n < 1 or horizon <= 0:
         raise ValueError("need n >= 1 and horizon > 0")
     width = horizon / n
@@ -65,7 +48,7 @@ def step_approximate(tau: DenjoyWolffSpec, n: int, horizon: float) -> StepApprox
     probes = np.linspace(0.0, horizon, 16 * n, endpoint=False)
     idx = np.minimum((probes / width).astype(int), n - 1)
     dev = max(abs(complex(tau.value(float(t))) - values[i]) for t, i in zip(probes, idx))
-    return StepApproximant(n, horizon, breakpoints, values, float(dev))
+    return DenjoyWolffSpec.step_with_tail(breakpoints, values, horizon, tau), float(dev)
 
 
 @dataclass
@@ -92,8 +75,6 @@ def field_deviation(p: HerglotzSpec, tau: DenjoyWolffSpec, tau_n, grid, times) -
     The inequality is exact algebra; a violation beyond rounding is fatal
     because it can only mean an implementation bug.
     """
-    if isinstance(tau_n, StepApproximant):
-        tau_n = tau_n.to_spec()
     grid = np.asarray(grid, dtype=complex)
     times = np.asarray(times, dtype=float)
     max_m = max_b = worst = 0.0
@@ -214,10 +195,10 @@ def _fit_order(devs, errs):
     return float(np.polyfit(np.log(devs[ok]), np.log(errs[ok]), 1)[0])
 
 
-def _envelope_inputs(field_exact, tau, approximant, s, t_end, r_compact, n_fine=1024):
+def _envelope_inputs(field_exact, tau, tau_n, s, t_end, r_compact, n_fine=1024):
     xs = np.linspace(s, t_end, n_fine + 1)
     ring = r_compact * np.exp(2j * np.pi * np.arange(32) / 32)
-    dev = np.array([abs(complex(tau.value(float(x))) - complex(approximant.value(float(x))))
+    dev = np.array([abs(complex(tau.value(float(x))) - complex(tau_n.value(float(x))))
                     for x in xs])
     sup_p = np.array([float(np.abs(field_exact.p.evaluate(ring, float(x))).max()) for x in xs])
     integrand = 4.0 * dev * sup_p
@@ -249,17 +230,17 @@ def ef_convergence(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, seeds,
     warnings = []
     for n in levels:
         t0 = time.perf_counter()
-        ap = step_approximate(tau, int(n), horizon)
-        fld = assemble_field(p, ap.to_spec())
+        tau_n, dev = step_approximate(tau, int(n), horizon)
+        fld = assemble_field(p, tau_n)
         traj = solve_forward(fld, s, t_end, pts, tol=tol, checkpoints=cps)
         ok = ref.live() & traj.live()
         if not ok.all():
             warnings.append(f"level {n}: {int(np.count_nonzero(~ok))} truncated seeds excluded")
         err = float(np.nanmax(np.abs(traj.values[:, ok] - ref.values[:, ok])))
         r_level = min(0.999, float(np.nanmax(np.abs(traj.values))) + 0.05)
-        xs, hs, gs = _envelope_inputs(exact, tau, ap, s, t_end, max(r_compact, r_level))
+        xs, hs, gs = _envelope_inputs(exact, tau, tau_n, s, t_end, max(r_compact, r_level))
         env = float(_gronwall_from_samples(xs, hs, gs, np.array([t_end]))[0])
-        rows.append(LevelRow(int(n), ap.deviation, err, np.nan, env,
+        rows.append(LevelRow(int(n), dev, err, np.nan, env,
                              (time.perf_counter() - t0) * 1e3))
 
     errs = [r.ef_error for r in rows]
@@ -295,14 +276,14 @@ def chain_convergence(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
     warnings = []
     for n in levels:
         t0 = time.perf_counter()
-        ap = step_approximate(tau, int(n), horizon)
-        fld = assemble_field(p, ap.to_spec(tail=tau))
+        tau_n, dev = step_approximate(tau, int(n), horizon)
+        fld = assemble_field(p, tau_n)
         fr = range_normalized_chain(fld, cps, grid, n_theta=n_theta, tol=tol,
                                     t_inf=t_inf, tol_limit=tol_limit)
         ok = ref.grid_valid & fr.grid_valid
         if not ok.any():
             warnings.append(f"level {n}: no valid grid points, level excluded")
-            rows.append(LevelRow(int(n), ap.deviation, np.nan, np.nan, np.nan,
+            rows.append(LevelRow(int(n), dev, np.nan, np.nan, np.nan,
                                  (time.perf_counter() - t0) * 1e3))
             continue
         err = float(np.nanmax(np.abs(np.where(ok, fr.values - ref.values, 0.0))))
@@ -317,7 +298,7 @@ def chain_convergence(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
                 f"level {n}: chain difference {err:.3g} at the noise floor "
                 f"{noise:.3g}, level excluded")
             err = np.nan
-        rows.append(LevelRow(int(n), ap.deviation, np.nan, err, np.nan,
+        rows.append(LevelRow(int(n), dev, np.nan, err, np.nan,
                              (time.perf_counter() - t0) * 1e3))
 
     errs = [r.chain_error for r in rows if np.isfinite(r.chain_error)]

@@ -282,7 +282,6 @@ class ChainLimitResult:
     point_delta: np.ndarray
     point_converged: np.ndarray
     converged: bool
-    raw_delta: float
     acc_delta: float
     horizon_used: float
     accelerated: bool
@@ -369,7 +368,7 @@ def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
     converged = bool(point_conv[valid].all()) if valid.any() else False
     acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
     return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv, converged,
-                            acc_delta, acc_delta, max(t, t_aut), False)
+                            acc_delta, max(t, t_aut), False)
 
 
 def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResult:
@@ -385,7 +384,7 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
     carried = np.ones(n + 1, bool)
     live = carried[:n]                       # the points; the last entry is the seed
     its, dits = [], []
-    raw_delta = np.nan
+    last_delta = np.nan
     prev_u = t
     used = float(horizons[-1])
     stopped_raw = False
@@ -416,15 +415,15 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
             # renormalization cancels catastrophically and the deltas
             # re-diverge after having nearly converged; such horizons carry
             # only noise and are discarded
-            if np.isfinite(raw_delta) and raw_delta < 1e-4 and d_new > 10.0 * raw_delta:
+            if np.isfinite(last_delta) and last_delta < 1e-4 and d_new > 10.0 * last_delta:
                 its.pop()
                 dits.pop()
                 break
-            raw_delta = d_new
+            last_delta = d_new
             used = u
             d_deriv = float(np.abs((dits[-1] - dits[-2])[live]).max())
             deriv_scale = max(1.0, float(np.abs(dits[-1][live]).max()))
-            if raw_delta < tol_limit and d_deriv < tol_limit * deriv_scale:
+            if last_delta < tol_limit and d_deriv < tol_limit * deriv_scale:
                 stopped_raw = True
                 break
         # with five or more horizons the extrapolants usually settle long
@@ -446,7 +445,7 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
         values = its[-1]
         derivs = dits[-1]
         pdelta = np.abs(its[-1] - its[-2]) if len(its) >= 2 else np.full(pts.shape, np.nan)
-        acc_delta = raw_delta
+        acc_delta = last_delta
     else:
         if certified is None:
             values, pdelta = _best_extrapolant(np.stack(its), xs[:len(its)])
@@ -459,7 +458,7 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
     point_conv = valid & (pdelta <= tol_limit * np.maximum(1.0, np.abs(values)))
     converged = bool(point_conv[valid].all()) if valid.any() else False
     return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv,
-                            converged, raw_delta, acc_delta, used, accelerated)
+                            converged, acc_delta, used, accelerated)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +489,6 @@ class ChainFrames:
     origin_values: np.ndarray
     origin_derivs: np.ndarray
     converged: np.ndarray
-    raw_delta: np.ndarray
     acc_delta: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
@@ -507,7 +505,7 @@ def _frame_points(grid: SeedGrid, n_theta: int, delta_trace: float) -> np.ndarra
     return np.concatenate([grid.points, trace_ring(n_theta, delta_trace), np.zeros(1, complex)])
 
 
-def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, raw, acc) -> ChainFrames:
+def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, acc) -> ChainFrames:
     """ChainFrames from (checkpoint x frame point) arrays in _frame_points order.
 
     ok marks valid (finite, untruncated) data and conv per-point limit
@@ -536,7 +534,7 @@ def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, raw, acc
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return ChainFrames(tag, cps, grid, vals[:, g], ders[:, g], ok[:, g],
                        theta, 1.0 - delta_trace, vals[:, r], ders[:, r], tvalid,
-                       vals[:, -1], ders[:, -1], converged, raw, acc, warnings)
+                       vals[:, -1], ders[:, -1], converged, acc, warnings)
 
 
 def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
@@ -582,18 +580,16 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     ders = (res.derivs[:n].reshape(images.shape) * leg_ders)[row]
     ok = (res.valid[:n].reshape(images.shape) & leg_ok)[row]
     delta = res.point_delta[:n].reshape(images.shape)[row]
-    raw = np.full(cps.size, res.raw_delta)
     if grows:
         b = res.values[n]
         scale = np.exp(tail[2] * (cps[k:] - t_eval))[:, None]
         vals[k:] = b + scale * (vals[k:] - b)
         ders[k:] *= scale
         delta[k:] *= np.abs(scale)
-        raw[k:] *= np.abs(scale[:, 0])
     conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
     acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                   vals, ders, ok, conv, raw, acc)
+                   vals, ders, ok, conv, acc)
 
 
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
@@ -616,7 +612,7 @@ def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
         rows.append((vals, traj.deriv_at(0.0), traj.live() & np.isfinite(vals)))
     vals, ders, ok = (np.stack(col) for col in zip(*rows))
     return _frames("decreasing", cps, grid, n_theta, delta_trace, vals, ders, ok, None,
-                   np.zeros(cps.size), np.zeros(cps.size))
+                   np.zeros(cps.size))
 
 
 # ---------------------------------------------------------------------------

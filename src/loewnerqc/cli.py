@@ -148,7 +148,7 @@ def _cmd_extend(cfg, out, summary):
                           tol=cfg.criteria.tol_criterion)
     f_frames = _build_frames(cfg, fld, n_default=65)
     g_frames = _build_g_frames(cfg, q)
-    if cfg.tau.kind == "step":
+    if cfg.tau.breakpoints:
         summary["warnings"].append(
             "step tau: formula-side dilatation evaluated piecewise per "
             "constancy interval, never across breakpoints")
@@ -186,6 +186,9 @@ def _cmd_extend(cfg, out, summary):
 def _cmd_becker(cfg, out, summary):
     if not cfg.tau.is_constant(0.0):
         summary["warnings"].append("the radial extension needs tau identically 0")
+        return False
+    if cfg.time.checkpoint_array(65)[0] != 0.0:
+        summary["warnings"].append("the radial extension needs a checkpoint at t = 0")
         return False
     fld = _field(cfg)
     f_frames = _build_frames(cfg, fld, n_default=65)
@@ -244,8 +247,8 @@ def _cmd_approx(cfg, out, summary):
     grid = criteria_grid(n_angles=32)
     times = _check_times(cfg)
     levels = [int(n) for n in cfg.approx_levels]
-    ap_last = step_approximate(cfg.tau, levels[-1], cfg.approx_horizon)
-    dev = field_deviation(cfg.p, cfg.tau, ap_last, grid, times)
+    tau_last, _ = step_approximate(cfg.tau, levels[-1], cfg.approx_horizon)
+    dev = field_deviation(cfg.p, cfg.tau, tau_last, grid, times)
     seeds = cfg.grid.seed_grid()
     ef = ef_convergence(cfg.p, cfg.tau, levels, seeds, 0.0, cfg.time.t_end,
                         tol=cfg.time.tol, horizon=cfg.approx_horizon)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import SeedGrid, circle_grid
+from .grids import DELTA_GUARD, SeedGrid, circle_grid
 from .herglotz import HerglotzSpec, DenjoyWolffSpec, SpecError, _interp_table, _table_time
 
 
@@ -287,12 +287,13 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
                               errors, gc.theta_nodes)
     if not gc.circles:
         errors.append("grid.circles must not be empty")
-    if any(not 0 < r < 1 for r in gc.circles):
-        errors.append("grid.circles must lie in (0, 1)")
+    # seeds and the trace ring must stay inside the integrator's boundary guard
+    if any(not 0 < r < 1 - DELTA_GUARD for r in gc.circles):
+        errors.append(f"grid.circles must lie in (0, 1 - {DELTA_GUARD:g})")
     if gc.angles < 4:
         errors.append("grid.angles must be >= 4")
-    if not 0 < gc.delta_trace < 0.1:
-        errors.append("grid.delta_trace must lie in (0, 0.1)")
+    if not DELTA_GUARD < gc.delta_trace < 0.1:
+        errors.append(f"grid.delta_trace must lie in ({DELTA_GUARD:g}, 0.1)")
     if gc.theta_nodes < 8:
         errors.append("grid.theta_nodes must be >= 8")
 
@@ -324,12 +325,14 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
     if not levels or any(n < 1 or n != int(n) for n in levels):
         errors.append("approx_levels must be positive integers")
         levels = default_levels
+    horizon = _real(doc.get("approx_horizon", 4.0), "approx_horizon", errors, 4.0)
+    if horizon <= 0:
+        errors.append("approx_horizon must be positive")
     cfg = ScenarioConfig(
         name=str(doc.get("scenario", name)), p=p, tau=tau, q=q,
         time=tc, grid=gc, criteria=cc, outputs=oc,
         rng_seed=_integer(doc.get("rng_seed", 20240601), "rng_seed", errors, 20240601),
-        approx_levels=[int(n) for n in levels],
-        approx_horizon=_real(doc.get("approx_horizon", 4.0), "approx_horizon", errors, 4.0),
+        approx_levels=[int(n) for n in levels], approx_horizon=horizon,
     )
     return cfg, errors
 

@@ -44,6 +44,7 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 52
               dtype=complex)
 
 _H_MIN_FACTOR = 1e-13
+_H_MAX = 4.0
 
 
 @dataclass
@@ -91,8 +92,7 @@ def _rhs(pair_fn, t, y):
 
 
 def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
-           rtol: float, atol: float, record_times: np.ndarray,
-           breakpoints, hmax: float, guard: float):
+           rtol: float, atol: float, record_times: np.ndarray, breakpoints):
     """March the augmented system from t0 to t1, recording at record_times.
 
     segment_rhs(a, b) must return an evaluator pair(z, t) -> (G, dG/dz)
@@ -129,7 +129,7 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
         derivs[i, active] = y[1]
 
     record(0, stops[0])
-    h = min(hmax, max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
+    h = min(max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
 
     def drop(mask, t_now):
         """Truncate the active seeds selected by mask at t_now."""
@@ -200,12 +200,12 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                 y = y_new
                 k1 = K[6]
                 steps[active] += 1
-                hit = abs_new[0] >= 1.0 - guard
+                hit = abs_new[0] >= 1.0 - DELTA_GUARD
                 if hit.any():
                     drop(hit, t)
                     bad = np.zeros(active.size, dtype=bool)
                 factor = 5.0 if errmax == 0.0 else min(5.0, max(0.2, 0.9 * errmax ** -0.2))
-                h = min(hmax, h * factor)
+                h = min(_H_MAX, h * factor)
             else:
                 rejected += 1
                 # errmax covers finite entries only, so a non-finite state
@@ -226,8 +226,8 @@ def _as_seed_array(seeds):
 
 
 def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
-                  tol: float = 1e-9, checkpoints=None, hmax: float = 4.0,
-                  guard: float = DELTA_GUARD, atol: float | None = None) -> TrajectorySet:
+                  tol: float = 1e-9, checkpoints=None,
+                  atol: float | None = None) -> TrajectorySet:
     """Integrate d phi/dt = G(phi, t) from t = s to t_end for every seed.
 
     By default the controller uses rtol = atol = tol.  The chain limits pass
@@ -237,7 +237,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
     if t_end < s:
         raise ValueError(f"t_end = {t_end} < s = {s}")
     pts = _as_seed_array(seeds)
-    if np.any(np.abs(pts) >= 1.0 - guard + 1e-15):
+    if np.any(np.abs(pts) >= 1.0 - DELTA_GUARD + 1e-15):
         raise ValueError("seed modulus reaches the boundary guard")
     rec = np.unique(np.concatenate(
         [[s, t_end], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
@@ -246,7 +246,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
 
     values, derivs, truncated, ttime, steps, rej, warn = _drive(
         field.segment_rhs, s, t_end, pts, tol, tol if atol is None else atol, rec,
-        field.stops, hmax, guard)
+        field.stops)
     values[0] = pts          # EF1 exactly
     derivs[0] = 1.0
     return TrajectorySet("forward", s, rec, pts, values, derivs, truncated,
@@ -254,8 +254,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
 
 
 def solve_reverse(field: VectorFieldHandle, t: float, seeds,
-                  tol: float = 1e-9, checkpoints=None, hmax: float = 4.0,
-                  guard: float = DELTA_GUARD) -> TrajectorySet:
+                  tol: float = 1e-9, checkpoints=None) -> TrajectorySet:
     """Integrate dw/ds = -G(w, s) backward from w(t) = seed down to s = 0.
 
     Internally runs forward in sigma = t - s.  The result is indexed by s
@@ -264,7 +263,7 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
     if t < 0:
         raise ValueError(f"t = {t} < 0")
     pts = _as_seed_array(seeds)
-    if np.any(np.abs(pts) >= 1.0 - guard + 1e-15):
+    if np.any(np.abs(pts) >= 1.0 - DELTA_GUARD + 1e-15):
         raise ValueError("seed modulus reaches the boundary guard")
     rec_s = np.unique(np.concatenate(
         [[0.0, t], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
@@ -278,7 +277,7 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
     rec_sigma = np.sort(t - rec_s)
     bps = [t - b for b in field.stops]
     values, derivs, truncated, ttime_sig, steps, rej, warn = _drive(
-        segment_rhs, 0.0, t, pts, tol, tol, rec_sigma, bps, hmax, guard)
+        segment_rhs, 0.0, t, pts, tol, tol, rec_sigma, bps)
 
     # re-index ascending in s = t - sigma
     values = values[::-1].copy()

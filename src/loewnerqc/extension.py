@@ -50,22 +50,20 @@ def phi_tau(z: np.ndarray, tau: complex) -> np.ndarray:
 class FormulaSamples:
     """Closed-formula Beltrami data on the (t, theta) atlas grid.
 
-    ``valid`` masks the bare pair ratio; ``prefactor_valid`` additionally
-    masks rows whose trace time-derivative stencil is unavailable or would
-    straddle a tau breakpoint, where the full complex mu is undefined.
+    ``valid`` masks the bare pair ratio (whole rows where tau is not
+    frozen); ``prefactor_valid`` also masks cells without a valid g trace
+    or a finite prefactor, where the full complex mu is undefined.
     """
 
     mu: np.ndarray            # with the unimodular trace prefactor
     mu_pair: np.ndarray       # bare pair ratio, |mu_pair| = |mu|
-    prefactor: np.ndarray
     valid: np.ndarray
     prefactor_valid: np.ndarray
 
 
-def _tau_per_row(tau, t_grid):
-    if isinstance(tau, DenjoyWolffSpec):
-        return np.array([complex(tau.value(float(t))) for t in t_grid])
-    return np.full(t_grid.size, complex(tau))
+def _as_spec(tau) -> DenjoyWolffSpec:
+    """tau itself, or the constant spec of a bare value."""
+    return tau if isinstance(tau, DenjoyWolffSpec) else DenjoyWolffSpec.constant(tau)
 
 
 def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
@@ -87,20 +85,25 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     finite-difference estimator).  |mu| never depends on the prefactor, so
     the certified quantity needs no derivative data at all.
 
-    tau may be a constant or a Denjoy-Wolff spec; the ratio is derived for
-    tau constant in time, so step data are evaluated piecewise per
-    constancy interval.
+    tau is a Denjoy-Wolff spec or a bare constant.  The ratio is derived
+    for tau constant in time, so row t is evaluated with
+    ``tau.frozen_on(t, t)`` where that is not None and masked elsewhere:
+    step data are evaluated piecewise per constancy interval, step cells
+    followed by a tail up to the horizon, and sampled data not at all.
     """
+    tau = _as_spec(tau)
     t_grid = np.asarray(t_grid, dtype=float)
     theta = np.asarray(theta, dtype=float)
     zeta = trace_radius * np.exp(1j * theta)
-    tau_rows = _tau_per_row(tau, t_grid)
 
     nt, ntheta = t_grid.size, theta.size
-    mu_pair = np.empty((nt, ntheta), complex)
-    valid = np.ones((nt, ntheta), bool)
+    mu_pair = np.full((nt, ntheta), np.nan + 0j)
+    valid = np.zeros((nt, ntheta), bool)
     for i, t in enumerate(t_grid):
-        ph = phi_tau(zeta, tau_rows[i])
+        tv = tau.frozen_on(float(t), float(t))
+        if tv is None:
+            continue
+        ph = phi_tau(zeta, tv)
         pv = p.evaluate(zeta, float(t))
         qv = q.evaluate(zeta, float(t))
         num = ph * pv - np.conj(ph * qv)
@@ -122,7 +125,7 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
         prefactor = np.ones((nt, ntheta), complex)
     mu = np.where(prefactor_valid, prefactor * mu_pair, np.nan + 0j)
     mu_pair = np.where(valid, mu_pair, np.nan + 0j)
-    return FormulaSamples(mu, mu_pair, prefactor, valid, prefactor_valid)
+    return FormulaSamples(mu, mu_pair, valid, prefactor_valid)
 
 
 def _fit_mu(d: np.ndarray, values: np.ndarray):
@@ -335,13 +338,14 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
     """Assemble the welding atlas from matching f and g frames.
 
     Sources are the reflected g traces 1/conj(g_t), targets the f traces.
-    tau may be a constant or a Denjoy-Wolff spec: step data get piecewise
-    formula samples, while for sampled (measurable) data the formula side
-    is withheld entirely and certification rests on the finite-difference
-    estimator plus approximation evidence.  Rejects the atlas when more
-    than 1% of source points collide, which signals broken hypotheses or
-    integration failure rather than noise.
+    tau is a Denjoy-Wolff spec or a bare constant.  The formula side has
+    the rows where tau is frozen (see ``beltrami_formula``); when it has
+    none, as for sampled (measurable) data, certification rests on the
+    finite-difference estimator plus approximation evidence.  Rejects the
+    atlas when more than 1% of source points collide, which signals broken
+    hypotheses or integration failure rather than noise.
     """
+    tau = _as_spec(tau)
     if f_frames.tag != "range-normalized" or g_frames.tag != "decreasing":
         raise ValueError("need range-normalized f frames and decreasing g frames")
     if f_frames.checkpoints.size != g_frames.checkpoints.size or \
@@ -363,29 +367,22 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
     target = f_frames.traces
     valid = f_frames.trace_valid & g_frames.trace_valid & np.isfinite(source) & np.isfinite(target)
 
-    measurable = isinstance(tau, DenjoyWolffSpec) and tau.kind in ("sampled", "step_tail")
-    if measurable:
-        shape = (t_grid.size, theta.size)
-        fs = FormulaSamples(np.full(shape, np.nan + 0j), np.full(shape, np.nan + 0j),
-                            np.ones(shape, complex), np.zeros(shape, bool),
-                            np.zeros(shape, bool))
+    fs = beltrami_formula(p, q, tau, t_grid, theta,
+                          f_frames.trace_radius, g_tr, g_frames.trace_valid,
+                          g_frames.trace_derivs)
+    if not fs.valid.any():
         warnings.append("measurable tau: closed-form dilatation unavailable, "
                         "certification rests on the finite-difference estimator "
                         "and the approximation experiments")
-    else:
-        fs = beltrami_formula(p, q, tau, t_grid, theta,
-                              f_frames.trace_radius, g_tr, g_frames.trace_valid,
-                              g_frames.trace_derivs)
     mu_fd, fd_ok = _lsq_wirtinger(source, target, valid)
     # fd stencils must not straddle a tau jump either: the two welding
     # pieces meet there and the affine model mixes them
-    if isinstance(tau, DenjoyWolffSpec):
-        for b in tau.breakpoints:
-            for i in range(t_grid.size):
-                lo = t_grid[max(i - 1, 0)]
-                hi = t_grid[min(i + 1, t_grid.size - 1)]
-                if lo - 1e-12 <= b <= hi + 1e-12:
-                    fd_ok[i] = False
+    for b in tau.breakpoints:
+        for i in range(t_grid.size):
+            lo = t_grid[max(i - 1, 0)]
+            hi = t_grid[min(i + 1, t_grid.size - 1)]
+            if lo - 1e-12 <= b <= hi + 1e-12:
+                fd_ok[i] = False
 
     min_sep, threshold, collisions = _injectivity_witness(source[valid])
     n_valid = int(np.count_nonzero(valid))

@@ -6,18 +6,22 @@ tau(t) into the closed disk it assembles the vector field
 
     G(z, t) = (z - tau(t)) (conj(tau(t)) z - 1) p(z, t),
 
-whose flow is the evolution family.  Every Herglotz kind is one evaluator
+whose flow is the evolution family.  Every Herglotz spec is one evaluator
 ``pair(z, t) -> (p, dp/dz)``, and every field evaluation goes through one
 kernel that applies the product rule to it.  The module also holds every
 pointwise criterion check on p (Herglotz property, Becker and pair
 inequalities, sector bound, Cayley transfer to the half plane).
 
-Each spec declares its autonomy time ``t_aut``: from then on it no longer
-depends on t (0 for constants, the last jump of step data, the last node
-of a linearly interpolated table, which ``np.interp`` clamps), or None
-for an arbitrary callable.  Table specs also record their ``nodes``,
-where the data have kinks; the assembled field makes them integration
-stops, apart from the jumps that delimit welding pieces.
+A spec is its behaviour; it keeps no record of how it was built.  Each
+declares its autonomy time ``t_aut``: from then on it no longer depends
+on t (0 for constants, the last jump of step data, the last node of a
+linearly interpolated table, which ``np.interp`` clamps), or None for an
+arbitrary callable.  Table specs also record their ``nodes``, where the
+data have kinks; the assembled field makes them integration stops, apart
+from the jumps that delimit welding pieces.  Where tau is constant in
+time is answered by ``DenjoyWolffSpec.frozen_on`` alone: the integrator's
+frozen segments, the closed-form Beltrami rows and the step approximants
+all ask it.
 """
 
 from __future__ import annotations
@@ -79,19 +83,17 @@ def _table_time(ts) -> tuple[float, tuple[float, ...]]:
 
 @dataclass
 class HerglotzSpec:
-    """One of the built-in Herglotz-function kinds plus its evaluator.
+    """A Herglotz function as its evaluator.
 
     ``pair(z, t)`` takes a complex ndarray ``z`` and a scalar time and
     returns the ndarrays ``(p, dp/dz)``; it is the integrator's hot path.
-    Built-in kinds differentiate analytically, user-sampled z-dependent
-    data by a centered difference of step ``DZ_STEP``.  ``evaluate(z, t)``
-    is the value alone.  ``t_aut`` and ``nodes`` are described in the
-    module docstring.
+    The built-in constructors differentiate analytically, a wrapped user
+    evaluator by a centered difference of step ``DZ_STEP``.
+    ``evaluate(z, t)`` is the value alone.  ``t_aut`` and ``nodes`` are
+    described in the module docstring.
     """
 
-    kind: str
     pair: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
-    params: dict = field(default_factory=dict)
     t_aut: float | None = None
     nodes: tuple[float, ...] = ()
 
@@ -103,7 +105,7 @@ class HerglotzSpec:
         c = complex(c)
         if c.real < 0:
             raise SpecError(f"constant Herglotz value {c} has Re < 0")
-        return cls("constant", lambda z, t: _full(z, c), params={"value": c}, t_aut=0.0)
+        return cls(lambda z, t: _full(z, c), t_aut=0.0)
 
     @classmethod
     def mobius_kernel(cls, driving: Callable[[float], complex], t_aut: float | None = None,
@@ -122,8 +124,7 @@ class HerglotzSpec:
             w = kap - z
             return (kap + z) / w, 2.0 * kap / w ** 2
 
-        return cls("mobius_kernel", pair, params={"driving": driving}, t_aut=t_aut,
-                   nodes=tuple(nodes))
+        return cls(pair, t_aut=t_aut, nodes=tuple(nodes))
 
     @classmethod
     def sector(cls, opening: float, profile: Callable[[float], complex],
@@ -142,8 +143,7 @@ class HerglotzSpec:
                 raise SpecError(f"sector profile value {c} leaves |arg| <= {half}")
             return _full(z, c)
 
-        return cls("sector", pair, params={"opening": opening, "profile": profile},
-                   t_aut=t_aut, nodes=tuple(nodes))
+        return cls(pair, t_aut=t_aut, nodes=tuple(nodes))
 
     @classmethod
     def rational(cls, numerator, denominator) -> "HerglotzSpec":
@@ -162,30 +162,23 @@ class HerglotzSpec:
                 pv = n * inv
                 return pv, (_horner(z, dnum) - pv * _horner(z, dden)) * inv
 
-        return cls("rational_table", pair, params={"numerator": num, "denominator": den},
-                   t_aut=0.0)
+        return cls(pair, t_aut=0.0)
 
     @classmethod
-    def sampled(cls, fn: Callable[[np.ndarray, float], np.ndarray],
-                z_independent: bool = False) -> "HerglotzSpec":
+    def sampled(cls, fn: Callable[[np.ndarray, float], np.ndarray]) -> "HerglotzSpec":
         """Wrap a user evaluator; it must accept ndarray z and scalar t."""
-        if z_independent:
-            def pair(z, t):
-                pv = fn(z, t)
-                return pv, np.zeros_like(pv)
-        else:
-            def pair(z, t):
-                return fn(z, t), (fn(z + DZ_STEP, t) - fn(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
-        return cls("user_sampled", pair)
+
+        def pair(z, t):
+            return fn(z, t), (fn(z + DZ_STEP, t) - fn(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
+
+        return cls(pair)
 
     @classmethod
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
         """z-independent samples p(t), linearly interpolated between nodes."""
         f = _interp_table(ts, values)
         t_aut, nodes = _table_time(ts)
-        return cls("user_sampled", lambda z, t: _full(z, f(t)),
-                   params={"ts": np.asarray(ts, float), "values": np.asarray(values, complex)},
-                   t_aut=t_aut, nodes=nodes)
+        return cls(lambda z, t: _full(z, f(t)), t_aut=t_aut, nodes=nodes)
 
 
 @dataclass
@@ -193,22 +186,26 @@ class DenjoyWolffSpec:
     """Denjoy-Wolff function tau(t) into the closed unit disk.
 
     ``breakpoints`` are its jumps; ``t_aut`` and ``nodes`` are described in
-    the module docstring.
+    the module docstring.  ``frozen_on(a, b)`` is the constant value of tau
+    on [a, b], or None where tau may vary there; each constructor sets it.
+    Integration segments never straddle a breakpoint, so step data freeze
+    at the segment midpoint, which removes the ambiguity at the jumps.  For
+    a single time, ``frozen_on(t, t)`` is tau(t) (right-continuous at the
+    jumps) where tau is piecewise constant, and None otherwise.
     """
 
-    kind: str
     value: Callable[[float], complex]
     breakpoints: tuple[float, ...] = ()
-    params: dict = field(default_factory=dict)
     t_aut: float | None = None
     nodes: tuple[float, ...] = ()
+    frozen_on: Callable[[float, float], complex | None] = lambda a, b: None
 
     @classmethod
     def constant(cls, tau) -> "DenjoyWolffSpec":
         tau = complex(tau)
         if abs(tau) > 1.0 + 1e-12:
             raise SpecError(f"|tau| = {abs(tau)} > 1")
-        return cls("constant", lambda t: tau, params={"value": tau}, t_aut=0.0)
+        return cls(lambda t: tau, t_aut=0.0, frozen_on=lambda a, b: tau)
 
     @classmethod
     def step(cls, breakpoints, values) -> "DenjoyWolffSpec":
@@ -228,23 +225,23 @@ class DenjoyWolffSpec:
             return complex(arr_v[np.searchsorted(arr_b, t, side="right")])
 
         jumps = [b for b, v0, v1 in zip(bps, vals, vals[1:]) if v1 != v0]
-        return cls("step", f, breakpoints=tuple(bps),
-                   params={"breakpoints": arr_b, "values": arr_v},
-                   t_aut=jumps[-1] if jumps else 0.0)
+        return cls(f, breakpoints=tuple(bps), t_aut=jumps[-1] if jumps else 0.0,
+                   frozen_on=lambda a, b: f(0.5 * (a + b)))
 
     @classmethod
-    def sampled(cls, fn: Callable[[float], complex], modulus_bound: float = 1.0) -> "DenjoyWolffSpec":
-        if modulus_bound > 1.0 + 1e-12:
-            raise SpecError(f"declared modulus bound {modulus_bound} > 1")
-        return cls("sampled", fn, params={"modulus_bound": modulus_bound})
+    def sampled(cls, fn: Callable[[float], complex]) -> "DenjoyWolffSpec":
+        """Wrap a user callable t -> tau(t); it is never frozen."""
+        return cls(fn)
 
     @classmethod
     def from_time_table(cls, ts, values) -> "DenjoyWolffSpec":
         """Sampled tau(t), linearly interpolated between the nodes ts."""
-        spec = cls.sampled(_interp_table(ts, values),
-                           modulus_bound=max(abs(complex(v)) for v in values))
-        spec.t_aut, spec.nodes = _table_time(ts)
-        return spec
+        f = _interp_table(ts, values)
+        worst = max(abs(complex(v)) for v in values)
+        if worst > 1.0 + 1e-12:
+            raise SpecError(f"table value with |tau| = {worst} > 1")
+        t_aut, nodes = _table_time(ts)
+        return cls(f, t_aut=t_aut, nodes=nodes)
 
     @classmethod
     def step_with_tail(cls, breakpoints, values, horizon: float,
@@ -255,9 +252,10 @@ class DenjoyWolffSpec:
         a finite window and agree with the target exactly afterwards, which
         is what makes the weak-convergence experiments measure the window
         approximation instead of an incidental tail mismatch.  The tail's
-        jumps and nodes past the horizon carry over.  The spec is
-        autonomous from the tail's autonomy time if that lies past the
-        horizon, otherwise from its last jump (at the horizon or before).
+        jumps and nodes past the horizon carry over, and so does its
+        ``frozen_on``.  The spec is autonomous from the tail's autonomy
+        time if that lies past the horizon, otherwise from its last jump
+        (at the horizon or before).
         """
         base = cls.step(list(breakpoints), list(values))
         horizon = float(horizon)
@@ -265,42 +263,26 @@ class DenjoyWolffSpec:
         def f(t):
             return base.value(t) if t < horizon else complex(tail.value(t))
 
+        def frozen_on(a, b):
+            if b <= horizon + 1e-12:
+                return f(0.5 * (a + b))
+            if a >= horizon - 1e-12:
+                return tail.frozen_on(a, b)
+            return None
+
         t_aut = tail.t_aut
         if t_aut is not None and t_aut <= horizon:
             t_aut = horizon if complex(tail.value(horizon)) != complex(values[-1]) \
                 else base.t_aut
 
-        return cls("step_tail", f,
-                   breakpoints=tuple(breakpoints) + (horizon,)
+        return cls(f, breakpoints=tuple(breakpoints) + (horizon,)
                    + tuple(b for b in tail.breakpoints if b > horizon),
-                   params={"horizon": horizon, "step": base, "tail": tail},
-                   t_aut=t_aut, nodes=tuple(n for n in tail.nodes if n > horizon))
+                   t_aut=t_aut, nodes=tuple(n for n in tail.nodes if n > horizon),
+                   frozen_on=frozen_on)
 
-    def is_constant(self, value=None) -> bool:
-        if self.kind != "constant":
-            return False
-        return value is None or self.params["value"] == complex(value)
-
-    def frozen_on(self, a: float, b: float):
-        """Constant tau value on [a, b], or None when tau varies there.
-
-        Integration segments never straddle a breakpoint, so freezing at the
-        segment midpoint removes the boundary ambiguity of step data; a tail
-        freezes where its own spec does, and sampled data stay
-        time-dependent.
-        """
-        if self.kind == "constant":
-            return self.params["value"]
-        mid = 0.5 * (a + b)
-        if self.kind == "step":
-            return complex(self.value(mid))
-        if self.kind == "step_tail":
-            horizon = self.params["horizon"]
-            if b <= horizon + 1e-12:
-                return complex(self.value(mid))
-            if a >= horizon - 1e-12:
-                return self.params["tail"].frozen_on(a, b)
-        return None
+    def is_constant(self, c) -> bool:
+        """True when tau(t) = c for every t >= 0."""
+        return self.t_aut == 0.0 and complex(self.value(0.0)) == complex(c)
 
 
 def _field_pair(z: np.ndarray, tv, pv: np.ndarray, dp: np.ndarray):

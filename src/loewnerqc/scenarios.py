@@ -55,24 +55,18 @@ def _docs(k: float = 0.5):
             "time": {"t_end": 1.0},
             "criteria": {"k": math.sin(sector_k * math.pi / 2.0) + 1e-9},
         },
-        # the last two carry looser chain tolerances, set for the noise
-        # floor near 1e-6 that the scaling limit's Mobius renormalization
-        # hits on interior-attracting long-time data; their chains now come
-        # from the exact autonomous tail, far under either tolerance
         "measurable-tau": {
             "scenario": "measurable-tau",
             "p": {"kind": "constant", "value": 1.0},
             "tau": {"kind": "sampled",
                     "table": [[t / 8.0, (t / 8.0) / (1.0 + t / 8.0)] for t in range(0, 64)]},
             "time": {"t_end": 2.0},
-            "criteria": {"tol_limit": 5e-6, "tol_chain": 1e-4},
         },
         "step-tau": {
             "scenario": "step-tau",
             "p": {"kind": "constant", "value": 1.0},
             "tau": {"kind": "step", "breakpoints": [1.0], "values": [0.3, [0.0, 0.6]]},
             "time": {"t_end": 2.0},
-            "criteria": {"tol_limit": 5e-6, "tol_chain": 1e-4},
         },
     }
 

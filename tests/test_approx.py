@@ -12,20 +12,25 @@ ONE = HerglotzSpec.constant(1)
 TAU_MEASURABLE = DenjoyWolffSpec.sampled(lambda t: t / (1 + t))
 
 
+def _cell_values(spec, n, horizon):
+    """The values of a step approximant's n cells on [0, horizon), at their midpoints."""
+    return np.array([spec.frozen_on(i * horizon / n, (i + 1) * horizon / n) for i in range(n)])
+
+
 def test_step_approximate_constant_is_exact():
-    ap = step_approximate(DenjoyWolffSpec.constant(0.4 + 0.1j), 7, 4.0)
-    assert ap.deviation == 0.0
-    assert np.all(ap.values == 0.4 + 0.1j)
+    spec, dev = step_approximate(DenjoyWolffSpec.constant(0.4 + 0.1j), 7, 4.0)
+    assert dev == 0.0
+    assert np.all(_cell_values(spec, 7, 4.0) == 0.4 + 0.1j)
 
 
 def test_step_approximate_midpoints():
-    ap = step_approximate(TAU_MEASURABLE, 4, 4.0)
-    assert np.allclose(ap.values, [1 / 3, 3 / 5, 5 / 7, 7 / 9])
-    assert ap.breakpoints.tolist() == [1.0, 2.0, 3.0]
+    spec, _ = step_approximate(TAU_MEASURABLE, 4, 4.0)
+    assert np.allclose(_cell_values(spec, 4, 4.0), [1 / 3, 3 / 5, 5 / 7, 7 / 9])
+    assert spec.breakpoints == (1.0, 2.0, 3.0, 4.0)
 
 
 def test_step_approximate_deviation_halves():
-    devs = [step_approximate(TAU_MEASURABLE, n, 4.0).deviation for n in (4, 8, 16, 32)]
+    devs = [step_approximate(TAU_MEASURABLE, n, 4.0)[1] for n in (4, 8, 16, 32)]
     assert all(b < a for a, b in zip(devs, devs[1:]))
     ratios = [b / a for a, b in zip(devs, devs[1:])]
     # Lipschitz tau, midpoint rule: ratio ~ 0.5 within a factor of 2
@@ -116,23 +121,22 @@ def test_merge_tables_joins_by_level():
 
 def test_step_tail_forwards_the_tail_spec():
     tail = DenjoyWolffSpec.from_time_table([0.0, 3.0, 6.0], [0.1, 0.2, 0.4])
-    spec = step_approximate(tail, 4, 4.0).to_spec(tail=tail)
-    assert spec.kind == "step_tail"
+    spec, _ = step_approximate(tail, 4, 4.0)
     assert spec.t_aut == 6.0 and spec.nodes == (6.0,)
     assert spec.breakpoints == (1.0, 2.0, 3.0, 4.0)
     assert spec.value(5.0) == pytest.approx(0.1 + (0.2 - 0.1) / 3 * 3 + (0.4 - 0.2) / 3 * 2)
     # past a tail that is constant from the horizon on, the last jump counts:
     # the cell [6, 8) samples the tail's final value 0.4
-    assert step_approximate(tail, 4, 8.0).to_spec(tail=tail).t_aut == 6.0
+    assert step_approximate(tail, 4, 8.0)[0].t_aut == 6.0
     const = DenjoyWolffSpec.constant(0.2)
-    assert step_approximate(const, 4, 4.0).to_spec(tail=const).t_aut == 0.0
-    assert step_approximate(TAU_MEASURABLE, 4, 4.0).to_spec(tail=TAU_MEASURABLE).t_aut is None
+    assert step_approximate(const, 4, 4.0)[0].t_aut == 0.0
+    assert step_approximate(TAU_MEASURABLE, 4, 4.0)[0].t_aut is None
     step = DenjoyWolffSpec.step([1.0, 5.0], [0.3, 0.6j, 0.2])
-    spec = step_approximate(step, 4, 4.0).to_spec(tail=step)
+    spec, _ = step_approximate(step, 4, 4.0)
     assert spec.breakpoints[-2:] == (4.0, 5.0) and spec.t_aut == 5.0
     step = DenjoyWolffSpec.step([1.0, 2.0], [0.3, 0.6j, 0.6j])
     assert step.t_aut == 1.0
-    assert step_approximate(step, 4, 4.0).to_spec(tail=step).t_aut == 1.0
+    assert step_approximate(step, 4, 4.0)[0].t_aut == 1.0
     assert spec.frozen_on(4.0, 5.0) == 0.6j and spec.frozen_on(5.0, 6.0) == 0.2
 
 

@@ -54,6 +54,9 @@ def test_errors_are_aggregated_not_fail_fast():
     ({"criteria": {"t_inf": math.inf}}, "criteria.t_inf"),
     ({"time": {"t_end": 1.0, "checkpoints": [0.0, 2.0]}}, "time.checkpoints"),
     ({"time": [1.0]}, "time"),
+    ({"approx_horizon": 0}, "approx_horizon"),
+    ({"grid": {"circles": [0.9999999]}}, "grid.circles"),
+    ({"grid": {"delta_trace": 1e-7}}, "grid.delta_trace"),
 ])
 def test_malformed_values_are_collected(doc, path):
     cfg, errors = validate_config(doc)
@@ -141,6 +144,16 @@ def test_run_pipeline_extend_skips_rotation(tmp_path):
     assert code == 0 and summary["pass"]
     assert summary["metrics"]["degenerate"] is True
     assert any("skipped" in w for w in summary["warnings"])
+
+
+def test_becker_refuses_checkpoints_without_t0(tmp_path):
+    # the radial extension starts at f_0: without a t = 0 row it is refused
+    # like tau other than 0, with a warning instead of a fatal record
+    cfg = builtin_scenario("becker")
+    cfg.time.checkpoints = [0.32, 0.64]
+    code, summary = run_pipeline(cfg, "becker", tmp_path)
+    assert code == 1 and not summary["pass"]
+    assert summary["warnings"] == ["the radial extension needs a checkpoint at t = 0"]
 
 
 def test_run_pipeline_evolve_artifacts(tmp_path):

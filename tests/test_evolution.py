@@ -160,8 +160,7 @@ def test_step_tau_breakpoint_alignment():
 def test_boundary_guard_truncates_honestly():
     # strong repulsion from tau = 0 pushes |z| to the guard: Re p < 0 data is
     # rejected by checks but the integrator must still truncate, not wander
-    p = HerglotzSpec.sampled(lambda z, t: np.full_like(np.asarray(z, complex), -2.0),
-                             z_independent=True)
+    p = HerglotzSpec.sampled(lambda z, t: np.full_like(np.asarray(z, complex), -2.0))
     fld = assemble_field(p, DenjoyWolffSpec.constant(0))
     tr = solve_forward(fld, 0.0, 4.0, np.array([0.5 + 0j]), tol=1e-9)
     assert tr.truncated[0]

@@ -99,6 +99,27 @@ def test_conformal_welding_atlas():
     assert np.abs(atlas.source[atlas.valid]).min() >= 1.0 - 2e-3
 
 
+def test_formula_rows_follow_frozen_tau():
+    # step cells before the horizon 0.16, a linear table after it: the
+    # formula has every row before the horizon and none after it
+    cps = np.linspace(0.0, 0.3, 13)
+    ff, gf = _exp_frames(n_theta=32, cps=cps)
+    tail = DenjoyWolffSpec.from_time_table([0.0, 0.3], [0.3, 0.4])
+    tau = DenjoyWolffSpec.step_with_tail([0.08], [0.1, 0.2j], 0.16, tail)
+    atlas = build_extension(ff, gf, ONE, ONE, tau)
+    before = cps < 0.16
+    assert atlas.formula_valid[before].all()
+    assert not atlas.formula_valid[~before].any()
+    assert not any("measurable tau" in w for w in atlas.warnings)
+    # a step row is the formula of that cell's constant
+    cell = beltrami_formula(ONE, ONE, 0.2j, cps[4:5], ff.theta, ff.trace_radius)
+    assert np.array_equal(atlas.mu_pair[4], cell.mu_pair[0])
+
+    sampled = build_extension(ff, gf, ONE, ONE, DenjoyWolffSpec.sampled(lambda t: 0.1 * t))
+    assert not sampled.formula_valid.any()
+    assert any(w.startswith("measurable tau") for w in sampled.warnings)
+
+
 def test_atlas_artifacts_render(tmp_path):
     from loewnerqc.artifacts import write_atlas_svg, write_traces_svg, write_atlas_csv
     ff, gf = _exp_frames(n_theta=32, cps=np.array([0.0, 0.1, 0.2]))

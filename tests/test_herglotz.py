@@ -117,6 +117,25 @@ def test_step_spec_shape_validation():
         DenjoyWolffSpec.step([1.0], [0.1])
 
 
+def test_frozen_on_and_is_constant_follow_the_data():
+    const = DenjoyWolffSpec.constant(0.3j)
+    assert const.frozen_on(0.0, 2.0) == 0.3j and const.frozen_on(1.0, 1.0) == 0.3j
+    step = DenjoyWolffSpec.step([1.0], [0.1, 0.2])
+    assert step.frozen_on(0.0, 1.0) == 0.1 and step.frozen_on(1.0, 3.0) == 0.2
+    # a single time reads the right-continuous value
+    assert step.frozen_on(1.0, 1.0) == step.value(1.0) == 0.2
+    table = DenjoyWolffSpec.from_time_table([0.0, 1.0], [0.1, 0.2])
+    assert table.frozen_on(0.0, 0.5) is None and table.frozen_on(0.5, 0.5) is None
+    assert DenjoyWolffSpec.sampled(lambda t: 0.1).frozen_on(0.0, 1.0) is None
+    with pytest.raises(SpecError):
+        DenjoyWolffSpec.from_time_table([0.0, 1.0], [0.1, 1.01])
+    # constancy is read off the data, not off the constructor
+    assert const.is_constant(0.3j) and not const.is_constant(0.0)
+    assert DenjoyWolffSpec.step([1.0], [0.2, 0.2]).is_constant(0.2)
+    assert not step.is_constant(0.1)
+    assert not DenjoyWolffSpec.sampled(lambda t: 0.0).is_constant(0.0)
+
+
 def test_check_herglotz_constant_one():
     rep = check_herglotz(HerglotzSpec.constant(1), GRID, TIMES)
     assert rep.passed and rep.statistic == pytest.approx(1.0)
@@ -198,7 +217,7 @@ def test_cayley_transfer_constant():
 
 
 def test_cayley_transfer_examples():
-    ident = HerglotzSpec.sampled(lambda z, t: np.asarray(z, complex), z_independent=False)
+    ident = HerglotzSpec.sampled(lambda z, t: np.asarray(z, complex))
     ev = cayley_transfer(ident)
     assert ev(np.array([1.0 + 0j]), 0.0)[0] == pytest.approx(0.0)
     kmap = HerglotzSpec.rational([1, 1], [1, -1])
@@ -244,7 +263,7 @@ def test_isolated_time_node_downgrades_to_warning():
         val = -1.0 if abs(t - 1.0) < 1e-9 else 1.0
         return np.full_like(np.asarray(z, complex), val)
 
-    spec = HerglotzSpec.sampled(p, z_independent=True)
+    spec = HerglotzSpec.sampled(p)
     rep = check_herglotz(spec, GRID, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
     assert rep.passed and rep.warnings
 
@@ -254,7 +273,7 @@ def test_consecutive_failing_nodes_fail():
         val = -1.0 if t >= 1.0 else 1.0
         return np.full_like(np.asarray(z, complex), val)
 
-    spec = HerglotzSpec.sampled(p, z_independent=True)
+    spec = HerglotzSpec.sampled(p)
     rep = check_herglotz(spec, GRID, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
     assert not rep.passed
 
