@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec
-from loewnerqc.approx import ef_convergence, chain_convergence, merge_tables
+from loewnerqc.approx import convergence_table
 from loewnerqc.artifacts import write_table_csv
 
 
@@ -32,9 +32,7 @@ def main():
     grid = circle_grid((0.3, 0.6), 8)
     cps = [args.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
 
-    ef = ef_convergence(p, tau, args.levels, grid, 0.0, args.t_end)
-    chain = chain_convergence(p, tau, args.levels, grid, cps)
-    table = merge_tables(ef, chain)
+    table = convergence_table(p, tau, args.levels, grid, cps)
 
     print(f"{'n':>5} {'deviation':>12} {'ef_error':>12} {'chain_error':>12} "
           f"{'envelope':>12} {'ms':>8}")

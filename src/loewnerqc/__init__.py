@@ -20,7 +20,7 @@ from .extension import (ExtensionAtlas, BeckerExtension, boundary_trace, build_e
                         becker_extension, beltrami_formula, beltrami_fd,
                         becker_dilatation, dilatation_report, interior_dilatation, AtlasRejected)
 from .approx import (step_approximate, field_deviation, random_deviation_check,
-                     ef_convergence, chain_convergence, gronwall_envelope)
+                     convergence_table, gronwall_envelope)
 from .config import ScenarioConfig, parse_config, validate_config, ConfigError
 from .scenarios import builtin_scenario, scenario_names
 from .cli import run_pipeline

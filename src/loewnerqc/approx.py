@@ -10,7 +10,10 @@ convergence of evolution families and of the range-normalized chains;
 this module realizes those statements as measurable experiments with a
 Gronwall envelope certifying each error level.  A level-n approximant is
 itself a Denjoy-Wolff spec: n step cells on [0, horizon) that follow the
-target exactly past the horizon.
+target exactly past the horizon.  ``convergence_table`` is the one level
+loop: it builds the exact-tau references once, then each approximant once,
+and measures the field deviation, the evolution-family error and the
+chain difference of that level against them.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SeedGrid
+from .grids import SeedGrid, criteria_grid
 from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, _field_pair
 from .evolution import solve_forward
-from .chains import range_normalized_chain
+from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, range_normalized_chain
 
 DEVIATION_TOL = 1e-12
 
@@ -69,6 +72,15 @@ def _deviation_arrays(z, tau_v, tau_n_v, p_v):
     return measured, bound
 
 
+def _deviation_report(measured, bound) -> DeviationReport:
+    bad = measured > bound + DEVIATION_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, measured / bound, 0.0)
+    return DeviationReport(float(measured.max()), float(bound.max()),
+                           float(np.nanmax(ratios)), measured.size,
+                           int(np.count_nonzero(bad)), not bad.any())
+
+
 def field_deviation(p: HerglotzSpec, tau: DenjoyWolffSpec, tau_n, grid, times) -> DeviationReport:
     """Measured |G - G_n| against the 4 |tau - tau_n| |p| bound, per sample.
 
@@ -76,26 +88,14 @@ def field_deviation(p: HerglotzSpec, tau: DenjoyWolffSpec, tau_n, grid, times) -
     because it can only mean an implementation bug.
     """
     grid = np.asarray(grid, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    max_m = max_b = worst = 0.0
-    violations = 0
-    for t in times:
-        tv = complex(tau.value(float(t)))
-        tnv = complex(tau_n.value(float(t)))
-        pv = p.evaluate(grid, float(t))
-        measured, bound = _deviation_arrays(grid, tv, tnv, pv)
-        bad = measured > bound + DEVIATION_TOL
-        violations += int(np.count_nonzero(bad))
-        max_m = max(max_m, float(measured.max()))
-        max_b = max(max_b, float(bound.max()))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(bound > 0, measured / bound, 0.0)
-        worst = max(worst, float(np.nanmax(r)))
-    if violations:
+    pairs = [_deviation_arrays(grid, complex(tau.value(float(t))), complex(tau_n.value(float(t))),
+                               p.evaluate(grid, float(t))) for t in np.asarray(times, dtype=float)]
+    rep = _deviation_report(*(np.concatenate(col) for col in zip(*pairs)))
+    if rep.n_violations:
         raise RuntimeError(
-            f"deviation bound violated at {violations} samples; this inequality "
+            f"deviation bound violated at {rep.n_violations} samples; this inequality "
             "is exact algebra, so the field assembly is broken")
-    return DeviationReport(max_m, max_b, worst, grid.size * times.size, 0, True)
+    return rep
 
 
 def random_deviation_check(n_samples: int, seed: int) -> DeviationReport:
@@ -111,13 +111,7 @@ def random_deviation_check(n_samples: int, seed: int) -> DeviationReport:
     tau_v = disk(n_samples, 1.0)
     tau_n_v = disk(n_samples, 1.0)
     p_v = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    measured, bound = _deviation_arrays(z, tau_v, tau_n_v, p_v)
-    bad = measured > bound + DEVIATION_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, measured / bound, 0.0)
-    return DeviationReport(float(measured.max()), float(bound.max()),
-                           float(np.nanmax(ratios)), n_samples,
-                           int(np.count_nonzero(bad)), not bad.any())
+    return _deviation_report(*_deviation_arrays(z, tau_v, tau_n_v, p_v))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +146,7 @@ def _gronwall_from_samples(xs, hs, gs, nodes):
         gi_t = np.interp(t, xs, gi)
         h_t = np.interp(t, xs, hs)
         integrand = g_s * h_s * np.exp(gi_t - gi_s)
-        # clip the last panel at t
-        if x_s[-1] > t:
-            w = np.diff(np.minimum(x_s, t))
-        else:
-            w = np.diff(x_s)
+        w = np.diff(np.minimum(x_s, t))        # clip the last panel at t
         out[j] = h_t + float(np.sum(0.5 * (integrand[1:] + integrand[:-1]) * w))
     return out
 
@@ -179,8 +169,10 @@ class LevelRow:
 class ConvergenceTable:
     rows: list[LevelRow]
     fitted_order: float
-    strictly_decreasing: bool
-    reference: str
+    ef_strictly_decreasing: bool
+    chain_strictly_decreasing: bool
+    deviation_grid_passed: bool
+    under_envelope: bool
     warnings: list[str] = field(default_factory=list)
 
     def column(self, name):
@@ -195,8 +187,9 @@ def _fit_order(devs, errs):
     return float(np.polyfit(np.log(devs[ok]), np.log(errs[ok]), 1)[0])
 
 
-def _envelope_inputs(field_exact, tau, tau_n, s, t_end, r_compact, n_fine=1024):
-    xs = np.linspace(s, t_end, n_fine + 1)
+def _level_envelope(field_exact, tau, tau_n, t_end, r_compact, n_fine=1024) -> float:
+    """Gronwall envelope at t_end of a level, on the ring |z| = r_compact."""
+    xs = np.linspace(0.0, t_end, n_fine + 1)
     ring = r_compact * np.exp(2j * np.pi * np.arange(32) / 32)
     dev = np.array([abs(complex(tau.value(float(x))) - complex(tau_n.value(float(x))))
                     for x in xs])
@@ -204,121 +197,87 @@ def _envelope_inputs(field_exact, tau, tau_n, s, t_end, r_compact, n_fine=1024):
     integrand = 4.0 * dev * sup_p
     hs = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(xs))])
     gs = np.array([float(np.abs(field_exact.pair(ring, float(x))[1]).max()) for x in xs])
-    return xs, hs, gs
+    return float(_gronwall_from_samples(xs, hs, gs, np.array([t_end]))[0])
 
 
-def ef_convergence(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, seeds,
-                   s: float, t_end: float, tol: float = 1e-9,
-                   horizon: float | None = None, checkpoints=None) -> ConvergenceTable:
-    """Per-level sup error of the approximated evolution families.
+def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedGrid,
+                      checkpoints, tol: float = 1e-9, horizon: float | None = None,
+                      t_inf: float = DEFAULT_T_INF,
+                      tol_limit: float = DEFAULT_TOL_LIMIT) -> ConvergenceTable:
+    """Per-level errors of the step approximants against exact-tau references.
 
-    The reference is a direct integration with the exact tau evaluator,
-    never the finest approximant, so the error columns have no
-    self-referential floor.  Each row also carries the Gronwall envelope
-    built from the integrated field deviation and a numeric Lipschitz
-    bound on an enclosing compact; every measured error must sit below it.
+    The references integrate the exact tau, never the finest approximant,
+    so the columns have no self-referential floor.  Each level builds its
+    approximant once and measures the field deviation inequality on the
+    criteria grid, the evolution-family sup error at 9 uniform times on
+    [0, checkpoints[-1]] with its Gronwall envelope (integrated field
+    deviation, numeric Lipschitz bound on an enclosing compact), and the
+    chain sup difference at the checkpoints.
     """
-    pts = seeds.points if isinstance(seeds, SeedGrid) else np.asarray(seeds, dtype=complex)
+    cps = np.asarray(checkpoints, dtype=float)
+    t_end = float(cps[-1])
     horizon = horizon if horizon is not None else max(t_end, 4.0)
-    cps = np.asarray(checkpoints if checkpoints is not None else
-                     np.linspace(s, t_end, 9), dtype=float)
+    ef_times = np.linspace(0.0, t_end, 9)
+    dev_grid = criteria_grid(n_angles=32)
+
+    def measure(fld):
+        return (solve_forward(fld, 0.0, t_end, grid, tol=tol, checkpoints=ef_times),
+                range_normalized_chain(fld, cps, grid, n_theta=64, tol=tol,
+                                       t_inf=t_inf, tol_limit=tol_limit))
+
     exact = assemble_field(p, tau)
-    ref = solve_forward(exact, s, t_end, pts, tol=tol, checkpoints=cps)
-    r_compact = min(0.999, float(np.nanmax(np.abs(ref.values))) + 0.05)
+    ef_ref, chain_ref = measure(exact)
+    ref_max = float(np.nanmax(np.abs(ef_ref.values)))
+    ref_noise = float(np.nanmax(chain_ref.acc_delta))
 
     rows = []
     warnings = []
+    deviation_passed = True
     for n in levels:
         t0 = time.perf_counter()
         tau_n, dev = step_approximate(tau, int(n), horizon)
-        fld = assemble_field(p, tau_n)
-        traj = solve_forward(fld, s, t_end, pts, tol=tol, checkpoints=cps)
-        ok = ref.live() & traj.live()
-        if not ok.all():
-            warnings.append(f"level {n}: {int(np.count_nonzero(~ok))} truncated seeds excluded")
-        err = float(np.nanmax(np.abs(traj.values[:, ok] - ref.values[:, ok])))
-        r_level = min(0.999, float(np.nanmax(np.abs(traj.values))) + 0.05)
-        xs, hs, gs = _envelope_inputs(exact, tau, tau_n, s, t_end, max(r_compact, r_level))
-        env = float(_gronwall_from_samples(xs, hs, gs, np.array([t_end]))[0])
-        rows.append(LevelRow(int(n), dev, err, np.nan, env,
+        deviation_passed &= field_deviation(p, tau, tau_n, dev_grid, ef_times).passed
+        traj, fr = measure(assemble_field(p, tau_n))
+        live = ef_ref.live() & traj.live()
+        if not live.all():
+            warnings.append(f"level {n}: {int(np.count_nonzero(~live))} truncated seeds excluded")
+        ef_err = float(np.nanmax(np.abs(traj.values[:, live] - ef_ref.values[:, live])))
+        r_compact = min(0.999, max(ref_max, float(np.nanmax(np.abs(traj.values)))) + 0.05)
+        env = _level_envelope(exact, tau, tau_n, t_end, r_compact)
+        ok = chain_ref.grid_valid & fr.grid_valid
+        chain_err = np.nan
+        if not ok.any():
+            warnings.append(f"level {n}: no valid grid points, level excluded")
+        else:
+            chain_err = float(np.nanmax(np.abs(np.where(ok, fr.values - chain_ref.values, 0.0))))
+            # the differences must dominate the noise floor of the frame
+            # evaluation (limit or quadrature) and of the integration, which
+            # gets the same 10 tol relative margin as the ef column; otherwise
+            # the level says nothing about chain convergence
+            f_max = float(np.abs(np.where(ok, chain_ref.values, 0.0)).max())
+            noise = 10.0 * (ref_noise + float(np.nanmax(fr.acc_delta))) + 10.0 * tol * f_max
+            if chain_err <= noise:
+                warnings.append(
+                    f"level {n}: chain difference {chain_err:.3g} at the noise floor "
+                    f"{noise:.3g}, level excluded")
+                chain_err = np.nan
+        rows.append(LevelRow(int(n), dev, ef_err, chain_err, env,
                              (time.perf_counter() - t0) * 1e3))
 
-    errs = [r.ef_error for r in rows]
-    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    if not decreasing:
+    ef_errs = [r.ef_error for r in rows]
+    ef_decreasing = all(b < a for a, b in zip(ef_errs, ef_errs[1:]))
+    if not ef_decreasing:
         warnings.append("ef error column is not strictly decreasing")
     # the envelope bounds the exact-arithmetic difference; measured errors sit
     # on an integrator noise floor the bound cannot see
     over = [r.n for r in rows if not (r.ef_error <= r.envelope + 10.0 * tol)]
     if over:
         warnings.append(f"levels {over} exceed their gronwall envelope")
-    return ConvergenceTable(rows, _fit_order([r.deviation for r in rows], errs),
-                            decreasing, "exact-tau integration", warnings)
-
-
-def chain_convergence(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedGrid,
-                      checkpoints, tol: float = 1e-9, horizon: float | None = None,
-                      n_theta: int = 64, t_inf: float = 256.0,
-                      tol_limit: float = 1e-8) -> ConvergenceTable:
-    """Per-level sup difference of range-normalized chains at shared checkpoints.
-
-    The default horizon is deeper than elsewhere: measurable tau data with a
-    boundary limit point converge slowly in the scaling limit, and the
-    level differences must dominate the limit-evaluation noise.
-    """
-    cps = np.asarray(checkpoints, dtype=float)
-    horizon = horizon if horizon is not None else max(float(cps[-1]), 4.0)
-    exact = assemble_field(p, tau)
-    ref = range_normalized_chain(exact, cps, grid, n_theta=n_theta, tol=tol,
-                                 t_inf=t_inf, tol_limit=tol_limit)
-    ref_noise = float(np.nanmax(ref.acc_delta))
-    rows = []
-    warnings = []
-    for n in levels:
-        t0 = time.perf_counter()
-        tau_n, dev = step_approximate(tau, int(n), horizon)
-        fld = assemble_field(p, tau_n)
-        fr = range_normalized_chain(fld, cps, grid, n_theta=n_theta, tol=tol,
-                                    t_inf=t_inf, tol_limit=tol_limit)
-        ok = ref.grid_valid & fr.grid_valid
-        if not ok.any():
-            warnings.append(f"level {n}: no valid grid points, level excluded")
-            rows.append(LevelRow(int(n), dev, np.nan, np.nan, np.nan,
-                                 (time.perf_counter() - t0) * 1e3))
-            continue
-        err = float(np.nanmax(np.abs(np.where(ok, fr.values - ref.values, 0.0))))
-        # the differences must dominate the noise floor of the frame
-        # evaluation (limit or quadrature) and of the integration, which
-        # gets the same 10 tol relative margin as the ef column; otherwise
-        # the level says nothing about chain convergence
-        f_max = float(np.abs(np.where(ok, ref.values, 0.0)).max())
-        noise = 10.0 * (ref_noise + float(np.nanmax(fr.acc_delta))) + 10.0 * tol * f_max
-        if err <= noise:
-            warnings.append(
-                f"level {n}: chain difference {err:.3g} at the noise floor "
-                f"{noise:.3g}, level excluded")
-            err = np.nan
-        rows.append(LevelRow(int(n), dev, np.nan, err, np.nan,
-                             (time.perf_counter() - t0) * 1e3))
-
-    errs = [r.chain_error for r in rows if np.isfinite(r.chain_error)]
-    decreasing = all(b < a for a, b in zip(errs, errs[1:])) and len(errs) == len(rows)
-    if not decreasing:
+    chain_errs = [r.chain_error for r in rows if np.isfinite(r.chain_error)]
+    chain_decreasing = (len(chain_errs) == len(rows)
+                        and all(b < a for a, b in zip(chain_errs, chain_errs[1:])))
+    if not chain_decreasing:
         warnings.append("chain error column is not strictly decreasing")
-    return ConvergenceTable(rows, _fit_order([r.deviation for r in rows],
-                                             [r.chain_error for r in rows]),
-                            decreasing, "exact-tau chain", warnings)
-
-
-def merge_tables(ef: ConvergenceTable, chain: ConvergenceTable) -> ConvergenceTable:
-    """Join ef and chain rows by level for the combined error table."""
-    by_level = {r.n: r for r in chain.rows}
-    rows = []
-    for r in ef.rows:
-        c = by_level.get(r.n)
-        rows.append(LevelRow(r.n, r.deviation, r.ef_error,
-                             c.chain_error if c else np.nan, r.envelope,
-                             r.runtime_ms + (c.runtime_ms if c else 0.0)))
-    return ConvergenceTable(rows, ef.fitted_order,
-                            ef.strictly_decreasing and chain.strictly_decreasing,
-                            ef.reference, ef.warnings + chain.warnings)
+    return ConvergenceTable(rows, _fit_order([r.deviation for r in rows], ef_errs),
+                            ef_decreasing, chain_decreasing, deviation_passed,
+                            not over, warnings)

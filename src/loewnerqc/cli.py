@@ -24,8 +24,7 @@ from .chains import (range_normalized_chain, decreasing_chain, beta_limit,
                      verify_transitions, verify_chain_pde, verify_containment)
 from .extension import (build_extension, becker_dilatation, dilatation_report,
                         AtlasRejected)
-from .approx import (step_approximate, field_deviation, random_deviation_check,
-                     ef_convergence, chain_convergence, merge_tables)
+from .approx import random_deviation_check, convergence_table
 from .config import ScenarioConfig, parse_config, ConfigError
 from .scenarios import builtin_scenario, scenario_names
 
@@ -73,11 +72,13 @@ def _build_frames(cfg, fld, n_default: int = 9):
         t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
 
 
-def _build_g_frames(cfg, q):
-    """Decreasing chain of (q, tau) on the 65-checkpoint grid of the welding."""
-    return decreasing_chain(assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65),
-                            cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
-                            delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
+def _welding_frames(cfg):
+    """q and the f- and g-frames of the welding, on its 65-row default checkpoints."""
+    q = cfg.q_or_default()
+    f_frames = _build_frames(cfg, _field(cfg), n_default=65)
+    return q, f_frames, decreasing_chain(
+        assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
+        n_theta=cfg.grid.theta_nodes, delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
 
 
 def _cmd_chain(cfg, out, summary):
@@ -133,8 +134,11 @@ def _cmd_range(cfg, out, summary):
     return rep.classification in ("plane", "disk")
 
 
+# the finite-difference dilatation differentiates across time rows
+_FEW_CHECKPOINTS = "the dilatation estimate needs at least 3 checkpoints"
+
+
 def _cmd_extend(cfg, out, summary):
-    fld = _field(cfg)
     if _is_degenerate(cfg):
         summary["metrics"]["degenerate"] = True
         summary["metrics"]["reason"] = (
@@ -142,12 +146,12 @@ def _cmd_extend(cfg, out, summary):
             "the welding is conformal and there is nothing to extend")
         summary["warnings"].append("extension construction skipped (T = 0 data)")
         return True
-    q = cfg.q_or_default()
-    grid = criteria_grid(n_angles=64)
-    pair_rep = check_pair(cfg.p, q, grid, _check_times(cfg), cfg.criteria.k,
-                          tol=cfg.criteria.tol_criterion)
-    f_frames = _build_frames(cfg, fld, n_default=65)
-    g_frames = _build_g_frames(cfg, q)
+    if cfg.time.checkpoint_array(65).size < 3:
+        summary["warnings"].append(_FEW_CHECKPOINTS)
+        return False
+    q, f_frames, g_frames = _welding_frames(cfg)
+    pair_rep = check_pair(cfg.p, q, criteria_grid(n_angles=64), _check_times(cfg),
+                          cfg.criteria.k, tol=cfg.criteria.tol_criterion)
     if cfg.tau.breakpoints:
         summary["warnings"].append(
             "step tau: formula-side dilatation evaluated piecewise per "
@@ -187,13 +191,14 @@ def _cmd_becker(cfg, out, summary):
     if not cfg.tau.is_constant(0.0):
         summary["warnings"].append("the radial extension needs tau identically 0")
         return False
-    if cfg.time.checkpoint_array(65)[0] != 0.0:
+    cps = cfg.time.checkpoint_array(65)
+    if cps[0] != 0.0:
         summary["warnings"].append("the radial extension needs a checkpoint at t = 0")
         return False
-    fld = _field(cfg)
-    f_frames = _build_frames(cfg, fld, n_default=65)
-    q = cfg.q_or_default()
-    g_frames = _build_g_frames(cfg, q)
+    if cps.size < 3:
+        summary["warnings"].append(_FEW_CHECKPOINTS)
+        return False
+    q, f_frames, g_frames = _welding_frames(cfg)
     ext, rep = becker_dilatation(f_frames, g_frames, cfg.p, q, cfg.criteria.k,
                                  cfg.criteria.tol_dilat)
     if cfg.outputs.csv:
@@ -243,19 +248,15 @@ def _cmd_check(cfg, out, summary):
 
 
 def _cmd_approx(cfg, out, summary):
-    rand = random_deviation_check(10_000, seed=cfg.rng_seed)
-    grid = criteria_grid(n_angles=32)
-    times = _check_times(cfg)
-    levels = [int(n) for n in cfg.approx_levels]
-    tau_last, _ = step_approximate(cfg.tau, levels[-1], cfg.approx_horizon)
-    dev = field_deviation(cfg.p, cfg.tau, tau_last, grid, times)
-    seeds = cfg.grid.seed_grid()
-    ef = ef_convergence(cfg.p, cfg.tau, levels, seeds, 0.0, cfg.time.t_end,
-                        tol=cfg.time.tol, horizon=cfg.approx_horizon)
     cps = cfg.time.checkpoint_array()
-    chain = chain_convergence(cfg.p, cfg.tau, levels, seeds, cps[cps > 0],
-                              tol=cfg.time.tol, horizon=cfg.approx_horizon)
-    table = merge_tables(ef, chain)
+    cps = cps[cps > 0]
+    if cps.size == 0:
+        summary["warnings"].append("the convergence study needs a checkpoint t > 0")
+        return False
+    rand = random_deviation_check(10_000, seed=cfg.rng_seed)
+    table = convergence_table(cfg.p, cfg.tau, cfg.approx_levels, cfg.grid.seed_grid(), cps,
+                              tol=cfg.time.tol, horizon=cfg.approx_horizon,
+                              t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
     if cfg.outputs.csv:
         rows = [[r.n, r.deviation, r.ef_error, r.chain_error, r.envelope, r.runtime_ms]
                 for r in table.rows]
@@ -265,17 +266,15 @@ def _cmd_approx(cfg, out, summary):
     summary["metrics"].update({
         "deviation_random_passed": rand.passed,
         "deviation_worst_ratio": rand.worst_ratio,
-        "deviation_grid_passed": dev.passed,
-        "ef_strictly_decreasing": ef.strictly_decreasing,
-        "chain_strictly_decreasing": chain.strictly_decreasing,
+        "deviation_grid_passed": table.deviation_grid_passed,
+        "ef_strictly_decreasing": table.ef_strictly_decreasing,
+        "chain_strictly_decreasing": table.chain_strictly_decreasing,
         "ef_final_error": table.rows[-1].ef_error,
         "chain_final_error": table.rows[-1].chain_error,
         "fitted_order": table.fitted_order,
     })
     summary["warnings"].extend(table.warnings)
-    env_ok = all(r.ef_error <= r.envelope + 10.0 * cfg.time.tol for r in table.rows
-                 if np.isfinite(r.ef_error) and np.isfinite(r.envelope))
-    return rand.passed and dev.passed and env_ok
+    return rand.passed and table.deviation_grid_passed and table.under_envelope
 
 
 _COMMANDS = {

@@ -325,6 +325,8 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
     if not levels or any(n < 1 or n != int(n) for n in levels):
         errors.append("approx_levels must be positive integers")
         levels = default_levels
+    elif any(b <= a for a, b in zip(levels, levels[1:])):
+        errors.append("approx_levels must be strictly increasing")
     horizon = _real(doc.get("approx_horizon", 4.0), "approx_horizon", errors, 4.0)
     if horizon <= 0:
         errors.append("approx_horizon must be positive")

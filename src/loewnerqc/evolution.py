@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import DELTA_GUARD, SeedGrid, hyperbolic_distance, time_row
+from .grids import DELTA_GUARD, SeedGrid, hyperbolic_distance, past_guard, time_row
 from .herglotz import VectorFieldHandle
 
 # Dormand-Prince 5(4) tableau (complex dtype keeps the stage products in BLAS).
@@ -237,7 +237,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
     if t_end < s:
         raise ValueError(f"t_end = {t_end} < s = {s}")
     pts = _as_seed_array(seeds)
-    if np.any(np.abs(pts) >= 1.0 - DELTA_GUARD + 1e-15):
+    if np.any(past_guard(pts)):
         raise ValueError("seed modulus reaches the boundary guard")
     rec = np.unique(np.concatenate(
         [[s, t_end], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
@@ -263,7 +263,7 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
     if t < 0:
         raise ValueError(f"t = {t} < 0")
     pts = _as_seed_array(seeds)
-    if np.any(np.abs(pts) >= 1.0 - DELTA_GUARD + 1e-15):
+    if np.any(past_guard(pts)):
         raise ValueError("seed modulus reaches the boundary guard")
     rec_s = np.unique(np.concatenate(
         [[0.0, t], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))

@@ -13,9 +13,18 @@ DELTA_GUARD = 1e-6
 CRITERIA_RADII = tuple(np.round(np.arange(0.10, 0.951, 0.05), 2)) + (0.99,)
 
 
+def past_guard(points) -> np.ndarray:
+    """Mask of the points at or past the boundary guard, the one seed admission rule.
+
+    The 1e-15 slack admits points placed on the guard circle, whose moduli
+    can round a few ulps past 1 - DELTA_GUARD.
+    """
+    return np.abs(points) >= 1.0 - DELTA_GUARD + 1e-15
+
+
 @dataclass
 class SeedGrid:
-    """Interior sample points, strictly inside the boundary guard.
+    """Interior sample points, inside the boundary guard (see ``past_guard``).
 
     Points from :func:`circle_grid` are ordered circle-major.
     """
@@ -24,9 +33,9 @@ class SeedGrid:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
-        if np.any(np.abs(self.points) > 1.0 - DELTA_GUARD):
+        if np.any(past_guard(self.points)):
             bad = np.abs(self.points).max()
-            raise ValueError(f"seed modulus {bad} exceeds guard {1.0 - DELTA_GUARD}")
+            raise ValueError(f"seed modulus {bad} reaches the boundary guard")
 
     def __len__(self) -> int:
         return self.points.size

@@ -16,8 +16,7 @@ from loewnerqc.herglotz import (HerglotzSpec, DenjoyWolffSpec, assemble_field,
 from loewnerqc.evolution import solve_forward, verify_semigroup, derivative_at_origin
 from loewnerqc import chains
 from loewnerqc.extension import becker_extension, beltrami_formula
-from loewnerqc.approx import (random_deviation_check, ef_convergence,
-                              chain_convergence)
+from loewnerqc.approx import random_deviation_check, convergence_table
 from loewnerqc.scenarios import builtin_scenario, scenario_names
 from loewnerqc.cli import run_pipeline
 
@@ -142,13 +141,12 @@ def test_criterion_07_approximation_lemma():
     tau = DenjoyWolffSpec.sampled(lambda t: t / (1 + t))
     grid = circle_grid((0.3, 0.6), 8)
     levels = [4, 8, 16, 32]
-    ef = ef_convergence(ONE, tau, levels, grid, 0.0, 2.0)
-    chain = chain_convergence(ONE, tau, levels, grid, [0.5, 1.0, 1.5, 2.0])
+    tab = convergence_table(ONE, tau, levels, grid, [0.5, 1.0, 1.5, 2.0])
     elapsed = time.perf_counter() - t0
-    ef_errs = ef.column("ef_error")
-    ch_errs = chain.column("chain_error")
-    env_ok = all(r.ef_error <= r.envelope for r in ef.rows)
-    ok = (ef.strictly_decreasing and chain.strictly_decreasing
+    ef_errs = tab.column("ef_error")
+    ch_errs = tab.column("chain_error")
+    env_ok = all(r.ef_error <= r.envelope for r in tab.rows)
+    ok = (tab.ef_strictly_decreasing and tab.chain_strictly_decreasing
           and ef_errs[-1] <= 1e-3 and np.isfinite(ch_errs).all()
           and ch_errs[-1] <= 1e-3 and env_ok and elapsed < 60.0)
     _report(7, "approximation lemma experiment", ok,

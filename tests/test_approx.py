@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from loewnerqc.grids import circle_grid, criteria_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec
 from loewnerqc.approx import (step_approximate, field_deviation, random_deviation_check,
-                              gronwall_envelope, ef_convergence, chain_convergence,
-                              merge_tables, _deviation_arrays)
+                              gronwall_envelope, convergence_table, _deviation_arrays)
 
 ONE = HerglotzSpec.constant(1)
 TAU_MEASURABLE = DenjoyWolffSpec.sampled(lambda t: t / (1 + t))
@@ -83,40 +82,33 @@ def test_gronwall_linear_h():
     assert env[0] == pytest.approx(np.e - 1.0, abs=1e-7)
 
 
-def test_ef_convergence_constant_tau_is_noise():
+def test_convergence_table_constant_tau_is_noise():
     grid = circle_grid((0.3, 0.6), 4)
-    tab = ef_convergence(ONE, DenjoyWolffSpec.constant(0.3), [2, 4], grid, 0.0, 1.0)
+    tab = convergence_table(ONE, DenjoyWolffSpec.constant(0.3), [2, 4], grid, [0.5, 1.0])
     assert all(r.ef_error <= 1e-8 for r in tab.rows)
     assert all(r.deviation == 0.0 for r in tab.rows)
 
 
 def test_ef_convergence_measurable_tau():
     grid = circle_grid((0.3, 0.6), 8)
-    tab = ef_convergence(ONE, TAU_MEASURABLE, [4, 8, 16, 32], grid, 0.0, 2.0)
+    tab = convergence_table(ONE, TAU_MEASURABLE, [4, 8, 16, 32], grid,
+                            [0.5, 1.0, 1.5, 2.0])
+    assert [r.n for r in tab.rows] == [4, 8, 16, 32]
+    assert tab.deviation_grid_passed
     errs = tab.column("ef_error")
-    assert tab.strictly_decreasing
+    assert tab.ef_strictly_decreasing
     assert errs[-1] <= 1e-3
     assert all(r.ef_error <= r.envelope + 1e-8 for r in tab.rows)
 
 
 def test_chain_convergence_measurable_tau():
     grid = circle_grid((0.3, 0.6), 8)
-    tab = chain_convergence(ONE, TAU_MEASURABLE, [4, 8, 16, 32], grid,
+    tab = convergence_table(ONE, TAU_MEASURABLE, [4, 8, 16, 32], grid,
                             [0.5, 1.0, 1.5, 2.0])
     errs = tab.column("chain_error")
-    assert tab.strictly_decreasing
+    assert tab.chain_strictly_decreasing
     assert np.isfinite(errs).all()
     assert errs[-1] <= 1e-3
-
-
-def test_merge_tables_joins_by_level():
-    grid = circle_grid((0.3, 0.6), 4)
-    ef = ef_convergence(ONE, TAU_MEASURABLE, [4, 8], grid, 0.0, 1.0)
-    ch = chain_convergence(ONE, TAU_MEASURABLE, [4, 8], grid, [0.5, 1.0])
-    merged = merge_tables(ef, ch)
-    assert [r.n for r in merged.rows] == [4, 8]
-    assert np.isfinite(merged.rows[0].ef_error)
-    assert np.isfinite(merged.rows[0].chain_error)
 
 
 def test_step_tail_forwards_the_tail_spec():
@@ -140,23 +132,23 @@ def test_step_tail_forwards_the_tail_spec():
     assert spec.frozen_on(4.0, 5.0) == 0.6j and spec.frozen_on(5.0, 6.0) == 0.2
 
 
-def test_chain_convergence_excludes_integration_noise():
+def test_convergence_table_excludes_chain_integration_noise():
     # step approximants that reproduce a step tau exactly differ from it
     # only by integration noise: every level sits at the floor
     step = DenjoyWolffSpec.step([1.0], [0.3, 0.6j])
     grid = circle_grid((0.3, 0.6), 4)
-    tab = chain_convergence(ONE, step, [4, 8], grid, [0.5, 1.0, 2.0], horizon=4.0)
+    tab = convergence_table(ONE, step, [4, 8], grid, [0.5, 1.0, 2.0], horizon=4.0)
     assert np.isnan(tab.column("chain_error")).all()
     assert all("noise floor" in w for w in tab.warnings[:2])
 
 
-def test_chain_convergence_measurable_table():
+def test_convergence_table_measurable_table():
     # the config-built table takes the exact tail: its levels stay above the
     # floor and strictly decreasing
     tau = DenjoyWolffSpec.from_time_table([t / 8.0 for t in range(64)],
                                           [(t / 8.0) / (1.0 + t / 8.0) for t in range(64)])
     grid = circle_grid((0.3, 0.6), 8)
-    tab = chain_convergence(ONE, tau, [4, 8, 16, 32], grid, [0.5, 1.0, 1.5, 2.0])
+    tab = convergence_table(ONE, tau, [4, 8, 16, 32], grid, [0.5, 1.0, 1.5, 2.0])
     errs = tab.column("chain_error")
-    assert tab.strictly_decreasing and np.isfinite(errs).all()
+    assert tab.chain_strictly_decreasing and np.isfinite(errs).all()
     assert 1e-5 < errs[-1] < 1e-2

@@ -57,6 +57,7 @@ def test_errors_are_aggregated_not_fail_fast():
     ({"approx_horizon": 0}, "approx_horizon"),
     ({"grid": {"circles": [0.9999999]}}, "grid.circles"),
     ({"grid": {"delta_trace": 1e-7}}, "grid.delta_trace"),
+    ({"approx_levels": [8, 4]}, "approx_levels"),
 ])
 def test_malformed_values_are_collected(doc, path):
     cfg, errors = validate_config(doc)
@@ -154,6 +155,20 @@ def test_becker_refuses_checkpoints_without_t0(tmp_path):
     code, summary = run_pipeline(cfg, "becker", tmp_path)
     assert code == 1 and not summary["pass"]
     assert summary["warnings"] == ["the radial extension needs a checkpoint at t = 0"]
+
+
+@pytest.mark.parametrize("name, command, checkpoints, warning", [
+    ("exponential", "approx", [0.0], "the convergence study needs a checkpoint t > 0"),
+    ("exponential", "extend", [0.0, 0.5],
+     "the dilatation estimate needs at least 3 checkpoints"),
+    ("becker", "becker", [0.0, 0.5], "the dilatation estimate needs at least 3 checkpoints"),
+])
+def test_too_few_checkpoints_are_refused(tmp_path, name, command, checkpoints, warning):
+    cfg = builtin_scenario(name)
+    cfg.time.checkpoints = checkpoints
+    code, summary = run_pipeline(cfg, command, tmp_path)
+    assert code == 1 and not summary["pass"]
+    assert summary["warnings"] == [warning]
 
 
 def test_run_pipeline_evolve_artifacts(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loewnerqc.grids import circle_grid, hyperbolic_distance
+from loewnerqc.grids import DELTA_GUARD, SeedGrid, circle_grid, hyperbolic_distance
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc.evolution import (solve_forward, solve_reverse, verify_semigroup,
                                  schwarz_pick_check, derivative_at_origin)
@@ -166,6 +166,19 @@ def test_boundary_guard_truncates_honestly():
     assert tr.truncated[0]
     assert np.isnan(tr.at(4.0)[0].real)
     assert np.isfinite(tr.truncation_time[0])
+
+
+def test_seed_grid_and_solvers_share_the_boundary_guard():
+    # a circle placed on the guard rounds a few ulps past it: the grid and
+    # both solvers admit it, and all three refuse a point just outside
+    on = circle_grid((1.0 - DELTA_GUARD,), 8)
+    assert solve_forward(EXP, 0.0, 0.5, on).live().all()
+    solve_reverse(EXP, 0.5, on)
+    out = np.array([1.0 - DELTA_GUARD + 1e-14 + 0j])
+    for build in (SeedGrid, lambda z: solve_forward(EXP, 0.0, 0.5, z),
+                  lambda z: solve_reverse(EXP, 0.5, z)):
+        with pytest.raises(ValueError, match="boundary guard"):
+            build(out)
 
 
 def test_seed_on_a_pole_is_truncated_alone():

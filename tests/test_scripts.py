@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ import and run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,3 +28,13 @@ def test_becker_dilatation_study_small_grid():
     assert np.isfinite([mu_f, mu_fd, agree, secs]).all()
     # |mu| = k |zeta| on the trace ring |zeta| = 1 - 1e-3
     assert mu_f == pytest.approx(0.4995, abs=1e-12)
+
+
+def test_approximation_table_writes_one_row_per_level(tmp_path, monkeypatch):
+    out = tmp_path / "table.csv"
+    monkeypatch.setattr(sys, "argv", ["approximation_table.py", "--levels", "2", "4",
+                                      "--out", str(out)])
+    _load("approximation_table").main()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "level_n,deviation,ef_error,chain_error,gronwall_envelope,runtime_ms"
+    assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
