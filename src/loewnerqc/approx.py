@@ -84,18 +84,13 @@ def _deviation_report(measured, bound) -> DeviationReport:
 def field_deviation(p: HerglotzSpec, tau: DenjoyWolffSpec, tau_n, grid, times) -> DeviationReport:
     """Measured |G - G_n| against the 4 |tau - tau_n| |p| bound, per sample.
 
-    The inequality is exact algebra; a violation beyond rounding is fatal
-    because it can only mean an implementation bug.
+    The inequality is exact algebra, so a report with violations beyond
+    rounding (``passed`` false) can only mean an implementation bug.
     """
     grid = np.asarray(grid, dtype=complex)
     pairs = [_deviation_arrays(grid, complex(tau.value(float(t))), complex(tau_n.value(float(t))),
                                p.evaluate(grid, float(t))) for t in np.asarray(times, dtype=float)]
-    rep = _deviation_report(*(np.concatenate(col) for col in zip(*pairs)))
-    if rep.n_violations:
-        raise RuntimeError(
-            f"deviation bound violated at {rep.n_violations} samples; this inequality "
-            "is exact algebra, so the field assembly is broken")
-    return rep
+    return _deviation_report(*(np.concatenate(col) for col in zip(*pairs)))
 
 
 def random_deviation_check(n_samples: int, seed: int) -> DeviationReport:
@@ -236,7 +231,13 @@ def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
     for n in levels:
         t0 = time.perf_counter()
         tau_n, dev = step_approximate(tau, int(n), horizon)
-        deviation_passed &= field_deviation(p, tau, tau_n, dev_grid, ef_times).passed
+        rep = field_deviation(p, tau, tau_n, dev_grid, ef_times)
+        if not rep.passed:
+            deviation_passed = False
+            warnings.append(
+                f"level {n}: deviation bound violated at {rep.n_violations} of "
+                f"{rep.n_samples} samples (worst ratio {rep.worst_ratio:.3g}); the "
+                "inequality is exact algebra, so the field assembly is broken")
         traj, fr = measure(assemble_field(p, tau_n))
         live = ef_ref.live() & traj.live()
         if not live.all():

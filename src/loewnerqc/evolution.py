@@ -12,7 +12,9 @@ The stepper is an embedded Dormand-Prince 5(4) pair with a shared
 adaptive step across all seeds of a batch (the error norm maxes over
 live seeds, so each seed still meets the tolerance), step boundaries
 aligned to the field's stops (the jumps of tau and the table nodes of
-the data), and honest truncation
+the data), first-same-as-last reuse of the accepted step's last stage
+kept apart from the trial buffer, so a rejected step restarts from the
+stored f(t, y), and honest truncation
 when a trajectory reaches the boundary guard or a point where the field
 is not finite.  Truncation is per seed: the healthy seeds of the batch go
 on.
@@ -198,7 +200,10 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
             if errmax <= 1.0 and not bad.any():
                 t = t + h
                 y = y_new
-                k1 = K[6]
+                # a copy, not a view: the next trial overwrites K[6] at its
+                # own end point, and a rejected trial must restart from
+                # f(t, y) of this accepted step
+                k1 = K[6].copy()
                 steps[active] += 1
                 hit = abs_new[0] >= 1.0 - DELTA_GUARD
                 if hit.any():

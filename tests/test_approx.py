@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loewnerqc import approx
+from loewnerqc.cli import run_pipeline
 from loewnerqc.grids import circle_grid, criteria_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec
 from loewnerqc.approx import (step_approximate, field_deviation, random_deviation_check,
                               gronwall_envelope, convergence_table, _deviation_arrays)
+from loewnerqc.scenarios import builtin_scenario
 
 ONE = HerglotzSpec.constant(1)
 TAU_MEASURABLE = DenjoyWolffSpec.sampled(lambda t: t / (1 + t))
@@ -48,6 +51,28 @@ def test_field_deviation_origin_example():
                           DenjoyWolffSpec.constant(0.4), np.array([0j]), [0.0])
     assert rep.max_measured == pytest.approx(0.1)
     assert rep.max_bound == pytest.approx(0.4)
+
+
+def test_deviation_violation_fails_approx_without_a_fatal_record(tmp_path, monkeypatch):
+    # a violated inequality is a verdict, not a crash: the metric reads
+    # false, the warning names the level and approx exits 1
+    exact_arrays = approx._deviation_arrays
+
+    def first_sample_over(*args):
+        measured, bound = exact_arrays(*args)
+        measured = measured.copy()
+        measured[0] = bound[0] + 1.0
+        return measured, bound
+
+    monkeypatch.setattr(approx, "_deviation_arrays", first_sample_over)
+    cfg = builtin_scenario("exponential")
+    code, summary = run_pipeline(cfg, "approx", tmp_path)
+    assert code == 1 and not summary["pass"]
+    assert summary["metrics"]["deviation_grid_passed"] is False
+    assert not any(w.startswith("fatal:") for w in summary["warnings"])
+    first = cfg.approx_levels[0]
+    assert any(w.startswith(f"level {first}: deviation bound violated at ")
+               for w in summary["warnings"])
 
 
 def test_random_deviation_ten_thousand_samples():

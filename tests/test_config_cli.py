@@ -269,3 +269,12 @@ def test_specs_declare_their_autonomy_time():
     assert opaque.t_aut is None
     assert assemble_field(opaque, DenjoyWolffSpec.constant(0)).t_aut is None
     assert assemble_field(cfg.p, DenjoyWolffSpec.sampled(lambda t: 0.1)).t_aut is None
+
+
+@pytest.mark.parametrize("name", ["measurable-tau", "step-tau"])
+def test_chain_transition_residual_is_tight(tmp_path, name):
+    # the transition check composes independent integrations, so its
+    # residual sits at the integrator's accuracy, far under tol_chain
+    code, summary = run_pipeline(builtin_scenario(name), "chain", tmp_path)
+    assert code == 0 and summary["pass"]
+    assert summary["metrics"]["transition_residual"] <= 5e-9

@@ -249,3 +249,20 @@ def test_table_nodes_are_integration_stops():
     got = solve_forward(fld, 0.0, end, np.zeros(1, complex), tol=1e-9)
     ref = solve_forward(fld, 0.0, end, np.zeros(1, complex), tol=1e-12)
     assert abs(got.at(end)[0] - ref.at(end)[0]) < 1e-10
+
+
+def test_rejected_step_restarts_from_the_accepted_stage():
+    # the chordal frame points reach |z| = 0.999 on the trace ring, where
+    # the tolerance rejects steps; each retry must restart from f(t, y) of
+    # the last accepted step, not from the rejected trial's last stage,
+    # or the controller rejects in cascades and accepts a step built on
+    # the wrong first stage
+    from loewnerqc.chains import _frame_points
+    from loewnerqc.scenarios import builtin_scenario
+
+    pts = _frame_points(builtin_scenario("chordal").grid.seed_grid(), 256, 1e-3)
+    tr = solve_forward(CHORDAL, 0.0, 0.5, pts, tol=1e-9, atol=1e-300)
+    assert tr.live().all()
+    exact = 1 - 1 / (1 / (1 - pts) + 0.5)
+    assert np.max(np.abs(tr.at(0.5) - exact) / np.abs(exact)) <= 1e-6
+    assert tr.steps_rejected <= 10
