@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Grid-refinement study of the two Beltrami estimators on the radial extension.
 
-For p = (1+kz)/(1-kz) the pair formula gives |mu| = k|zeta| exactly, so the
-finite-difference estimator's distance from it measures pure discretization
-error; it should shrink at first order or better under (t, theta) doubling.
+For p = (1+kz)/(1-kz) the radial formula e^{2i theta}(p - 1)/(p + 1) gives
+|mu| = k|zeta| exactly, so the finite-difference estimator's distance from
+it measures pure discretization error; it should shrink at first order or
+better under (t, theta) doubling.  Only the range-normalized chain of p is
+built: the radial extension needs no second chain.
 
 Usage: python scripts/becker_dilatation_study.py [--k 0.5] [--out becker_study.csv]
 """
@@ -26,15 +28,12 @@ from loewnerqc.artifacts import write_table_csv
 
 def study(k: float, n_cells: int, n_theta: int):
     p = HerglotzSpec.rational([1, k], [1, -k])
-    one = HerglotzSpec.constant(1)
     fld = assemble_field(p, DenjoyWolffSpec.constant(0))
-    g_fld = assemble_field(one, DenjoyWolffSpec.constant(0))
     grid = circle_grid((0.3, 0.6), 8)
     cps = np.linspace(0.0, 0.64, n_cells + 1)
     t0 = time.perf_counter()
     ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta)
-    gf = chains.decreasing_chain(g_fld, cps, grid, n_theta=n_theta)
-    _, rep = becker_dilatation(ff, gf, p, one, k)
+    _, rep = becker_dilatation(ff, p, k)
     return rep.max_mu_formula, rep.max_mu_fd, rep.agreement, time.perf_counter() - t0
 
 

@@ -754,7 +754,7 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
     for s, t in pairs:
         i, j = frames.row(s), frames.row(t)
         stored = np.append(frames.values[i], frames.origin_values[i])
-        traj = solve_forward(field, float(s), float(t), pts, tol=tol)
+        traj = solve_forward(field, float(s), float(t), pts, tol=tol, atol=_ATOL_FLOOR)
         img = traj.at(float(t))
         valid = np.append(frames.grid_valid[i], np.isfinite(stored[-1]))
         ok = traj.live() & valid & np.isfinite(img)

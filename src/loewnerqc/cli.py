@@ -72,15 +72,6 @@ def _build_frames(cfg, fld, n_default: int = 9):
         t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
 
 
-def _welding_frames(cfg):
-    """q and the f- and g-frames of the welding, on its 65-row default checkpoints."""
-    q = cfg.q_or_default()
-    f_frames = _build_frames(cfg, _field(cfg), n_default=65)
-    return q, f_frames, decreasing_chain(
-        assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
-        n_theta=cfg.grid.theta_nodes, delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
-
-
 def _cmd_chain(cfg, out, summary):
     fld = _field(cfg)
     frames = _build_frames(cfg, fld)
@@ -149,7 +140,11 @@ def _cmd_extend(cfg, out, summary):
     if cfg.time.checkpoint_array(65).size < 3:
         summary["warnings"].append(_FEW_CHECKPOINTS)
         return False
-    q, f_frames, g_frames = _welding_frames(cfg)
+    q = cfg.q_or_default()
+    f_frames = _build_frames(cfg, _field(cfg), n_default=65)
+    g_frames = decreasing_chain(
+        assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
+        n_theta=cfg.grid.theta_nodes, delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
     pair_rep = check_pair(cfg.p, q, criteria_grid(n_angles=64), _check_times(cfg),
                           cfg.criteria.k, tol=cfg.criteria.tol_criterion)
     if cfg.tau.breakpoints:
@@ -179,7 +174,7 @@ def _cmd_extend(cfg, out, summary):
         "mu_agreement": rep.agreement,
         "sense_preserving": rep.sense_preserving,
         "min_source_separation": atlas.min_separation,
-        "coverage_fraction": atlas.coverage.unmasked_fraction,
+        "coverage_fraction": atlas.coverage,
         "containment_violations": cont.violations,
         "lambda_diameter": cont.lambda_diameter,
     })
@@ -198,9 +193,8 @@ def _cmd_becker(cfg, out, summary):
     if cps.size < 3:
         summary["warnings"].append(_FEW_CHECKPOINTS)
         return False
-    q, f_frames, g_frames = _welding_frames(cfg)
-    ext, rep = becker_dilatation(f_frames, g_frames, cfg.p, q, cfg.criteria.k,
-                                 cfg.criteria.tol_dilat)
+    f_frames = _build_frames(cfg, _field(cfg), n_default=65)
+    ext, rep = becker_dilatation(f_frames, cfg.p, cfg.criteria.k, cfg.criteria.tol_dilat)
     if cfg.outputs.csv:
         rows = []
         for i, r in enumerate(ext.r):
@@ -214,7 +208,7 @@ def _cmd_becker(cfg, out, summary):
         "max_mu_fd": rep.max_mu_fd,
         "mu_agreement": rep.agreement,
         "continuity_mismatch": ext.continuity_mismatch,
-        "r_max": ext.r_max,
+        "r_max": float(ext.r[-1]),
     })
     summary["warnings"].extend(f_frames.warnings)
     return rep.passed
@@ -327,6 +321,9 @@ def main(argv=None) -> int:
         sp.add_argument("--k", type=float, default=None, help="criterion k override")
     args = parser.parse_args(argv)
 
+    if args.k is not None and not 0.0 <= args.k < 1.0:
+        print("config error: criteria.k must lie in [0,1)", file=sys.stderr)
+        return 2
     try:
         if args.config:
             cfg = parse_config(args.config)
@@ -347,9 +344,6 @@ def main(argv=None) -> int:
             return 2
         cfg.time.tol = args.tol
     if args.k is not None:
-        if not 0.0 <= args.k < 1.0:
-            print("config error: criteria.k must lie in [0,1)", file=sys.stderr)
-            return 2
         cfg.criteria.k = args.k
 
     code, summary = run_pipeline(cfg, args.command, args.out)

@@ -310,8 +310,9 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
             errors.append(f"criteria.{name_} must be a positive number")
         setattr(cc, name_, v)
     cc.t_inf = _real(cd.get("t_inf", cc.t_inf), "criteria.t_inf", errors, cc.t_inf)
-    if cc.t_inf < 1:
-        errors.append("criteria.t_inf must be >= 1")
+    # beta_limit extrapolates over at least two doubling horizons
+    if cc.t_inf < 2:
+        errors.append("criteria.t_inf must be >= 2")
 
     oc = OutputConfig()
     od = _section(doc, "outputs", errors)

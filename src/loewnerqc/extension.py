@@ -10,6 +10,10 @@ Two independent Beltrami estimators certify this numerically: the closed
 formula built from (p, q, tau), and Wirtinger derivatives recovered by
 least-squares fits of Phi on local atlas stencils.  The two never share
 ingredients, so their agreement is evidence rather than tautology.
+
+Becker's radial case (tau = 0) needs no second chain: the extension
+F(r e^{i theta}) = f_{log r}(e^{i theta}) has the closed Beltrami
+coefficient e^{2i theta} (p - 1)/(p + 1), which depends on p alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .grids import nonuniform_centered, periodic_centered
 from .herglotz import HerglotzSpec, DenjoyWolffSpec
-from .chains import ChainFrames, limit_frame
+from .chains import ChainFrames
 
 TOL_DILAT = 0.02
 FORMULA_DENOM_FLOOR = 1e-12
@@ -275,13 +279,6 @@ def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None
 
 
 @dataclass
-class Coverage:
-    unmasked_fraction: float
-    radial_span: tuple[float, float]
-    annulus_fraction: float
-
-
-@dataclass
 class ExtensionAtlas:
     """Welding samples (source, target) with both Beltrami estimates."""
 
@@ -298,7 +295,7 @@ class ExtensionAtlas:
     min_separation: float
     sep_threshold: float
     n_collisions: int
-    coverage: Coverage
+    coverage: float           # unmasked fraction of the atlas cells
     warnings: list[str] = field(default_factory=list)
 
 
@@ -313,23 +310,6 @@ def _injectivity_witness(points: np.ndarray):
     scale = float(np.median(np.abs(points)))
     threshold = 1e-6 * max(1.0, scale)
     return float(nn.min()), threshold, int(np.count_nonzero(nn < threshold))
-
-
-def _coverage(source: np.ndarray, valid: np.ndarray) -> Coverage:
-    pts = source[valid]
-    if pts.size == 0:
-        return Coverage(0.0, (np.nan, np.nan), 0.0)
-    r = np.abs(pts)
-    rmin, rmax = float(r.min()), float(r.max())
-    frac = float(np.count_nonzero(valid)) / valid.size
-    if rmax <= rmin * (1 + 1e-12):
-        return Coverage(frac, (rmin, rmax), 1.0)
-    nr, na = 24, 48
-    ri = np.clip(((np.log(r) - np.log(rmin)) / (np.log(rmax) - np.log(rmin)) * nr).astype(int), 0, nr - 1)
-    ai = ((np.angle(pts) + np.pi) / (2 * np.pi) * na).astype(int) % na
-    hit = np.zeros((nr, na), bool)
-    hit[ri, ai] = True
-    return Coverage(frac, (rmin, rmax), float(hit.mean()))
 
 
 def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
@@ -395,7 +375,7 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
                            np.where(valid, fs.mu_pair, np.nan + 0j),
                            fs.valid, mu_fd, fd_ok, valid,
                            min_sep, threshold, collisions,
-                           _coverage(source, valid), warnings)
+                           float(np.count_nonzero(valid)) / valid.size, warnings)
     return atlas
 
 
@@ -410,7 +390,6 @@ class BeckerExtension:
     mu_fd: np.ndarray
     fd_valid: np.ndarray
     continuity_mismatch: float
-    r_max: float
 
 
 def _polar_mu(values: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -428,36 +407,21 @@ def _polar_mu(values: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarra
         return e2 * num / den
 
 
-def becker_extension(frames: ChainFrames, r_grid=None) -> BeckerExtension:
+def becker_extension(frames: ChainFrames) -> BeckerExtension:
     """Sample the radial extension of f_0 from range-normalized frames.
 
-    Between checkpoints the trace is interpolated linearly in t = log r.
-    The Wirtinger quotient mu_fd comes from polar centered differences of
-    the samples, an estimator fully independent of the Herglotz data.
-    ``continuity_mismatch`` = (delta / 2) max |f_0'| on the trace ring,
-    delta = 1 - trace_radius: to first order in delta the distance between
-    f_0 on the ring and on the ring at half the offset, the gap the
-    trace leaves across |z| = 1.
+    The samples sit at r = e^{t} on the checkpoints, so they are the stored
+    traces themselves.  The Wirtinger quotient mu_fd comes from polar
+    centered differences of the samples, an estimator fully independent of
+    the Herglotz data.  ``continuity_mismatch`` = (delta / 2) max |f_0'| on
+    the trace ring, delta = 1 - trace_radius: to first order in delta the
+    distance between f_0 on the ring and on the ring at half the offset,
+    the gap the trace leaves across |z| = 1.
     """
     if frames.tag != "range-normalized":
         raise ValueError("radial extension needs range-normalized frames")
-    cps = frames.checkpoints
-    r_max = float(np.exp(cps[-1]))
-    if r_grid is None:
-        r = np.exp(cps)
-    else:
-        r = np.asarray(r_grid, dtype=float)
-        if np.any(r < 1.0):
-            raise ValueError("the radial extension lives on r >= 1")
-        if np.any(np.log(r) > cps[-1] + 1e-12):
-            raise ValueError(f"requested r beyond horizon; achievable r_max = {r_max}")
-
-    logr = np.log(r)
-    idx = np.clip(np.searchsorted(cps, logr, side="right") - 1, 0, cps.size - 2)
-    lam = (logr - cps[idx]) / (cps[idx + 1] - cps[idx])
-    lam = np.clip(lam, 0.0, 1.0)[:, None]
-    values = (1.0 - lam) * frames.traces[idx] + lam * frames.traces[idx + 1]
-    valid = frames.trace_valid[idx] & frames.trace_valid[idx + 1]
+    r = np.exp(frames.checkpoints)
+    values, valid = frames.traces, frames.trace_valid
 
     delta = 1.0 - frames.trace_radius
     mismatch = float(0.5 * delta * np.nanmax(np.abs(frames.trace_derivs[frames.row(0.0)])))
@@ -470,7 +434,7 @@ def becker_extension(frames: ChainFrames, r_grid=None) -> BeckerExtension:
         fd_ok[inner] = valid[inner] & np.isfinite(mu_fd[inner])
         mu_fd[~fd_ok] = np.nan + 0j
 
-    return BeckerExtension(r, frames.theta, values, valid, mu_fd, fd_ok, mismatch, r_max)
+    return BeckerExtension(r, frames.theta, values, valid, mu_fd, fd_ok, mismatch)
 
 
 @dataclass
@@ -515,38 +479,26 @@ def dilatation_report(atlas: ExtensionAtlas, k: float,
                        k, tol_dilat, formula_withheld=not atlas.formula_valid.any())
 
 
-def becker_dilatation(f_frames: ChainFrames, g_frames: ChainFrames,
-                      p: HerglotzSpec, q: HerglotzSpec, k: float,
+def becker_dilatation(f_frames: ChainFrames, p: HerglotzSpec, k: float,
                       tol_dilat: float = TOL_DILAT):
     """Radial extension of f_0 (tau = 0) and its dilatation verdict.
 
-    The formula side pairs p with q on the g-chain traces; the
+    The formula side is mu = e^{2i theta} (p - 1)/(p + 1) at
+    zeta = trace_radius e^{i theta} on every checkpoint: with
+    F(e^{t + i theta}) = f_t(e^{i theta}) and d_t f = z f' p, the Wirtinger
+    derivatives in w = log z are z f' (p + 1)/2 and z f' (p - 1)/2, and
+    z = e^w adds the phase z / conj(z).  |mu| is read from the bare ratio,
+    which the unimodular phase leaves unchanged.  Cells where |p + 1| falls
+    below FORMULA_DENOM_FLOOR or mu is not finite are masked.  The
     finite-difference side is the radial extension's own estimator.
     Returns (BeckerExtension, DilatationReport).
     """
     ext = becker_extension(f_frames)
-    fs = beltrami_formula(p, q, 0.0, f_frames.checkpoints, f_frames.theta,
-                          f_frames.trace_radius, g_frames.traces,
-                          g_frames.trace_valid, g_frames.trace_derivs)
-    return ext, _dilatation(fs.mu_pair, fs.mu, fs.valid, ext.mu_fd, ext.fd_valid,
-                            ext.valid, k, tol_dilat)
-
-
-def interior_dilatation(field, radii=None, n_theta: int = 128, tol: float = 1e-9,
-                        t_inf: float = 64.0) -> float:
-    """max |mu_fd| of f_0 sampled on an interior polar grid.
-
-    Phi equals f_0 inside the disk, so this must vanish up to
-    discretization; it is the conformal-inside counterpart of the atlas
-    estimates.
-    """
-    if radii is None:
-        radii = np.linspace(0.15, 0.85, 15)
-    radii = np.asarray(radii, dtype=float)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    pts = radii[:, None] * np.exp(1j * theta)[None, :]
-    res = limit_frame(field, 0.0, pts.ravel(), tol, t_inf)
-    mu = _polar_mu(res.values.reshape(pts.shape), radii, theta)
-    inner = np.abs(mu[1:-1])
-    inner = inner[np.isfinite(inner)]
-    return float(inner.max()) if inner.size else np.nan
+    zeta = f_frames.trace_radius * np.exp(1j * f_frames.theta)
+    pv = np.stack([p.evaluate(zeta, float(t)) for t in f_frames.checkpoints])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (pv - 1.0) / (pv + 1.0)
+    ok = (np.abs(pv + 1.0) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)
+    ratio = np.where(ok, ratio, np.nan + 0j)
+    mu = np.exp(2j * f_frames.theta) * ratio
+    return ext, _dilatation(ratio, mu, ok, ext.mu_fd, ext.fd_valid, ext.valid, k, tol_dilat)

@@ -159,6 +159,19 @@ def test_chain_growth_with_interior_normalization():
     assert abs(fr.origin_derivs[1] - np.exp(1.0)) < 1e-6
 
 
+def test_rotation_chain_with_interior_tau_is_the_scaling_limit():
+    # p = i, tau interior: Re lambda = 0, so no exact tail, and the scaling
+    # limit gives f_0 = z.  The Mobius Koenigs form z / (1 - conj(tau) z)
+    # also solves f_s = f_t o phi_{s,t}: a disk-range chain is not unique
+    tau = 0.3 + 0.2j
+    fld = assemble_field(HerglotzSpec.constant(1j), DenjoyWolffSpec.constant(tau))
+    assert chains._autonomous_tail(fld) is None
+    res = chains.limit_frame(fld, 0.0, GRID.points)
+    assert np.abs(res.values - GRID.points).max() <= 1e-9
+    koenigs = GRID.points / (1.0 - np.conj(tau) * GRID.points)
+    assert np.abs(koenigs - GRID.points).max() > 0.1
+
+
 def test_beta_limit_exponential_plane():
     rep = chains.beta_limit(EXP)
     assert rep.classification == "plane"
