@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec
 from loewnerqc.approx import convergence_table
-from loewnerqc.artifacts import write_table_csv
+from loewnerqc.artifacts import write_error_table_csv
 
 
 def main():
@@ -36,17 +36,13 @@ def main():
 
     print(f"{'n':>5} {'deviation':>12} {'ef_error':>12} {'chain_error':>12} "
           f"{'envelope':>12} {'ms':>8}")
-    rows = []
     for r in table.rows:
         print(f"{r.n:>5} {r.deviation:>12.4e} {r.ef_error:>12.4e} "
               f"{r.chain_error:>12.4e} {r.envelope:>12.4e} {r.runtime_ms:>8.0f}")
-        rows.append([r.n, r.deviation, r.ef_error, r.chain_error,
-                     r.envelope, r.runtime_ms])
     for w in table.warnings:
         print(f"warning: {w}")
     print(f"fitted order (error vs deviation): {table.fitted_order:.2f}")
-    write_table_csv(["level_n", "deviation", "ef_error", "chain_error",
-                     "gronwall_envelope", "runtime_ms"], rows, args.out)
+    write_error_table_csv(table, args.out)
     print(f"wrote {args.out}")
 
 

@@ -23,7 +23,7 @@ from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
 from loewnerqc.extension import becker_dilatation
-from loewnerqc.artifacts import write_table_csv
+from loewnerqc.artifacts import write_csv
 
 
 def study(k: float, n_cells: int, n_theta: int):
@@ -52,8 +52,9 @@ def main():
         rows.append([cells, ntheta, mu_f, mu_fd, agree, order, secs * 1e3])
         print(f"{cells:4d} x {ntheta:4d}: |mu_f| {mu_f:.5f}  |mu_fd| {mu_fd:.5f}  "
               f"agreement {agree:.2e}  order {order:5.2f}  ({secs:.1f}s)")
-    write_table_csv(["t_cells", "theta_nodes", "max_mu_formula", "max_mu_fd",
-                     "agreement", "order_vs_previous", "runtime_ms"], rows, args.out)
+    header = ["t_cells", "theta_nodes", "max_mu_formula", "max_mu_fd",
+              "agreement", "order_vs_previous", "runtime_ms"]
+    write_csv(dict(zip(header, zip(*rows))), args.out)
     print(f"wrote {args.out}")
 
 

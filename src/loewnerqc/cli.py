@@ -117,11 +117,8 @@ def _cmd_range(cfg, out, summary):
     })
     summary["warnings"].extend(rep.warnings)
     if cfg.outputs.csv:
-        rows = [[float(h)] + list(map(float, rep.history[i]))
-                for i, h in enumerate(rep.horizons)]
-        artifacts.write_table_csv(
-            ["horizon"] + [f"beta_probe_{j}" for j in range(rep.probes.size)],
-            rows, out / "beta_history.csv")
+        probes = {f"beta_probe_{j}": col for j, col in enumerate(rep.history.T)}
+        artifacts.write_csv({"horizon": rep.horizons, **probes}, out / "beta_history.csv")
     return rep.classification in ("plane", "disk")
 
 
@@ -193,16 +190,16 @@ def _cmd_becker(cfg, out, summary):
     if cps.size < 3:
         summary["warnings"].append(_FEW_CHECKPOINTS)
         return False
+    if cfg.q is not None:
+        summary["warnings"].append(
+            "q is not used by the radial extension (extend reads it)")
     f_frames = _build_frames(cfg, _field(cfg), n_default=65)
     ext, rep = becker_dilatation(f_frames, cfg.p, cfg.criteria.k, cfg.criteria.tol_dilat)
     if cfg.outputs.csv:
-        rows = []
-        for i, r in enumerate(ext.r):
-            for j, th in enumerate(ext.theta):
-                rows.append([r, th, ext.values[i, j].real, ext.values[i, j].imag,
-                             np.abs(ext.mu_fd[i, j]) if ext.fd_valid[i, j] else ""])
-        artifacts.write_table_csv(["r", "theta", "re_F", "im_F", "abs_mu_fd"],
-                                  rows, out / "becker_extension.csv")
+        abs_mu_fd = np.abs(ext.mu_fd).astype(object)
+        abs_mu_fd[~ext.fd_valid] = ""
+        artifacts.write_csv({"r": ext.r[:, None], "theta": ext.theta, "F": ext.values,
+                             "abs_mu_fd": abs_mu_fd}, out / "becker_extension.csv")
     summary["metrics"].update({
         "max_mu_formula": rep.max_mu_formula,
         "max_mu_fd": rep.max_mu_fd,
@@ -252,11 +249,7 @@ def _cmd_approx(cfg, out, summary):
                               tol=cfg.time.tol, horizon=cfg.approx_horizon,
                               t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
     if cfg.outputs.csv:
-        rows = [[r.n, r.deviation, r.ef_error, r.chain_error, r.envelope, r.runtime_ms]
-                for r in table.rows]
-        artifacts.write_table_csv(
-            ["level_n", "deviation", "ef_error", "chain_error",
-             "gronwall_envelope", "runtime_ms"], rows, out / "error_table.csv")
+        artifacts.write_error_table_csv(table, out / "error_table.csv")
     summary["metrics"].update({
         "deviation_random_passed": rand.passed,
         "deviation_worst_ratio": rand.worst_ratio,
@@ -292,13 +285,11 @@ def run_pipeline(cfg: ScenarioConfig, command: str, out_dir) -> tuple[int, dict]
                "metrics": {}, "warnings": []}
     t0 = time.perf_counter()
     try:
-        ok = _COMMANDS[command](cfg, out, summary)
+        ok = bool(_COMMANDS[command](cfg, out, summary))
     except Exception as e:  # summary still written with the failure record
         summary["warnings"].append(f"fatal: {type(e).__name__}: {e}")
-        summary["runtime_ms"] = (time.perf_counter() - t0) * 1e3
-        artifacts.write_summary(summary, out / cfg.outputs.json_summary)
-        return 1, summary
-    summary["pass"] = bool(ok)
+        ok = False
+    summary["pass"] = ok
     summary["runtime_ms"] = (time.perf_counter() - t0) * 1e3
     artifacts.write_summary(summary, out / cfg.outputs.json_summary)
     return (0 if ok else 1), summary

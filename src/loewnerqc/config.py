@@ -15,8 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, TOL_BETA, TOL_CHAIN
+from .extension import TOL_DILAT
 from .grids import DELTA_GUARD, SeedGrid, circle_grid
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, SpecError, _interp_table, _table_time
+from .herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError, TOL_CRITERION, TOL_HERGLOTZ,
+                       TOL_HOLO, _interp_table, _table_time)
 
 
 class ConfigError(ValueError):
@@ -115,14 +118,14 @@ class GridConfig:
 @dataclass
 class CriteriaConfig:
     k: float = 0.5
-    tol_criterion: float = 1e-6
-    tol_herglotz: float = 1e-6
-    tol_holo: float = 1e-6
-    tol_chain: float = 1e-6
-    tol_beta: float = 1e-6
-    tol_limit: float = 1e-8
-    tol_dilat: float = 0.02
-    t_inf: float = 64.0
+    tol_criterion: float = TOL_CRITERION
+    tol_herglotz: float = TOL_HERGLOTZ
+    tol_holo: float = TOL_HOLO
+    tol_chain: float = TOL_CHAIN
+    tol_beta: float = TOL_BETA
+    tol_limit: float = DEFAULT_TOL_LIMIT
+    tol_dilat: float = TOL_DILAT
+    t_inf: float = DEFAULT_T_INF
 
 
 @dataclass
@@ -230,9 +233,11 @@ def build_tau(d, path, errors) -> DenjoyWolffSpec:
         if kind == "constant":
             return DenjoyWolffSpec.constant(_as_complex(d.get("value", 0.0), f"{path}.value", errors))
         if kind == "step":
-            bps = d.get("breakpoints", [])
+            n_errors = len(errors)
+            bps = _real_list(d.get("breakpoints", []), f"{path}.breakpoints", errors, [])
             if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
                 errors.append(f"{path}.breakpoints must be strictly increasing")
+            if len(errors) > n_errors:
                 return fallback
             vals = [_as_complex(v, f"{path}.values", errors) for v in d.get("values", [])]
             return DenjoyWolffSpec.step(bps, vals)
@@ -316,27 +321,30 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
 
     oc = OutputConfig()
     od = _section(doc, "outputs", errors)
-    oc.svg = bool(od.get("svg", oc.svg))
-    oc.csv = bool(od.get("csv", oc.csv))
-    oc.json_summary = str(od.get("json_summary", oc.json_summary))
+    for key in ("svg", "csv"):
+        setattr(oc, key, od.get(key, getattr(oc, key)))
+        if not isinstance(getattr(oc, key), bool):
+            errors.append(f"outputs.{key} must be true or false")
+    oc.json_summary = js = od.get("json_summary", oc.json_summary)
+    # the summary is written inside the output directory, never below or above it
+    if not isinstance(js, str) or js in ("", ".", "..") or any(c in js for c in "/\\\0"):
+        errors.append("outputs.json_summary must be a plain file name")
 
-    default_levels = [4, 8, 16, 32]
-    levels = _real_list(doc.get("approx_levels", default_levels), "approx_levels",
-                        errors, default_levels)
+    cfg = ScenarioConfig(name=str(doc.get("scenario", name)), p=p, tau=tau, q=q,
+                         time=tc, grid=gc, criteria=cc, outputs=oc)
+    levels = _real_list(doc.get("approx_levels", cfg.approx_levels), "approx_levels",
+                        errors, cfg.approx_levels)
     if not levels or any(n < 1 or n != int(n) for n in levels):
         errors.append("approx_levels must be positive integers")
-        levels = default_levels
+        levels = cfg.approx_levels
     elif any(b <= a for a, b in zip(levels, levels[1:])):
         errors.append("approx_levels must be strictly increasing")
-    horizon = _real(doc.get("approx_horizon", 4.0), "approx_horizon", errors, 4.0)
-    if horizon <= 0:
+    cfg.approx_levels = [int(n) for n in levels]
+    cfg.approx_horizon = _real(doc.get("approx_horizon", cfg.approx_horizon),
+                               "approx_horizon", errors, cfg.approx_horizon)
+    if cfg.approx_horizon <= 0:
         errors.append("approx_horizon must be positive")
-    cfg = ScenarioConfig(
-        name=str(doc.get("scenario", name)), p=p, tau=tau, q=q,
-        time=tc, grid=gc, criteria=cc, outputs=oc,
-        rng_seed=_integer(doc.get("rng_seed", 20240601), "rng_seed", errors, 20240601),
-        approx_levels=[int(n) for n in levels], approx_horizon=horizon,
-    )
+    cfg.rng_seed = _integer(doc.get("rng_seed", cfg.rng_seed), "rng_seed", errors, cfg.rng_seed)
     return cfg, errors
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from loewnerqc.config import parse_config, validate_config, ConfigError
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
-from loewnerqc import cli
+from loewnerqc import artifacts, cli
 from loewnerqc.cli import run_pipeline, main
 
 
@@ -60,6 +61,17 @@ def test_errors_are_aggregated_not_fail_fast():
     ({"grid": {"delta_trace": 1e-7}}, "grid.delta_trace"),
     ({"approx_levels": [8, 4]}, "approx_levels"),
     ({"criteria": {"t_inf": 1.5}}, "criteria.t_inf"),
+    ({"outputs": {"svg": "false"}}, "outputs.svg"),
+    ({"outputs": {"csv": 0}}, "outputs.csv"),
+    ({"outputs": {"json_summary": ["a"]}}, "outputs.json_summary"),
+    ({"outputs": {"json_summary": "sub/s.json"}}, "outputs.json_summary"),
+    ({"outputs": {"json_summary": "sub\\s.json"}}, "outputs.json_summary"),
+    ({"outputs": {"json_summary": ".."}}, "outputs.json_summary"),
+    ({"outputs": {"json_summary": ""}}, "outputs.json_summary"),
+    ({"tau": {"kind": "step", "breakpoints": [math.nan], "values": [0.1, 0.2]}},
+     "tau.breakpoints"),
+    ({"tau": {"kind": "step", "breakpoints": ["a", "b"], "values": [0.1, 0.2, 0.3]}},
+     "tau.breakpoints"),
 ])
 def test_malformed_values_are_collected(doc, path):
     cfg, errors = validate_config(doc)
@@ -73,6 +85,15 @@ def test_cli_main_non_finite_t_inf_is_a_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "criteria.t_inf" in err and "time.t_end" in err
+
+
+def test_cli_main_summary_in_a_subdirectory_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"outputs": {"json_summary": "sub/s.json"}}))
+    code = main(["check", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "outputs.json_summary" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _KEYS = ["scenario", "p", "q", "tau", "time", "grid", "criteria", "outputs", "rng_seed",
@@ -305,6 +326,9 @@ def test_becker_builds_no_decreasing_chain(tmp_path, monkeypatch):
     assert code == 0 and summary["pass"], summary["warnings"]
 
 
+_Q_UNUSED = "q is not used by the radial extension (extend reads it)"
+
+
 def test_sector_becker_formula_reads_p_alone(tmp_path):
     # q = p here; the radial formula ignores q, and its sup over the
     # checkpoints is at t = 1, where p = 1.5 e^{i pi/6} on the ring
@@ -314,3 +338,72 @@ def test_sector_becker_formula_reads_p_alone(tmp_path):
     m = summary["metrics"]
     assert abs(m["max_mu_formula"] - abs(c - 1) / abs(c + 1)) <= 1e-9
     assert m["mu_agreement"] <= 1e-3
+    assert _Q_UNUSED in summary["warnings"]
+
+
+def test_becker_without_q_has_no_q_warning(tmp_path):
+    code, summary = run_pipeline(builtin_scenario("exponential"), "becker", tmp_path)
+    assert code == 0 and summary["pass"]
+    assert _Q_UNUSED not in summary["warnings"]
+
+
+def test_becker_extend_runs_the_welding_pipeline(tmp_path, monkeypatch):
+    peaks = []
+    real = artifacts.write_atlas_csv
+
+    def measured(atlas, path):
+        tracemalloc.start()
+        try:
+            return real(atlas, path)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(artifacts, "write_atlas_csv", measured)
+    cfg = builtin_scenario("becker")
+    code, summary = run_pipeline(cfg, "extend", tmp_path)
+    assert code == 0 and summary["pass"], summary["warnings"]
+    m, k = summary["metrics"], cfg.criteria.k
+    # |mu| = k |zeta| on the trace ring |zeta| = 1 - delta_trace
+    assert abs(m["max_mu_formula"] - k * (1 - cfg.grid.delta_trace)) <= 1e-6
+    assert m["max_mu_fd"] <= k + cfg.criteria.tol_dilat
+    lines = (tmp_path / "atlas.csv").read_text().splitlines()
+    assert lines[0] == ("t,theta,re_src,im_src,re_dst,im_dst,"
+                        "re_mu_f,im_mu_f,re_mu_fd,im_mu_fd,masked")
+    assert len(lines) == 1 + 65 * 256
+    # the 65 x 256 table is formatted one time row at a time
+    assert len(peaks) == 1 and peaks[0] <= 1_000_000
+
+
+def test_becker_check_reports_the_pair(tmp_path):
+    cfg = builtin_scenario("becker")
+    code, summary = run_pipeline(cfg, "check", tmp_path)
+    assert code == 0 and summary["pass"]
+    m = summary["metrics"]
+    # |p - 1| / |p + 1| = k |z| with q = 1, at the criteria grid's |z| = 0.99
+    assert m["pair_passed"] is True
+    assert m["pair_max_ratio"] == pytest.approx(0.99 * cfg.criteria.k, abs=1e-9)
+
+
+def test_a_raising_command_leaves_a_fatal_record(tmp_path, monkeypatch):
+    def boom(cfg, out, summary):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", boom)
+    code, summary = run_pipeline(builtin_scenario("exponential"), "check", tmp_path)
+    assert code == 1 and summary["pass"] is False
+    assert summary["warnings"] == ["fatal: RuntimeError: boom"]
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["warnings"] == ["fatal: RuntimeError: boom"] and data["pass"] is False
+
+
+def test_user_sampled_p_passes_check(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "p": {"kind": "user_sampled", "table": [[0.0, 1.0], [0.5, [1.0, 0.2]], [1.0, 1.5]]},
+        "tau": {"kind": "constant", "value": 0.0}}))
+    cfg = parse_config(path)
+    assert cfg.p.t_aut == 1.0
+    code, summary = run_pipeline(cfg, "check", tmp_path / "out")
+    assert code == 0 and summary["pass"], summary
+    assert summary["metrics"]["herglotz_passed"] and summary["metrics"]["becker_passed"]
