@@ -326,9 +326,10 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
         if not isinstance(getattr(oc, key), bool):
             errors.append(f"outputs.{key} must be true or false")
     oc.json_summary = js = od.get("json_summary", oc.json_summary)
-    # the summary is written inside the output directory, never below or above it
-    if not isinstance(js, str) or js in ("", ".", "..") or any(c in js for c in "/\\\0"):
-        errors.append("outputs.json_summary must be a plain file name")
+    # the summary is written inside the output directory, never below or above
+    # it, and never over an artifact: every artifact is a .csv or an .svg
+    if not isinstance(js, str) or not js.endswith(".json") or any(c in js for c in "/\\\0"):
+        errors.append("outputs.json_summary must be a plain file name ending in .json")
 
     cfg = ScenarioConfig(name=str(doc.get("scenario", name)), p=p, tau=tau, q=q,
                          time=tc, grid=gc, criteria=cc, outputs=oc)

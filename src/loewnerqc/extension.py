@@ -132,38 +132,44 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     return FormulaSamples(mu, mu_pair, valid, prefactor_valid)
 
 
-def _fit_mu(d: np.ndarray, values: np.ndarray):
+def _fit_mu(d: np.ndarray, values: np.ndarray, fit: np.ndarray):
     """mu = c2/c1 and fit diagnostics from stencil fits against offsets d.
 
-    Affine and quadratic models are fitted independently.  Returns
-    (mu_quadratic, residual, ok) where residual is the quadratic model's
-    relative misfit and ok requires both models well conditioned and
-    agreeing about mu to 0.05: stencils that reach past a pole, where no
-    local expansion holds, reject themselves.
+    values stacks the target charts along a last axis; they share one Gram
+    matrix M = A^H A, which depends on d alone.  The affine model's Gram
+    matrix is the leading 3x3 block of the quadratic one and, by Cauchy
+    interlacing, conditioned no worse, so one eigvalsh test of M (Hermitian
+    positive semidefinite: its eigenvalues are its singular values) decides
+    both.  Only the cells in ``fit`` with a finite M are factored, and each
+    model is solved once with one right-hand side per target chart.
+    Returns (mu_quadratic, residual, ok), each with a last target axis:
+    residual is the quadratic model's relative misfit and ok requires M well
+    conditioned and both models agreeing about mu to 0.05: stencils that
+    reach past a pole, where no local expansion holds, reject themselves.
     """
+    # conj(d) * d, not d * conj(d): NumPy evaluates the latter in place with
+    # its operands swapped once the array reaches 256 KiB, and complex
+    # products (fused multiply-add) round differently in the two orders
     A = np.stack([np.ones_like(d), d, np.conj(d), d * d, np.conj(d) ** 2,
-                  d * np.conj(d)])
-
-    def solve(cols):
-        Ao = A[:cols]
-        Mo = np.einsum("iakl,jakl->klij", np.conj(Ao), Ao)
-        bo = np.einsum("iakl,akl->kli", np.conj(Ao), values)
-        with np.errstate(all="ignore"):
-            sv = np.linalg.svd(Mo, compute_uv=False)
-            ok_ = np.isfinite(sv).all(axis=-1) & (sv[..., -1] > 1e-10 * sv[..., 0])
-            coef = np.full(bo.shape, np.nan + 0j)
-            if ok_.any():
-                coef[ok_] = np.linalg.solve(Mo[ok_], bo[ok_][..., None])[..., 0]
-            c1, c2 = coef[..., 1], coef[..., 2]
-            ok_ &= (np.abs(c1) > 1e-300) & np.isfinite(c1) & np.isfinite(c2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(ok_, c2 / c1, np.nan + 0j)
-        return m, coef, ok_
-
-    mu_a, _, ok_a = solve(3)
-    mu_q, coef_q, ok_q = solve(6)
+                  np.conj(d) * d])
     with np.errstate(all="ignore"):
-        model = np.einsum("iakl,kli->akl", A, coef_q)
+        M = np.einsum("iakl,jakl->klij", np.conj(A), A)
+        b = np.einsum("iakl,aklc->klic", np.conj(A), values)
+        cond = fit & np.isfinite(M).all(axis=(-2, -1))
+        ev = np.linalg.eigvalsh(M[cond])
+        cond[cond] = ev[:, 0] > 1e-10 * ev[:, -1]
+        M_ok, b_ok = M[cond], b[cond]
+
+        def solve(cols):
+            coef = np.full(b[..., :cols, :].shape, np.nan + 0j)
+            coef[cond] = np.linalg.solve(M_ok[:, :cols, :cols], b_ok[:, :cols])
+            c1, c2 = coef[..., 1, :], coef[..., 2, :]
+            ok_ = cond[..., None] & (np.abs(c1) > 1e-300) & np.isfinite(c1) & np.isfinite(c2)
+            return np.where(ok_, c2 / c1, np.nan + 0j), coef, ok_
+
+        mu_a, _, ok_a = solve(3)
+        mu_q, coef_q, ok_q = solve(6)
+        model = np.einsum("iakl,klic->aklc", A, coef_q)
         res2 = (np.abs(values - model) ** 2).sum(axis=0)
         spread2 = (np.abs(values - values.mean(axis=0)) ** 2).sum(axis=0)
         residual = np.sqrt(res2 / np.maximum(spread2, 1e-300))
@@ -180,22 +186,25 @@ def _offsets(points: np.ndarray, centers: np.ndarray):
     """
     ds = points - centers[None]
     scale = np.maximum(np.abs(ds).max(axis=0), 1e-300)
-    d = ds / scale
-    a, b = d.real, d.imag
-    sxx = (a * a).sum(axis=0)
-    syy = (b * b).sum(axis=0)
-    sxy = (a * b).sum(axis=0)
-    half_tr = 0.5 * (sxx + syy)
-    disc = np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy ** 2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
+        d = ds / scale        # non-finite in the stencils of a non-finite point
+        a, b = d.real, d.imag
+        sxx = (a * a).sum(axis=0)
+        syy = (b * b).sum(axis=0)
+        sxy = (a * b).sum(axis=0)
+        half_tr = 0.5 * (sxx + syy)
+        disc = np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy ** 2, 0.0))
         anisotropy = (half_tr - disc) / np.maximum(half_tr + disc, 1e-300)
     finite = np.isfinite(d).all(axis=0)
     return d, finite & (anisotropy > 1e-4)
 
 
 # interior time rows per stencil-fit block: the 9-point stencil stacks and
-# the four chart fits of a block are the transient memory of the fit
-_FIT_ROWS = 16
+# the two source charts' fits (one Gram matrix each, with the two target
+# charts as right-hand sides) are the transient memory of the fit: its heap
+# peak on a 256-node atlas is 4.7 MB at 4 rows and 18 MB at 16.  The fit's
+# results do not depend on the block size
+_FIT_ROWS = 4
 
 
 def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
@@ -207,10 +216,13 @@ def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
     modulus under precomposition (the phase picks up the unimodular twist
     w^2/conj(w)^2).  Source stencils spanning a large modulus ratio are
     therefore fit in the reciprocal chart 1/w, and each cell picks the
-    target chart (Phi or 1/Phi) whose quadratic model fits better.  The
-    surviving estimate must pass model-order cross-validation (_fit_mu);
-    everything else is masked.  Cells are fitted in blocks of _FIT_ROWS
-    time rows, which bounds the transient memory.  Returns (mu, fit_valid).
+    target chart (Phi or 1/Phi) whose quadratic model fits better.  Each
+    source chart builds and tests one Gram matrix per cell and solves it
+    for both target charts at once (_fit_mu).  The surviving estimate must
+    pass model-order cross-validation; everything else is masked, and cells
+    whose stencil holds an invalid point are never factored.  Cells are
+    fitted in blocks of _FIT_ROWS time rows, which bounds the transient
+    memory.  Returns (mu, fit_valid).
     """
     nt, ntheta = source.shape
     mu = np.full((nt, ntheta), np.nan + 0j)
@@ -246,21 +258,19 @@ def _fit_rows(source, target, valid, rows: slice):
     d_dir, iso_dir = _offsets(S, centers)
     d_inv, iso_inv = _offsets(S_inv, c_inv)
 
-    # all four charts; the residuals of a chart containing a pole and of a
-    # smooth chart differ by orders of magnitude, so argmin is decisive
+    # all four charts, source-major along the last axis; the residuals of a
+    # chart containing a pole and of a smooth chart differ by orders of
+    # magnitude, so argmin is decisive
+    targets = np.stack([V, V_inv], axis=-1)
     cand_mu, cand_res = [], []
     for d, iso, tw in ((d_dir, iso_dir, None), (d_inv, iso_inv, twist)):
-        for vals in (V, V_inv):
-            m, r, g = _fit_mu(d, vals)
-            if tw is not None:
-                m = m * tw
-            cand_mu.append(m)
-            cand_res.append(np.where(g & iso, r, np.inf))
-    res = np.stack(cand_res)
-    pick = np.argmin(res, axis=0)
-    gather = (pick,) + tuple(np.indices(pick.shape))
-    best = np.stack(cand_mu)[gather]
-    best_res = res[gather]
+        m, r, g = _fit_mu(d, targets, OK)
+        cand_mu.append(m if tw is None else m * tw[..., None])
+        cand_res.append(np.where(g & iso[..., None], r, np.inf))
+    res = np.concatenate(cand_res, axis=-1)
+    pick = np.argmin(res, axis=-1)[..., None]
+    best = np.take_along_axis(np.concatenate(cand_mu, axis=-1), pick, -1)[..., 0]
+    best_res = np.take_along_axis(res, pick, -1)[..., 0]
     cell_ok = OK & np.isfinite(best_res) & (best_res < 0.02) & np.isfinite(best)
     return np.where(cell_ok, best, np.nan + 0j), cell_ok
 

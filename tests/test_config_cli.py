@@ -72,6 +72,8 @@ def test_errors_are_aggregated_not_fail_fast():
      "tau.breakpoints"),
     ({"tau": {"kind": "step", "breakpoints": ["a", "b"], "values": [0.1, 0.2, 0.3]}},
      "tau.breakpoints"),
+    ({"outputs": {"json_summary": "atlas.csv"}}, "outputs.json_summary"),
+    ({"outputs": {"json_summary": "beta_history.csv"}}, "outputs.json_summary"),
 ])
 def test_malformed_values_are_collected(doc, path):
     cfg, errors = validate_config(doc)
