@@ -9,14 +9,14 @@ certify quasiconformality bounds numerically.
 
 from .grids import SeedGrid, circle_grid, criteria_grid, trace_ring, hyperbolic_distance
 from .herglotz import (HerglotzSpec, DenjoyWolffSpec, VectorFieldHandle, SpecError,
-                       assemble_field, check_herglotz, check_becker, check_pair,
-                       sector_bound, cayley_transfer, holomorphy_residual, rotation_only)
+                       assemble_field, time_samples, check_herglotz, check_becker, check_pair,
+                       sector_bound, holomorphy_residual, rotation_only)
 from .evolution import (TrajectorySet, solve_forward, solve_reverse, verify_semigroup,
                         schwarz_pick_check, derivative_at_origin)
 from .chains import (ChainFrames, RangeReport, limit_frame, range_normalized_chain,
                      decreasing_chain, beta_limit, verify_transitions, verify_chain_pde,
                      verify_containment, frames_coincide_up_to_rotation)
-from .extension import (ExtensionAtlas, BeckerExtension, boundary_trace, build_extension,
+from .extension import (ExtensionAtlas, BeckerExtension, build_extension,
                         becker_extension, beltrami_formula, beltrami_fd,
                         becker_dilatation, dilatation_report, AtlasRejected)
 from .approx import (step_approximate, field_deviation, random_deviation_check,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import SeedGrid, criteria_grid
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, _field_pair
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, time_samples, _field_pair
 from .evolution import solve_forward
 from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, range_normalized_chain
 
@@ -46,11 +46,11 @@ def step_approximate(tau: DenjoyWolffSpec, n: int,
         raise ValueError("need n >= 1 and horizon > 0")
     width = horizon / n
     mids = (np.arange(n) + 0.5) * width
-    values = np.array([complex(tau.value(float(t))) for t in mids])
+    values = tau.value(mids)
     breakpoints = np.arange(1, n) * width
     probes = np.linspace(0.0, horizon, 16 * n, endpoint=False)
     idx = np.minimum((probes / width).astype(int), n - 1)
-    dev = max(abs(complex(tau.value(float(t))) - values[i]) for t, i in zip(probes, idx))
+    dev = np.abs(tau.value(probes) - values[idx]).max()
     return DenjoyWolffSpec.step_with_tail(breakpoints, values, horizon, tau), float(dev)
 
 
@@ -87,10 +87,9 @@ def field_deviation(p: HerglotzSpec, tau: DenjoyWolffSpec, tau_n, grid, times) -
     The inequality is exact algebra, so a report with violations beyond
     rounding (``passed`` false) can only mean an implementation bug.
     """
-    grid = np.asarray(grid, dtype=complex)
-    pairs = [_deviation_arrays(grid, complex(tau.value(float(t))), complex(tau_n.value(float(t))),
-                               p.evaluate(grid, float(t))) for t in np.asarray(times, dtype=float)]
-    return _deviation_report(*(np.concatenate(col) for col in zip(*pairs)))
+    z, t = time_samples(grid, times)
+    return _deviation_report(*_deviation_arrays(z, tau.value(t), tau_n.value(t),
+                                                p.evaluate(z, t)))
 
 
 def random_deviation_check(n_samples: int, seed: int) -> DeviationReport:
@@ -185,13 +184,11 @@ def _fit_order(devs, errs):
 def _level_envelope(field_exact, tau, tau_n, t_end, r_compact, n_fine=1024) -> float:
     """Gronwall envelope at t_end of a level, on the ring |z| = r_compact."""
     xs = np.linspace(0.0, t_end, n_fine + 1)
-    ring = r_compact * np.exp(2j * np.pi * np.arange(32) / 32)
-    dev = np.array([abs(complex(tau.value(float(x))) - complex(tau_n.value(float(x))))
-                    for x in xs])
-    sup_p = np.array([float(np.abs(field_exact.p.evaluate(ring, float(x))).max()) for x in xs])
-    integrand = 4.0 * dev * sup_p
+    z, t = time_samples(r_compact * np.exp(2j * np.pi * np.arange(32) / 32), xs)
+    sup_p = np.abs(field_exact.p.evaluate(z, t)).max(axis=1)
+    integrand = 4.0 * np.abs(tau.value(xs) - tau_n.value(xs)) * sup_p
     hs = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(xs))])
-    gs = np.array([float(np.abs(field_exact.pair(ring, float(x))[1]).max()) for x in xs])
+    gs = np.abs(field_exact.pair(z, t)[1]).max(axis=1)
     return float(_gronwall_from_samples(xs, hs, gs, np.array([t_end]))[0])
 
 

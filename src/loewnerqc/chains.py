@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row
-from .herglotz import VectorFieldHandle
+from .herglotz import VectorFieldHandle, time_samples
 from .evolution import solve_forward, solve_reverse
 
 DEFAULT_T_INF = 64.0
@@ -107,7 +107,7 @@ def _autonomous_tail(field: VectorFieldHandle):
     if t_aut is None:
         return None
     t_aut = max(float(t_aut), 0.0)
-    tv = complex(field.tau_at(t_aut))
+    tv = complex(field.tau.value(t_aut))
     lam = complex((1.0 - abs(tv) ** 2) * field.p.evaluate(np.array([tv]), t_aut)[0])
     if not (1.0 - abs(tv) ** 2 > 1e-9 and lam.real > 0.0):
         return None
@@ -801,17 +801,15 @@ def verify_chain_pde(frames: ChainFrames, field: VectorFieldHandle,
     dt = float(dt_all.mean())
     lhs = nonuniform_centered(vals, cps, axis=0)
 
-    sup_p = 0.0
-    rhs = np.empty_like(vals)
-    for i, t in enumerate(cps):
-        tv = field.tau_at(float(t))
-        pv = field.p.evaluate(z, float(t))
-        sup_p = max(sup_p, float(np.abs(pv).max()))
-        if frames.tag == "range-normalized":
-            a = (z - tv) * (1.0 - np.conj(tv) * z)
-        else:
-            a = (z - tv) * (np.conj(tv) * z - 1.0)
-        rhs[i] = a * dfs[i] * pv
+    zs, t = time_samples(z, cps)
+    tv = field.tau.value(t)
+    pv = field.p.evaluate(zs, t)
+    sup_p = float(np.abs(pv).max(initial=0.0))
+    if frames.tag == "range-normalized":
+        a = (zs - tv) * (1.0 - np.conj(tv) * zs)
+    else:
+        a = (zs - tv) * (np.conj(tv) * zs - 1.0)
+    rhs = a * dfs * pv
 
     interior = np.arange(1, cps.size - 1)
     # keep a full step away from tau's switching times

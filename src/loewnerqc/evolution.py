@@ -370,18 +370,18 @@ class OriginDerivativeTrace:
 def _cumulative_simpson_p0(field: VectorFieldHandle, times: np.ndarray,
                            panels_per_unit: int = 128) -> np.ndarray:
     """Cumulative integral of p(0, u) along the time grid, composite Simpson."""
+    spans = [(float(a), float(b), max(2, int(np.ceil((b - a) * panels_per_unit / 2)) * 2))
+             for a, b in zip(times[:-1], times[1:])]
+    xs = np.concatenate([np.linspace(a, b, m + 1) for a, b, m in spans] + [np.zeros(0)])
+    ys = field.p.evaluate(np.zeros(xs.size, dtype=complex), xs)
     out = np.zeros(times.size, dtype=complex)
-    total = 0.0 + 0.0j
-    z0 = np.zeros(1, dtype=complex)
-    for i in range(times.size - 1):
-        a, b = float(times[i]), float(times[i + 1])
-        m = max(2, int(np.ceil((b - a) * panels_per_unit / 2)) * 2)
-        xs = np.linspace(a, b, m + 1)
-        ys = np.array([field.p.evaluate(z0, float(x))[0] for x in xs])
+    total, start = 0.0 + 0.0j, 0
+    for i, (a, b, m) in enumerate(spans):
         w = np.ones(m + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        total += (b - a) / (3.0 * m) * np.sum(w * ys)
+        total += (b - a) / (3.0 * m) * np.sum(w * ys[start:start + m + 1])
+        start += m + 1
         out[i + 1] = total
     return out
 

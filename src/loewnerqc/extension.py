@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .grids import nonuniform_centered, periodic_centered
-from .herglotz import HerglotzSpec, DenjoyWolffSpec
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, time_samples
 from .chains import ChainFrames
 
 TOL_DILAT = 0.02
@@ -33,15 +33,6 @@ FORMULA_DENOM_FLOOR = 1e-12
 
 class AtlasRejected(RuntimeError):
     """Source points collide en masse; welding hypotheses or integration broke."""
-
-
-def boundary_trace(frames: ChainFrames, t: float):
-    """Stored near-boundary trace of a frame at checkpoint t.
-
-    Returns (theta, values, valid_mask).
-    """
-    i = frames.row(t)
-    return frames.theta, frames.traces[i], frames.trace_valid[i]
 
 
 def phi_tau(z: np.ndarray, tau: complex) -> np.ndarray:
@@ -103,19 +94,17 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     nt, ntheta = t_grid.size, theta.size
     mu_pair = np.full((nt, ntheta), np.nan + 0j)
     valid = np.zeros((nt, ntheta), bool)
-    for i, t in enumerate(t_grid):
-        tv = tau.frozen_on(float(t), float(t))
-        if tv is None:
-            continue
-        ph = phi_tau(zeta, tv)
-        pv = p.evaluate(zeta, float(t))
-        qv = q.evaluate(zeta, float(t))
-        num = ph * pv - np.conj(ph * qv)
-        den = ph * (pv + qv)
-        small = np.abs(den) < FORMULA_DENOM_FLOOR
-        valid[i] = ~small & np.isfinite(num) & np.isfinite(den)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_pair[i] = np.where(valid[i], num / den, np.nan + 0j)
+    frozen = [tau.frozen_on(float(t), float(t)) for t in t_grid]
+    rows = np.array([tv is not None for tv in frozen], dtype=bool)
+    z, t = time_samples(zeta, t_grid[rows])
+    ph = phi_tau(z, np.array([tv for tv in frozen if tv is not None], dtype=complex)[:, None])
+    pv, qv = p.evaluate(z, t), q.evaluate(z, t)
+    num = ph * pv - np.conj(ph * qv)
+    pq = pv + qv    # named: numpy would multiply a large temporary in place, operands swapped
+    den = ph * pq
+    valid[rows] = (np.abs(den) >= FORMULA_DENOM_FLOOR) & np.isfinite(num) & np.isfinite(den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_pair[rows] = np.where(valid[rows], num / den, np.nan + 0j)
 
     prefactor_valid = valid.copy()
     if g_traces is not None and g_trace_derivs is not None:
@@ -505,7 +494,7 @@ def becker_dilatation(f_frames: ChainFrames, p: HerglotzSpec, k: float,
     """
     ext = becker_extension(f_frames)
     zeta = f_frames.trace_radius * np.exp(1j * f_frames.theta)
-    pv = np.stack([p.evaluate(zeta, float(t)) for t in f_frames.checkpoints])
+    pv = p.evaluate(*time_samples(zeta, f_frames.checkpoints))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (pv - 1.0) / (pv + 1.0)
     ok = (np.abs(pv + 1.0) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)

@@ -10,7 +10,14 @@ whose flow is the evolution family.  Every Herglotz spec is one evaluator
 ``pair(z, t) -> (p, dp/dz)``, and every field evaluation goes through one
 kernel that applies the product rule to it.  The module also holds every
 pointwise criterion check on p (Herglotz property, Becker and pair
-inequalities, sector bound, Cayley transfer to the half plane).
+inequalities, sector bound).
+
+Specs answer a (time x point) sample set in one call: t is a float or an
+array broadcasting to z, and results are shaped like z (like t for
+``DenjoyWolffSpec.value``).  ``z, t = time_samples(points, times)`` gives
+the points broadcast to (n_t, n_z) and the times as a column, so axis 0 of
+every result is time.  Wrapped user callables keep a float-time contract;
+their adapter calls them once per distinct time.
 
 A spec is its behaviour; it keeps no record of how it was built.  Each
 declares its autonomy time ``t_aut``: from then on it no longer depends
@@ -43,6 +50,29 @@ DZ_STEP = 1e-5
 
 class SpecError(ValueError):
     """Structurally invalid Herglotz / Denjoy-Wolff specification."""
+
+
+def time_samples(points, times) -> tuple[np.ndarray, np.ndarray]:
+    """(z, t) of the (time x point) product: points broadcast to (n_t, n_z), times as a column."""
+    points = np.asarray(points, dtype=complex).ravel()
+    times = np.asarray(times, dtype=float).ravel()
+    return np.broadcast_to(points, (times.size, points.size)), times[:, None]
+
+
+def _per_time(fn: Callable[[np.ndarray, float], np.ndarray]):
+    """Lift fn(z, t) of a float t to times broadcasting to z: one call per distinct time."""
+
+    def ev(z, t):
+        if np.ndim(t) == 0:
+            return fn(z, t)
+        z, t = np.broadcast_arrays(z, t)
+        out = np.empty(z.shape, dtype=complex)
+        for x in np.unique(t):
+            at = t == x
+            out[at] = fn(z[at], float(x))
+        return out
+
+    return ev
 
 
 def _interp_table(ts, vs):
@@ -85,19 +115,20 @@ def _table_time(ts) -> tuple[float, tuple[float, ...]]:
 class HerglotzSpec:
     """A Herglotz function as its evaluator.
 
-    ``pair(z, t)`` takes a complex ndarray ``z`` and a scalar time and
-    returns the ndarrays ``(p, dp/dz)``; it is the integrator's hot path.
-    The built-in constructors differentiate analytically, a wrapped user
-    evaluator by a centered difference of step ``DZ_STEP``.
-    ``evaluate(z, t)`` is the value alone.  ``t_aut`` and ``nodes`` are
-    described in the module docstring.
+    ``pair(z, t)`` takes a complex ndarray ``z`` and a time ``t``, a float
+    or a float array that broadcasts to the shape of z (one time per
+    point), and returns the ndarrays ``(p, dp/dz)`` shaped like z; with a
+    float t it is the integrator's hot path.  The built-in constructors
+    differentiate analytically, a wrapped user evaluator by a centered
+    difference of step ``DZ_STEP``.  ``evaluate(z, t)`` is the value alone.
+    ``t_aut`` and ``nodes`` are described in the module docstring.
     """
 
-    pair: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
+    pair: Callable[[np.ndarray, float | np.ndarray], tuple[np.ndarray, np.ndarray]]
     t_aut: float | None = None
     nodes: tuple[float, ...] = ()
 
-    def evaluate(self, z, t: float) -> np.ndarray:
+    def evaluate(self, z, t) -> np.ndarray:
         return self.pair(np.asarray(z, dtype=complex), t)[0]
 
     @classmethod
@@ -118,9 +149,11 @@ class HerglotzSpec:
         """
 
         def pair(z, t):
-            kap = complex(driving(t))
-            if abs(abs(kap) - 1.0) > 1e-9:
-                raise SpecError(f"mobius_kernel driving |kappa({t})| = {abs(kap)}, expected 1")
+            kap = np.asarray(driving(t), dtype=complex)
+            off = np.abs(np.abs(kap) - 1.0)
+            if np.any(off > 1e-9):
+                raise SpecError(f"mobius_kernel driving |kappa| = "
+                                f"{np.abs(kap).flat[np.argmax(off)]}, expected 1")
             w = kap - z
             return (kap + z) / w, 2.0 * kap / w ** 2
 
@@ -138,9 +171,10 @@ class HerglotzSpec:
         half = opening * math.pi / 2.0
 
         def pair(z, t):
-            c = complex(profile(t))
-            if c != 0 and abs(math.atan2(c.imag, c.real)) > half + 1e-12:
-                raise SpecError(f"sector profile value {c} leaves |arg| <= {half}")
+            c = np.asarray(profile(t), dtype=complex)
+            out = (c != 0) & (np.abs(np.angle(c)) > half + 1e-12)
+            if np.any(out):
+                raise SpecError(f"sector profile value {c[out][0]} leaves |arg| <= {half}")
             return _full(z, c)
 
         return cls(pair, t_aut=t_aut, nodes=tuple(nodes))
@@ -166,10 +200,11 @@ class HerglotzSpec:
 
     @classmethod
     def sampled(cls, fn: Callable[[np.ndarray, float], np.ndarray]) -> "HerglotzSpec":
-        """Wrap a user evaluator; it must accept ndarray z and scalar t."""
+        """Wrap a user evaluator; it must accept ndarray z and a float t."""
+        ev = _per_time(fn)
 
         def pair(z, t):
-            return fn(z, t), (fn(z + DZ_STEP, t) - fn(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
+            return ev(z, t), (ev(z + DZ_STEP, t) - ev(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
 
         return cls(pair)
 
@@ -185,6 +220,9 @@ class HerglotzSpec:
 class DenjoyWolffSpec:
     """Denjoy-Wolff function tau(t) into the closed unit disk.
 
+    ``value(t)`` takes a float or a float array and is shaped like t.
+    Every constructor keeps |tau| <= 1 + 1e-12: the data-driven ones check
+    their values once, ``sampled`` checks each value its callable returns.
     ``breakpoints`` are its jumps; ``t_aut`` and ``nodes`` are described in
     the module docstring.  ``frozen_on(a, b)`` is the constant value of tau
     on [a, b], or None where tau may vary there; each constructor sets it.
@@ -194,7 +232,7 @@ class DenjoyWolffSpec:
     jumps) where tau is piecewise constant, and None otherwise.
     """
 
-    value: Callable[[float], complex]
+    value: Callable[[float | np.ndarray], complex | np.ndarray]
     breakpoints: tuple[float, ...] = ()
     t_aut: float | None = None
     nodes: tuple[float, ...] = ()
@@ -205,7 +243,7 @@ class DenjoyWolffSpec:
         tau = complex(tau)
         if abs(tau) > 1.0 + 1e-12:
             raise SpecError(f"|tau| = {abs(tau)} > 1")
-        return cls(lambda t: tau, t_aut=0.0, frozen_on=lambda a, b: tau)
+        return cls(lambda t: np.full(np.shape(t), tau), t_aut=0.0, frozen_on=lambda a, b: tau)
 
     @classmethod
     def step(cls, breakpoints, values) -> "DenjoyWolffSpec":
@@ -222,7 +260,7 @@ class DenjoyWolffSpec:
         arr_v = np.asarray(vals, complex)
 
         def f(t):
-            return complex(arr_v[np.searchsorted(arr_b, t, side="right")])
+            return arr_v[np.searchsorted(arr_b, t, side="right")]
 
         jumps = [b for b, v0, v1 in zip(bps, vals, vals[1:]) if v1 != v0]
         return cls(f, breakpoints=tuple(bps), t_aut=jumps[-1] if jumps else 0.0,
@@ -230,8 +268,19 @@ class DenjoyWolffSpec:
 
     @classmethod
     def sampled(cls, fn: Callable[[float], complex]) -> "DenjoyWolffSpec":
-        """Wrap a user callable t -> tau(t); it is never frozen."""
-        return cls(fn)
+        """Wrap a user callable t -> tau(t) of a float t; it is never frozen.
+
+        fn is called once per distinct time, and each value is checked.
+        """
+
+        def at(z, t):
+            v = complex(fn(t))
+            if abs(v) > 1.0 + 1e-12:
+                raise SpecError(f"|tau({t})| = {abs(v)} > 1")
+            return v
+
+        ev = _per_time(at)    # z only carries the shape of t
+        return cls(lambda t: ev(np.zeros(np.shape(t)), t))
 
     @classmethod
     def from_time_table(cls, ts, values) -> "DenjoyWolffSpec":
@@ -261,7 +310,7 @@ class DenjoyWolffSpec:
         horizon = float(horizon)
 
         def f(t):
-            return base.value(t) if t < horizon else complex(tail.value(t))
+            return np.where(t < horizon, base.value(t), tail.value(t))
 
         def frozen_on(a, b):
             if b <= horizon + 1e-12:
@@ -317,16 +366,10 @@ class VectorFieldHandle:
             return None
         return max(self.p.t_aut, self.tau.t_aut)
 
-    def tau_at(self, t: float) -> complex:
-        v = complex(self.tau.value(t))
-        if abs(v) > 1.0 + 1e-9:
-            raise SpecError(f"|tau({t})| = {abs(v)} > 1")
-        return v
-
-    def pair(self, z: np.ndarray, t: float):
-        """(G, dG/dz) at time t, with |tau(t)| <= 1 checked."""
+    def pair(self, z: np.ndarray, t):
+        """(G, dG/dz) at a float time t or at times broadcasting to z's shape."""
         z = np.asarray(z, dtype=complex)
-        return _field_pair(z, self.tau_at(t), *self.p.pair(z, t))
+        return _field_pair(z, self.tau.value(t), *self.p.pair(z, t))
 
     def segment_rhs(self, a: float, b: float) -> Callable:
         """(G, dG/dz) evaluator ``pair(z, t)`` valid on [a, b].
@@ -352,13 +395,8 @@ class VectorFieldHandle:
         return pair
 
 
-def assemble_field(p: HerglotzSpec, tau: DenjoyWolffSpec,
-                   probe_times=(0.0, 0.5, 1.0, 2.0, 4.0)) -> VectorFieldHandle:
-    """Build the vector field handle, rejecting |tau| > 1 at any probe."""
-    for t in tuple(probe_times) + tau.breakpoints:
-        v = complex(tau.value(float(t)))
-        if abs(v) > 1.0 + 1e-12:
-            raise SpecError(f"|tau({t})| = {abs(v)} > 1")
+def assemble_field(p: HerglotzSpec, tau: DenjoyWolffSpec) -> VectorFieldHandle:
+    """Build the vector field handle; tau's constructor keeps |tau| <= 1."""
     stops = tuple(sorted(set(tau.breakpoints) | set(tau.nodes) | set(p.nodes)))
     return VectorFieldHandle(p=p, tau=tau, discontinuities=tau.breakpoints, stops=stops)
 
@@ -405,86 +443,79 @@ def _node_verdict(times, node_fails, report: CheckReport, label: str):
     )
 
 
+def _sample_set(grid, times):
+    """(z, t, times) of a nonempty criteria sample set; see ``time_samples``."""
+    times = [float(t) for t in np.ravel(times)]
+    if np.size(grid) == 0 or not times:
+        raise ValueError("empty grid or time set")
+    return *time_samples(grid, times), times
+
+
 def check_herglotz(p: HerglotzSpec, grid: np.ndarray, times, tol: float = TOL_HERGLOTZ) -> CheckReport:
     """min Re p over the sample set; passes iff >= -tol at a.e. node."""
-    grid = np.asarray(grid, dtype=complex)
-    times = np.asarray(times, dtype=float)
-    if grid.size == 0 or times.size == 0:
-        raise ValueError("empty grid or time set")
+    z, t, times = _sample_set(grid, times)
     rep = CheckReport(statistic=np.inf, worst_z=0j, worst_t=0.0, passed=True)
-    node_fails = []
-    for t in times:
-        vals = p.evaluate(grid, float(t))
-        finite = np.isfinite(vals)
-        rep.nonfinite += int(np.count_nonzero(~finite))
-        node_bad = not finite.all()
-        if finite.any():
-            re = vals.real[finite]
-            i = int(np.argmin(re))
-            if re[i] < rep.statistic:
-                rep.statistic = float(re[i])
-                rep.worst_z = complex(grid[finite][i])
-                rep.worst_t = float(t)
-            node_bad = node_bad or re[i] < -tol
-        node_fails.append(node_bad)
-    _node_verdict(times, node_fails, rep, "Re p >= 0")
+    vals = p.evaluate(z, t)
+    finite = np.isfinite(vals)
+    rep.nonfinite = int(np.count_nonzero(~finite))
+    re = np.where(finite, vals.real, np.inf)
+    if finite.any():
+        i, j = np.unravel_index(np.argmin(re), re.shape)   # earliest time, then point
+        rep.statistic, rep.worst_z, rep.worst_t = float(re[i, j]), complex(z[i, j]), times[i]
+    _node_verdict(times, ~finite.all(axis=1) | (re.min(axis=1) < -tol), rep, "Re p >= 0")
     if rep.nonfinite:
         rep.passed = False
         rep.warnings.append(f"{rep.nonfinite} non-finite p samples")
     return rep
 
 
-def _ratio_check(num_fn, den_fn, grid, times, k, tol, label) -> CheckReport:
-    grid = np.asarray(grid, dtype=complex)
-    times = np.asarray(times, dtype=float)
+def _ratio_check(parts, grid, times, k, tol, label) -> CheckReport:
+    """max |num| / |den| over the sample set, ``num, den = parts(z, t)``.
+
+    Samples where both vanish are skipped; a non-finite num or den counts
+    in ``nonfinite``, fails its node and fails the check.
+    """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"k = {k} outside [0, 1)")
-    if grid.size == 0 or times.size == 0:
-        raise ValueError("empty grid or time set")
+    z, t, times = _sample_set(grid, times)
     rep = CheckReport(statistic=0.0, worst_z=0j, worst_t=0.0, passed=True)
-    node_fails = []
-    for t in times:
-        num = np.abs(num_fn(grid, float(t)))
-        den = np.abs(den_fn(grid, float(t)))
-        both_zero = (num < 1e-300) & (den < 1e-300)
-        rep.skipped += int(np.count_nonzero(both_zero))
-        ratio = np.full(grid.shape, np.nan)
-        ok = ~both_zero
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio[ok] = num[ok] / den[ok]
-        ratio[ok & (den < 1e-300)] = np.inf
-        live = np.isfinite(ratio) | np.isinf(ratio)
-        live &= ~np.isnan(ratio)
-        if live.any():
-            i = int(np.argmax(np.where(live, ratio, -np.inf)))
-            if ratio[i] > rep.statistic:
-                rep.statistic = float(ratio[i])
-                rep.worst_z = complex(grid[i])
-                rep.worst_t = float(t)
-            node_fails.append(bool(ratio[i] > k + tol))
-        else:
-            node_fails.append(False)
-    _node_verdict(times, node_fails, rep, label)
+    num, den = (np.abs(v) for v in parts(z, t))
+    finite = np.isfinite(num) & np.isfinite(den)
+    rep.nonfinite = int(np.count_nonzero(~finite))
+    both_zero = (num < 1e-300) & (den < 1e-300)
+    rep.skipped = int(np.count_nonzero(both_zero))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(den < 1e-300, np.inf, num / den)
+    ratio = np.where(finite & ~both_zero, ratio, -np.inf)
+    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)   # earliest time, then point
+    if ratio[i, j] > rep.statistic:
+        rep.statistic, rep.worst_z, rep.worst_t = float(ratio[i, j]), complex(z[i, j]), times[i]
+    _node_verdict(times, ~finite.all(axis=1) | (ratio.max(axis=1) > k + tol), rep, label)
+    if rep.nonfinite:
+        rep.passed = False
+        rep.warnings.append(f"{rep.nonfinite} non-finite samples of {label}")
     return rep
 
 
 def check_becker(p: HerglotzSpec, grid, times, k: float, tol: float = TOL_CRITERION) -> CheckReport:
     """max |p - 1| / |p + 1| over samples; the radial extension criterion."""
-    return _ratio_check(
-        lambda z, t: p.evaluate(z, t) - 1.0,
-        lambda z, t: p.evaluate(z, t) + 1.0,
-        grid, times, k, tol, f"|p-1| <= {k}|p+1|",
-    )
+
+    def parts(z, t):
+        pv = p.evaluate(z, t)
+        return pv - 1.0, pv + 1.0
+
+    return _ratio_check(parts, grid, times, k, tol, f"|p-1| <= {k}|p+1|")
 
 
 def check_pair(p: HerglotzSpec, q: HerglotzSpec, grid, times, k: float,
                tol: float = TOL_CRITERION) -> CheckReport:
     """max |p - conj(q)| / |p + q| over samples; the two-chain criterion."""
-    return _ratio_check(
-        lambda z, t: p.evaluate(z, t) - np.conj(q.evaluate(z, t)),
-        lambda z, t: p.evaluate(z, t) + q.evaluate(z, t),
-        grid, times, k, tol, f"|p-conj(q)| <= {k}|p+q|",
-    )
+
+    def parts(z, t):
+        pv, qv = p.evaluate(z, t), q.evaluate(z, t)
+        return pv - np.conj(qv), pv + qv
+
+    return _ratio_check(parts, grid, times, k, tol, f"|p-conj(q)| <= {k}|p+q|")
 
 
 def sector_bound(opening: float) -> float:
@@ -492,18 +523,6 @@ def sector_bound(opening: float) -> float:
     if not 0.0 <= opening < 1.0:
         raise ValueError(f"opening {opening} outside [0, 1)")
     return math.sin(opening * math.pi / 2.0)
-
-
-def cayley_transfer(p: HerglotzSpec) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Right-half-plane evaluator zeta -> 2 p((zeta-1)/(zeta+1), t)."""
-
-    def ev(zeta, t):
-        zeta = np.asarray(zeta, dtype=complex)
-        if np.any(zeta == -1.0):
-            raise ValueError("zeta = -1 is outside the Cayley image")
-        return 2.0 * p.evaluate((zeta - 1.0) / (zeta + 1.0), t)
-
-    return ev
 
 
 def holomorphy_residual(p: HerglotzSpec, grid, times, h: float = HOLO_STEP) -> float:
@@ -515,18 +534,12 @@ def holomorphy_residual(p: HerglotzSpec, grid, times, h: float = HOLO_STEP) -> f
     while the relative quotient stays ~h^2 wherever the grid keeps a modest
     distance from them (r <= 0.8 in the default checks).
     """
-    grid = np.asarray(grid, dtype=complex)
-    worst = 0.0
-    for t in np.asarray(times, dtype=float):
-        px = (p.evaluate(grid + h, t) - p.evaluate(grid - h, t)) / (2.0 * h)
-        py = (p.evaluate(grid + 1j * h, t) - p.evaluate(grid - 1j * h, t)) / (2.0 * h)
-        anti = 0.5 * np.abs(px + 1j * py)
-        holo = 0.5 * np.abs(px - 1j * py)
-        res = anti / (1.0 + holo)
-        res = res[np.isfinite(res)]
-        if res.size:
-            worst = max(worst, float(res.max()))
-    return worst
+    z, t = time_samples(grid, times)
+    px = (p.evaluate(z + h, t) - p.evaluate(z - h, t)) / (2.0 * h)
+    py = (p.evaluate(z + 1j * h, t) - p.evaluate(z - 1j * h, t)) / (2.0 * h)
+    res = 0.5 * np.abs(px + 1j * py) / (1.0 + 0.5 * np.abs(px - 1j * py))
+    res = res[np.isfinite(res)]
+    return float(res.max()) if res.size else 0.0
 
 
 def rotation_only(p: HerglotzSpec, grid, times, tol: float = 1e-12) -> bool:
@@ -535,8 +548,4 @@ def rotation_only(p: HerglotzSpec, grid, times, tol: float = 1e-12) -> bool:
     Such data only rotate the disk: chain images never grow, the welding
     is conformal and extension construction is skipped.
     """
-    grid = np.asarray(grid, dtype=complex)
-    for t in np.asarray(times, dtype=float):
-        if np.abs(p.evaluate(grid, float(t)).real).max() > tol:
-            return False
-    return True
+    return not np.any(np.abs(p.evaluate(*time_samples(grid, times)).real) > tol)

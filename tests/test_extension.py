@@ -5,8 +5,7 @@ from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
 from loewnerqc.extension import (build_extension, becker_extension, beltrami_formula,
-                                 beltrami_fd, dilatation_report, boundary_trace,
-                                 phi_tau)
+                                 beltrami_fd, dilatation_report, phi_tau)
 
 ONE = HerglotzSpec.constant(1)
 EXPF = assemble_field(ONE, DenjoyWolffSpec.constant(0))
@@ -73,14 +72,6 @@ def test_beltrami_formula_becker_modulus():
                           2 * np.pi * np.arange(64) / 64, 1.0 - delta)
     mods = np.abs(fs.mu_pair[fs.valid])
     assert np.abs(mods - 0.5 * (1 - delta)).max() < 1e-12
-
-
-def test_boundary_trace_accessor():
-    ff, _ = _exp_frames(n_theta=32, cps=np.array([0.0, 0.1, 0.2]))
-    th, vals, ok = boundary_trace(ff, 0.1)
-    assert ok.all()
-    ref = np.exp(0.1) * (1 - 1e-3) * np.exp(1j * th)
-    assert np.abs(vals - ref).max() < 1e-8
 
 
 def test_conformal_welding_atlas():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from loewnerqc.grids import criteria_grid
 from loewnerqc.herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError,
                                 assemble_field, check_herglotz, check_becker,
-                                check_pair, sector_bound, cayley_transfer,
-                                holomorphy_residual, rotation_only)
+                                check_pair, sector_bound, holomorphy_residual,
+                                rotation_only, time_samples)
+from loewnerqc.evolution import solve_forward
 
 GRID = criteria_grid(n_angles=64)
 TIMES = np.linspace(0.0, 2.0, 5)
@@ -101,6 +102,17 @@ def test_field_pair_matches_closed_form(kind, regime):
         for g, dg in evaluated:
             assert np.abs(g - g_ref).max() <= 1e-12 * (1 + np.abs(g_ref).max())
             assert np.abs(dg - dg_ref).max() <= 1e-6 * (1 + np.abs(dg_ref).max())
+    # a column of times answers every (time, point) sample in one call, as
+    # the scalar calls do; wrapped user callables may differ by rounding
+    times = np.array([0.0, 0.7, BREAK - 1e-9, BREAK, 1.9, 0.7])
+    column = fld.pair(*time_samples(z, times))
+    scalar = [np.stack([fld.pair(z, t)[i] for t in times]) for i in (0, 1)]
+    for got, want in zip(column, scalar):
+        assert got.shape == (times.size, z.size)
+        if "sampled" in (kind, regime):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_tau_modulus_rejected():
@@ -108,6 +120,18 @@ def test_tau_modulus_rejected():
         DenjoyWolffSpec.constant(1.2)
     with pytest.raises(SpecError):
         DenjoyWolffSpec.step([1.0], [0.5, 1.01])
+
+
+def test_sampled_tau_outside_the_disk_is_refused_where_it_is_read():
+    # |tau| leaves the disk only on (0.6, 0.9); the spec refuses it
+    # wherever it is read, here by the integrator
+    tau = DenjoyWolffSpec.sampled(lambda t: 1.5 if 0.6 < t < 0.9 else 0.1)
+    fld = assemble_field(HerglotzSpec.constant(1), tau)
+    with pytest.raises(SpecError):
+        solve_forward(fld, 0.0, 1.0, criteria_grid(radii=(0.5,), n_angles=8))
+    with pytest.raises(SpecError):
+        tau.value(np.linspace(0.0, 1.0, 11))
+    assert tau.value(0.5) == 0.1
 
 
 def test_step_spec_shape_validation():
@@ -203,41 +227,26 @@ def test_check_pair_orthogonal_fails():
     assert rep.statistic == pytest.approx(1.0)
 
 
+def test_ratio_checks_fail_on_nonfinite_samples():
+    # p is NaN at one grid point: every ratio check must see it, as
+    # check_herglotz does
+    bad = GRID[5]
+    p = HerglotzSpec.sampled(lambda z, t: np.where(z == bad, np.nan, 1.0 + 0 * z))
+    one = HerglotzSpec.constant(1)
+    for rep in (check_herglotz(p, GRID, TIMES), check_becker(p, GRID, TIMES, k=0.5),
+                check_pair(p, one, GRID, TIMES, k=0.5)):
+        assert not rep.passed
+        assert rep.nonfinite == TIMES.size
+        assert rep.failing_times == list(TIMES)
+        assert any("non-finite" in w for w in rep.warnings)
+
+
 def test_sector_bound_values():
     assert sector_bound(0.0) == 0.0
     assert sector_bound(1.0 / 3.0) == pytest.approx(0.5)
     assert sector_bound(0.5) == pytest.approx(math.sqrt(0.5))
     with pytest.raises(ValueError):
         sector_bound(1.0)
-
-
-def test_cayley_transfer_constant():
-    ev = cayley_transfer(HerglotzSpec.constant(1))
-    assert ev(np.array([2.7 + 0.4j]), 0.0)[0] == pytest.approx(2.0)
-
-
-def test_cayley_transfer_examples():
-    ident = HerglotzSpec.sampled(lambda z, t: np.asarray(z, complex))
-    ev = cayley_transfer(ident)
-    assert ev(np.array([1.0 + 0j]), 0.0)[0] == pytest.approx(0.0)
-    kmap = HerglotzSpec.rational([1, 1], [1, -1])
-    ev2 = cayley_transfer(kmap)
-    assert ev2(np.array([3.0 + 0j]), 0.0)[0] == pytest.approx(6.0)
-
-
-def test_cayley_transfer_roundtrip():
-    # substituting the forward Cayley map back recovers 2 p(z)
-    spec = HerglotzSpec.rational([1, 0.3], [1, -0.3])
-    ev = cayley_transfer(spec)
-    z = criteria_grid(radii=(0.2, 0.5, 0.7), n_angles=16)
-    zeta = (1 + z) / (1 - z)
-    assert np.abs(ev(zeta, 0.0) - 2 * spec.evaluate(z, 0.0)).max() < 1e-12
-
-
-def test_cayley_domain_error():
-    ev = cayley_transfer(HerglotzSpec.constant(1))
-    with pytest.raises(ValueError):
-        ev(np.array([-1.0 + 0j]), 0.0)
 
 
 @pytest.mark.parametrize("spec", [

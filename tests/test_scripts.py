@@ -18,7 +18,7 @@ def _load(name):
 
 
 @pytest.mark.parametrize("name", ["approximation_table", "becker_dilatation_study",
-                                  "scenario_gallery"])
+                                  "pipeline_matrix", "scenario_gallery"])
 def test_script_loads(name):
     assert callable(_load(name).main)
 
@@ -38,3 +38,13 @@ def test_approximation_table_writes_one_row_per_level(tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[0] == "level_n,deviation,ef_error,chain_error,gronwall_envelope,runtime_ms"
     assert [line.split(",")[0] for line in lines[1:]] == ["2", "4"]
+
+
+def test_pipeline_matrix_hashes_ignore_wall_time(tmp_path):
+    # exponential approx writes runtime_ms into its summary and its error table
+    matrix = _load("pipeline_matrix")
+    a = matrix.run_cell("exponential", "approx", tmp_path / "a")
+    b = matrix.run_cell("exponential", "approx", tmp_path / "b")
+    assert a["exit"] == 0 and a["pass"]
+    assert set(a["artifacts"]) == {"error_table.csv", "summary.json"}
+    assert a == b
