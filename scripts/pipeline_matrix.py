@@ -5,10 +5,13 @@ Each (scenario, command) cell goes through ``run_pipeline`` into
 DIR/<scenario>/<command>/.  ``DIR/matrix.json`` then records, per cell, the
 exit code, the pass flag and the sha256 of every artifact the cell wrote.
 The summary is hashed without its ``runtime_ms`` field and a CSV without a
-``runtime_ms`` column, so two runs of the same code hash alike.  Comparing
-two commits is a diff of their matrix.json files.
+``runtime_ms`` column, so two runs of the same code hash alike.
 
-Usage: python scripts/pipeline_matrix.py --out DIR
+With ``--compare BASE/matrix.json`` the run then prints every cell whose
+exit code, pass flag or artifact hashes differ from that base matrix, and
+exits with status 1 when an exit code or a pass flag differs.
+
+Usage: python scripts/pipeline_matrix.py --out DIR [--compare BASE/matrix.json]
 """
 
 import argparse
@@ -49,9 +52,32 @@ def run_cell(name: str, command: str, out: Path) -> dict:
                           for p in sorted(out.iterdir()) if p.is_file()}}
 
 
+def compare(base: dict, matrix: dict) -> tuple[list[str], bool]:
+    """(one line per differing cell, whether an exit code or a pass flag differs)."""
+    lines, broken = [], False
+    for key in sorted(set(base) | set(matrix)):
+        old, new = base.get(key), matrix.get(key)
+        if old is None or new is None:
+            lines.append(f"{key}: only in the {'new' if old is None else 'base'} matrix")
+            broken = True
+            continue
+        what = [f"{field} {old[field]} -> {new[field]}" for field in ("exit", "pass")
+                if old[field] != new[field]]
+        broken |= bool(what)
+        names = sorted(set(old["artifacts"]) | set(new["artifacts"]))
+        changed = [n for n in names if old["artifacts"].get(n) != new["artifacts"].get(n)]
+        if changed:
+            what.append("artifacts " + ", ".join(changed))
+        if what:
+            lines.append(f"{key}: " + "; ".join(what))
+    return lines, broken
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", type=str, required=True)
+    ap.add_argument("--compare", type=str, default=None,
+                    help="a base matrix.json to compare the new cells against")
     args = ap.parse_args()
     root = Path(args.out)
     matrix = {}
@@ -62,6 +88,11 @@ def main():
             print(f"{name:>16} {command:>6}: exit {cell['exit']}", flush=True)
     (root / "matrix.json").write_text(json.dumps(matrix, indent=2, sort_keys=True) + "\n")
     print(f"matrix under {root}/matrix.json")
+    if args.compare:
+        lines, broken = compare(json.loads(Path(args.compare).read_text()), matrix)
+        print("\n".join(lines) if lines else "every cell matches the base")
+        if broken:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

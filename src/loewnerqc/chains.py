@@ -6,24 +6,25 @@ and f_s = f_t o phi_{s,t}.  Two evaluators produce it.
 The exact autonomous tail.  Every spec declares an autonomy time T_aut
 past which p and tau no longer depend on t (0 for constants, the last
 breakpoint of step data, the last node of a table; None for an arbitrary
-callable).  When the tail has an interior Denjoy-Wolff point tau and
-Re lambda > 0, lambda = (1 - |tau|^2) p(tau), its semigroup has a Koenigs
-function K with K' G = -lambda K, K(tau) = 0, K'(tau) = 1, and the chain
-is unique up to an affine map because its range is the plane, so
+callable).  From T_aut on the evolution is the semigroup of
+G = G(., T_aut); a chain whose Loewner range is the plane is unique up to
+an affine map, so it is an affine map of a linearizer of G:
 
-    f_t = A e^{lambda (t - T_aut)} K + B          for t >= T_aut,
-    f_t = f_{T_aut} o phi_{t,T_aut}               for t < T_aut.
+    f_t = A e^{lambda (t - T_aut)} K + B   (interior tau, Koenigs),
+    f_t = A (h - (t - T_aut)) + B          (boundary tau, Abel),
+    f_t = f_{T_aut} o phi_{t,T_aut}        for t < T_aut.
 
-log(K(z) / (z - tau)) is a Gauss-Legendre quadrature of
--lambda / G(w) - 1 / (w - tau) over the segment tau -> z, whose integrand
-is analytic with a removable point at tau; panels are bisected where the
-24- and 48-node rules disagree, which grades them toward singularities of
-1/p near the circle.  A and B follow from f_0(0) = 0 and f_0'(0) = 1
-through the origin's image phi_{0,T_aut}(0).
+K' G = -lambda K with K(tau) = 0, K'(tau) = 1, for an interior tau and
+Re lambda > 0, lambda = (1 - |tau|^2) p(tau); h' G = 1 for a tau on the
+circle whose chain ``beta_limit`` finds to fill the plane (the parabolic
+case; a hyperbolic tail, p with a pole at tau, or a group of
+automorphisms does not qualify).  One adaptive Gauss-Legendre panel
+quadrature integrates both, and A and B follow from f_0(0) = 0 and
+f_0'(0) = 1 through the origin's image phi_{0,T_aut}(0).
 
 The scaling limit, the fallback for a callable with no declared T_aut,
-for Re lambda = 0 (rotations) and for a boundary tau (chordal data): the
-Mobius normalization
+for Re lambda = 0 (rotations) and for a boundary tau whose range is not
+certified as the plane: the Mobius normalization
 
     phi_{s,t} = M_t o psi_{s,t} o M_s^{-1},
     M_t(z) = (beta(t) z + alpha(t)) / (1 + beta(t) conj(alpha(t)) z),
@@ -48,8 +49,8 @@ never asserted exact.
 A chain is evaluated once, at one time T: the last checkpoint, or with
 an exact tail the checkpoint range's nearest point to T_aut.  Every row
 t < T pushes the frame points to T and uses f_t = f_T o phi_{t,T}; the
-rows t >= T evaluate the points themselves, and past T the tail scales
-them, f_t = B + e^{lambda (t - T)} (f_T - B) with B = f_T(tau).
+rows t >= T evaluate the points themselves, and past T the tail moves
+them by an affine map of f_T.
 
 Decreasing chains g_t = omega_{0,t} come from direct reverse integration
 and need no limit.
@@ -58,6 +59,7 @@ and need no limit.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,65 +94,100 @@ def _gauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# levels of panel bisection per Koenigs integral
-_KOENIGS_SPLITS = 40
+# levels of panel bisection per integral
+_PANEL_SPLITS = 40
 
 
-def _autonomous_tail(field: VectorFieldHandle):
-    """(T_aut, tau, lambda) when the field has an exact autonomous tail, else None.
+# from t_aut on the field is autonomous; lam is the Koenigs multiplier, None on the Abel form
+_Tail = namedtuple("_Tail", "t_aut tau lam")
 
-    That needs a declared autonomy time, a tail tau inside the disk (not on
-    the circle up to rounding) and Re lambda > 0 for
-    lambda = (1 - |tau|^2) p(tau, T_aut).
+
+def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF):
+    """The field's exact autonomous tail, or None.
+
+    That needs a declared autonomy time and there either a tau inside the
+    disk with Re lambda > 0, lambda = (1 - |tau|^2) p(tau, T_aut), or a tau
+    on the circle whose chain ``beta_limit`` (to t_inf, once per field) finds
+    to fill the plane.
     """
     t_aut = field.t_aut
     if t_aut is None:
         return None
     t_aut = max(float(t_aut), 0.0)
     tv = complex(field.tau.value(t_aut))
-    lam = complex((1.0 - abs(tv) ** 2) * field.p.evaluate(np.array([tv]), t_aut)[0])
-    if not (1.0 - abs(tv) ** 2 > 1e-9 and lam.real > 0.0):
-        return None
-    return t_aut, tv, lam
+    inside = 1.0 - abs(tv) ** 2
+    if inside <= 1e-9:
+        key = ("plane", t_inf)
+        if key not in field.memo:
+            field.memo[key] = beta_limit(field, t_inf=t_inf).classification == "plane"
+        return _Tail(t_aut, tv, None) if field.memo[key] else None
+    lam = complex(inside * field.p.evaluate(np.array([tv]), t_aut)[0])
+    return _Tail(t_aut, tv, lam) if lam.real > 0.0 else None
 
 
-def _koenigs(field: VectorFieldHandle, tail, z: np.ndarray, tol_q: float):
-    """Koenigs function K, its derivative and log-error estimate at the points z.
+def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
+                      relative: bool = False, block: int = 256):
+    """Integrals of integrand(w) dw over the segments start -> z, and their error estimates.
 
-    log(K(z) / (z - tau)) integrates -lambda / G(w) - 1 / (w - tau) over
-    the segment tau -> z of each point with the 48-node Gauss-Legendre
-    rule; |Q48 - Q24|, with the 24-node rule, is the panel's error estimate, and a panel whose estimate exceeds
-    tol_q times its share of the segment is bisected.  Returns
-    (K, K', summed error estimates of log K).
+    |Q48 - Q24| of the 48- and 24-node Gauss-Legendre rules is a panel's
+    estimate; a panel is bisected while it exceeds tol_q times its share of
+    the segment, or with ``relative`` the larger of that share and |Q48|.
+    The points go through in blocks; a point's panels, and their summation
+    order, depend on that point alone, so no result depends on the block size.
     """
-    t_aut, tv, lam = tail
-    p = field.p
-    z = np.asarray(z, dtype=complex)
-    total = np.zeros(z.size, dtype=complex)
-    err = np.zeros(z.size)
-    idx = np.arange(z.size)
-    lo, hi = np.zeros(z.size), np.ones(z.size)
-    tconj = np.conj(tv)
+    total, err = np.zeros(z.size, dtype=complex), np.zeros(z.size)
 
     def quad(n_nodes, seg, lo, hi):
         x, wts = _gauss01(n_nodes)
-        w = tv + seg[:, None] * (lo[:, None] + (hi - lo)[:, None] * x[None, :])
+        w = start + seg[:, None] * (lo[:, None] + (hi - lo)[:, None] * x[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
-            h = (-lam / ((tconj * w - 1.0) * p.evaluate(w, t_aut)) - 1.0) / (w - tv)
-            return np.where(seg == 0, 0.0, seg * (hi - lo) * (h @ wts))
+            h = integrand(w)
+            # one panel alone would take a dot product, rounded unlike the batched rows
+            s = (np.concatenate([h, h]) @ wts)[:1] if seg.size == 1 else h @ wts
+            return np.where(seg == 0, 0.0, seg * (hi - lo) * s)
 
-    for level in range(_KOENIGS_SPLITS + 1):
-        seg = z[idx] - tv
-        q48 = quad(48, seg, lo, hi)
-        est = np.abs(q48 - quad(24, seg, lo, hi))
-        done = ~(est > tol_q * (hi - lo)) | (level == _KOENIGS_SPLITS)
-        np.add.at(total, idx[done], q48[done])
-        np.add.at(err, idx[done], est[done])
-        if done.all():
-            break
-        idx, lo, hi = idx[~done], lo[~done], hi[~done]
-        mid = 0.5 * (lo + hi)
-        idx, lo, hi = np.tile(idx, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    for b0 in range(0, z.size, block):
+        idx = np.arange(b0, min(b0 + block, z.size))
+        lo, hi = np.zeros(idx.size), np.ones(idx.size)
+        for level in range(_PANEL_SPLITS + 1):
+            seg = z[idx] - start
+            q48 = quad(48, seg, lo, hi)
+            est = np.abs(q48 - quad(24, seg, lo, hi))
+            share = np.maximum(hi - lo, np.abs(q48)) if relative else hi - lo
+            done = ~(est > tol_q * share) | (level == _PANEL_SPLITS)
+            np.add.at(total, idx[done], q48[done])
+            np.add.at(err, idx[done], est[done])
+            if done.all():
+                break
+            idx, lo, hi = idx[~done], lo[~done], hi[~done]
+            mid = 0.5 * (lo + hi)
+            idx, lo, hi = np.tile(idx, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return total, err
+
+
+def _linearize(field: VectorFieldHandle, tail: _Tail, z: np.ndarray, tol_q: float):
+    """(u, u', error estimates) of the tail's linearizer at the points z.
+
+    Koenigs: log(K(z) / (z - tau)) integrates -lambda / G(w) - 1 / (w - tau)
+    over tau -> z, and the estimates are absolute in log K.  Abel: h
+    integrates 1 / G over 0 -> z, absolute estimates under a relative panel
+    tolerance, since |h| ~ 1 / |z - tau| grows toward the boundary tau.
+    """
+    t_aut, tv, lam = tail
+    p = field.p
+    tconj = np.conj(tv)
+    if lam is None:
+        def inv_g(w):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / ((w - tv) * (tconj * w - 1.0) * p.evaluate(w, t_aut))
+
+        h, err = _panel_quadrature(inv_g, 0.0, z, tol_q, relative=True)
+        return h, inv_g(z), err
+
+    def integrand(w):
+        return (-lam / ((tconj * w - 1.0) * p.evaluate(w, t_aut)) - 1.0) / (w - tv)
+
+    total, err = _panel_quadrature(integrand, tv, z, tol_q)
     e = np.exp(total)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = (z - tv) * e
@@ -271,7 +308,8 @@ class ChainLimitResult:
     ``point_delta`` is the per-point successive-estimate (or extrapolation)
     error estimate; ``point_converged`` compares it against tol_limit scaled
     by the local value.  ``converged`` aggregates over all valid points and
-    ``horizon_used`` reports where the iteration stopped.
+    ``horizon_used`` reports where the iteration stopped.  ``affine`` is (A, B)
+    of f_t = A u + B on an exact tail, u its K or h; None from the scaling limit.
     """
 
     t: float
@@ -285,6 +323,7 @@ class ChainLimitResult:
     acc_delta: float
     horizon_used: float
     accelerated: bool
+    affine: tuple[complex, complex] | None = None
 
 
 def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
@@ -294,11 +333,9 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
 
     With an exact autonomous tail (see the module docstring) and t < T_aut
     the points and the origin seed are pushed to T_aut in one batch; for
-    t >= T_aut nothing moves, the seed stops at T_aut and
-    e^{lambda (t - T_aut)} carries the rest.  K is evaluated by quadrature
-    and the affine map fixed by f_0(0) = 0, f_0'(0) = 1 is applied.
-    ``point_delta`` is then the quadrature's error estimate,
-    ``horizon_used`` is max(t, T_aut), and nothing is accelerated.
+    t >= T_aut nothing moves, the seed stops at T_aut and the tail flow
+    carries the rest.  ``point_delta`` is then the quadrature's error
+    estimate, ``horizon_used`` is max(t, T_aut), and nothing is accelerated.
 
     Otherwise the scaling limit runs on the doubling horizons
     u = t + horizon_offsets(t_inf).  The iteration stops once the
@@ -314,10 +351,10 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
     read, NormalizationError is raised.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    tail = _autonomous_tail(field)
+    tail = _autonomous_tail(field, t_inf)
     if tail is None:
         return _scaling_limit(field, t, pts, _origin_seed(field, t, tol), tol, t_inf, tol_limit)
-    return _tail_frame(field, tail, t, pts, _origin_seed(field, min(t, tail[0]), tol), tol,
+    return _tail_frame(field, tail, t, pts, _origin_seed(field, min(t, tail.t_aut), tol), tol,
                        tol_limit)
 
 
@@ -332,10 +369,7 @@ def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
 def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
     """f_t at pts through the exact tail, from the origin seed at s = min(t, T_aut).
 
-    Either t < T_aut: points and seed are pushed to T_aut together and
-    f_t = f_{T_aut} o phi_{t,T_aut}; or T_aut <= t: nothing moves and
-    f_t = A e^{lambda (t - T_aut)} K + B.  A and B put f_0 in S through the
-    seed: f_s(phi_{0,s}(0)) = 0 and f_s'(phi_{0,s}(0)) phi'_{0,s}(0) = 1.
+    A and B put f_0 in S: f_s(phi_{0,s}(0)) = 0 and f_s'(phi_{0,s}(0)) phi'_{0,s}(0) = 1.
     """
     t_aut, tv, lam = tail
     s = min(t, t_aut)
@@ -352,15 +386,20 @@ def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
     if not (ok[n] and np.isfinite(dphi) and dphi != 0):
         raise NormalizationError(
             f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {t_aut}")
-    # invalid points sit at tau, where K needs no quadrature
-    k, kd, err = _koenigs(field, tail, np.where(ok, vals, tv), 1e-2 * tol_limit)
-    a = 1.0 / (kd[n] * dphi)
-    b = -a * k[n]
-    a = a * np.exp(lam * (t - s))
+    # invalid points sit where the quadrature starts: tau for K, 0 for h
+    u, du, err = _linearize(field, tail, np.where(ok, vals, 0.0 if lam is None else tv),
+                            1e-2 * tol_limit)
+    a = 1.0 / (du[n] * dphi)
+    b = -a * u[n]
+    if lam is None:
+        b = b - a * (t - s)
+    else:
+        a = a * np.exp(lam * (t - s))
     with np.errstate(invalid="ignore", over="ignore"):
-        values = a * k[:n] + b
-        derivs = a * kd[:n] * ders[:n]
-        pdelta = np.abs(a * k[:n]) * err[:n] + (np.abs(values) + abs(b)) * err[n]
+        values = a * u[:n] + b
+        derivs = a * du[:n] * ders[:n]
+        pdelta = (abs(a) * (err[:n] + err[n]) if lam is None else
+                  np.abs(a * u[:n]) * err[:n] + (np.abs(values) + abs(b)) * err[n])
     valid = ok[:n] & np.isfinite(values) & np.isfinite(derivs)
     values = np.where(valid, values, np.nan + 0j)
     derivs = np.where(valid, derivs, np.nan + 0j)
@@ -368,7 +407,7 @@ def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
     converged = bool(point_conv[valid].all()) if valid.any() else False
     acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
     return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv, converged,
-                            acc_delta, max(t, t_aut), False)
+                            acc_delta, max(t, t_aut), False, (a, b))
 
 
 def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResult:
@@ -550,10 +589,9 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     or with an exact autonomous tail min(max(T_aut, t_0), t_last).  Each
     row t < T pushes the frame points to T by one integration and uses
     f_t = f_T o phi_{t,T}; the rows t >= T evaluate the points themselves.
-    When some row lies past T (then T >= T_aut), the Denjoy-Wolff point
-    tau rides along as one more point, its image is B, and those rows are
-    f_t = B + e^{lambda (t - T)} (f_T - B), with their deltas scaled by
-    |e^{lambda (t - T)}|.
+    The rows past T (then T >= T_aut) are affine maps of f_T with the
+    (A, B) of the evaluation at T: B + e^{lambda (t - T)} (f_T - B), deltas
+    scaled alike, on the Koenigs form and f_T - A (t - T) on the Abel form.
 
     ``verify_transitions`` evaluates f_t afresh at every pair, so only
     pairs whose later time is T compare the evaluation at T with itself,
@@ -561,9 +599,9 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     against its own tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
-    tail = _autonomous_tail(field)
+    tail = _autonomous_tail(field, t_inf)
     t_last = float(cps[-1])
-    t_eval = t_last if tail is None else min(max(tail[0], float(cps[0])), t_last)
+    t_eval = t_last if tail is None else min(max(tail.t_aut, float(cps[0])), t_last)
     pts = _frame_points(grid, n_theta, delta_trace)
     legs = [solve_forward(field, float(t), t_eval, pts, tol=tol, atol=_ATOL_FLOOR)
             for t in cps[cps < t_eval]]
@@ -571,21 +609,22 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     leg_ders = np.stack([leg.deriv_at(t_eval) for leg in legs] + [np.ones_like(pts)])
     leg_ok = np.stack([leg.live() for leg in legs] + [np.ones(pts.shape, bool)]) \
         & np.isfinite(images)
-    grows = t_last > t_eval                  # only with an exact tail
-    n, k = images.size, len(legs)            # rows k, k + 1, ... sit at or past T
-    flat = np.append(images.ravel(), tail[1]) if grows else images.ravel()
-    res = limit_frame(field, t_eval, flat, tol, t_inf, tol_limit)
+    k = len(legs)                            # rows k, k + 1, ... sit at or past T
+    res = limit_frame(field, t_eval, images.ravel(), tol, t_inf, tol_limit)
     row = np.minimum(np.arange(cps.size), k)
-    vals = res.values[:n].reshape(images.shape)[row]
-    ders = (res.derivs[:n].reshape(images.shape) * leg_ders)[row]
-    ok = (res.valid[:n].reshape(images.shape) & leg_ok)[row]
-    delta = res.point_delta[:n].reshape(images.shape)[row]
-    if grows:
-        b = res.values[n]
-        scale = np.exp(tail[2] * (cps[k:] - t_eval))[:, None]
-        vals[k:] = b + scale * (vals[k:] - b)
-        ders[k:] *= scale
-        delta[k:] *= np.abs(scale)
+    vals = res.values.reshape(images.shape)[row]
+    ders = (res.derivs.reshape(images.shape) * leg_ders)[row]
+    ok = (res.valid.reshape(images.shape) & leg_ok)[row]
+    delta = res.point_delta.reshape(images.shape)[row]
+    if t_last > t_eval:                      # only with an exact tail
+        a, b = res.affine
+        if tail.lam is None:
+            vals[k:] -= a * (cps[k:] - t_eval)[:, None]
+        else:
+            scale = np.exp(tail.lam * (cps[k:] - t_eval))[:, None]
+            vals[k:] = b + scale * (vals[k:] - b)
+            ders[k:] *= scale
+            delta[k:] *= np.abs(scale)
     conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
     acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
@@ -748,9 +787,7 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
         if len(cps) > 2:
             pairs.append((cps[0], cps[-1]))
     pts = np.append(frames.grid.points, 0.0)
-    worst = 0.0
-    detail = []
-    excluded = 0
+    detail, excluded = [], 0
     for s, t in pairs:
         i, j = frames.row(s), frames.row(t)
         stored = np.append(frames.values[i], frames.origin_values[i])
@@ -762,10 +799,8 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
         if not ok.any():
             continue
         res = limit_frame(field, float(t), img[ok], tol, t_inf)
-        diff = np.abs(res.values - stored[ok])
-        r = float(np.nanmax(diff))
-        detail.append((float(s), float(t), r))
-        worst = max(worst, r)
+        detail.append((float(s), float(t), float(np.nanmax(np.abs(res.values - stored[ok])))))
+    worst = max([0.0] + [r for *_, r in detail])
     return TransitionReport(worst, detail, worst <= tol_chain, excluded)
 
 

@@ -120,16 +120,19 @@ class HerglotzSpec:
     point), and returns the ndarrays ``(p, dp/dz)`` shaped like z; with a
     float t it is the integrator's hot path.  The built-in constructors
     differentiate analytically, a wrapped user evaluator by a centered
-    difference of step ``DZ_STEP``.  ``evaluate(z, t)`` is the value alone.
-    ``t_aut`` and ``nodes`` are described in the module docstring.
+    difference of step ``DZ_STEP``.  ``evaluate(z, t)`` is the value alone,
+    from ``value`` where a spec has one cheaper than ``pair``.  ``t_aut``
+    and ``nodes`` are described in the module docstring.
     """
 
     pair: Callable[[np.ndarray, float | np.ndarray], tuple[np.ndarray, np.ndarray]]
     t_aut: float | None = None
     nodes: tuple[float, ...] = ()
+    value: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, z, t) -> np.ndarray:
-        return self.pair(np.asarray(z, dtype=complex), t)[0]
+        z = np.asarray(z, dtype=complex)
+        return self.pair(z, t)[0] if self.value is None else self.value(z, t)
 
     @classmethod
     def constant(cls, c) -> "HerglotzSpec":
@@ -200,13 +203,13 @@ class HerglotzSpec:
 
     @classmethod
     def sampled(cls, fn: Callable[[np.ndarray, float], np.ndarray]) -> "HerglotzSpec":
-        """Wrap a user evaluator; it must accept ndarray z and a float t."""
+        """Wrap fn(ndarray z, float t); ``evaluate`` calls it once per distinct time."""
         ev = _per_time(fn)
 
         def pair(z, t):
             return ev(z, t), (ev(z + DZ_STEP, t) - ev(z - DZ_STEP, t)) / (2.0 * DZ_STEP)
 
-        return cls(pair)
+        return cls(pair, value=ev)
 
     @classmethod
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
@@ -353,12 +356,14 @@ class VectorFieldHandle:
     integrators end a step at each of them, so the error control never
     works across a corner of the data.  ``t_aut`` is the autonomy time of
     the field: the later of p's and tau's, or None if either is unknown.
+    ``memo`` keeps what callers derive once per field.
     """
 
     p: HerglotzSpec
     tau: DenjoyWolffSpec
     discontinuities: tuple[float, ...]
     stops: tuple[float, ...] = ()
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def t_aut(self) -> float | None:

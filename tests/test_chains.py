@@ -16,9 +16,11 @@ BECKER = assemble_field(HerglotzSpec.rational([1, 0.5], [1, -0.5]),
                         DenjoyWolffSpec.constant(0))
 GRID = circle_grid((0.2, 0.5, 0.8), 8)
 # the Becker p as an opaque callable declares no autonomy time, so its
-# frames come from the scaling limit
+# frames come from the scaling limit; so do those of chordal's p = 1
 BECKER_SAMPLED = assemble_field(HerglotzSpec.sampled(BECKER.p.evaluate),
                                 DenjoyWolffSpec.constant(0))
+CHORDAL_SAMPLED = assemble_field(HerglotzSpec.sampled(lambda z, t: np.ones_like(z)),
+                                 DenjoyWolffSpec.constant(1))
 
 
 def chordal_chain(z, t):
@@ -77,11 +79,13 @@ def test_rotation_frames_never_grow():
                  id="step-tau"),
     pytest.param("becker-sampled", [0.0, 0.06, 0.12],           # legs into the scaling limit
                  id="becker-sampled"),
-    pytest.param("chordal", [0.0, 0.5, 1.0], id="chordal"),     # legs into the extrapolated limit
+    pytest.param("chordal", [0.0, 0.5, 1.0], id="chordal"),     # every row translated from T = 0
+    pytest.param("chordal-sampled", [0.0, 0.5, 1.0],            # legs into the extrapolated limit
+                 id="chordal-sampled"),
 ])
 def test_frames_match_per_time_limit_frame(name, cps):
     fld = {"becker": BECKER, "becker-sampled": BECKER_SAMPLED, "chordal": CHORDAL,
-           "step-tau": _builtin_field("step-tau")[1]}[name]
+           "chordal-sampled": CHORDAL_SAMPLED, "step-tau": _builtin_field("step-tau")[1]}[name]
     small = circle_grid((0.3, 0.6), 8)
     fr = chains.range_normalized_chain(fld, cps, small, n_theta=16)
     pts = chains._frame_points(small, 16, 1e-3)
@@ -546,3 +550,106 @@ def test_mobius_kernel_tail_agrees_or_is_flagged():
     both = good & rl.point_converged
     assert both[:len(GRID)].all()
     assert (np.abs(re.values - rl.values)[both] <= 1e-8 * scale[both]).all()
+
+
+# ---------------------------------------------------------------------------
+# the parabolic boundary tail: the Abel function h with h' G = 1
+
+
+@pytest.mark.parametrize("tau", [1.0, np.exp(1j * np.pi / 4)], ids=["tau=1", "tau=e^ipi/4"])
+def test_chordal_chain_is_the_abel_closed_form(tau):
+    # p = 1: G = conj(tau) (z - tau)^2 and h = z / (tau - z), so
+    # f_t = tau (F(conj(tau) z) - t) with F(z) = z / (1 - z), f_t' = 1 / (1 - conj(tau) z)^2
+    cfg = builtin_scenario("chordal")
+    fld = assemble_field(cfg.p, DenjoyWolffSpec.constant(tau))
+    cps = cfg.time.checkpoint_array(9)
+    fr = chains.range_normalized_chain(fld, cps, cfg.grid.seed_grid(), n_theta=256,
+                                       tol=cfg.time.tol, t_inf=cfg.criteria.t_inf,
+                                       tol_limit=cfg.criteria.tol_limit)
+    assert fr.converged.all() and fr.grid_valid.all() and fr.trace_valid.all()
+    ring = fr.trace_radius * np.exp(1j * fr.theta)
+    for z, vals, ders in ((fr.grid.points, fr.values, fr.derivs),
+                          (ring, fr.traces, fr.trace_derivs)):
+        w = np.conj(tau) * z
+        ref = tau * (w / (1 - w) - cps[:, None])
+        dref = 1.0 / (1 - w) ** 2
+        assert (np.abs(vals - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref))).all()
+        assert (np.abs(ders - dref) <= 1e-11 * np.abs(dref)).all()
+    assert np.abs(fr.origin_values + tau * cps).max() <= 1e-11
+    assert np.abs(fr.origin_derivs - 1.0).max() <= 1e-11
+
+
+def test_chordal_chain_integrates_no_legs(monkeypatch):
+    # T_aut = 0: no row leg, no origin solve and no limit; the one solve is
+    # the range classification's probe run to t_inf
+    calls = []
+
+    def spy(field, s, t_end, seeds, *args, **kwargs):
+        calls.append((s, t_end, np.atleast_1d(seeds).size))
+        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "solve_forward", spy)
+    fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
+    fr = chains.range_normalized_chain(fld, np.linspace(0.0, 4.0, 9), GRID, n_theta=16)
+    assert fr.converged.all()
+    assert calls == [(0.0, 64.0, 5)]
+
+
+# (p, verdict of beta_limit, whether the tail takes the Abel form) with tau = 1
+_BOUNDARY_TAILS = {
+    "hyperbolic": (HerglotzSpec.rational([1, 1], [1, -1]), "inconclusive", False),
+    "parabolic-automorphisms": (HerglotzSpec.constant(1j), "disk", False),
+    "parabolic": (HerglotzSpec.constant(1 + 1j), "plane", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_TAILS))
+def test_only_a_plane_filling_boundary_tail_takes_the_abel_form(name):
+    p, verdict, abel = _BOUNDARY_TAILS[name]
+    fld = assemble_field(p, DenjoyWolffSpec.constant(1))
+    assert chains.beta_limit(fld).classification == verdict
+    tail = chains._autonomous_tail(fld)
+    assert (tail is not None) == abel
+    if abel:
+        # h = z / ((1 + i)(1 - z)), so f_t = z / (1 - z) - (1 + i) t
+        assert tail.lam is None
+        res = chains.limit_frame(fld, 0.75, GRID.points)
+        ref = GRID.points / (1 - GRID.points) - (1 + 1j) * 0.75
+        assert res.converged and res.affine is not None
+        assert np.abs(res.values - ref).max() <= 1e-11
+
+
+def test_boundary_tail_classifies_the_range_once_per_field(monkeypatch):
+    calls = []
+    real = chains.beta_limit
+
+    def spy(field, *args, **kwargs):
+        calls.append(kwargs.get("t_inf"))
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "beta_limit", spy)
+    for _ in range(2):
+        fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
+        fr = chains.range_normalized_chain(fld, [0.0, 0.5, 1.0, 2.0], GRID, n_theta=16,
+                                           t_inf=32.0)
+        rep = chains.verify_transitions(fr, fld, t_inf=32.0)
+        assert rep.passed and len(rep.per_pair) == 4
+    # one classification per chain build, at the run's own t_inf
+    assert calls == [32.0, 32.0]
+    # an interior tail never asks
+    chains.range_normalized_chain(EXP, [0.0, 1.0], GRID, n_theta=16)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_panel_quadrature_is_independent_of_the_block_size(relative):
+    # integrands singular just outside the circle force deep, uneven bisection
+    pts = np.concatenate([chains._frame_points(GRID, 64, 1e-3), [0.0, -0.999, 0.999j]])
+    f = (lambda w: 1.0 / (w - 1.0) ** 2) if relative else (lambda w: -2.0 / (1.0 + w))
+    one, err1 = chains._panel_quadrature(f, 0.0, pts, 1e-10, relative, block=pts.size)
+    assert np.isfinite(one).all()
+    for block in (1, 2, 7, 64):
+        many, err = chains._panel_quadrature(f, 0.0, pts, 1e-10, relative, block=block)
+        assert np.array_equal(many, one) and np.array_equal(err, err1)
+    exact = pts / (1.0 - pts) if relative else -2.0 * np.log1p(pts)
+    assert (np.abs(one - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact))).all()

@@ -286,8 +286,11 @@ def test_specs_declare_their_autonomy_time():
         cfg = builtin_scenario(name)
         fld = assemble_field(cfg.p, cfg.tau)
         assert fld.t_aut == t_aut, name
-        # boundary tau (chordal) and Re lambda = 0 (rotation) keep the limit
-        assert (chains._autonomous_tail(fld) is None) == (name in ("chordal", "rotation"))
+        # Re lambda = 0 (rotation) keeps the limit; chordal's boundary tau
+        # fills the plane, so its tail takes the Abel form
+        tail = chains._autonomous_tail(fld)
+        assert (tail is None) == (name == "rotation")
+        assert (tail is not None and tail.lam is None) == (name == "chordal")
     cfg, errors = validate_config({
         "p": {"kind": "mobius_kernel",
               "driving": {"type": "table", "points": [[0.0, 1.0], [0.5, [0.0, 1.0]]]}},

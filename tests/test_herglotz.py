@@ -295,3 +295,24 @@ def test_pair_sine_identity_property(angle_frac, magnitude):
     spec = HerglotzSpec.constant(val)
     rep = check_pair(spec, spec, GRID[:64], TIMES[:2], k=0.999999)
     assert rep.statistic == pytest.approx(math.sin(angle_frac * math.pi / 2), abs=1e-10)
+
+
+def test_sampled_spec_evaluates_its_callable_once_per_value():
+    calls = []
+
+    def fn(z, t):
+        calls.append(t)
+        return (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
+
+    spec = HerglotzSpec.sampled(fn)
+    z = np.array([0.1, 0.2j, -0.3])
+    spec.evaluate(z, 0.5)
+    assert calls == [0.5]
+    # one call per distinct time of a (time x point) sample set
+    times = np.linspace(0.0, 1.0, 9)
+    rep = check_herglotz(spec, z, times)
+    assert rep.passed and len(calls) == 1 + 9
+    # pair also differences the callable, two more calls per time
+    calls.clear()
+    spec.pair(z, 0.5)
+    assert calls == [0.5] * 3

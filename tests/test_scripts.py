@@ -48,3 +48,13 @@ def test_pipeline_matrix_hashes_ignore_wall_time(tmp_path):
     assert a["exit"] == 0 and a["pass"]
     assert set(a["artifacts"]) == {"error_table.csv", "summary.json"}
     assert a == b
+    # --compare reports differing cells, and fails only on exit codes and pass flags
+    base = {"exponential/approx": a}
+    assert matrix.compare(base, {"exponential/approx": b}) == ([], False)
+    moved = dict(b, artifacts=dict(b["artifacts"], **{"summary.json": "0" * 64}))
+    assert matrix.compare(base, {"exponential/approx": moved}) == (
+        ["exponential/approx: artifacts summary.json"], False)
+    lines, broken = matrix.compare(base, {"exponential/approx": dict(moved, exit=1)})
+    assert broken and lines == ["exponential/approx: exit 0 -> 1; artifacts summary.json"]
+    lines, broken = matrix.compare(base, {"exponential/approx": dict(b, **{"pass": False})})
+    assert broken and lines == ["exponential/approx: pass True -> False"]
