@@ -33,7 +33,7 @@ def study(k: float, n_cells: int, n_theta: int):
     cps = np.linspace(0.0, 0.64, n_cells + 1)
     t0 = time.perf_counter()
     ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta)
-    _, rep = becker_dilatation(ff, p, k)
+    _, rep = becker_dilatation(ff, k)
     return rep.max_mu_formula, rep.max_mu_fd, rep.agreement, time.perf_counter() - t0
 
 

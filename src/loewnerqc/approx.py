@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import SeedGrid, criteria_grid
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, time_samples, _field_pair
-from .evolution import solve_forward
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, time_samples, field_value
+from .evolution import DEFAULT_TOL, solve_forward
 from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, range_normalized_chain
 
 DEVIATION_TOL = 1e-12
+_GRONWALL_PANELS = 4096     # trapezoid panels of gronwall_envelope
+_LEVEL_PANELS = 1024        # and of a level's envelope in convergence_table
 
 
 def step_approximate(tau: DenjoyWolffSpec, n: int,
@@ -65,9 +67,7 @@ class DeviationReport:
 
 
 def _deviation_arrays(z, tau_v, tau_n_v, p_v):
-    g = _field_pair(z, tau_v, p_v, 0.0)[0]
-    g_n = _field_pair(z, tau_n_v, p_v, 0.0)[0]
-    measured = np.abs(g - g_n)
+    measured = np.abs(field_value(z, tau_v, p_v) - field_value(z, tau_n_v, p_v))
     bound = 4.0 * np.abs(tau_v - tau_n_v) * np.abs(p_v)
     return measured, bound
 
@@ -112,13 +112,13 @@ def random_deviation_check(n_samples: int, seed: int) -> DeviationReport:
 # Gronwall envelope
 
 
-def gronwall_envelope(h, g, t0: float, t1: float, nodes, n_fine: int = 4096) -> np.ndarray:
+def gronwall_envelope(h, g, t0: float, t1: float, nodes) -> np.ndarray:
     """Evaluate h(t) + int_t0^t g(s) h(s) exp(int_s^t g(u) du) ds at the nodes.
 
     h and g are callables on [t0, t1]; composite trapezoid quadrature on a
-    uniform fine grid.
+    uniform grid of _GRONWALL_PANELS panels.
     """
-    xs = np.linspace(t0, t1, n_fine + 1)
+    xs = np.linspace(t0, t1, _GRONWALL_PANELS + 1)
     hs = np.array([float(h(x)) for x in xs])
     gs = np.array([float(g(x)) for x in xs])
     return _gronwall_from_samples(xs, hs, gs, np.asarray(nodes, dtype=float))
@@ -181,9 +181,9 @@ def _fit_order(devs, errs):
     return float(np.polyfit(np.log(devs[ok]), np.log(errs[ok]), 1)[0])
 
 
-def _level_envelope(field_exact, tau, tau_n, t_end, r_compact, n_fine=1024) -> float:
+def _level_envelope(field_exact, tau, tau_n, t_end, r_compact) -> float:
     """Gronwall envelope at t_end of a level, on the ring |z| = r_compact."""
-    xs = np.linspace(0.0, t_end, n_fine + 1)
+    xs = np.linspace(0.0, t_end, _LEVEL_PANELS + 1)
     z, t = time_samples(r_compact * np.exp(2j * np.pi * np.arange(32) / 32), xs)
     sup_p = np.abs(field_exact.p.evaluate(z, t)).max(axis=1)
     integrand = 4.0 * np.abs(tau.value(xs) - tau_n.value(xs)) * sup_p
@@ -193,7 +193,7 @@ def _level_envelope(field_exact, tau, tau_n, t_end, r_compact, n_fine=1024) -> f
 
 
 def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedGrid,
-                      checkpoints, tol: float = 1e-9, horizon: float | None = None,
+                      checkpoints, tol: float = DEFAULT_TOL, horizon: float | None = None,
                       t_inf: float = DEFAULT_T_INF,
                       tol_limit: float = DEFAULT_TOL_LIMIT) -> ConvergenceTable:
     """Per-level errors of the step approximants against exact-tau references.

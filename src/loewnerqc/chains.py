@@ -66,12 +66,18 @@ import numpy as np
 
 from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row
 from .herglotz import VectorFieldHandle, time_samples
-from .evolution import solve_forward, solve_reverse
+from .evolution import DEFAULT_TOL, solve_forward, solve_reverse
 
 DEFAULT_T_INF = 64.0
 DEFAULT_TOL_LIMIT = 1e-8
+DEFAULT_N_THETA = 256
+DEFAULT_DELTA_TRACE = 1e-3
 TOL_CHAIN = 1e-6
 TOL_BETA = 1e-6
+
+_BETA_PROBES = np.array([0.0, 0.3, -0.25 + 0.25j, 0.4j, -0.5])   # the origin first
+_TOL_STABLE = 1e-3          # relative change of a stabilized beta over the last doubling
+_CONTAINMENT_PROBES = 32    # trace nodes per winding-number test
 
 # Limit-bound integrations keep pure relative error control: the scaling
 # limit divides quantities that decay like exp(-t).
@@ -326,7 +332,7 @@ class ChainLimitResult:
     affine: tuple[complex, complex] | None = None
 
 
-def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = 1e-9,
+def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = DEFAULT_TOL,
                 t_inf: float = DEFAULT_T_INF,
                 tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
     """Evaluate f_t at the given interior points.
@@ -512,6 +518,10 @@ class ChainFrames:
     The ``*derivs`` arrays carry d f_t / dz from the variational equation,
     exact up to integration error (no grid differencing).  Decreasing
     chains need no limit: their rows are converged with zero deltas.
+
+    The frames keep the field they integrated, ``vector_field``, and the
+    settings of the build: ``tol``, and ``t_inf`` and ``tol_limit`` of the
+    limit (None for decreasing frames).  The checks read them from here.
     """
 
     tag: str
@@ -529,6 +539,10 @@ class ChainFrames:
     origin_derivs: np.ndarray
     converged: np.ndarray
     acc_delta: np.ndarray
+    vector_field: VectorFieldHandle
+    tol: float
+    t_inf: float | None
+    tol_limit: float | None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -544,11 +558,13 @@ def _frame_points(grid: SeedGrid, n_theta: int, delta_trace: float) -> np.ndarra
     return np.concatenate([grid.points, trace_ring(n_theta, delta_trace), np.zeros(1, complex)])
 
 
-def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, acc) -> ChainFrames:
+def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, acc,
+            settings) -> ChainFrames:
     """ChainFrames from (checkpoint x frame point) arrays in _frame_points order.
 
     ok marks valid (finite, untruncated) data and conv per-point limit
-    convergence, or is None for a chain built without a limit.  A row
+    convergence, or is None for a chain built without a limit.  settings
+    is (vector_field, tol, t_inf, tol_limit) of the build.  A row
     counts as converged when every valid grid point converged and at least
     one grid point is valid; unconverged rows and masked trace nodes are
     reported as warnings.
@@ -573,12 +589,12 @@ def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, acc) -> 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return ChainFrames(tag, cps, grid, vals[:, g], ders[:, g], ok[:, g],
                        theta, 1.0 - delta_trace, vals[:, r], ders[:, r], tvalid,
-                       vals[:, -1], ders[:, -1], converged, acc, warnings)
+                       vals[:, -1], ders[:, -1], converged, acc, *settings, warnings)
 
 
 def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
-                           n_theta: int = 256, delta_trace: float = 1e-3,
-                           tol: float = 1e-9, t_inf: float = DEFAULT_T_INF,
+                           n_theta: int = DEFAULT_N_THETA, delta_trace: float = DEFAULT_DELTA_TRACE,
+                           tol: float = DEFAULT_TOL, t_inf: float = DEFAULT_T_INF,
                            tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainFrames:
     """Frames of the range-normalized chain f_t at every checkpoint.
 
@@ -628,12 +644,12 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
     acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                   vals, ders, ok, conv, acc)
+                   vals, ders, ok, conv, acc, (field, tol, t_inf, tol_limit))
 
 
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
-                     n_theta: int = 256, delta_trace: float = 1e-3,
-                     tol: float = 1e-9) -> ChainFrames:
+                     n_theta: int = DEFAULT_N_THETA, delta_trace: float = DEFAULT_DELTA_TRACE,
+                     tol: float = DEFAULT_TOL) -> ChainFrames:
     """Decreasing chain g_t = omega_{0,t} by reverse integration per checkpoint.
 
     The frames sample the same points as ``range_normalized_chain``: the
@@ -651,7 +667,7 @@ def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
         rows.append((vals, traj.deriv_at(0.0), traj.live() & np.isfinite(vals)))
     vals, ders, ok = (np.stack(col) for col in zip(*rows))
     return _frames("decreasing", cps, grid, n_theta, delta_trace, vals, ders, ok, None,
-                   np.zeros(cps.size))
+                   np.zeros(cps.size), (field, tol, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -680,24 +696,18 @@ class RangeReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def beta_limit(field: VectorFieldHandle, probes=None, t_inf: float = DEFAULT_T_INF,
-               tol: float = 1e-9, tol_beta: float = TOL_BETA,
-               tol_stable: float = 1e-3) -> RangeReport:
-    """Estimate beta(z) = lim |phi'_{0,t}(z)| / (1 - |phi_{0,t}(z)|^2).
+def beta_limit(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
+               tol: float = DEFAULT_TOL, tol_beta: float = TOL_BETA) -> RangeReport:
+    """Estimate beta(z) = lim |phi'_{0,t}(z)| / (1 - |phi_{0,t}(z)|^2) at _BETA_PROBES.
 
     The sequence along the doubling horizons is non-increasing (Schwarz-Pick),
     so each probe is classified as zero when the raw tail or its Richardson
-    limit falls under tol_beta, nonzero when the tail has stabilized, and
-    inconclusive otherwise.  The plane/disk verdict requires all probes to
-    agree; the theory makes beta vanish either everywhere or nowhere.
+    limit falls under tol_beta, nonzero when the tail has changed by at most
+    _TOL_STABLE over the last doubling, and inconclusive otherwise.  The
+    plane/disk verdict requires all probes to agree; the theory makes beta
+    vanish either everywhere or nowhere.  beta0 is read at probe 0, the origin.
     """
-    if probes is None:
-        probes = np.array([0.0, 0.3, -0.25 + 0.25j, 0.4j, -0.5])
-    probes = np.atleast_1d(np.asarray(probes, dtype=complex))
-    if not np.any(probes == 0):
-        probes = np.concatenate([[0.0], probes])
-    if np.any(np.abs(probes) >= 1.0):
-        raise ValueError("beta probes must be interior")
+    probes = _BETA_PROBES.copy()
 
     # the classifier reads tail ratios of successive doublings
     horizons = horizon_offsets(t_inf)
@@ -730,7 +740,7 @@ def beta_limit(field: VectorFieldHandle, probes=None, t_inf: float = DEFAULT_T_I
             classes.append("zero")
             continue
         rel_change = abs(b[-1] - b[-2]) / max(b[-1], 1e-300)
-        if rel_change <= tol_stable:
+        if rel_change <= _TOL_STABLE:
             classes.append("nonzero")
         else:
             classes.append("inconclusive")
@@ -738,18 +748,17 @@ def beta_limit(field: VectorFieldHandle, probes=None, t_inf: float = DEFAULT_T_I
                 f"beta at probe {probes[j]} neither stabilized nor contracting "
                 f"(last values {b[-3:]})")
 
-    j0 = int(np.flatnonzero(probes == 0)[0])
     if all(c == "zero" for c in classes):
         cls = "plane"
-        beta0 = float(raw_last[j0] if raw_last[j0] <= tol_beta else extrap[j0])
+        beta0 = float(raw_last[0] if raw_last[0] <= tol_beta else extrap[0])
         radius = None
     elif all(c == "nonzero" for c in classes):
         cls = "disk"
-        beta0 = float(raw_last[j0])
+        beta0 = float(raw_last[0])
         radius = 1.0 / beta0
     else:
         cls = "inconclusive"
-        beta0 = float(raw_last[j0])
+        beta0 = float(raw_last[0])
         radius = None
         warnings.append(f"probes disagree on the zero set: {classes}")
     return RangeReport(cls, beta0, radius, probes, raw_last, extrap, hist,
@@ -768,24 +777,23 @@ class TransitionReport:
     excluded: int
 
 
-def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None,
-                       tol: float = 1e-9, tol_chain: float = TOL_CHAIN,
-                       t_inf: float = DEFAULT_T_INF) -> TransitionReport:
+def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> TransitionReport:
     """Check f_s = f_t o phi_{s,t} on the stored grid and origin for checkpoint pairs.
 
-    Both sides come from independent computations: the stored frame at s
-    against a fresh ``limit_frame`` evaluation (exact tail or scaling
-    limit) at the integrated image points.  The origin is among them, so
-    the pairs (0, t) also check the stored f_0(0) against f_t(phi_{0,t}(0))
-    from a batch of its own.
+    The pairs are the consecutive checkpoints and, with more than two, the
+    first and the last.  Both sides come from independent computations: the
+    stored frame at s against a fresh ``limit_frame`` evaluation (exact
+    tail or scaling limit) at the integrated image points, with the field
+    and settings the frames were built with.  The origin is among the
+    points, so the pairs (0, t) also check the stored f_0(0) against
+    f_t(phi_{0,t}(0)) from a batch of its own.
     """
     if frames.tag != "range-normalized":
         raise ValueError("transition identity applies to range-normalized frames")
-    cps = frames.checkpoints
-    if pairs is None:
-        pairs = [(cps[i], cps[i + 1]) for i in range(len(cps) - 1)]
-        if len(cps) > 2:
-            pairs.append((cps[0], cps[-1]))
+    field, tol, cps = frames.vector_field, frames.tol, frames.checkpoints
+    pairs = [(cps[i], cps[i + 1]) for i in range(len(cps) - 1)]
+    if len(cps) > 2:
+        pairs.append((cps[0], cps[-1]))
     pts = np.append(frames.grid.points, 0.0)
     detail, excluded = [], 0
     for s, t in pairs:
@@ -798,7 +806,7 @@ def verify_transitions(frames: ChainFrames, field: VectorFieldHandle, pairs=None
         excluded += int(np.count_nonzero(~ok))
         if not ok.any():
             continue
-        res = limit_frame(field, float(t), img[ok], tol, t_inf)
+        res = limit_frame(field, float(t), img[ok], tol, frames.t_inf, frames.tol_limit)
         detail.append((float(s), float(t), float(np.nanmax(np.abs(res.values - stored[ok])))))
     worst = max([0.0] + [r for *_, r in detail])
     return TransitionReport(worst, detail, worst <= tol_chain, excluded)
@@ -814,14 +822,14 @@ class PdeReport:
     sup_p: float
 
 
-def verify_chain_pde(frames: ChainFrames, field: VectorFieldHandle,
-                     r_max: float | None = None) -> PdeReport:
-    """Residual of the chain PDE at interior checkpoints.
+def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeReport:
+    """Residual of the chain PDE of the frames' own field at interior checkpoints.
 
     d f_t / dt comes from centered differences of the frames; d f_t / dz is
     the stored variational derivative.  The residual is reported relative to
-    |d f/dz| * sup|p|.
+    |d f/dz| * sup|p|.  Checkpoints within a step of a jump of tau are left out.
     """
+    field = frames.vector_field
     cps = frames.checkpoints
     if cps.size < 3:
         raise ValueError("need >= 3 checkpoints for time differencing")
@@ -848,7 +856,7 @@ def verify_chain_pde(frames: ChainFrames, field: VectorFieldHandle,
 
     interior = np.arange(1, cps.size - 1)
     # keep a full step away from tau's switching times
-    for b in field.discontinuities:
+    for b in field.tau.breakpoints:
         interior = interior[np.abs(cps[interior] - b) > dt_all.max() + 1e-12]
     resid = np.abs(lhs[interior] - rhs[interior])
     denom = np.abs(dfs[interior]) * max(sup_p, 1e-300)
@@ -871,7 +879,7 @@ class ContainmentReport:
     lambda_diameter: float | None
 
 
-def verify_containment(frames: ChainFrames, n_probe: int = 32) -> ContainmentReport:
+def verify_containment(frames: ChainFrames) -> ContainmentReport:
     """Spot-check image monotonicity using trace polygons.
 
     For decreasing frames each later trace must wind once inside every
@@ -884,7 +892,7 @@ def verify_containment(frames: ChainFrames, n_probe: int = 32) -> ContainmentRep
     to a point).
     """
     nt = frames.checkpoints.size
-    step = max(1, frames.n_theta // n_probe)
+    step = max(1, frames.n_theta // _CONTAINMENT_PROBES)
     violations = 0
     checked = 0
     skipped = 0

@@ -64,21 +64,18 @@ def _cmd_evolve(cfg, out, summary):
     return semi.residual <= cfg.criteria.tol_chain and sp.passed
 
 
-def _build_frames(cfg, fld, n_default: int = 9):
+def _build_frames(cfg, n_default: int = 9):
     cps = cfg.time.checkpoint_array(n_default)
     return range_normalized_chain(
-        fld, cps, cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
+        _field(cfg), cps, cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
         delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol,
         t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
 
 
 def _cmd_chain(cfg, out, summary):
-    fld = _field(cfg)
-    frames = _build_frames(cfg, fld)
-    trans = verify_transitions(frames, fld, tol=cfg.time.tol,
-                               tol_chain=cfg.criteria.tol_chain,
-                               t_inf=cfg.criteria.t_inf)
-    pde = verify_chain_pde(frames, fld) if frames.checkpoints.size >= 3 else None
+    frames = _build_frames(cfg)
+    trans = verify_transitions(frames, cfg.criteria.tol_chain)
+    pde = verify_chain_pde(frames) if frames.checkpoints.size >= 3 else None
     if cfg.outputs.csv:
         artifacts.write_frames_csv(frames, out / "frames_f.csv")
     if cfg.outputs.svg:
@@ -105,8 +102,7 @@ def _cmd_chain(cfg, out, summary):
 
 
 def _cmd_range(cfg, out, summary):
-    fld = _field(cfg)
-    rep = beta_limit(fld, t_inf=cfg.criteria.t_inf, tol=cfg.time.tol,
+    rep = beta_limit(_field(cfg), t_inf=cfg.criteria.t_inf, tol=cfg.time.tol,
                      tol_beta=cfg.criteria.tol_beta)
     summary["metrics"].update({
         "classification": rep.classification,
@@ -138,7 +134,7 @@ def _cmd_extend(cfg, out, summary):
         summary["warnings"].append(_FEW_CHECKPOINTS)
         return False
     q = cfg.q_or_default()
-    f_frames = _build_frames(cfg, _field(cfg), n_default=65)
+    f_frames = _build_frames(cfg, n_default=65)
     g_frames = decreasing_chain(
         assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
         n_theta=cfg.grid.theta_nodes, delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
@@ -149,8 +145,7 @@ def _cmd_extend(cfg, out, summary):
             "step tau: formula-side dilatation evaluated piecewise per "
             "constancy interval, never across breakpoints")
     try:
-        atlas = build_extension(f_frames, g_frames, cfg.p, q, cfg.tau,
-                                pair_checked=pair_rep.passed)
+        atlas = build_extension(f_frames, g_frames, pair_checked=pair_rep.passed)
     except AtlasRejected as e:
         summary["warnings"].append(str(e))
         summary["metrics"]["atlas_rejected"] = True
@@ -193,8 +188,8 @@ def _cmd_becker(cfg, out, summary):
     if cfg.q is not None:
         summary["warnings"].append(
             "q is not used by the radial extension (extend reads it)")
-    f_frames = _build_frames(cfg, _field(cfg), n_default=65)
-    ext, rep = becker_dilatation(f_frames, cfg.p, cfg.criteria.k, cfg.criteria.tol_dilat)
+    f_frames = _build_frames(cfg, n_default=65)
+    ext, rep = becker_dilatation(f_frames, cfg.criteria.k, cfg.criteria.tol_dilat)
     if cfg.outputs.csv:
         abs_mu_fd = np.abs(ext.mu_fd).astype(object)
         abs_mu_fd[~ext.fd_valid] = ""

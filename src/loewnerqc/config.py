@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, TOL_BETA, TOL_CHAIN
+from .chains import (DEFAULT_DELTA_TRACE, DEFAULT_N_THETA, DEFAULT_T_INF, DEFAULT_TOL_LIMIT,
+                     TOL_BETA, TOL_CHAIN)
+from .evolution import DEFAULT_TOL
 from .extension import TOL_DILAT
 from .grids import DELTA_GUARD, SeedGrid, circle_grid
 from .herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError, TOL_CRITERION, TOL_HERGLOTZ,
-                       TOL_HOLO, _interp_table, _table_time)
+                       TOL_HOLO, time_table)
 
 
 class ConfigError(ValueError):
@@ -90,7 +92,7 @@ def _section(doc, key, errors) -> dict:
 class TimeConfig:
     t_end: float = 1.0
     checkpoints: list = dc_field(default_factory=list)
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
     def checkpoint_array(self, n_default: int = 9) -> np.ndarray:
         """Configured checkpoints, or a uniform default grid.
@@ -108,8 +110,8 @@ class TimeConfig:
 class GridConfig:
     circles: list = dc_field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
     angles: int = 8
-    delta_trace: float = 1e-3
-    theta_nodes: int = 256
+    delta_trace: float = DEFAULT_DELTA_TRACE
+    theta_nodes: int = DEFAULT_N_THETA
 
     def seed_grid(self) -> SeedGrid:
         return circle_grid(tuple(self.circles), self.angles)
@@ -177,8 +179,7 @@ def _build_time_profile(d, path, errors):
         c = _as_complex(d.get("value", 1.0), f"{path}.value", errors)
         return (lambda t: c), 0.0, ()
     if isinstance(d, dict) and d.get("type") == "table":
-        made = _time_table(d.get("points", []), f"{path}.points", errors,
-                           lambda ts, vs: (_interp_table(ts, vs),) + _table_time(ts))
+        made = _time_table(d.get("points", []), f"{path}.points", errors, time_table)
         if made is not None:
             return made
     else:

@@ -48,6 +48,9 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 52
 _H_MIN_FACTOR = 1e-13
 _H_MAX = 4.0
 
+DEFAULT_TOL = 1e-9          # the tolerance of a solve given none
+_PANELS_PER_UNIT = 128      # Simpson panels per unit time of derivative_at_origin
+
 
 @dataclass
 class TrajectorySet:
@@ -231,7 +234,7 @@ def _as_seed_array(seeds):
 
 
 def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
-                  tol: float = 1e-9, checkpoints=None,
+                  tol: float = DEFAULT_TOL, checkpoints=None,
                   atol: float | None = None) -> TrajectorySet:
     """Integrate d phi/dt = G(phi, t) from t = s to t_end for every seed.
 
@@ -259,7 +262,7 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
 
 
 def solve_reverse(field: VectorFieldHandle, t: float, seeds,
-                  tol: float = 1e-9, checkpoints=None) -> TrajectorySet:
+                  tol: float = DEFAULT_TOL, checkpoints=None) -> TrajectorySet:
     """Integrate dw/ds = -G(w, s) backward from w(t) = seed down to s = 0.
 
     Internally runs forward in sigma = t - s.  The result is indexed by s
@@ -309,7 +312,7 @@ class SemigroupReport:
 
 
 def verify_semigroup(field: VectorFieldHandle, s: float, u: float, t: float,
-                     seeds, tol: float = 1e-9) -> SemigroupReport:
+                     seeds, tol: float = DEFAULT_TOL) -> SemigroupReport:
     """max |phi_{s,t}(z) - phi_{u,t}(phi_{s,u}(z))| by independent integrations."""
     if not s <= u <= t:
         raise ValueError("need s <= u <= t")
@@ -367,10 +370,9 @@ class OriginDerivativeTrace:
     quadrature: np.ndarray | None
 
 
-def _cumulative_simpson_p0(field: VectorFieldHandle, times: np.ndarray,
-                           panels_per_unit: int = 128) -> np.ndarray:
+def _cumulative_simpson_p0(field: VectorFieldHandle, times: np.ndarray) -> np.ndarray:
     """Cumulative integral of p(0, u) along the time grid, composite Simpson."""
-    spans = [(float(a), float(b), max(2, int(np.ceil((b - a) * panels_per_unit / 2)) * 2))
+    spans = [(float(a), float(b), max(2, int(np.ceil((b - a) * _PANELS_PER_UNIT / 2)) * 2))
              for a, b in zip(times[:-1], times[1:])]
     xs = np.concatenate([np.linspace(a, b, m + 1) for a, b, m in spans] + [np.zeros(0)])
     ys = field.p.evaluate(np.zeros(xs.size, dtype=complex), xs)
@@ -386,7 +388,7 @@ def _cumulative_simpson_p0(field: VectorFieldHandle, times: np.ndarray,
     return out
 
 
-def derivative_at_origin(field: VectorFieldHandle, t_end: float, tol: float = 1e-9,
+def derivative_at_origin(field: VectorFieldHandle, t_end: float, tol: float = DEFAULT_TOL,
                          checkpoints=None) -> OriginDerivativeTrace:
     """Trace of phi'_{0,t}(0) from the variational equation.
 

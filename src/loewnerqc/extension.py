@@ -56,11 +56,6 @@ class FormulaSamples:
     prefactor_valid: np.ndarray
 
 
-def _as_spec(tau) -> DenjoyWolffSpec:
-    """tau itself, or the constant spec of a bare value."""
-    return tau if isinstance(tau, DenjoyWolffSpec) else DenjoyWolffSpec.constant(tau)
-
-
 def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
                      t_grid: np.ndarray, theta: np.ndarray, trace_radius: float,
                      g_traces: np.ndarray | None = None,
@@ -86,7 +81,7 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     step data are evaluated piecewise per constancy interval, step cells
     followed by a tail up to the horizon, and sampled data not at all.
     """
-    tau = _as_spec(tau)
+    tau = tau if isinstance(tau, DenjoyWolffSpec) else DenjoyWolffSpec.constant(tau)
     t_grid = np.asarray(t_grid, dtype=float)
     theta = np.asarray(theta, dtype=float)
     zeta = trace_radius * np.exp(1j * theta)
@@ -312,19 +307,18 @@ def _injectivity_witness(points: np.ndarray):
 
 
 def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
-                    p: HerglotzSpec, q: HerglotzSpec, tau,
                     pair_checked: bool | None = None) -> ExtensionAtlas:
     """Assemble the welding atlas from matching f and g frames.
 
     Sources are the reflected g traces 1/conj(g_t), targets the f traces.
-    tau is a Denjoy-Wolff spec or a bare constant.  The formula side has
-    the rows where tau is frozen (see ``beltrami_formula``); when it has
-    none, as for sampled (measurable) data, certification rests on the
-    finite-difference estimator plus approximation evidence.  Rejects the
-    atlas when more than 1% of source points collide, which signals broken
-    hypotheses or integration failure rather than noise.
+    The formula side reads p and tau from the field of the f frames and q
+    from that of the g frames.  It has the rows where tau is frozen (see
+    ``beltrami_formula``); when it has none, as for sampled (measurable)
+    data, certification rests on the finite-difference estimator plus
+    approximation evidence.  Rejects the atlas when more than 1% of source
+    points collide, which signals broken hypotheses or integration failure
+    rather than noise.
     """
-    tau = _as_spec(tau)
     if f_frames.tag != "range-normalized" or g_frames.tag != "decreasing":
         raise ValueError("need range-normalized f frames and decreasing g frames")
     if f_frames.checkpoints.size != g_frames.checkpoints.size or \
@@ -332,6 +326,10 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         raise ValueError("f and g frames must share checkpoints")
     if f_frames.n_theta != g_frames.n_theta:
         raise ValueError("f and g frames must share the theta grid")
+    if f_frames.trace_radius != g_frames.trace_radius:
+        raise ValueError("f and g frames must share the trace ring")
+    p, tau = f_frames.vector_field.p, f_frames.vector_field.tau
+    q = g_frames.vector_field.p
 
     warnings = []
     if pair_checked is False or pair_checked is None:
@@ -356,12 +354,10 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
     mu_fd, fd_ok = _lsq_wirtinger(source, target, valid)
     # fd stencils must not straddle a tau jump either: the two welding
     # pieces meet there and the affine model mixes them
-    for b in tau.breakpoints:
-        for i in range(t_grid.size):
-            lo = t_grid[max(i - 1, 0)]
-            hi = t_grid[min(i + 1, t_grid.size - 1)]
-            if lo - 1e-12 <= b <= hi + 1e-12:
-                fd_ok[i] = False
+    lo = np.concatenate([t_grid[:1], t_grid[:-1]])
+    hi = np.concatenate([t_grid[1:], t_grid[-1:]])
+    b = np.array(tau.breakpoints, dtype=float)[:, None]
+    fd_ok[((lo - 1e-12 <= b) & (b <= hi + 1e-12)).any(axis=0)] = False
 
     min_sep, threshold, collisions = _injectivity_witness(source[valid])
     n_valid = int(np.count_nonzero(valid))
@@ -369,13 +365,12 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         raise AtlasRejected(
             f"{collisions} of {n_valid} source points collide below {threshold:.2g}")
 
-    atlas = ExtensionAtlas(t_grid, theta, source, target,
-                           np.where(valid & fs.prefactor_valid, fs.mu, np.nan + 0j),
-                           np.where(valid, fs.mu_pair, np.nan + 0j),
-                           fs.valid, mu_fd, fd_ok, valid,
-                           min_sep, threshold, collisions,
-                           float(np.count_nonzero(valid)) / valid.size, warnings)
-    return atlas
+    return ExtensionAtlas(t_grid, theta, source, target,
+                          np.where(valid & fs.prefactor_valid, fs.mu, np.nan + 0j),
+                          np.where(valid, fs.mu_pair, np.nan + 0j),
+                          fs.valid, mu_fd, fd_ok, valid,
+                          min_sep, threshold, collisions,
+                          float(np.count_nonzero(valid)) / valid.size, warnings)
 
 
 @dataclass
@@ -478,12 +473,11 @@ def dilatation_report(atlas: ExtensionAtlas, k: float,
                        k, tol_dilat, formula_withheld=not atlas.formula_valid.any())
 
 
-def becker_dilatation(f_frames: ChainFrames, p: HerglotzSpec, k: float,
-                      tol_dilat: float = TOL_DILAT):
+def becker_dilatation(f_frames: ChainFrames, k: float, tol_dilat: float = TOL_DILAT):
     """Radial extension of f_0 (tau = 0) and its dilatation verdict.
 
-    The formula side is mu = e^{2i theta} (p - 1)/(p + 1) at
-    zeta = trace_radius e^{i theta} on every checkpoint: with
+    The formula side is mu = e^{2i theta} (p - 1)/(p + 1), p of the
+    frames' field, at zeta = trace_radius e^{i theta} on every checkpoint: with
     F(e^{t + i theta}) = f_t(e^{i theta}) and d_t f = z f' p, the Wirtinger
     derivatives in w = log z are z f' (p + 1)/2 and z f' (p - 1)/2, and
     z = e^w adds the phase z / conj(z).  |mu| is read from the bare ratio,
@@ -494,7 +488,7 @@ def becker_dilatation(f_frames: ChainFrames, p: HerglotzSpec, k: float,
     """
     ext = becker_extension(f_frames)
     zeta = f_frames.trace_radius * np.exp(1j * f_frames.theta)
-    pv = p.evaluate(*time_samples(zeta, f_frames.checkpoints))
+    pv = f_frames.vector_field.p.evaluate(*time_samples(zeta, f_frames.checkpoints))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (pv - 1.0) / (pv + 1.0)
     ok = (np.abs(pv + 1.0) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)

@@ -46,6 +46,7 @@ TOL_HERGLOTZ = 1e-6
 TOL_HOLO = 1e-6
 HOLO_STEP = 1e-4
 DZ_STEP = 1e-5
+ROTATION_TOL = 1e-12
 
 
 class SpecError(ValueError):
@@ -75,8 +76,8 @@ def _per_time(fn: Callable[[np.ndarray, float], np.ndarray]):
     return ev
 
 
-def _interp_table(ts, vs):
-    """Complex linear interpolant t -> value through the nodes (ts, vs)."""
+def time_table(ts, vs):
+    """(interpolant, t_aut, nodes) of the table (ts, vs): linear, constant past t_aut = ts[-1]."""
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(vs, dtype=complex)
     if ts.size != vs.size or ts.size == 0:
@@ -87,7 +88,7 @@ def _interp_table(ts, vs):
     def f(t):
         return np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)
 
-    return f
+    return f, float(ts[-1]), tuple(ts.tolist())
 
 
 def _horner(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -103,12 +104,6 @@ def _full(z: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
     """(p, dp/dz) of a value c that does not depend on z."""
     pv = np.full_like(z, c)
     return pv, np.zeros_like(pv)
-
-
-def _table_time(ts) -> tuple[float, tuple[float, ...]]:
-    """(t_aut, nodes) of a time table: it is constant past its last node."""
-    nodes = tuple(float(t) for t in ts)
-    return nodes[-1], nodes
 
 
 @dataclass
@@ -214,8 +209,7 @@ class HerglotzSpec:
     @classmethod
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
         """z-independent samples p(t), linearly interpolated between nodes."""
-        f = _interp_table(ts, values)
-        t_aut, nodes = _table_time(ts)
+        f, t_aut, nodes = time_table(ts, values)
         return cls(lambda z, t: _full(z, f(t)), t_aut=t_aut, nodes=nodes)
 
 
@@ -288,11 +282,10 @@ class DenjoyWolffSpec:
     @classmethod
     def from_time_table(cls, ts, values) -> "DenjoyWolffSpec":
         """Sampled tau(t), linearly interpolated between the nodes ts."""
-        f = _interp_table(ts, values)
+        f, t_aut, nodes = time_table(ts, values)
         worst = max(abs(complex(v)) for v in values)
         if worst > 1.0 + 1e-12:
             raise SpecError(f"table value with |tau| = {worst} > 1")
-        t_aut, nodes = _table_time(ts)
         return cls(f, t_aut=t_aut, nodes=nodes)
 
     @classmethod
@@ -347,21 +340,25 @@ def _field_pair(z: np.ndarray, tv, pv: np.ndarray, dp: np.ndarray):
     return af * pv, (2.0 * tconj * z - (1.0 + abs(tv) ** 2)) * pv + af * dp
 
 
+def field_value(z: np.ndarray, tv, pv: np.ndarray) -> np.ndarray:
+    """G alone, bit for bit the value half of the integrators' (G, dG/dz) kernel."""
+    return _field_pair(z, tv, pv, 0.0)[0]
+
+
 @dataclass
 class VectorFieldHandle:
     """Assembled Berkson-Porta vector field.
 
-    ``discontinuities`` are the jumps of tau, where welding pieces meet.
-    ``stops`` adds the kinks (the table nodes of p and tau); the
-    integrators end a step at each of them, so the error control never
-    works across a corner of the data.  ``t_aut`` is the autonomy time of
+    ``stops`` are the jumps of tau, where welding pieces meet, and the
+    kinks (the table nodes of p and tau); the integrators end a step at
+    each of them, so the error control never works across a corner of the
+    data.  ``t_aut`` is the autonomy time of
     the field: the later of p's and tau's, or None if either is unknown.
     ``memo`` keeps what callers derive once per field.
     """
 
     p: HerglotzSpec
     tau: DenjoyWolffSpec
-    discontinuities: tuple[float, ...]
     stops: tuple[float, ...] = ()
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -403,7 +400,7 @@ class VectorFieldHandle:
 def assemble_field(p: HerglotzSpec, tau: DenjoyWolffSpec) -> VectorFieldHandle:
     """Build the vector field handle; tau's constructor keeps |tau| <= 1."""
     stops = tuple(sorted(set(tau.breakpoints) | set(tau.nodes) | set(p.nodes)))
-    return VectorFieldHandle(p=p, tau=tau, discontinuities=tau.breakpoints, stops=stops)
+    return VectorFieldHandle(p=p, tau=tau, stops=stops)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +527,7 @@ def sector_bound(opening: float) -> float:
     return math.sin(opening * math.pi / 2.0)
 
 
-def holomorphy_residual(p: HerglotzSpec, grid, times, h: float = HOLO_STEP) -> float:
+def holomorphy_residual(p: HerglotzSpec, grid, times) -> float:
     """Relative Cauchy-Riemann residual by centered differences.
 
     Returns max |d p/d conj(z)| / (1 + |d p/dz|) over the samples.  The
@@ -540,6 +537,7 @@ def holomorphy_residual(p: HerglotzSpec, grid, times, h: float = HOLO_STEP) -> f
     distance from them (r <= 0.8 in the default checks).
     """
     z, t = time_samples(grid, times)
+    h = HOLO_STEP
     px = (p.evaluate(z + h, t) - p.evaluate(z - h, t)) / (2.0 * h)
     py = (p.evaluate(z + 1j * h, t) - p.evaluate(z - 1j * h, t)) / (2.0 * h)
     res = 0.5 * np.abs(px + 1j * py) / (1.0 + 0.5 * np.abs(px - 1j * py))
@@ -547,10 +545,10 @@ def holomorphy_residual(p: HerglotzSpec, grid, times, h: float = HOLO_STEP) -> f
     return float(res.max()) if res.size else 0.0
 
 
-def rotation_only(p: HerglotzSpec, grid, times, tol: float = 1e-12) -> bool:
-    """True when p is purely imaginary at every sample.
+def rotation_only(p: HerglotzSpec, grid, times) -> bool:
+    """True when p is purely imaginary (to ROTATION_TOL) at every sample.
 
     Such data only rotate the disk: chain images never grow, the welding
     is conformal and extension construction is skipped.
     """
-    return not np.any(np.abs(p.evaluate(*time_samples(grid, times)).real) > tol)
+    return not np.any(np.abs(p.evaluate(*time_samples(grid, times)).real) > ROTATION_TOL)

@@ -163,12 +163,12 @@ def test_criterion_08_chain_pde_residual():
     def fresid(fld, dt):
         cps = np.arange(0.0, 0.12 + dt / 2, dt)
         fr = chains.range_normalized_chain(fld, cps, grid, n_theta=16)
-        return chains.verify_chain_pde(fr, fld, r_max=0.8).rel_residual
+        return chains.verify_chain_pde(fr, r_max=0.8).rel_residual
 
     def gresid(fld, dt):
         cps = np.arange(0.0, 0.12 + dt / 2, dt)
         fr = chains.decreasing_chain(fld, cps, grid, n_theta=16)
-        return chains.verify_chain_pde(fr, fld, r_max=0.8).rel_residual
+        return chains.verify_chain_pde(fr, r_max=0.8).rel_residual
 
     rb1, rb2 = fresid(becker, 0.01), fresid(becker, 0.005)
     order_becker = np.log2(rb1 / rb2)

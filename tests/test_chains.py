@@ -118,12 +118,12 @@ def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
 
 def test_transition_identity():
     fr = chains.range_normalized_chain(BECKER, [0.0, 0.4, 0.8], GRID, n_theta=64)
-    rep = chains.verify_transitions(fr, BECKER)
+    rep = chains.verify_transitions(fr)
     assert rep.passed
     assert rep.residual < 1e-6
     # the origin is checked too: a stored f_0(0) off by 1e-3 fails the report
     fr.origin_values[0] += 1e-3
-    rep = chains.verify_transitions(fr, BECKER)
+    rep = chains.verify_transitions(fr)
     assert not rep.passed
     assert rep.residual == pytest.approx(1e-3, rel=1e-3)
 
@@ -258,7 +258,7 @@ def test_decreasing_chain_chordal_lambda_collapses():
 def test_verify_chain_pde_exponential():
     cps = np.linspace(0.0, 0.2, 21)
     fr = chains.range_normalized_chain(EXP, cps, GRID, n_theta=32)
-    rep = chains.verify_chain_pde(fr, EXP)
+    rep = chains.verify_chain_pde(fr)
     assert rep.rel_residual < 1e-4
     assert not rep.resolution_limited
 
@@ -266,16 +266,16 @@ def test_verify_chain_pde_exponential():
 def test_verify_chain_pde_decreasing_frames():
     cps = np.linspace(0.0, 0.2, 21)
     fr = chains.decreasing_chain(EXP, cps, GRID, n_theta=32)
-    rep = chains.verify_chain_pde(fr, EXP)
+    rep = chains.verify_chain_pde(fr)
     assert rep.rel_residual < 1e-4
 
 
 def test_chain_pde_second_order_in_dt():
     grid = circle_grid((0.2, 0.5, 0.8), 8)
     r1 = chains.verify_chain_pde(
-        chains.range_normalized_chain(BECKER, np.linspace(0, 0.12, 13), grid, n_theta=16), BECKER)
+        chains.range_normalized_chain(BECKER, np.linspace(0, 0.12, 13), grid, n_theta=16))
     r2 = chains.verify_chain_pde(
-        chains.range_normalized_chain(BECKER, np.linspace(0, 0.12, 25), grid, n_theta=16), BECKER)
+        chains.range_normalized_chain(BECKER, np.linspace(0, 0.12, 25), grid, n_theta=16))
     order = np.log2(r1.rel_residual / r2.rel_residual)
     assert order > 1.9
 
@@ -632,7 +632,7 @@ def test_boundary_tail_classifies_the_range_once_per_field(monkeypatch):
         fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
         fr = chains.range_normalized_chain(fld, [0.0, 0.5, 1.0, 2.0], GRID, n_theta=16,
                                            t_inf=32.0)
-        rep = chains.verify_transitions(fr, fld, t_inf=32.0)
+        rep = chains.verify_transitions(fr)
         assert rep.passed and len(rep.per_pair) == 4
     # one classification per chain build, at the run's own t_inf
     assert calls == [32.0, 32.0]

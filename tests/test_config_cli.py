@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from loewnerqc.config import parse_config, validate_config, ConfigError
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
-from loewnerqc import artifacts, cli
+from loewnerqc import artifacts, chains, cli
 from loewnerqc.cli import run_pipeline, main
 
 
@@ -300,7 +301,7 @@ def test_specs_declare_their_autonomy_time():
     assert (cfg.tau.t_aut, cfg.tau.nodes) == (3.0, (0.0, 2.0, 3.0))
     fld = assemble_field(cfg.p, cfg.tau)
     assert fld.t_aut == 3.0 and fld.stops == (0.0, 0.5, 2.0, 3.0)
-    assert fld.discontinuities == ()
+    assert fld.tau.breakpoints == ()
     # a Python callable declares nothing, and the field inherits that
     opaque = HerglotzSpec.sampled(lambda z, t: 1.0 + 0 * z)
     assert opaque.t_aut is None
@@ -320,6 +321,27 @@ def test_chain_transition_residual_is_tight(tmp_path, name):
     code, summary = run_pipeline(builtin_scenario(name), "chain", tmp_path)
     assert code == 0 and summary["pass"]
     assert summary["metrics"]["transition_residual"] <= _TRANSITION_BOUND[name]
+
+
+def test_chain_checks_evaluate_at_the_configured_limit_tolerance(tmp_path, monkeypatch):
+    # the frames and the transition check's fresh evaluations both read
+    # criteria.tol_limit; neither falls back to the default
+    doc = builtin_document("becker")
+    doc["criteria"]["tol_limit"] = 1e-4
+    cfg, errors = validate_config(doc)
+    assert not errors
+    real = chains.limit_frame
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["tol_limit"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "limit_frame", spy)
+    run_pipeline(cfg, "chain", tmp_path)
+    assert len(seen) > 1 and set(seen) == {1e-4}
 
 
 def test_becker_builds_no_decreasing_chain(tmp_path, monkeypatch):

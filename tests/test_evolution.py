@@ -244,7 +244,7 @@ def test_table_nodes_are_integration_stops():
     cfg = builtin_scenario("measurable-tau")
     fld = assemble_field(cfg.p, cfg.tau)
     nodes = [t / 8.0 for t in range(64)]
-    assert fld.stops == tuple(nodes) and fld.discontinuities == ()
+    assert fld.stops == tuple(nodes) and fld.tau.breakpoints == ()
     end = nodes[-1]
     got = solve_forward(fld, 0.0, end, np.zeros(1, complex), tol=1e-9)
     ref = solve_forward(fld, 0.0, end, np.zeros(1, complex), tol=1e-12)

@@ -76,7 +76,7 @@ def test_beltrami_formula_becker_modulus():
 
 def test_conformal_welding_atlas():
     ff, gf = _exp_frames()
-    atlas = build_extension(ff, gf, ONE, ONE, 0.0)
+    atlas = build_extension(ff, gf)
     rep = dilatation_report(atlas, 0.0)
     assert rep.passed
     assert rep.max_mu_formula < 1e-12
@@ -94,10 +94,12 @@ def test_formula_rows_follow_frozen_tau():
     # step cells before the horizon 0.16, a linear table after it: the
     # formula has every row before the horizon and none after it
     cps = np.linspace(0.0, 0.3, 13)
-    ff, gf = _exp_frames(n_theta=32, cps=cps)
     tail = DenjoyWolffSpec.from_time_table([0.0, 0.3], [0.3, 0.4])
     tau = DenjoyWolffSpec.step_with_tail([0.08], [0.1, 0.2j], 0.16, tail)
-    atlas = build_extension(ff, gf, ONE, ONE, tau)
+    fld = assemble_field(ONE, tau)
+    ff = chains.range_normalized_chain(fld, cps, GRID, n_theta=32)
+    gf = chains.decreasing_chain(fld, cps, GRID, n_theta=32)
+    atlas = build_extension(ff, gf)
     before = cps < 0.16
     assert atlas.formula_valid[before].all()
     assert not atlas.formula_valid[~before].any()
@@ -106,7 +108,11 @@ def test_formula_rows_follow_frozen_tau():
     cell = beltrami_formula(ONE, ONE, 0.2j, cps[4:5], ff.theta, ff.trace_radius)
     assert np.array_equal(atlas.mu_pair[4], cell.mu_pair[0])
 
-    sampled = build_extension(ff, gf, ONE, ONE, DenjoyWolffSpec.sampled(lambda t: 0.1 * t))
+    # the callable leaves the disk past t = 10, so the scaling limit stops at t_inf = 2
+    fld = assemble_field(ONE, DenjoyWolffSpec.sampled(lambda t: 0.1 * t))
+    sampled = build_extension(
+        chains.range_normalized_chain(fld, cps, GRID, n_theta=32, t_inf=2.0),
+        chains.decreasing_chain(fld, cps, GRID, n_theta=32))
     assert not sampled.formula_valid.any()
     assert any(w.startswith("measurable tau") for w in sampled.warnings)
 
@@ -114,7 +120,7 @@ def test_formula_rows_follow_frozen_tau():
 def test_atlas_artifacts_render(tmp_path):
     from loewnerqc.artifacts import write_atlas_svg, write_traces_svg, write_atlas_csv
     ff, gf = _exp_frames(n_theta=32, cps=np.array([0.0, 0.1, 0.2]))
-    atlas = build_extension(ff, gf, ONE, ONE, 0.0)
+    atlas = build_extension(ff, gf)
     svg = write_atlas_svg(atlas, tmp_path / "a.svg").read_text()
     assert svg.startswith("<svg") and svg.count("<path") >= 6
     svg2 = write_traces_svg(ff, tmp_path / "t.svg").read_text()
@@ -128,7 +134,15 @@ def test_atlas_frame_mismatch_rejected():
     ff, gf = _exp_frames(n_theta=32, cps=np.array([0.0, 0.1, 0.2]))
     other = chains.decreasing_chain(EXPF, [0.0, 0.15, 0.2], GRID, n_theta=32)
     with pytest.raises(ValueError):
-        build_extension(ff, other, ONE, ONE, 0.0)
+        build_extension(ff, other)
+
+
+def test_atlas_refuses_frames_on_different_trace_rings():
+    cps = np.array([0.0, 0.1, 0.2])
+    ff = chains.range_normalized_chain(EXPF, cps, GRID, n_theta=32, delta_trace=1e-3)
+    gf = chains.decreasing_chain(EXPF, cps, GRID, n_theta=32, delta_trace=5e-2)
+    with pytest.raises(ValueError, match="trace ring"):
+        build_extension(ff, gf)
 
 
 def test_becker_extension_identity_continuation():
@@ -149,7 +163,7 @@ def test_becker_scenario_dilatation_small_grid():
     cps = np.linspace(0.0, 0.32, 17)
     ff = chains.range_normalized_chain(fld, cps, GRID, n_theta=128)
     gf = chains.decreasing_chain(EXPF, cps, GRID, n_theta=128)
-    atlas = build_extension(ff, gf, p, ONE, 0.0)
+    atlas = build_extension(ff, gf)
     rep = dilatation_report(atlas, k)
     assert rep.passed
     assert rep.max_mu_formula <= 0.5
@@ -186,10 +200,10 @@ def test_a_non_finite_source_masks_its_neighbourhood():
     # a truncated reverse trajectory leaves a NaN g trace with trace_valid
     # false; the fit must mask the stencils through it, not raise
     ff, gf = _exp_frames()
-    clean = build_extension(ff, gf, ONE, ONE, 0.0)
+    clean = build_extension(ff, gf)
     gf.traces[5, 7] = np.nan
     gf.trace_valid[5, 7] = False
-    atlas = build_extension(ff, gf, ONE, ONE, 0.0)
+    atlas = build_extension(ff, gf)
     near = np.zeros(atlas.fd_valid.shape, bool)
     near[4:7, 6:9] = True
     assert clean.fd_valid[near].all()

@@ -18,7 +18,7 @@ def _load(name):
 
 
 @pytest.mark.parametrize("name", ["approximation_table", "becker_dilatation_study",
-                                  "pipeline_matrix", "scenario_gallery"])
+                                  "pipeline_matrix"])
 def test_script_loads(name):
     assert callable(_load(name).main)
 
