@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
-from loewnerqc.extension import becker_dilatation
+from loewnerqc.extension import becker_extension, dilatation_report
 from loewnerqc.artifacts import write_csv
 
 
@@ -33,7 +33,7 @@ def study(k: float, n_cells: int, n_theta: int):
     cps = np.linspace(0.0, 0.64, n_cells + 1)
     t0 = time.perf_counter()
     ff = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta)
-    _, rep = becker_dilatation(ff, k)
+    rep = dilatation_report(becker_extension(ff), k)
     return rep.max_mu_formula, rep.max_mu_fd, rep.agreement, time.perf_counter() - t0
 
 

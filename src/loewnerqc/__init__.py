@@ -18,7 +18,7 @@ from .chains import (ChainFrames, RangeReport, limit_frame, range_normalized_cha
                      verify_containment, frames_coincide_up_to_rotation)
 from .extension import (ExtensionAtlas, BeckerExtension, build_extension,
                         becker_extension, beltrami_formula, beltrami_fd,
-                        becker_dilatation, dilatation_report, AtlasRejected)
+                        dilatation_report, AtlasRejected)
 from .approx import (step_approximate, field_deviation, random_deviation_check,
                      convergence_table, gronwall_envelope)
 from .config import ScenarioConfig, parse_config, validate_config, ConfigError

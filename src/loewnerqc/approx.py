@@ -29,8 +29,7 @@ from .evolution import DEFAULT_TOL, solve_forward
 from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, range_normalized_chain
 
 DEVIATION_TOL = 1e-12
-_GRONWALL_PANELS = 4096     # trapezoid panels of gronwall_envelope
-_LEVEL_PANELS = 1024        # and of a level's envelope in convergence_table
+_LEVEL_PANELS = 1024        # trapezoid panels of a level's envelope in convergence_table
 
 
 def step_approximate(tau: DenjoyWolffSpec, n: int,
@@ -112,19 +111,12 @@ def random_deviation_check(n_samples: int, seed: int) -> DeviationReport:
 # Gronwall envelope
 
 
-def gronwall_envelope(h, g, t0: float, t1: float, nodes) -> np.ndarray:
-    """Evaluate h(t) + int_t0^t g(s) h(s) exp(int_s^t g(u) du) ds at the nodes.
+def gronwall_envelope(xs, hs, gs, nodes) -> np.ndarray:
+    """Evaluate h(t) + int_xs[0]^t g(s) h(s) exp(int_s^t g(u) du) ds at the nodes.
 
-    h and g are callables on [t0, t1]; composite trapezoid quadrature on a
-    uniform grid of _GRONWALL_PANELS panels.
+    hs and gs sample h and g at the ascending xs; composite trapezoid
+    quadrature on the panels between them.
     """
-    xs = np.linspace(t0, t1, _GRONWALL_PANELS + 1)
-    hs = np.array([float(h(x)) for x in xs])
-    gs = np.array([float(g(x)) for x in xs])
-    return _gronwall_from_samples(xs, hs, gs, np.asarray(nodes, dtype=float))
-
-
-def _gronwall_from_samples(xs, hs, gs, nodes):
     if np.any(gs < 0) or np.any(hs < -1e-12):
         raise ValueError("gronwall data must be nonnegative")
     dx = np.diff(xs)
@@ -189,7 +181,7 @@ def _level_envelope(field_exact, tau, tau_n, t_end, r_compact) -> float:
     integrand = 4.0 * np.abs(tau.value(xs) - tau_n.value(xs)) * sup_p
     hs = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(xs))])
     gs = np.abs(field_exact.pair(z, t)[1]).max(axis=1)
-    return float(_gronwall_from_samples(xs, hs, gs, np.array([t_end]))[0])
+    return float(gronwall_envelope(xs, hs, gs, np.array([t_end]))[0])
 
 
 def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedGrid,

@@ -108,13 +108,14 @@ _PANEL_SPLITS = 40
 _Tail = namedtuple("_Tail", "t_aut tau lam")
 
 
-def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF):
+def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
+                     tol: float = DEFAULT_TOL):
     """The field's exact autonomous tail, or None.
 
     That needs a declared autonomy time and there either a tau inside the
     disk with Re lambda > 0, lambda = (1 - |tau|^2) p(tau, T_aut), or a tau
-    on the circle whose chain ``beta_limit`` (to t_inf, once per field) finds
-    to fill the plane.
+    on the circle whose chain ``beta_limit`` (to t_inf at tol, once per field
+    and settings) finds to fill the plane.
     """
     t_aut = field.t_aut
     if t_aut is None:
@@ -123,9 +124,9 @@ def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF):
     tv = complex(field.tau.value(t_aut))
     inside = 1.0 - abs(tv) ** 2
     if inside <= 1e-9:
-        key = ("plane", t_inf)
+        key = ("plane", t_inf, tol)
         if key not in field.memo:
-            field.memo[key] = beta_limit(field, t_inf=t_inf).classification == "plane"
+            field.memo[key] = beta_limit(field, t_inf=t_inf, tol=tol).classification == "plane"
         return _Tail(t_aut, tv, None) if field.memo[key] else None
     lam = complex(inside * field.p.evaluate(np.array([tv]), t_aut)[0])
     return _Tail(t_aut, tv, lam) if lam.real > 0.0 else None
@@ -357,7 +358,7 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = DEFAULT
     read, NormalizationError is raised.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    tail = _autonomous_tail(field, t_inf)
+    tail = _autonomous_tail(field, t_inf, tol)
     if tail is None:
         return _scaling_limit(field, t, pts, _origin_seed(field, t, tol), tol, t_inf, tol_limit)
     return _tail_frame(field, tail, t, pts, _origin_seed(field, min(t, tail.t_aut), tol), tol,
@@ -615,7 +616,7 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     against its own tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
-    tail = _autonomous_tail(field, t_inf)
+    tail = _autonomous_tail(field, t_inf, tol)
     t_last = float(cps[-1])
     t_eval = t_last if tail is None else min(max(tail.t_aut, float(cps[0])), t_last)
     pts = _frame_points(grid, n_theta, delta_trace)

@@ -22,8 +22,7 @@ from .herglotz import (assemble_field, check_herglotz, check_becker, check_pair,
 from .evolution import solve_forward, verify_semigroup, schwarz_pick_check
 from .chains import (range_normalized_chain, decreasing_chain, beta_limit,
                      verify_transitions, verify_chain_pde, verify_containment)
-from .extension import (build_extension, becker_dilatation, dilatation_report,
-                        AtlasRejected)
+from .extension import build_extension, becker_extension, dilatation_report, AtlasRejected
 from .approx import random_deviation_check, convergence_table
 from .config import ScenarioConfig, parse_config, ConfigError
 from .scenarios import builtin_scenario, scenario_names
@@ -189,7 +188,8 @@ def _cmd_becker(cfg, out, summary):
         summary["warnings"].append(
             "q is not used by the radial extension (extend reads it)")
     f_frames = _build_frames(cfg, n_default=65)
-    ext, rep = becker_dilatation(f_frames, cfg.criteria.k, cfg.criteria.tol_dilat)
+    ext = becker_extension(f_frames)
+    rep = dilatation_report(ext, cfg.criteria.k, cfg.criteria.tol_dilat)
     if cfg.outputs.csv:
         abs_mu_fd = np.abs(ext.mu_fd).astype(object)
         abs_mu_fd[~ext.fd_valid] = ""

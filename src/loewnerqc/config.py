@@ -2,7 +2,8 @@
 
 Complex values are written as [re, im] pairs (bare reals are accepted).
 Validation never fails fast; every problem is collected with its field
-path so a config author sees the whole damage at once.
+path so a config author sees the whole damage at once.  A key that
+nothing reads is a problem too, or a misspelt key would keep its default.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,23 @@ def _real_list(v, path, errors, default) -> list:
     return out
 
 
-def _section(doc, key, errors) -> dict:
+def _unknown_keys(d: dict, known, prefix: str, errors) -> None:
+    errors.extend(f"{prefix}{key} is not a recognised key" for key in d if key not in known)
+
+
+def _kind_keys(d, tag: str, keys_of: dict, path: str, errors) -> None:
+    """Record the keys of a p/q/tau node or a profile that its kind does not read."""
+    kind = d.get(tag) if isinstance(d, dict) else None
+    if isinstance(kind, str) and kind in keys_of:
+        _unknown_keys(d, (tag,) + keys_of[kind], f"{path}.", errors)
+
+
+def _section(doc, key, errors, cls) -> dict:
     d = doc.get(key, {})
     if not isinstance(d, dict):
         errors.append(f"{key} must be an object")
         return {}
+    _unknown_keys(d, {f.name for f in fields(cls)}, f"{key}.", errors)
     return d
 
 
@@ -170,11 +183,20 @@ def _time_table(rows, path, errors, build):
         return None
 
 
+# the kinds of p/q and of tau and the types of a profile, with the keys each reads besides its tag
+_HERGLOTZ_KEYS = {"constant": ("value",), "mobius_kernel": ("driving",),
+                  "sector": ("opening", "profile"), "rational_table": ("numerator", "denominator"),
+                  "user_sampled": ("table",)}
+_TAU_KEYS = {"constant": ("value",), "step": ("breakpoints", "values"), "sampled": ("table",)}
+_PROFILE_KEYS = {"constant": ("value",), "table": ("points",)}
+
+
 def _build_time_profile(d, path, errors):
     """(callable t -> complex, t_aut, nodes) from a config node (constant or table).
 
     A constant profile is autonomous from 0; a table from its last node.
     """
+    _kind_keys(d, "type", _PROFILE_KEYS, path, errors)
     if isinstance(d, dict) and d.get("type") == "constant":
         c = _as_complex(d.get("value", 1.0), f"{path}.value", errors)
         return (lambda t: c), 0.0, ()
@@ -192,6 +214,7 @@ def build_herglotz(d, path, errors) -> HerglotzSpec:
     if not isinstance(d, dict) or "kind" not in d:
         errors.append(f"{path}.kind is required")
         return fallback
+    _kind_keys(d, "kind", _HERGLOTZ_KEYS, path, errors)
     kind = d["kind"]
     try:
         if kind == "constant":
@@ -219,8 +242,7 @@ def build_herglotz(d, path, errors) -> HerglotzSpec:
     except (SpecError, ValueError, TypeError, OverflowError) as e:
         errors.append(f"{path}: {e}")
         return fallback
-    errors.append(f"{path}.kind '{kind}' is unknown "
-                  "(constant | mobius_kernel | sector | rational_table | user_sampled)")
+    errors.append(f"{path}.kind '{kind}' is unknown ({' | '.join(_HERGLOTZ_KEYS)})")
     return fallback
 
 
@@ -229,6 +251,7 @@ def build_tau(d, path, errors) -> DenjoyWolffSpec:
     if not isinstance(d, dict) or "kind" not in d:
         errors.append(f"{path}.kind is required")
         return fallback
+    _kind_keys(d, "kind", _TAU_KEYS, path, errors)
     kind = d["kind"]
     try:
         if kind == "constant":
@@ -253,7 +276,7 @@ def build_tau(d, path, errors) -> DenjoyWolffSpec:
     except (SpecError, ValueError, TypeError, OverflowError) as e:
         errors.append(f"{path}: {e}")
         return fallback
-    errors.append(f"{path}.kind '{kind}' is unknown (constant | step | sampled)")
+    errors.append(f"{path}.kind '{kind}' is unknown ({' | '.join(_TAU_KEYS)})")
     return fallback
 
 
@@ -264,12 +287,15 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
         return ScenarioConfig("invalid", HerglotzSpec.constant(1),
                               DenjoyWolffSpec.constant(0)), ["top level must be an object"]
 
+    # the top level holds ScenarioConfig's fields, its name under "scenario"
+    known = {f.name for f in fields(ScenarioConfig)} - {"name"} | {"scenario"}
+    _unknown_keys(doc, known, "", errors)
     p = build_herglotz(doc.get("p", {"kind": "constant", "value": 1.0}), "p", errors)
     tau = build_tau(doc.get("tau", {"kind": "constant", "value": 0.0}), "tau", errors)
     q = build_herglotz(doc["q"], "q", errors) if "q" in doc else None
 
     tc = TimeConfig()
-    td = _section(doc, "time", errors)
+    td = _section(doc, "time", errors, TimeConfig)
     tc.t_end = _real(td.get("t_end", tc.t_end), "time.t_end", errors, tc.t_end)
     tc.tol = _real(td.get("tol", tc.tol), "time.tol", errors, tc.tol)
     tc.checkpoints = _real_list(td.get("checkpoints", []), "time.checkpoints", errors, [])
@@ -284,7 +310,7 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
         errors.append("time.checkpoints must lie in [0, t_end]")
 
     gc = GridConfig()
-    gd = _section(doc, "grid", errors)
+    gd = _section(doc, "grid", errors, GridConfig)
     gc.circles = _real_list(gd.get("circles", gc.circles), "grid.circles", errors, gc.circles)
     gc.angles = _integer(gd.get("angles", gc.angles), "grid.angles", errors, gc.angles)
     gc.delta_trace = _real(gd.get("delta_trace", gc.delta_trace), "grid.delta_trace",
@@ -304,7 +330,7 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
         errors.append("grid.theta_nodes must be >= 8")
 
     cc = CriteriaConfig()
-    cd = _section(doc, "criteria", errors)
+    cd = _section(doc, "criteria", errors, CriteriaConfig)
     cc.k = _real(cd.get("k", cc.k), "criteria.k", errors, cc.k)
     if not 0.0 <= cc.k < 1.0:
         errors.append("criteria.k must lie in [0,1)")
@@ -321,7 +347,7 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
         errors.append("criteria.t_inf must be >= 2")
 
     oc = OutputConfig()
-    od = _section(doc, "outputs", errors)
+    od = _section(doc, "outputs", errors, OutputConfig)
     for key in ("svg", "csv"):
         setattr(oc, key, od.get(key, getattr(oc, key)))
         if not isinstance(getattr(oc, key), bool):

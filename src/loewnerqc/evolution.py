@@ -56,14 +56,12 @@ _PANELS_PER_UNIT = 128      # Simpson panels per unit time of derivative_at_orig
 class TrajectorySet:
     """Discretized evolution (or reverse evolution) family on a seed batch.
 
-    values/derivs have shape [n_times, n_seeds].  For direction "forward"
-    the rows run over t >= s and the seeds sit in row 0; for "reverse" the
-    rows run over s in [0, t] ascending and the seeds sit in the last row.
-    Truncated seeds hold NaN at every stored time past their truncation.
+    values/derivs have shape [n_times, n_seeds].  Forward, the rows run
+    over t >= s and the seeds sit in row 0; reverse, the rows run over s in
+    [0, t] ascending and the seeds sit in the last row.  Truncated seeds
+    hold NaN at every stored time past their truncation.
     """
 
-    direction: str
-    start: float
     times: np.ndarray
     seeds: np.ndarray
     values: np.ndarray
@@ -72,7 +70,6 @@ class TrajectorySet:
     truncation_time: np.ndarray
     steps_accepted: np.ndarray
     steps_rejected: int
-    tol: float
     warnings: list[str] = field(default_factory=list)
 
     def row(self, time: float) -> int:
@@ -227,10 +224,29 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
     return values, derivs, truncated, trunc_time, steps, rejected, warnings
 
 
-def _as_seed_array(seeds):
-    if isinstance(seeds, SeedGrid):
-        return seeds.points.copy()
-    return np.atleast_1d(np.asarray(seeds, dtype=complex))
+def _solve(segment_rhs, a: float, b: float, seeds, rtol: float, atol: float, checkpoints,
+           stops, reverse: bool) -> TrajectorySet:
+    """The shared body of the solves: the seeds start at a and ride to b.
+
+    A reverse solve (a = 0) drives in sigma = b - s; its rows are then
+    re-indexed ascending in s, so the seeds sit in the last row.
+    """
+    pts = seeds.points.copy() if isinstance(seeds, SeedGrid) else \
+        np.atleast_1d(np.asarray(seeds, dtype=complex))
+    if np.any(past_guard(pts)):
+        raise ValueError("seed modulus reaches the boundary guard")
+    rec = np.unique(np.concatenate(
+        [[a, b], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
+    if rec[0] < a - 1e-12 or rec[-1] > b + 1e-12:
+        raise ValueError(f"checkpoints outside [{a}, {b}]")
+
+    values, derivs, truncated, ttime, steps, rej, warn = _drive(
+        segment_rhs, a, b, pts, rtol, atol, np.sort(b - rec) if reverse else rec, stops)
+    if reverse:
+        values, derivs, ttime = values[::-1].copy(), derivs[::-1].copy(), b - ttime
+    seed_row = -1 if reverse else 0           # EF1 / REF1 exactly
+    values[seed_row], derivs[seed_row] = pts, 1.0
+    return TrajectorySet(rec, pts, values, derivs, truncated, ttime, steps, rej, warn)
 
 
 def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
@@ -244,21 +260,8 @@ def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
     """
     if t_end < s:
         raise ValueError(f"t_end = {t_end} < s = {s}")
-    pts = _as_seed_array(seeds)
-    if np.any(past_guard(pts)):
-        raise ValueError("seed modulus reaches the boundary guard")
-    rec = np.unique(np.concatenate(
-        [[s, t_end], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
-    if rec[0] < s - 1e-12 or rec[-1] > t_end + 1e-12:
-        raise ValueError("checkpoints outside [s, t_end]")
-
-    values, derivs, truncated, ttime, steps, rej, warn = _drive(
-        field.segment_rhs, s, t_end, pts, tol, tol if atol is None else atol, rec,
-        field.stops)
-    values[0] = pts          # EF1 exactly
-    derivs[0] = 1.0
-    return TrajectorySet("forward", s, rec, pts, values, derivs, truncated,
-                         ttime, steps, rej, tol, warn)
+    return _solve(field.segment_rhs, s, t_end, seeds, tol, tol if atol is None else atol,
+                  checkpoints, field.stops, reverse=False)
 
 
 def solve_reverse(field: VectorFieldHandle, t: float, seeds,
@@ -270,31 +273,13 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
     """
     if t < 0:
         raise ValueError(f"t = {t} < 0")
-    pts = _as_seed_array(seeds)
-    if np.any(past_guard(pts)):
-        raise ValueError("seed modulus reaches the boundary guard")
-    rec_s = np.unique(np.concatenate(
-        [[0.0, t], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
-    if rec_s[0] < -1e-12 or rec_s[-1] > t + 1e-12:
-        raise ValueError("checkpoints outside [0, t]")
 
     def segment_rhs(a_sig, b_sig):
         pair = field.segment_rhs(t - b_sig, t - a_sig)
         return lambda w, sig: pair(w, t - sig)
 
-    rec_sigma = np.sort(t - rec_s)
-    bps = [t - b for b in field.stops]
-    values, derivs, truncated, ttime_sig, steps, rej, warn = _drive(
-        segment_rhs, 0.0, t, pts, tol, tol, rec_sigma, bps)
-
-    # re-index ascending in s = t - sigma
-    values = values[::-1].copy()
-    derivs = derivs[::-1].copy()
-    values[-1] = pts         # REF1 exactly at s = t
-    derivs[-1] = 1.0
-    ttime = t - ttime_sig
-    return TrajectorySet("reverse", t, rec_s, pts, values, derivs, truncated,
-                         ttime, steps, rej, tol, warn)
+    return _solve(segment_rhs, 0.0, t, seeds, tol, tol, checkpoints,
+                  [t - b for b in field.stops], reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +301,8 @@ def verify_semigroup(field: VectorFieldHandle, s: float, u: float, t: float,
     """max |phi_{s,t}(z) - phi_{u,t}(phi_{s,u}(z))| by independent integrations."""
     if not s <= u <= t:
         raise ValueError("need s <= u <= t")
-    pts = _as_seed_array(seeds)
-    direct = solve_forward(field, s, t, pts, tol=tol)
-    first = solve_forward(field, s, u, pts, tol=tol)
+    direct = solve_forward(field, s, t, seeds, tol=tol)
+    first = solve_forward(field, s, u, seeds, tol=tol)
     mid = first.at(u)
     ok = first.live() & np.isfinite(mid)
     second = solve_forward(field, u, t, np.where(ok, mid, 0.0), tol=tol)

@@ -191,8 +191,8 @@ def _offsets(points: np.ndarray, centers: np.ndarray):
 _FIT_ROWS = 4
 
 
-def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
-    """Per-cell Wirtinger quotient of target(source) on 3x3 stencils.
+def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None = None):
+    """Per-cell Wirtinger quotient of target(source), fit on 3x3 stencils.
 
     The welding map is a homeomorphism between sphere domains, so both its
     sources and its values may legitimately run through infinity; the
@@ -204,10 +204,15 @@ def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
     source chart builds and tests one Gram matrix per cell and solves it
     for both target charts at once (_fit_mu).  The surviving estimate must
     pass model-order cross-validation; everything else is masked, and cells
-    whose stencil holds an invalid point are never factored.  Cells are
-    fitted in blocks of _FIT_ROWS time rows, which bounds the transient
-    memory.  Returns (mu, fit_valid).
+    whose stencil holds an invalid point (by default a non-finite one) are
+    never factored.  Cells are fitted in blocks of _FIT_ROWS time rows,
+    which bounds the transient memory.  Raw arrays, synthetic atlases
+    among them, go in as they are.  Returns (mu, fit_valid).
     """
+    source = np.asarray(source, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    if valid is None:
+        valid = np.isfinite(source) & np.isfinite(target)
     nt, ntheta = source.shape
     mu = np.full((nt, ntheta), np.nan + 0j)
     ok = np.zeros((nt, ntheta), bool)
@@ -220,7 +225,7 @@ def _lsq_wirtinger(source: np.ndarray, target: np.ndarray, valid: np.ndarray):
 
 
 def _fit_rows(source, target, valid, rows: slice):
-    """(mu, ok) of the interior cells in the given rows; see _lsq_wirtinger."""
+    """(mu, ok) of the interior cells in the given rows; see beltrami_fd."""
     stn_s, stn_v, stn_ok = [], [], []
     for di in (-1, 0, 1):
         near = slice(rows.start + di, rows.stop + di)
@@ -259,22 +264,14 @@ def _fit_rows(source, target, valid, rows: slice):
     return np.where(cell_ok, best, np.nan + 0j), cell_ok
 
 
-def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None = None):
-    """Finite-difference Beltrami estimate on (source, target) welding samples.
-
-    Thin public wrapper over the stencil fit; accepts raw arrays so it can
-    also digest synthetic atlases in tests.  Returns (mu, fit_valid).
-    """
-    source = np.asarray(source, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if valid is None:
-        valid = np.isfinite(source) & np.isfinite(target)
-    return _lsq_wirtinger(source, target, valid)
-
-
 @dataclass
 class ExtensionAtlas:
-    """Welding samples (source, target) with both Beltrami estimates."""
+    """Welding samples (source, target) with both Beltrami estimates.
+
+    ``valid`` marks the sampled cells; ``formula_valid`` and ``fd_valid``
+    mark the cells each estimator is judged on.  ``formula_withheld`` says
+    the formula has no cell at all (measurable tau).
+    """
 
     t_grid: np.ndarray
     theta: np.ndarray
@@ -286,6 +283,7 @@ class ExtensionAtlas:
     mu_fd: np.ndarray
     fd_valid: np.ndarray
     valid: np.ndarray
+    formula_withheld: bool
     min_separation: float
     sep_threshold: float
     n_collisions: int
@@ -312,12 +310,12 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
 
     Sources are the reflected g traces 1/conj(g_t), targets the f traces.
     The formula side reads p and tau from the field of the f frames and q
-    from that of the g frames.  It has the rows where tau is frozen (see
-    ``beltrami_formula``); when it has none, as for sampled (measurable)
-    data, certification rests on the finite-difference estimator plus
-    approximation evidence.  Rejects the atlas when more than 1% of source
-    points collide, which signals broken hypotheses or integration failure
-    rather than noise.
+    from that of the g frames, whose tau must agree at the checkpoints.  It
+    has the rows where tau is frozen (see ``beltrami_formula``); when it has
+    none, as for sampled (measurable) data, certification rests on the
+    finite-difference estimator plus approximation evidence.  Rejects the
+    atlas when more than 1% of source points collide, which signals broken
+    hypotheses or integration failure rather than noise.
     """
     if f_frames.tag != "range-normalized" or g_frames.tag != "decreasing":
         raise ValueError("need range-normalized f frames and decreasing g frames")
@@ -330,13 +328,15 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         raise ValueError("f and g frames must share the trace ring")
     p, tau = f_frames.vector_field.p, f_frames.vector_field.tau
     q = g_frames.vector_field.p
+    t_grid = f_frames.checkpoints
+    if np.abs(tau.value(t_grid) - g_frames.vector_field.tau.value(t_grid)).max() > 1e-12:
+        raise ValueError("f and g frames must share the Denjoy-Wolff function")
 
     warnings = []
     if pair_checked is False or pair_checked is None:
         warnings.append("pair inequality was not certified for this data; "
                         "atlas built anyway")
 
-    t_grid = f_frames.checkpoints
     theta = f_frames.theta
     g_tr = g_frames.traces
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,7 +351,7 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         warnings.append("measurable tau: closed-form dilatation unavailable, "
                         "certification rests on the finite-difference estimator "
                         "and the approximation experiments")
-    mu_fd, fd_ok = _lsq_wirtinger(source, target, valid)
+    mu_fd, fd_ok = beltrami_fd(source, target, valid)
     # fd stencils must not straddle a tau jump either: the two welding
     # pieces meet there and the affine model mixes them
     lo = np.concatenate([t_grid[:1], t_grid[:-1]])
@@ -368,22 +368,29 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
     return ExtensionAtlas(t_grid, theta, source, target,
                           np.where(valid & fs.prefactor_valid, fs.mu, np.nan + 0j),
                           np.where(valid, fs.mu_pair, np.nan + 0j),
-                          fs.valid, mu_fd, fd_ok, valid,
+                          valid & fs.valid, mu_fd, fd_ok, valid, not fs.valid.any(),
                           min_sep, threshold, collisions,
                           float(np.count_nonzero(valid)) / valid.size, warnings)
 
 
 @dataclass
 class BeckerExtension:
-    """Radial extension F(r e^{i theta}) = f_{log r}(e^{i theta}) for r >= 1."""
+    """Radial extension F(r e^{i theta}) = f_{log r}(e^{i theta}) for r >= 1.
+
+    Its Beltrami estimates sit in the fields of ``ExtensionAtlas``.
+    """
 
     r: np.ndarray
     theta: np.ndarray
     values: np.ndarray
-    valid: np.ndarray
+    mu_formula: np.ndarray
+    mu_pair: np.ndarray
+    formula_valid: np.ndarray
     mu_fd: np.ndarray
     fd_valid: np.ndarray
+    valid: np.ndarray
     continuity_mismatch: float
+    formula_withheld = False    # the formula reads p alone
 
 
 def _polar_mu(values: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -402,15 +409,23 @@ def _polar_mu(values: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarra
 
 
 def becker_extension(frames: ChainFrames) -> BeckerExtension:
-    """Sample the radial extension of f_0 from range-normalized frames.
+    """Sample the radial extension of f_0 (tau = 0) from range-normalized frames.
 
     The samples sit at r = e^{t} on the checkpoints, so they are the stored
-    traces themselves.  The Wirtinger quotient mu_fd comes from polar
-    centered differences of the samples, an estimator fully independent of
-    the Herglotz data.  ``continuity_mismatch`` = (delta / 2) max |f_0'| on
-    the trace ring, delta = 1 - trace_radius: to first order in delta the
-    distance between f_0 on the ring and on the ring at half the offset,
-    the gap the trace leaves across |z| = 1.
+    traces themselves.  The formula side is mu = e^{2i theta} (p - 1)/(p + 1),
+    p of the frames' field, at zeta = trace_radius e^{i theta} on every
+    checkpoint: with F(e^{t + i theta}) = f_t(e^{i theta}) and d_t f = z f' p,
+    the Wirtinger derivatives in w = log z are z f' (p + 1)/2 and
+    z f' (p - 1)/2, and z = e^w adds the phase z / conj(z).  ``mu_pair`` is
+    the bare ratio, which the unimodular phase leaves unchanged.  Formula
+    cells where |p + 1| falls below FORMULA_DENOM_FLOOR or mu is not finite
+    are masked; the traces do not enter, so their validity does not.  The
+    Wirtinger quotient mu_fd comes from polar centered differences of the
+    samples, an estimator fully independent of the Herglotz data.
+    ``continuity_mismatch`` = (delta / 2) max |f_0'| on the trace ring,
+    delta = 1 - trace_radius: to first order in delta the distance between
+    f_0 on the ring and on the ring at half the offset, the gap the trace
+    leaves across |z| = 1.
     """
     if frames.tag != "range-normalized":
         raise ValueError("radial extension needs range-normalized frames")
@@ -420,6 +435,13 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
     delta = 1.0 - frames.trace_radius
     mismatch = float(0.5 * delta * np.nanmax(np.abs(frames.trace_derivs[frames.row(0.0)])))
 
+    zeta = frames.trace_radius * np.exp(1j * frames.theta)
+    pv = frames.vector_field.p.evaluate(*time_samples(zeta, frames.checkpoints))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (pv - 1.0) / (pv + 1.0)
+    formula_ok = (np.abs(pv + 1.0) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)
+    ratio = np.where(formula_ok, ratio, np.nan + 0j)
+
     mu_fd = np.full(values.shape, np.nan + 0j)
     fd_ok = np.zeros(values.shape, bool)
     if r.size >= 3:
@@ -428,7 +450,8 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
         fd_ok[inner] = valid[inner] & np.isfinite(mu_fd[inner])
         mu_fd[~fd_ok] = np.nan + 0j
 
-    return BeckerExtension(r, frames.theta, values, valid, mu_fd, fd_ok, mismatch)
+    return BeckerExtension(r, frames.theta, values, np.exp(2j * frames.theta) * ratio, ratio,
+                           formula_ok, mu_fd, fd_ok, valid, mismatch)
 
 
 @dataclass
@@ -444,54 +467,25 @@ class DilatationReport:
     n_masked: int
 
 
-def _dilatation(mu_pair, mu_formula, formula_ok, mu_fd, fd_ok, valid,
-                k: float, tol_dilat: float, formula_withheld: bool = False) -> DilatationReport:
-    """Both estimators' max |mu| on their cells, their agreement, the verdict.
+def dilatation_report(ext: ExtensionAtlas | BeckerExtension, k: float,
+                      tol_dilat: float = TOL_DILAT) -> DilatationReport:
+    """Dilatation verdict of the welded or the radial extension.
 
-    Pass iff every available estimator stays under k + tol_dilat.  When the
-    formula side was withheld (measurable tau), the verdict rests on the
-    finite-difference estimator alone.
+    Both estimators' max |mu| on the cells each is judged on (the formula's
+    read from the bare ratio mu_pair), their agreement where both are, and
+    the verdict: pass iff every available estimator stays under
+    k + tol_dilat.  When the formula side is withheld (measurable tau), the
+    verdict rests on the finite-difference estimator alone.
     """
-    mf_vals = np.abs(mu_pair[formula_ok])
-    fd_vals = np.abs(mu_fd[fd_ok])
+    formula_ok, fd_ok = ext.formula_valid, ext.fd_valid
+    mf_vals = np.abs(ext.mu_pair[formula_ok])
+    fd_vals = np.abs(ext.mu_fd[fd_ok])
     mf = float(mf_vals.max()) if mf_vals.size else np.nan
     md = float(fd_vals.max()) if fd_vals.size else np.nan
     both = formula_ok & fd_ok
-    agree = float(np.abs(mu_formula[both] - mu_fd[both]).max()) if both.any() else np.nan
+    agree = float(np.abs(ext.mu_formula[both] - ext.mu_fd[both]).max()) if both.any() else np.nan
     sense = bool((fd_vals < 1.0).all()) if fd_vals.size else False
     passed = bool(np.isfinite(md) and md <= k + tol_dilat
-                  and (formula_withheld or (np.isfinite(mf) and mf <= k + tol_dilat)))
-    n_masked = valid.size - int(np.count_nonzero(valid))
-    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, valid.size, n_masked)
-
-
-def dilatation_report(atlas: ExtensionAtlas, k: float,
-                      tol_dilat: float = TOL_DILAT) -> DilatationReport:
-    """Dilatation verdict of the welded extension on its unmasked cells."""
-    return _dilatation(atlas.mu_pair, atlas.mu_formula, atlas.valid & atlas.formula_valid,
-                       atlas.mu_fd, atlas.valid & atlas.fd_valid, atlas.valid,
-                       k, tol_dilat, formula_withheld=not atlas.formula_valid.any())
-
-
-def becker_dilatation(f_frames: ChainFrames, k: float, tol_dilat: float = TOL_DILAT):
-    """Radial extension of f_0 (tau = 0) and its dilatation verdict.
-
-    The formula side is mu = e^{2i theta} (p - 1)/(p + 1), p of the
-    frames' field, at zeta = trace_radius e^{i theta} on every checkpoint: with
-    F(e^{t + i theta}) = f_t(e^{i theta}) and d_t f = z f' p, the Wirtinger
-    derivatives in w = log z are z f' (p + 1)/2 and z f' (p - 1)/2, and
-    z = e^w adds the phase z / conj(z).  |mu| is read from the bare ratio,
-    which the unimodular phase leaves unchanged.  Cells where |p + 1| falls
-    below FORMULA_DENOM_FLOOR or mu is not finite are masked.  The
-    finite-difference side is the radial extension's own estimator.
-    Returns (BeckerExtension, DilatationReport).
-    """
-    ext = becker_extension(f_frames)
-    zeta = f_frames.trace_radius * np.exp(1j * f_frames.theta)
-    pv = f_frames.vector_field.p.evaluate(*time_samples(zeta, f_frames.checkpoints))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (pv - 1.0) / (pv + 1.0)
-    ok = (np.abs(pv + 1.0) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)
-    ratio = np.where(ok, ratio, np.nan + 0j)
-    mu = np.exp(2j * f_frames.theta) * ratio
-    return ext, _dilatation(ratio, mu, ok, ext.mu_fd, ext.fd_valid, ext.valid, k, tol_dilat)
+                  and (ext.formula_withheld or (np.isfinite(mf) and mf <= k + tol_dilat)))
+    n_masked = ext.valid.size - int(np.count_nonzero(ext.valid))
+    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, ext.valid.size, n_masked)

@@ -92,18 +92,21 @@ def test_deviation_inequality_is_algebraic(z, tau_v, tau_n, p_v):
     assert measured[0] <= bound[0] + 1e-12
 
 
+XS = np.linspace(0.0, 1.0, 4097)
+
+
 def test_gronwall_constant_coefficients():
-    env = gronwall_envelope(lambda t: 0.1, lambda t: 1.0, 0.0, 1.0, [1.0])
+    env = gronwall_envelope(XS, np.full(XS.size, 0.1), np.ones(XS.size), [1.0])
     assert env[0] == pytest.approx(0.1 * np.e, abs=1e-7)
 
 
 def test_gronwall_zero_g_returns_h():
-    env = gronwall_envelope(lambda t: 0.3, lambda t: 0.0, 0.0, 1.0, [0.25, 0.75])
+    env = gronwall_envelope(XS, np.full(XS.size, 0.3), np.zeros(XS.size), [0.25, 0.75])
     assert np.allclose(env, 0.3)
 
 
 def test_gronwall_linear_h():
-    env = gronwall_envelope(lambda t: t, lambda t: 1.0, 0.0, 1.0, [1.0])
+    env = gronwall_envelope(XS, XS, np.ones(XS.size), [1.0])
     assert env[0] == pytest.approx(np.e - 1.0, abs=1e-7)
 
 

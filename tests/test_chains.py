@@ -624,18 +624,18 @@ def test_boundary_tail_classifies_the_range_once_per_field(monkeypatch):
     real = chains.beta_limit
 
     def spy(field, *args, **kwargs):
-        calls.append(kwargs.get("t_inf"))
+        calls.append((kwargs.get("t_inf"), kwargs.get("tol")))
         return real(field, *args, **kwargs)
 
     monkeypatch.setattr(chains, "beta_limit", spy)
     for _ in range(2):
         fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
         fr = chains.range_normalized_chain(fld, [0.0, 0.5, 1.0, 2.0], GRID, n_theta=16,
-                                           t_inf=32.0)
+                                           tol=1e-8, t_inf=32.0)
         rep = chains.verify_transitions(fr)
         assert rep.passed and len(rep.per_pair) == 4
-    # one classification per chain build, at the run's own t_inf
-    assert calls == [32.0, 32.0]
+    # one classification per chain build, at the run's own t_inf and tol
+    assert calls == [(32.0, 1e-8), (32.0, 1e-8)]
     # an interior tail never asks
     chains.range_normalized_chain(EXP, [0.0, 1.0], GRID, n_theta=16)
     assert len(calls) == 2

@@ -143,6 +143,32 @@ def test_builtin_documents_validate():
         assert not errors, f"{n}: {errors}"
 
 
+def test_misspelt_keys_are_errors():
+    # each would otherwise leave its default in force: p = 1, tau = 0, tol_dilat = 0.02
+    _, errors = validate_config({"p": {"kind": "constant", "valu": 3},
+                                 "tau": {"kind": "constant", "vlaue": [0.9, 0]},
+                                 "criteria": {"tol_dilatt": 0.5}})
+    assert errors == ["p.valu is not a recognised key", "tau.vlaue is not a recognised key",
+                      "criteria.tol_dilatt is not a recognised key"]
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"scenaro": "x"}, "scenaro"),
+    ({"time": {"tend": 2.0}}, "time.tend"),
+    ({"grid": {"theta_node": 64}}, "grid.theta_node"),
+    ({"outputs": {"csvs": False}}, "outputs.csvs"),
+    ({"q": {"kind": "rational_table", "numerator": [1.0], "denominater": [1.0]}},
+     "q.denominater"),
+    ({"p": {"kind": "sector", "profile": {"type": "constant", "values": 2.0}}},
+     "p.profile.values"),
+    ({"tau": {"kind": "step", "breakpoints": [1.0], "values": [0.1, 0.2], "value": 0.3}},
+     "tau.value"),
+])
+def test_unknown_keys_are_reported_with_their_path(doc, path):
+    _, errors = validate_config(doc)
+    assert errors == [f"{path} is not a recognised key"]
+
+
 def test_run_pipeline_check_writes_summary(tmp_path):
     cfg = builtin_scenario("exponential")
     code, summary = run_pipeline(cfg, "check", tmp_path)
@@ -342,6 +368,25 @@ def test_chain_checks_evaluate_at_the_configured_limit_tolerance(tmp_path, monke
     monkeypatch.setattr(chains, "limit_frame", spy)
     run_pipeline(cfg, "chain", tmp_path)
     assert len(seen) > 1 and set(seen) == {1e-4}
+
+
+def test_both_extensions_reach_one_dilatation_verdict(tmp_path, monkeypatch):
+    doc = builtin_document("becker")
+    doc["time"]["checkpoints"] = [0.08 * i for i in range(9)]
+    doc["grid"] = {"theta_nodes": 32}
+    cfg, errors = validate_config(doc)
+    assert not errors
+    real = cli.dilatation_report
+    seen = []
+
+    def spy(ext, *args):
+        seen.append(type(ext).__name__)
+        return real(ext, *args)
+
+    monkeypatch.setattr(cli, "dilatation_report", spy)
+    for command in ("becker", "extend"):
+        run_pipeline(cfg, command, tmp_path / command)
+    assert seen == ["BeckerExtension", "ExtensionAtlas"]
 
 
 def test_becker_builds_no_decreasing_chain(tmp_path, monkeypatch):

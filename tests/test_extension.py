@@ -114,6 +114,7 @@ def test_formula_rows_follow_frozen_tau():
         chains.range_normalized_chain(fld, cps, GRID, n_theta=32, t_inf=2.0),
         chains.decreasing_chain(fld, cps, GRID, n_theta=32))
     assert not sampled.formula_valid.any()
+    assert sampled.formula_withheld and not atlas.formula_withheld
     assert any(w.startswith("measurable tau") for w in sampled.warnings)
 
 
@@ -143,6 +144,32 @@ def test_atlas_refuses_frames_on_different_trace_rings():
     gf = chains.decreasing_chain(EXPF, cps, GRID, n_theta=32, delta_trace=5e-2)
     with pytest.raises(ValueError, match="trace ring"):
         build_extension(ff, gf)
+
+
+def test_atlas_refuses_g_frames_of_another_denjoy_wolff_function():
+    cps = np.array([0.0, 0.1, 0.2])
+    ff = chains.range_normalized_chain(EXPF, cps, GRID, n_theta=32)
+    other = assemble_field(ONE, DenjoyWolffSpec.constant(0.5))
+    with pytest.raises(ValueError, match="Denjoy-Wolff"):
+        build_extension(ff, chains.decreasing_chain(other, cps, GRID, n_theta=32))
+    # equal data from two specs weld
+    same = assemble_field(ONE, DenjoyWolffSpec.constant(0))
+    build_extension(ff, chains.decreasing_chain(same, cps, GRID, n_theta=32))
+
+
+def test_radial_formula_cells_ignore_trace_validity():
+    k = 0.5
+    fld = assemble_field(HerglotzSpec.rational([1, k], [1, -k]), DenjoyWolffSpec.constant(0))
+    ff = chains.range_normalized_chain(fld, np.linspace(0.0, 0.16, 9), GRID, n_theta=64)
+    ff.trace_valid[4, :8] = False
+    ext = becker_extension(ff)
+    assert ext.formula_valid.all() and not ext.formula_withheld
+    assert not ext.fd_valid[4, :8].any()
+    # |mu| = k |zeta| on the trace ring, judged on every formula cell
+    rep = dilatation_report(ext, k)
+    assert rep.passed and rep.n_masked == 8
+    assert rep.max_mu_formula == pytest.approx(k * ff.trace_radius, abs=1e-12)
+    assert rep.agreement <= 0.02
 
 
 def test_becker_extension_identity_continuation():
