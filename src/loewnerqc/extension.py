@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .grids import nonuniform_centered, periodic_centered
 from .herglotz import HerglotzSpec, DenjoyWolffSpec, time_samples
@@ -291,17 +290,63 @@ class ExtensionAtlas:
     warnings: list[str] = field(default_factory=list)
 
 
+# candidate pairs per point the witness enumerates before counting by crowded cells
+_WITNESS_BUDGET = 64
+_HALF_STENCIL = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
+_RING_STENCIL = ((0, 0),) + tuple((i, j) for i in range(-2, 3) for j in range(-2, 3) if i or j)
+
+
+def _cell_ranges(x: np.ndarray, y: np.ndarray, side: float, stencil):
+    """(x, y) sorted by square cell of the given side and, per stencil offset, each sorted
+    point's [lo, hi) range in that neighbour cell; cells are keyed by coordinate rank."""
+    ux, rx = np.unique(np.floor(x / side), return_inverse=True)
+    uy, ry = np.unique(np.floor(y / side), return_inverse=True)
+
+    def key(dx, dy):    # -1 where the cell (dx, dy) away is empty
+        kx, ky = np.searchsorted(ux, ux + dx), np.searchsorted(uy, uy + dy)
+        hit = (ux[kx % ux.size] == ux + dx)[rx] & (uy[ky % uy.size] == uy + dy)[ry]
+        return np.where(hit, kx[rx] * uy.size + ky[ry], -1)
+
+    order = np.argsort(own := key(0, 0), kind="stable")
+    keys, near = own[order], [key(dx, dy)[order] for dx, dy in stencil]
+    return (x[order], y[order], np.array([np.searchsorted(keys, k, "left") for k in near]),
+            np.array([np.searchsorted(keys, k, "right") for k in near]))
+
+
 def _injectivity_witness(points: np.ndarray):
-    """Nearest-neighbour separation of the unmasked source points."""
-    pts = np.column_stack([points.real, points.imag])
-    if pts.shape[0] < 2:
+    """(min_separation, threshold, n_collisions) of the unmasked source points.
+
+    A point collides when another lies closer than threshold = 1e-6 max(1,
+    median |z|).  The least gap u between consecutive points bounds the
+    minimum, so one pass over a grid of side max(u, threshold), plus rounding
+    slack, each point against its own and four forward cells, meets every
+    pair that matters: both results are exact, as sqrt(dx^2 + dy^2) of a
+    k-d tree bit for bit.  Past _WITNESS_BUDGET candidates per point, cells
+    of side threshold / 2 count instead: two points sharing one collide, and
+    a point alone is compared with the 24 cells around it.  The count stays
+    exact, and min_separation becomes an upper bound.
+    """
+    n = points.size
+    if n < 2:
         return np.nan, 0.0, 0
-    tree = cKDTree(pts)
-    d, _ = tree.query(pts, k=2)
-    nn = d[:, 1]
-    scale = float(np.median(np.abs(points)))
-    threshold = 1e-6 * max(1.0, scale)
-    return float(nn.min()), threshold, int(np.count_nonzero(nn < threshold))
+    x, y = points.real, points.imag
+    threshold = 1e-6 * max(1.0, float(np.median(np.abs(points))))
+    u = float(np.sqrt(np.diff(x) ** 2 + np.diff(y) ** 2).min())
+    side = max(u, threshold) * (1 + 1e-14) + 1e-14 * np.abs(points).max()    # rounding slack
+    after = np.arange(1, n + 1)        # own cell: the later points only
+    xs, ys, lo, hi = _cell_ranges(x, y, side, _HALF_STENCIL)
+    lo[0] = after
+    if (hi - lo).sum() > _WITNESS_BUDGET * n:
+        xs, ys, lo, hi = _cell_ranges(x, y, threshold / 2, _RING_STENCIL)
+        crowded = hi[0] - lo[0] > 1
+        lo[0], hi[0] = after, np.minimum(hi[0], after + 1)
+        hi[1:, crowded] = lo[1:, crowded]
+    counts = (hi - lo).ravel()
+    i = np.repeat(np.tile(np.arange(n), len(lo)), counts)
+    j = np.arange(counts.sum()) + np.repeat(lo.ravel() - np.cumsum(counts) + counts, counts)
+    d = np.sqrt((xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2)
+    close = d < threshold
+    return float(np.min(d, initial=u)), threshold, np.union1d(i[close], j[close]).size
 
 
 def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
@@ -427,8 +472,8 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
     f_0 on the ring and on the ring at half the offset, the gap the trace
     leaves across |z| = 1.
     """
-    if frames.tag != "range-normalized":
-        raise ValueError("radial extension needs range-normalized frames")
+    if frames.tag != "range-normalized" or not frames.vector_field.tau.is_constant(0.0):
+        raise ValueError("radial extension needs range-normalized frames of tau identically 0")
     r = np.exp(frames.checkpoints)
     values, valid = frames.traces, frames.trace_valid
 

@@ -1,11 +1,17 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from loewnerqc import cli
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
 from loewnerqc.extension import (build_extension, becker_extension, beltrami_formula,
-                                 beltrami_fd, dilatation_report, phi_tau)
+                                 beltrami_fd, dilatation_report, phi_tau, AtlasRejected,
+                                 _injectivity_witness)
+from loewnerqc.scenarios import builtin_scenario
 
 ONE = HerglotzSpec.constant(1)
 EXPF = assemble_field(ONE, DenjoyWolffSpec.constant(0))
@@ -170,6 +176,15 @@ def test_radial_formula_cells_ignore_trace_validity():
     assert rep.passed and rep.n_masked == 8
     assert rep.max_mu_formula == pytest.approx(k * ff.trace_radius, abs=1e-12)
     assert rep.agreement <= 0.02
+
+
+def test_radial_extension_refuses_a_nonzero_denjoy_wolff_point():
+    # Becker's formula e^{2i theta}(p - 1)/(p + 1) holds for tau = 0 only:
+    # here it would read 0 against a finite-difference max |mu| of 0.59
+    fld = assemble_field(ONE, DenjoyWolffSpec.constant(0.5))
+    ff = chains.range_normalized_chain(fld, np.linspace(0.0, 0.16, 17), GRID, n_theta=64)
+    with pytest.raises(ValueError, match="tau identically 0"):
+        becker_extension(ff)
 
 
 def test_becker_extension_identity_continuation():
@@ -362,3 +377,101 @@ def test_stencil_fit_is_bitwise_independent_of_the_block_size(monkeypatch):
     assert ok[1:-1].all()
     assert np.array_equal(ok, ok_b)
     assert np.array_equal(mu[ok], mu_b[ok])
+
+
+def _brute_witness(points):
+    """O(n^2) reference for _injectivity_witness, in blocks of rows.
+
+    sqrt is monotone and correctly rounded, so the square root of the least
+    squared distance is the least distance bit for bit.
+    """
+    x, y = points.real, points.imag
+    nn = np.empty(points.size)
+    for s in range(0, points.size, 64):
+        d2 = (x[s:s + 64, None] - x) ** 2
+        d2 += (y[s:s + 64, None] - y) ** 2
+        d2[np.arange(d2.shape[0]), np.arange(s, s + d2.shape[0])] = np.inf
+        nn[s:s + 64] = np.sqrt(d2.min(axis=1))
+    threshold = 1e-6 * max(1.0, float(np.median(np.abs(points))))
+    return float(nn.min()), threshold, int(np.count_nonzero(nn < threshold))
+
+
+def _witness_set(kind, rng):
+    if kind == "random":
+        return rng.random(2000) + 1j * rng.random(2000)
+    if kind == "duplicates":
+        pts = rng.random(1500) + 1j * rng.random(1500)
+        return rng.permutation(np.concatenate([pts, pts[:100]]))
+    if kind == "planted":
+        # |z| < 1, so the threshold is exactly 1e-6; each partner follows its
+        # point, so the grid is as fine as the threshold and pairs straddle cells
+        pts = 0.7 * (rng.random(1500) + 1j * rng.random(1500))
+        gaps = np.repeat([0.5e-6, 1e-6, 2e-6], 100) * np.exp(2j * np.pi * rng.random(300))
+        return np.concatenate([np.column_stack([pts[:300], pts[:300] + gaps]).ravel(),
+                               pts[300:]])
+    if kind == "vertical":
+        return 0.3 + 1j * rng.random(2000)
+    if kind == "horizontal":
+        return rng.random(2000) + 0.3j
+    return np.array([0.25 + 0.5j, 0.25 + 0.5j + 7e-7])     # two points
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "planted", "vertical",
+                                  "horizontal", "two"])
+def test_injectivity_witness_is_exact(kind):
+    pts = _witness_set(kind, np.random.default_rng(7))
+    assert _injectivity_witness(pts) == _brute_witness(pts)
+
+
+def test_a_crowded_set_counts_its_collisions_exactly():
+    # 1,000 points within 1e-12 of the centre of a half-threshold cell exceed
+    # the candidate budget.  Four lone points 0.9 thresholds away lie two
+    # cells over (collisions only the 24 cells around a lone point find), six
+    # more two thresholds out collide with nothing, nor do 1,000 random points
+    rng = np.random.default_rng(11)
+    centre = 0.4 + 0.3j + 0.25e-6 * (1 + 1j)
+    lone = np.concatenate([0.9e-6 * 1j ** np.arange(4),
+                           2e-6 * np.exp(2j * np.pi * (np.arange(6) + 0.5) / 6)])
+    pts = rng.permutation(np.concatenate([
+        centre + np.concatenate([1e-12 * rng.random(1000), lone]),
+        0.7 * (rng.random(1000) + 1j * rng.random(1000))]))
+    got, ref = _injectivity_witness(pts), _brute_witness(pts)
+    assert got[1:] == ref[1:] == (1e-6, 1004)
+    assert ref[0] <= got[0] < got[1]     # past the budget, an upper bound
+
+
+def test_injectivity_witness_is_exact_on_the_chordal_atlas(tmp_path, monkeypatch):
+    # sources spanning ~4,000 units with a 6.2e-8 minimum gap
+    atlases = []
+
+    def keep(*args, **kwargs):
+        atlases.append(build_extension(*args, **kwargs))
+        return atlases[-1]
+
+    monkeypatch.setattr(cli, "build_extension", keep)
+    cli.run_pipeline(builtin_scenario("chordal"), "extend", tmp_path)
+    pts = atlases[0].source[atlases[0].valid]
+    ref = _brute_witness(pts)
+    assert 0 < ref[0] < ref[1] and ref[2] > 0
+    assert _injectivity_witness(pts) == ref
+
+
+def test_a_collapsed_atlas_is_rejected_quickly_in_bounded_memory():
+    cps = np.linspace(0.0, 0.32, 65)
+    ff = chains.range_normalized_chain(EXPF, cps, GRID, n_theta=256)
+    gf = chains.decreasing_chain(EXPF, cps, GRID, n_theta=256)
+    n = gf.traces.size
+    rng = np.random.default_rng(3)
+    gf.traces[:] = 0.5 + 0.2j + 1e-12 * rng.uniform(-1.0, 1.0, gf.traces.shape)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(AtlasRejected, match=f"{n} of {n} source points collide"):
+            build_extension(ff, gf)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 16640
+    assert elapsed < 2.0
+    assert peak < 64e6      # one n x n boolean array alone takes 277 MB
