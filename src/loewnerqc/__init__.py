@@ -10,7 +10,7 @@ certify quasiconformality bounds numerically.
 from .grids import SeedGrid, circle_grid, criteria_grid, trace_ring, hyperbolic_distance
 from .herglotz import (HerglotzSpec, DenjoyWolffSpec, VectorFieldHandle, SpecError,
                        assemble_field, time_samples, check_herglotz, check_becker, check_pair,
-                       sector_bound, holomorphy_residual, rotation_only)
+                       pair_parts, sector_bound, holomorphy_residual, rotation_only)
 from .evolution import (TrajectorySet, solve_forward, solve_reverse, verify_semigroup,
                         schwarz_pick_check, derivative_at_origin)
 from .chains import (ChainFrames, RangeReport, limit_frame, range_normalized_chain,

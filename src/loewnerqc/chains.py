@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row
-from .herglotz import VectorFieldHandle, time_samples
+from .herglotz import VectorFieldHandle, field_value, time_samples
 from .evolution import DEFAULT_TOL, solve_forward, solve_reverse
 
 DEFAULT_T_INF = 64.0
@@ -186,7 +186,7 @@ def _linearize(field: VectorFieldHandle, tail: _Tail, z: np.ndarray, tol_q: floa
     if lam is None:
         def inv_g(w):
             with np.errstate(divide="ignore", invalid="ignore"):
-                return 1.0 / ((w - tv) * (tconj * w - 1.0) * p.evaluate(w, t_aut))
+                return 1.0 / field_value(w, tv, p.evaluate(w, t_aut))
 
         h, err = _panel_quadrature(inv_g, 0.0, z, tol_q, relative=True)
         return h, inv_g(z), err
@@ -663,7 +663,7 @@ def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
         if t == 0.0:
             rows.append((pts, np.ones_like(pts), np.ones(pts.shape, bool)))
             continue
-        traj = solve_reverse(field, float(t), pts, tol=tol, checkpoints=[0.0])
+        traj = solve_reverse(field, float(t), pts, tol=tol)
         vals = traj.at(0.0)
         rows.append((vals, traj.deriv_at(0.0), traj.live() & np.isfinite(vals)))
     vals, ders, ok = (np.stack(col) for col in zip(*rows))

@@ -36,6 +36,21 @@ def _check_times(cfg: ScenarioConfig):
     return np.linspace(0.0, cfg.time.t_end, 9)
 
 
+def _herglotz_report(cfg: ScenarioConfig, spec):
+    """check_herglotz of spec on the check command's sample set."""
+    return check_herglotz(spec, criteria_grid(n_angles=cfg.grid.theta_nodes), _check_times(cfg),
+                          tol=cfg.criteria.tol_herglotz)
+
+
+def _herglotz_verdict(cfg: ScenarioConfig, summary) -> bool:
+    """True when p, and q if set, pass ``_herglotz_report``; one warning per failure."""
+    bad = [name for name, spec in (("p", cfg.p), ("q", cfg.q))
+           if spec is not None and not _herglotz_report(cfg, spec).passed]
+    summary["warnings"].extend(
+        f"{name} fails the Herglotz check (Re {name} >= 0 on the check samples)" for name in bad)
+    return not bad
+
+
 def _is_degenerate(cfg: ScenarioConfig) -> bool:
     grid = criteria_grid(n_angles=64)
     return rotation_only(cfg.p, grid, _check_times(cfg))
@@ -72,6 +87,9 @@ def _build_frames(cfg, n_default: int = 9):
 
 
 def _cmd_chain(cfg, out, summary):
+    if cfg.time.checkpoint_array().size < 2:
+        summary["warnings"].append("the transition identity needs at least 2 checkpoints")
+        return False
     frames = _build_frames(cfg)
     trans = verify_transitions(frames, cfg.criteria.tol_chain)
     pde = verify_chain_pde(frames) if frames.checkpoints.size >= 3 else None
@@ -79,24 +97,25 @@ def _cmd_chain(cfg, out, summary):
         artifacts.write_frames_csv(frames, out / "frames_f.csv")
     if cfg.outputs.svg:
         artifacts.write_traces_svg(frames, out / "traces_f.svg")
-    m0 = abs(frames.origin_values[0])
-    d0 = abs(frames.origin_derivs[0] - 1.0)
     summary["metrics"].update({
         "transition_residual": trans.residual,
-        "f0_origin": m0,
-        "f0_derivative_gap": d0,
         "frames_converged": bool(frames.converged.all()),
     })
     if pde is not None:
         summary["metrics"]["pde_relative_residual"] = pde.rel_residual
         summary["metrics"]["pde_resolution_limited"] = pde.resolution_limited
     summary["warnings"].extend(frames.warnings)
-    # f_0 in S: f_0(0) = 0 and f_0'(0) = 1 up to the chain tolerance
-    tol0 = cfg.criteria.tol_chain
-    f0_ok = frames.checkpoints[0] != 0.0 or (m0 <= tol0 and d0 <= tol0)
-    if not f0_ok:
-        summary["warnings"].append(
-            f"f_0 normalization residuals |f_0(0)| = {m0:.3g}, |f_0'(0)-1| = {d0:.3g}")
+    # f_0 in S: f_0(0) = 0 and f_0'(0) = 1 up to the chain tolerance; the
+    # first row is f_0 only when the first checkpoint is 0
+    f0_ok = True
+    if frames.checkpoints[0] == 0.0:
+        m0 = abs(frames.origin_values[0])
+        d0 = abs(frames.origin_derivs[0] - 1.0)
+        summary["metrics"].update({"f0_origin": m0, "f0_derivative_gap": d0})
+        f0_ok = m0 <= cfg.criteria.tol_chain and d0 <= cfg.criteria.tol_chain
+        if not f0_ok:
+            summary["warnings"].append(
+                f"f_0 normalization residuals |f_0(0)| = {m0:.3g}, |f_0'(0)-1| = {d0:.3g}")
     return trans.passed and bool(frames.converged.all()) and f0_ok
 
 
@@ -209,7 +228,7 @@ def _cmd_becker(cfg, out, summary):
 def _cmd_check(cfg, out, summary):
     grid = criteria_grid(n_angles=cfg.grid.theta_nodes)
     times = _check_times(cfg)
-    hg = check_herglotz(cfg.p, grid, times, tol=cfg.criteria.tol_herglotz)
+    hg = _herglotz_report(cfg, cfg.p)
     bk = check_becker(cfg.p, grid, times, cfg.criteria.k, tol=cfg.criteria.tol_criterion)
     holo = holomorphy_residual(cfg.p, grid[np.abs(grid) <= 0.8], times)
     summary["metrics"].update({
@@ -280,7 +299,9 @@ def run_pipeline(cfg: ScenarioConfig, command: str, out_dir) -> tuple[int, dict]
                "metrics": {}, "warnings": []}
     t0 = time.perf_counter()
     try:
-        ok = bool(_COMMANDS[command](cfg, out, summary))
+        # every building command needs Herglotz data; check reports its own verdict
+        herglotz_ok = command == "check" or _herglotz_verdict(cfg, summary)
+        ok = bool(_COMMANDS[command](cfg, out, summary)) and herglotz_ok
     except Exception as e:  # summary still written with the failure record
         summary["warnings"].append(f"fatal: {type(e).__name__}: {e}")
         ok = False

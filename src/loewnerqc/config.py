@@ -22,7 +22,7 @@ from .evolution import DEFAULT_TOL
 from .extension import TOL_DILAT
 from .grids import DELTA_GUARD, SeedGrid, circle_grid
 from .herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError, TOL_CRITERION, TOL_HERGLOTZ,
-                       TOL_HOLO, time_table)
+                       TOL_HOLO, phase_table, time_samples, time_table)
 
 
 class ConfigError(ValueError):
@@ -209,6 +209,16 @@ def _build_time_profile(d, path, errors):
     return (lambda t: 1.0 + 0j), 0.0, ()
 
 
+def _probed(spec: HerglotzSpec) -> HerglotzSpec:
+    """spec after one evaluation at its profile's nodes (t = 0 for a constant profile).
+
+    A bad profile value raises SpecError here, not at the first use.  The nodes
+    suffice: table drivings run along the circle, and the sector is convex.
+    """
+    spec.evaluate(*time_samples([0.0], spec.nodes or [0.0]))
+    return spec
+
+
 def build_herglotz(d, path, errors) -> HerglotzSpec:
     fallback = HerglotzSpec.constant(1.0)
     if not isinstance(d, dict) or "kind" not in d:
@@ -220,14 +230,16 @@ def build_herglotz(d, path, errors) -> HerglotzSpec:
         if kind == "constant":
             return HerglotzSpec.constant(_as_complex(d.get("value", 1.0), f"{path}.value", errors))
         if kind == "mobius_kernel":
-            driving = _build_time_profile(d.get("driving", {"type": "constant", "value": 1.0}),
-                                          f"{path}.driving", errors)
-            return HerglotzSpec.mobius_kernel(*driving)
+            driving, t_aut, nodes = _build_time_profile(
+                d.get("driving", {"type": "constant", "value": 1.0}), f"{path}.driving", errors)
+            if nodes:   # a table: rejoin its node values along the circle
+                driving, t_aut, nodes = phase_table(nodes, driving(np.asarray(nodes)))
+            return _probed(HerglotzSpec.mobius_kernel(driving, t_aut, nodes))
         if kind == "sector":
             opening = float(d.get("opening", 0.5))
             profile = _build_time_profile(d.get("profile", {"type": "constant", "value": 1.0}),
                                           f"{path}.profile", errors)
-            return HerglotzSpec.sector(opening, *profile)
+            return _probed(HerglotzSpec.sector(opening, *profile))
         if kind == "rational_table":
             num = [_as_complex(c, f"{path}.numerator", errors) for c in d.get("numerator", [1.0])]
             den = [_as_complex(c, f"{path}.denominator", errors) for c in d.get("denominator", [1.0])]

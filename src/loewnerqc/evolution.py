@@ -111,8 +111,7 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
     rejected = 0
     warnings: list[str] = []
 
-    stops = np.unique(np.concatenate(
-        [rec, [t0, t1], [b for b in breakpoints if t0 < b < t1]]))
+    stops = np.unique(np.concatenate([rec, [b for b in breakpoints if t0 < b < t1]]))
     stops = stops[(stops >= t0 - 1e-15) & (stops <= t1 + 1e-15)]
     rec_lookup = {}
     for i, tr in enumerate(rec):
@@ -123,14 +122,14 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
     y[0] = seeds
     y[1] = 1.0
 
-    def record(stop_idx, t_now):
+    def record(stop_idx):
         i = rec_lookup.get(stop_idx)
         if i is None:
             return
         values[i, active] = y[0]
         derivs[i, active] = y[1]
 
-    record(0, stops[0])
+    record(0)
     h = min(max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
 
     def drop(mask, t_now):
@@ -219,7 +218,7 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                     h *= 0.2
                 else:
                     h *= min(1.0, max(0.2, 0.9 * errmax ** -0.2))
-        record(si + 1, b)
+        record(si + 1)
 
     return values, derivs, truncated, trunc_time, steps, rejected, warnings
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import nonuniform_centered, periodic_centered
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, time_samples
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, pair_parts, time_samples
 from .chains import ChainFrames
 
 TOL_DILAT = 0.02
@@ -482,9 +482,10 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
 
     zeta = frames.trace_radius * np.exp(1j * frames.theta)
     pv = frames.vector_field.p.evaluate(*time_samples(zeta, frames.checkpoints))
+    num, den = pair_parts(pv, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (pv - 1.0) / (pv + 1.0)
-    formula_ok = (np.abs(pv + 1.0) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)
+        ratio = num / den
+    formula_ok = (np.abs(den) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)
     ratio = np.where(formula_ok, ratio, np.nan + 0j)
 
     mu_fd = np.full(values.shape, np.nan + 0j)

@@ -10,14 +10,16 @@ whose flow is the evolution family.  Every Herglotz spec is one evaluator
 ``pair(z, t) -> (p, dp/dz)``, and every field evaluation goes through one
 kernel that applies the product rule to it.  The module also holds every
 pointwise criterion check on p (Herglotz property, Becker and pair
-inequalities, sector bound).
+inequalities, sector bound); Becker's ratio is the pair ratio at q = 1.
 
 Specs answer a (time x point) sample set in one call: t is a float or an
-array broadcasting to z, and results are shaped like z (like t for
-``DenjoyWolffSpec.value``).  ``z, t = time_samples(points, times)`` gives
-the points broadcast to (n_t, n_z) and the times as a column, so axis 0 of
-every result is time.  Wrapped user callables keep a float-time contract;
-their adapter calls them once per distinct time.
+array broadcasting to z.  Their answers broadcast against z (a scalar or a
+time column where p does not depend on z), and ``HerglotzSpec.evaluate``
+gives them z's shape; ``DenjoyWolffSpec.value`` is shaped like t.
+``z, t = time_samples(points, times)`` gives the points broadcast to
+(n_t, n_z) and the times as a column, so axis 0 of every result is time.
+Wrapped user callables keep a float-time contract; their adapter calls
+them once per distinct time.
 
 A spec is its behaviour; it keeps no record of how it was built.  Each
 declares its autonomy time ``t_aut``: from then on it no longer depends
@@ -91,6 +93,20 @@ def time_table(ts, vs):
     return f, float(ts[-1]), tuple(ts.tolist())
 
 
+def phase_table(ts, vs):
+    """``time_table`` of unimodular values, linear in the unwrapped phase.
+
+    Consecutive nodes are joined along the shorter arc, so every value
+    stays on the circle; node values off the circle are refused.
+    """
+    vs = np.asarray(vs, dtype=complex)
+    off = np.abs(np.abs(vs) - 1.0)
+    if np.any(off > 1e-9):
+        raise SpecError(f"table value with |value| = {np.abs(vs).flat[np.argmax(off)]}, expected 1")
+    f, t_aut, nodes = time_table(ts, np.unwrap(np.angle(vs)))
+    return (lambda t: np.exp(1j * f(t).real)), t_aut, nodes
+
+
 def _horner(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     if coeffs.size == 1:
         return np.full_like(z, coeffs[0])
@@ -100,24 +116,18 @@ def _horner(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return v
 
 
-def _full(z: np.ndarray, c) -> tuple[np.ndarray, np.ndarray]:
-    """(p, dp/dz) of a value c that does not depend on z."""
-    pv = np.full_like(z, c)
-    return pv, np.zeros_like(pv)
-
-
 @dataclass
 class HerglotzSpec:
     """A Herglotz function as its evaluator.
 
     ``pair(z, t)`` takes a complex ndarray ``z`` and a time ``t``, a float
-    or a float array that broadcasts to the shape of z (one time per
-    point), and returns the ndarrays ``(p, dp/dz)`` shaped like z; with a
-    float t it is the integrator's hot path.  The built-in constructors
-    differentiate analytically, a wrapped user evaluator by a centered
-    difference of step ``DZ_STEP``.  ``evaluate(z, t)`` is the value alone,
-    from ``value`` where a spec has one cheaper than ``pair``.  ``t_aut``
-    and ``nodes`` are described in the module docstring.
+    or a float array broadcasting to z, and returns ``(p, dp/dz)``
+    broadcasting against z, ``(value, 0.0)`` where p does not depend on z;
+    with a float t it is the integrator's hot path.  The built-in
+    constructors differentiate analytically, a wrapped user evaluator by a
+    centered difference of step ``DZ_STEP``.  ``evaluate(z, t)`` is the
+    value alone shaped like z, from ``value`` where it is cheaper than
+    ``pair``; ``t_aut`` and ``nodes`` are described in the module docstring.
     """
 
     pair: Callable[[np.ndarray, float | np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -127,14 +137,15 @@ class HerglotzSpec:
 
     def evaluate(self, z, t) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        return self.pair(z, t)[0] if self.value is None else self.value(z, t)
+        return np.broadcast_to(self.pair(z, t)[0] if self.value is None else self.value(z, t),
+                               z.shape)
 
     @classmethod
     def constant(cls, c) -> "HerglotzSpec":
         c = complex(c)
         if c.real < 0:
             raise SpecError(f"constant Herglotz value {c} has Re < 0")
-        return cls(lambda z, t: _full(z, c), t_aut=0.0)
+        return cls(lambda z, t: (c, 0.0), t_aut=0.0)
 
     @classmethod
     def mobius_kernel(cls, driving: Callable[[float], complex], t_aut: float | None = None,
@@ -173,7 +184,7 @@ class HerglotzSpec:
             out = (c != 0) & (np.abs(np.angle(c)) > half + 1e-12)
             if np.any(out):
                 raise SpecError(f"sector profile value {c[out][0]} leaves |arg| <= {half}")
-            return _full(z, c)
+            return c, 0.0
 
         return cls(pair, t_aut=t_aut, nodes=tuple(nodes))
 
@@ -210,7 +221,7 @@ class HerglotzSpec:
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
         """z-independent samples p(t), linearly interpolated between nodes."""
         f, t_aut, nodes = time_table(ts, values)
-        return cls(lambda z, t: _full(z, f(t)), t_aut=t_aut, nodes=nodes)
+        return cls(lambda z, t: (f(t), 0.0), t_aut=t_aut, nodes=nodes)
 
 
 @dataclass
@@ -330,19 +341,21 @@ class DenjoyWolffSpec:
         return self.t_aut == 0.0 and complex(self.value(0.0)) == complex(c)
 
 
-def _field_pair(z: np.ndarray, tv, pv: np.ndarray, dp: np.ndarray):
-    """(G, dG/dz) for G = (z - tv)(conj(tv) z - 1) p, by the product rule.
-
-    G is exactly 0 at z = tv.  tv may be a scalar or an array shaped like z.
-    """
+def _factor(z: np.ndarray, tv):
+    """((z - tv)(conj(tv) z - 1), conj(tv)); the factor is exactly 0 at z = tv."""
     tconj = np.conj(tv)
-    af = (z - tv) * (tconj * z - 1.0)
+    return (z - tv) * (tconj * z - 1.0), tconj
+
+
+def _field_pair(z: np.ndarray, tv, pv, dp):
+    """(G, dG/dz) for G = (z - tv)(conj(tv) z - 1) p, by the product rule."""
+    af, tconj = _factor(z, tv)
     return af * pv, (2.0 * tconj * z - (1.0 + abs(tv) ** 2)) * pv + af * dp
 
 
-def field_value(z: np.ndarray, tv, pv: np.ndarray) -> np.ndarray:
+def field_value(z: np.ndarray, tv, pv) -> np.ndarray:
     """G alone, bit for bit the value half of the integrators' (G, dG/dz) kernel."""
-    return _field_pair(z, tv, pv, 0.0)[0]
+    return _factor(z, tv)[0] * pv
 
 
 @dataclass
@@ -381,18 +394,11 @@ class VectorFieldHandle:
         stage evaluations at the segment endpoints cannot pick up the
         neighbouring interval.  Elsewhere tau is read at every stage.
         """
-        p_pair = self.p.pair
-        frozen = self.tau.frozen_on(a, b)
-        if frozen is not None:
-            tv = complex(frozen)
+        p_pair, tv = self.p.pair, self.tau.frozen_on(a, b)
+        tau_of = self.tau.value if tv is None else lambda t: tv
 
-            def pair(z, t):
-                return _field_pair(z, tv, *p_pair(z, t))
-        else:
-            tau_of = self.tau.value
-
-            def pair(z, t):
-                return _field_pair(z, complex(tau_of(t)), *p_pair(z, t))
+        def pair(z, t):
+            return _field_pair(z, complex(tau_of(t)), *p_pair(z, t))
 
         return pair
 
@@ -499,25 +505,22 @@ def _ratio_check(parts, grid, times, k, tol, label) -> CheckReport:
     return rep
 
 
+def pair_parts(pv, qv):
+    """(p - conj(q), p + q), the parts of the pair ratio; q = 1 gives Becker's."""
+    return pv - np.conj(qv), pv + qv
+
+
 def check_becker(p: HerglotzSpec, grid, times, k: float, tol: float = TOL_CRITERION) -> CheckReport:
     """max |p - 1| / |p + 1| over samples; the radial extension criterion."""
-
-    def parts(z, t):
-        pv = p.evaluate(z, t)
-        return pv - 1.0, pv + 1.0
-
-    return _ratio_check(parts, grid, times, k, tol, f"|p-1| <= {k}|p+1|")
+    return _ratio_check(lambda z, t: pair_parts(p.evaluate(z, t), 1.0), grid, times, k, tol,
+                        f"|p-1| <= {k}|p+1|")
 
 
 def check_pair(p: HerglotzSpec, q: HerglotzSpec, grid, times, k: float,
                tol: float = TOL_CRITERION) -> CheckReport:
     """max |p - conj(q)| / |p + q| over samples; the two-chain criterion."""
-
-    def parts(z, t):
-        pv, qv = p.evaluate(z, t), q.evaluate(z, t)
-        return pv - np.conj(qv), pv + qv
-
-    return _ratio_check(parts, grid, times, k, tol, f"|p-conj(q)| <= {k}|p+q|")
+    return _ratio_check(lambda z, t: pair_parts(p.evaluate(z, t), q.evaluate(z, t)),
+                        grid, times, k, tol, f"|p-conj(q)| <= {k}|p+q|")
 
 
 def sector_bound(opening: float) -> float:

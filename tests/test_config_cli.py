@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loewnerqc.config import parse_config, validate_config, ConfigError
+from loewnerqc.herglotz import HerglotzSpec
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
 from loewnerqc import artifacts, chains, cli
 from loewnerqc.cli import run_pipeline, main
@@ -214,6 +215,7 @@ def test_becker_refuses_checkpoints_without_t0(tmp_path):
     ("exponential", "extend", [0.0, 0.5],
      "the dilatation estimate needs at least 3 checkpoints"),
     ("becker", "becker", [0.0, 0.5], "the dilatation estimate needs at least 3 checkpoints"),
+    ("exponential", "chain", [0.5], "the transition identity needs at least 2 checkpoints"),
 ])
 def test_too_few_checkpoints_are_refused(tmp_path, name, command, checkpoints, warning):
     cfg = builtin_scenario(name)
@@ -479,3 +481,72 @@ def test_user_sampled_p_passes_check(tmp_path):
     code, summary = run_pipeline(cfg, "check", tmp_path / "out")
     assert code == 0 and summary["pass"], summary
     assert summary["metrics"]["herglotz_passed"] and summary["metrics"]["becker_passed"]
+
+
+def test_chain_reports_f0_only_from_a_row_at_t0(tmp_path):
+    # without a t = 0 checkpoint the first row is some f_s, not f_0
+    cfg = builtin_scenario("exponential")
+    cfg.time.checkpoints = [0.5, 1.0]
+    code, summary = run_pipeline(cfg, "chain", tmp_path)
+    assert code == 0 and summary["pass"]
+    assert "f0_origin" not in summary["metrics"]
+    assert "f0_derivative_gap" not in summary["metrics"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "chain", "approx"])
+def test_building_commands_fail_on_a_non_herglotz_p(tmp_path, command):
+    # Re p < 0 from t = 2/3 on; check has always failed it, and so does
+    # every command that builds from it, after running to the end
+    cfg, errors = validate_config({
+        "p": {"kind": "user_sampled", "table": [[0, 1.0], [1, -0.5]]},
+        "tau": {"kind": "constant", "value": 0.0}, "time": {"t_end": 1.0}})
+    assert not errors
+    code, summary = run_pipeline(cfg, command, tmp_path)
+    assert code == 1 and not summary["pass"]
+    assert summary["warnings"].count(
+        "p fails the Herglotz check (Re p >= 0 on the check samples)") == 1
+    assert summary["metrics"]
+    assert not any(w.startswith("fatal") for w in summary["warnings"])
+
+
+def test_a_non_herglotz_q_fails_the_building_commands(tmp_path):
+    cfg, errors = validate_config({"q": {"kind": "constant", "value": 1.0}})
+    assert not errors
+    cfg.q = HerglotzSpec.sampled(lambda z, t: -1.0 + 0 * z)
+    code, summary = run_pipeline(cfg, "evolve", tmp_path)
+    assert code == 1
+    assert summary["warnings"] == ["q fails the Herglotz check (Re q >= 0 on the check samples)"]
+
+
+@pytest.mark.parametrize("node", [
+    {"kind": "mobius_kernel", "driving": {"type": "constant", "value": 0.5}},
+    {"kind": "mobius_kernel", "driving": {"type": "table", "points": [[0, 1], [1, [0, 0.5]]]}},
+    {"kind": "sector", "opening": 0.2, "profile": {"type": "constant", "value": [1, 5]}},
+    {"kind": "sector", "opening": 0.2,
+     "profile": {"type": "table", "points": [[0, 1], [1, [1, 5]]]}},
+])
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_bad_profiles_are_config_errors(tmp_path, capsys, node, key):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({key: node}))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_driving_runs_along_the_circle(tmp_path):
+    # 1 -> i and 1 -> -i are each a quarter turn: the shorter arc, at unit speed in phase
+    for end, turn in (([0, 1], 1), ([0, -1], -1)):
+        cfg, errors = validate_config({
+            "p": {"kind": "mobius_kernel",
+                  "driving": {"type": "table", "points": [[0, 1], [1, end], [2, end]]}},
+            "time": {"t_end": 2.0}})
+        assert not errors
+        z = np.array([0.3 - 0.2j, 0.5j])
+        for t in (0.0, 0.25, 0.5, 1.0, 1.7):
+            kap = np.exp(0.5j * math.pi * turn * min(t, 1.0))
+            np.testing.assert_allclose(cfg.p.evaluate(z, t), (kap + z) / (kap - z),
+                                       rtol=1e-14)
+    code, summary = run_pipeline(cfg, "evolve", tmp_path)
+    assert code == 0 and summary["pass"], summary

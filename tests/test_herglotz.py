@@ -316,3 +316,47 @@ def test_sampled_spec_evaluates_its_callable_once_per_value():
     calls.clear()
     spec.pair(z, 0.5)
     assert calls == [0.5] * 3
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
+
+
+# the constructors whose p does not depend on z: they answer (value, 0.0)
+Z_FREE = ("constant", "sector", "from_time_table")
+
+
+@pytest.mark.parametrize("kind", P_KINDS)
+def test_evaluate_gives_answers_the_shape_of_z(kind):
+    spec, p_exact = P_KINDS[kind]
+    z = criteria_grid(radii=(0.2, 0.5, 0.8), n_angles=16)
+    assert spec.evaluate(z, 0.7).shape == z.shape
+    np.testing.assert_allclose(spec.evaluate(z, 0.7), p_exact(z, 0.7), rtol=1e-12)
+    zs, t = time_samples(z, [0.0, 0.7, 2.5])
+    assert spec.evaluate(zs, t).shape == zs.shape == (3, z.size)
+    pv, dp = spec.pair(z, 0.7)
+    if kind in Z_FREE:
+        assert np.ndim(pv) == 0 and dp == 0.0
+        assert np.shape(spec.pair(zs, t)[0]) in ((), (3, 1))
+
+
+@pytest.mark.parametrize("regime", TAU_REGIMES)
+@pytest.mark.parametrize("kind", Z_FREE)
+def test_z_free_answers_match_full_arrays_bit_for_bit(kind, regime):
+    # the field kernel broadcasts a scalar p exactly as it multiplies a full
+    # array of it, signed zeros included
+    spec, _ = P_KINDS[kind]
+
+    def full(z, t):
+        pv, _ = spec.pair(z, t)
+        return np.broadcast_to(pv, z.shape).astype(complex), np.zeros_like(z)
+
+    tau, reads = TAU_REGIMES[regime]
+    fld = assemble_field(spec, tau)
+    ref = assemble_field(HerglotzSpec(full, t_aut=spec.t_aut, nodes=spec.nodes), tau)
+    z = np.concatenate([criteria_grid(radii=(0.0, 0.3, 0.99), n_angles=12),
+                        [-0.5 + 0j, complex(-0.0, -0.25), 0.3 - 0.4j, 1j]])
+    for a, b, t, _ in reads:
+        for got, want in zip(fld.segment_rhs(a, b)(z, t), ref.segment_rhs(a, b)(z, t)):
+            assert got.shape == z.shape
+            np.testing.assert_array_equal(_bits(got), _bits(want))
