@@ -49,10 +49,9 @@ def step_approximate(tau: DenjoyWolffSpec, n: int,
     mids = (np.arange(n) + 0.5) * width
     values = tau.value(mids)
     breakpoints = np.arange(1, n) * width
+    tau_n = DenjoyWolffSpec.step_with_tail(breakpoints, values, horizon, tau)
     probes = np.linspace(0.0, horizon, 16 * n, endpoint=False)
-    idx = np.minimum((probes / width).astype(int), n - 1)
-    dev = np.abs(tau.value(probes) - values[idx]).max()
-    return DenjoyWolffSpec.step_with_tail(breakpoints, values, horizon, tau), float(dev)
+    return tau_n, float(np.abs(tau.value(probes) - tau_n.value(probes)).max())
 
 
 @dataclass

@@ -92,7 +92,8 @@ def _color(i: int, n: int) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _svg_document(curves, size=640, margin=0.05) -> str:
+def _svg_document(curves) -> str:
+    size, margin = 640, 0.05
     curves = [(c[np.isfinite(c)], color) for c, color in curves]
     pts = np.concatenate([c for c, _ in curves] + [np.zeros(0, complex)])
     if pts.size == 0:

@@ -452,9 +452,10 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
         beta = dphi / abs(dphi)
         sp = _psi_prime0(alpha, dphi)
         w = vals[:n]
-        m_inv_deriv = (1.0 - abs(alpha) ** 2) / (beta * (1.0 - np.conj(alpha) * w) ** 2)
-        its.append(np.where(live, _m_inv(alpha, beta, w) / sp, np.nan + 0j))
-        dits.append(np.where(live, m_inv_deriv * ders[:n] / sp, np.nan + 0j))
+        with np.errstate(divide="ignore", invalid="ignore"):    # lost points hold NaN
+            m_inv_deriv = (1.0 - abs(alpha) ** 2) / (beta * (1.0 - np.conj(alpha) * w) ** 2)
+            its.append(np.where(live, _m_inv(alpha, beta, w) / sp, np.nan + 0j))
+            dits.append(np.where(live, m_inv_deriv * ders[:n] / sp, np.nan + 0j))
         if len(its) >= 2 and live.any():
             d_new = float(np.abs((its[-1] - its[-2])[live]).max())
             # once psi'_{0,u}(0) decays toward machine scale the Mobius
@@ -688,12 +689,9 @@ class RangeReport:
     classification: str
     beta0: float
     radius: float | None
-    probes: np.ndarray
     raw_last: np.ndarray
-    extrapolated: np.ndarray
     history: np.ndarray
     horizons: np.ndarray
-    probe_class: list[str]
     warnings: list[str] = field(default_factory=list)
 
 
@@ -708,7 +706,7 @@ def beta_limit(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
     plane/disk verdict requires all probes to agree; the theory makes beta
     vanish either everywhere or nowhere.  beta0 is read at probe 0, the origin.
     """
-    probes = _BETA_PROBES.copy()
+    probes = _BETA_PROBES
 
     # the classifier reads tail ratios of successive doublings
     horizons = horizon_offsets(t_inf)
@@ -762,8 +760,7 @@ def beta_limit(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
         beta0 = float(raw_last[0])
         radius = None
         warnings.append(f"probes disagree on the zero set: {classes}")
-    return RangeReport(cls, beta0, radius, probes, raw_last, extrap, hist,
-                       horizons, classes, warnings)
+    return RangeReport(cls, beta0, radius, raw_last, hist, horizons, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +772,6 @@ class TransitionReport:
     residual: float
     per_pair: list[tuple[float, float, float]]
     passed: bool
-    excluded: int
 
 
 def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> TransitionReport:
@@ -796,7 +792,7 @@ def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> Tra
     if len(cps) > 2:
         pairs.append((cps[0], cps[-1]))
     pts = np.append(frames.grid.points, 0.0)
-    detail, excluded = [], 0
+    detail = []
     for s, t in pairs:
         i, j = frames.row(s), frames.row(t)
         stored = np.append(frames.values[i], frames.origin_values[i])
@@ -804,23 +800,18 @@ def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> Tra
         img = traj.at(float(t))
         valid = np.append(frames.grid_valid[i], np.isfinite(stored[-1]))
         ok = traj.live() & valid & np.isfinite(img)
-        excluded += int(np.count_nonzero(~ok))
         if not ok.any():
             continue
         res = limit_frame(field, float(t), img[ok], tol, frames.t_inf, frames.tol_limit)
         detail.append((float(s), float(t), float(np.nanmax(np.abs(res.values - stored[ok])))))
     worst = max([0.0] + [r for *_, r in detail])
-    return TransitionReport(worst, detail, worst <= tol_chain, excluded)
+    return TransitionReport(worst, detail, worst <= tol_chain)
 
 
 @dataclass
 class PdeReport:
     rel_residual: float
-    abs_residual: float
-    dt: float
-    n_interior: int
     resolution_limited: bool
-    sup_p: float
 
 
 def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeReport:
@@ -842,7 +833,6 @@ def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeRepo
     dfs = frames.derivs[:, sel]
 
     dt_all = np.diff(cps)
-    dt = float(dt_all.mean())
     lhs = nonuniform_centered(vals, cps, axis=0)
 
     zs, t = time_samples(z, cps)
@@ -864,9 +854,7 @@ def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeRepo
     with np.errstate(invalid="ignore"):
         rel = resid / denom
     rel_res = float(np.nanmax(rel)) if rel.size else np.nan
-    abs_res = float(np.nanmax(resid)) if resid.size else np.nan
-
-    return PdeReport(rel_res, abs_res, dt, interior.size, bool(dt > 0.05), sup_p)
+    return PdeReport(rel_res, bool(dt_all.mean() > 0.05))
 
 
 @dataclass
@@ -876,7 +864,6 @@ class ContainmentReport:
     passed: bool
     checked_pairs: int
     violations: int
-    probes_skipped: int
     lambda_diameter: float | None
 
 
@@ -896,7 +883,6 @@ def verify_containment(frames: ChainFrames) -> ContainmentReport:
     step = max(1, frames.n_theta // _CONTAINMENT_PROBES)
     violations = 0
     checked = 0
-    skipped = 0
     for i in range(nt - 1):
         outer_i, inner_i = (i, i + 1) if frames.tag == "decreasing" else (i + 1, i)
         if not (frames.trace_valid[outer_i].all() and frames.trace_valid[inner_i].all()):
@@ -908,7 +894,6 @@ def verify_containment(frames: ChainFrames) -> ContainmentReport:
         dist = np.abs(probes[:, None] - poly[None, :])
         nearest = np.argmin(dist, axis=1)
         clear = dist[np.arange(probes.size), nearest] > 2.0 * local_scale[nearest]
-        skipped += int(np.count_nonzero(~clear))
         checked += 1
         if clear.any():
             w = winding_number(poly, probes[clear])
@@ -918,7 +903,7 @@ def verify_containment(frames: ChainFrames) -> ContainmentReport:
     if frames.tag == "decreasing" and frames.trace_valid[-1].all():
         tr = frames.traces[-1]
         lam = float(np.abs(tr[:, None] - tr[None, :]).max())
-    return ContainmentReport(violations == 0, checked, violations, skipped, lam)
+    return ContainmentReport(violations == 0, checked, violations, lam)
 
 
 def frames_coincide_up_to_rotation(frames: ChainFrames, tol: float = 1e-9) -> tuple[bool, float]:

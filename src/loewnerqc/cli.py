@@ -352,6 +352,11 @@ def main(argv=None) -> int:
         cfg.time.tol = args.tol
     if args.k is not None:
         cfg.criteria.k = args.k
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: --out {args.out}: {e.strerror or e}", file=sys.stderr)
+        return 2
 
     code, summary = run_pipeline(cfg, args.command, args.out)
     word = "pass" if summary["pass"] else "FAIL"

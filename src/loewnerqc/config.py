@@ -394,7 +394,11 @@ def parse_config(path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError([f"config file {path} does not exist"])
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError([f"cannot read config file {path}: {e.strerror or e}"]) from e
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"config file {path} is not UTF-8 text: {e.reason}"]) from e
     except json.JSONDecodeError as e:
         raise ConfigError([f"not valid JSON: {e}"]) from e
     cfg, errors = validate_config(doc, name=path.stem)

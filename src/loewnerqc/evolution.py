@@ -288,11 +288,6 @@ def solve_reverse(field: VectorFieldHandle, t: float, seeds,
 @dataclass
 class SemigroupReport:
     residual: float
-    per_seed: np.ndarray
-    excluded: int
-    s: float
-    u: float
-    t: float
 
 
 def verify_semigroup(field: VectorFieldHandle, s: float, u: float, t: float,
@@ -309,17 +304,13 @@ def verify_semigroup(field: VectorFieldHandle, s: float, u: float, t: float,
     composed = second.at(t)
     res = np.abs(direct.at(t) - composed)
     ok &= direct.live() & np.isfinite(res)
-    per_seed = np.where(ok, res, np.nan)
-    residual = float(np.nanmax(per_seed)) if ok.any() else np.nan
-    return SemigroupReport(residual, per_seed, int(np.count_nonzero(~ok)), s, u, t)
+    return SemigroupReport(float(res[ok].max()) if ok.any() else np.nan)
 
 
 @dataclass
 class SchwarzPickReport:
     worst_violation: float
     passed: bool
-    n_pairs: int
-    excluded: int
 
 
 def schwarz_pick_check(traj: TrajectorySet, pairs=None, tol_hyp: float = 1e-9) -> SchwarzPickReport:
@@ -330,20 +321,15 @@ def schwarz_pick_check(traj: TrajectorySet, pairs=None, tol_hyp: float = 1e-9) -
         if n > 2:
             pairs.append((0, n - 1))
     live = traj.live()
+    pairs = [(i, j) for i, j in pairs if live[i] and live[j]]
+    if not pairs:
+        return SchwarzPickReport(np.nan, False)
     worst = -np.inf
-    used = 0
-    excluded = 0
     for i, j in pairs:
-        if not (live[i] and live[j]):
-            excluded += 1
-            continue
-        used += 1
         d0 = hyperbolic_distance(traj.seeds[i], traj.seeds[j])
         dt = hyperbolic_distance(traj.values[:, i], traj.values[:, j])
         worst = max(worst, float(np.nanmax(dt - d0)))
-    if used == 0:
-        return SchwarzPickReport(np.nan, False, 0, excluded)
-    return SchwarzPickReport(worst, worst <= tol_hyp, used, excluded)
+    return SchwarzPickReport(worst, worst <= tol_hyp)
 
 
 @dataclass

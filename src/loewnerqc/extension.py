@@ -197,11 +197,11 @@ def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None
     sources and its values may legitimately run through infinity; the
     Beltrami quotient is invariant under Mobius postcomposition and its
     modulus under precomposition (the phase picks up the unimodular twist
-    w^2/conj(w)^2).  Source stencils spanning a large modulus ratio are
-    therefore fit in the reciprocal chart 1/w, and each cell picks the
-    target chart (Phi or 1/Phi) whose quadratic model fits better.  Each
-    source chart builds and tests one Gram matrix per cell and solves it
-    for both target charts at once (_fit_mu).  The surviving estimate must
+    w^2/conj(w)^2).  Every cell is therefore fit in both source charts (w
+    and 1/w) against both target charts (Phi and 1/Phi), and the chart pair
+    whose quadratic model leaves the least residual wins.  Each source chart
+    builds and tests one Gram matrix per cell and solves it for both target
+    charts at once (_fit_mu).  The surviving estimate must
     pass model-order cross-validation; everything else is masked, and cells
     whose stencil holds an invalid point (by default a non-finite one) are
     never factored.  Cells are fitted in blocks of _FIT_ROWS time rows,
@@ -350,7 +350,7 @@ def _injectivity_witness(points: np.ndarray):
 
 
 def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
-                    pair_checked: bool | None = None) -> ExtensionAtlas:
+                    pair_checked: bool = False) -> ExtensionAtlas:
     """Assemble the welding atlas from matching f and g frames.
 
     Sources are the reflected g traces 1/conj(g_t), targets the f traces.
@@ -378,7 +378,7 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         raise ValueError("f and g frames must share the Denjoy-Wolff function")
 
     warnings = []
-    if pair_checked is False or pair_checked is None:
+    if not pair_checked:
         warnings.append("pair inequality was not certified for this data; "
                         "atlas built anyway")
 
@@ -478,7 +478,8 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
     values, valid = frames.traces, frames.trace_valid
 
     delta = 1.0 - frames.trace_radius
-    mismatch = float(0.5 * delta * np.nanmax(np.abs(frames.trace_derivs[frames.row(0.0)])))
+    # fmax skips lost (NaN) points, and is NaN without a warning when all are
+    mismatch = float(0.5 * delta * np.fmax.reduce(np.abs(frames.trace_derivs[frames.row(0.0)])))
 
     zeta = frames.trace_radius * np.exp(1j * frames.theta)
     pv = frames.vector_field.p.evaluate(*time_samples(zeta, frames.checkpoints))
@@ -509,7 +510,6 @@ class DilatationReport:
     sense_preserving: bool
     k: float
     tol: float
-    n_cells: int
     n_masked: int
 
 
@@ -534,4 +534,4 @@ def dilatation_report(ext: ExtensionAtlas | BeckerExtension, k: float,
     passed = bool(np.isfinite(md) and md <= k + tol_dilat
                   and (ext.formula_withheld or (np.isfinite(mf) and mf <= k + tol_dilat)))
     n_masked = ext.valid.size - int(np.count_nonzero(ext.valid))
-    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, ext.valid.size, n_masked)
+    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, n_masked)

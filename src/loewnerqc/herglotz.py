@@ -417,21 +417,18 @@ def assemble_field(p: HerglotzSpec, tau: DenjoyWolffSpec) -> VectorFieldHandle:
 class CheckReport:
     """Outcome of a grid criterion check.
 
-    The extremal statistic, its witness sample, the pass flag, and the time
-    nodes at which the criterion failed.  A violation confined to a single
-    isolated time node is downgraded to a warning (measurable data are only
-    known at quadrature nodes); violations on two consecutive nodes, on all
-    nodes, or on the only node fail.
+    The extremal statistic, the pass flag, and the time nodes at which the
+    criterion failed.  A violation confined to a single isolated time node
+    is downgraded to a warning (measurable data are only known at quadrature
+    nodes); violations on two consecutive nodes, on all nodes, or on the
+    only node fail.
     """
 
     statistic: float
-    worst_z: complex
-    worst_t: float
     passed: bool
     warnings: list[str] = field(default_factory=list)
     failing_times: list[float] = field(default_factory=list)
     nonfinite: int = 0
-    skipped: int = 0
 
 
 def _node_verdict(times, node_fails, report: CheckReport, label: str):
@@ -462,14 +459,10 @@ def _sample_set(grid, times):
 def check_herglotz(p: HerglotzSpec, grid: np.ndarray, times, tol: float = TOL_HERGLOTZ) -> CheckReport:
     """min Re p over the sample set; passes iff >= -tol at a.e. node."""
     z, t, times = _sample_set(grid, times)
-    rep = CheckReport(statistic=np.inf, worst_z=0j, worst_t=0.0, passed=True)
     vals = p.evaluate(z, t)
     finite = np.isfinite(vals)
-    rep.nonfinite = int(np.count_nonzero(~finite))
     re = np.where(finite, vals.real, np.inf)
-    if finite.any():
-        i, j = np.unravel_index(np.argmin(re), re.shape)   # earliest time, then point
-        rep.statistic, rep.worst_z, rep.worst_t = float(re[i, j]), complex(z[i, j]), times[i]
+    rep = CheckReport(float(re.min()), True, nonfinite=int(np.count_nonzero(~finite)))
     _node_verdict(times, ~finite.all(axis=1) | (re.min(axis=1) < -tol), rep, "Re p >= 0")
     if rep.nonfinite:
         rep.passed = False
@@ -486,18 +479,14 @@ def _ratio_check(parts, grid, times, k, tol, label) -> CheckReport:
     if not 0.0 <= k < 1.0:
         raise ValueError(f"k = {k} outside [0, 1)")
     z, t, times = _sample_set(grid, times)
-    rep = CheckReport(statistic=0.0, worst_z=0j, worst_t=0.0, passed=True)
     num, den = (np.abs(v) for v in parts(z, t))
     finite = np.isfinite(num) & np.isfinite(den)
-    rep.nonfinite = int(np.count_nonzero(~finite))
     both_zero = (num < 1e-300) & (den < 1e-300)
-    rep.skipped = int(np.count_nonzero(both_zero))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(den < 1e-300, np.inf, num / den)
     ratio = np.where(finite & ~both_zero, ratio, -np.inf)
-    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)   # earliest time, then point
-    if ratio[i, j] > rep.statistic:
-        rep.statistic, rep.worst_z, rep.worst_t = float(ratio[i, j]), complex(z[i, j]), times[i]
+    rep = CheckReport(max(0.0, float(ratio.max())), True,
+                      nonfinite=int(np.count_nonzero(~finite)))
     _node_verdict(times, ~finite.all(axis=1) | (ratio.max(axis=1) > k + tol), rep, label)
     if rep.nonfinite:
         rep.passed = False

@@ -90,9 +90,9 @@ def builtin_scenario(name: str, k: float = 0.5) -> ScenarioConfig:
     return cfg
 
 
-def builtin_document(name: str, k: float = 0.5) -> dict:
+def builtin_document(name: str) -> dict:
     """The raw JSON document of a builtin, handy as a config template."""
-    docs = _docs(k=k)
+    docs = _docs()
     if name not in docs:
         raise KeyError(f"unknown scenario '{name}'")
     return docs[name]

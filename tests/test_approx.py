@@ -25,6 +25,19 @@ def test_step_approximate_constant_is_exact():
     assert np.all(_cell_values(spec, 7, 4.0) == 0.4 + 0.1j)
 
 
+@pytest.mark.parametrize("n, horizon", [(12, 1.0), (4, 0.7), (8, 1.3)])
+def test_a_step_on_the_partition_is_its_own_approximant(n, horizon):
+    # the deviation reads the returned spec, so cell-boundary probes take
+    # the cell the spec itself takes
+    width = horizon / n
+    values = 0.5 * np.exp(2j * np.pi * np.arange(n) / n)
+    tau = DenjoyWolffSpec.step(np.arange(1, n) * width, values)
+    spec, dev = step_approximate(tau, n, horizon)
+    assert dev == 0.0
+    probes = np.linspace(0.0, horizon, 16 * n, endpoint=False)
+    assert np.array_equal(spec.value(probes), tau.value(probes))
+
+
 def test_step_approximate_midpoints():
     spec, _ = step_approximate(TAU_MEASURABLE, 4, 4.0)
     assert np.allclose(_cell_values(spec, 4, 4.0), [1 / 3, 3 / 5, 5 / 7, 7 / 9])

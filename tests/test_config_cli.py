@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ def test_cli_main_non_finite_t_inf_is_a_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "criteria.t_inf" in err and "time.t_end" in err
+
+
+def test_cli_main_unreadable_config_is_a_config_error(tmp_path, capsys):
+    code = main(["check", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
+
+
+def test_cli_main_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code = main(["check", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: config file {bad} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cli_main_out_that_cannot_be_a_directory_is_an_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / below if below else taken
+    code = main(["check", "--scenario", "exponential", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
 
 
 def test_cli_main_summary_in_a_subdirectory_is_a_config_error(tmp_path, capsys):
@@ -507,6 +533,19 @@ def test_building_commands_fail_on_a_non_herglotz_p(tmp_path, command):
         "p fails the Herglotz check (Re p >= 0 on the check samples)") == 1
     assert summary["metrics"]
     assert not any(w.startswith("fatal") for w in summary["warnings"])
+
+
+@pytest.mark.parametrize("command", ["evolve", "chain", "range", "extend", "becker", "approx"])
+def test_building_commands_leak_no_numpy_warnings(tmp_path, command):
+    # scaling-limit frames whose normalizer is lost hold NaN without a warning
+    cfg, errors = validate_config({
+        "p": {"kind": "user_sampled", "table": [[0, 1.0], [1, -0.5]]},
+        "tau": {"kind": "constant", "value": 0.0}, "time": {"t_end": 1.0}})
+    assert not errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, summary = run_pipeline(cfg, command, tmp_path)
+    assert not any(w.startswith("fatal") for w in summary["warnings"]), summary["warnings"]
 
 
 def test_a_non_herglotz_q_fails_the_building_commands(tmp_path):

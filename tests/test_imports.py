@@ -68,3 +68,83 @@ def test_every_module_level_name_is_used():
                 dead.append(f"{path.name}:{first} {name}")
     assert files
     assert dead == []
+
+
+def _trees():
+    for d in ("src", "scripts", "tests", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield ast.parse(path.read_text(), str(path))
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def test_every_dataclass_field_is_read():
+    # a read is an attribute load of the field's name or a string equal to it
+    # (ConvergenceTable.column reads its columns through getattr)
+    reads = set()
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    unread = []
+    for module, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(n, ast.Name) and n.id == "dataclass"
+                    for d in cls.decorator_list for n in ast.walk(d)):
+                unread += [f"{module}.{cls.name}.{n.target.id}" for n in cls.body
+                           if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                           and n.target.id not in reads]
+    assert reads
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter, positional index or None) of every defaulted parameter.
+
+    The index counts from the first argument a call writes, so a method's
+    self or cls is not counted.
+    """
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef) and not any(
+                   isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)}
+    for f in ast.walk(tree):
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = f.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield f.name, arg.arg, i - (id(f) in methods)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a call passes a parameter by keyword or by position; a *args argument
+    # passes every positional parameter from its place on, **kwargs all of them
+    passed, star_from = set(), {}
+    for tree in _trees():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    star_from[name] = min(i, star_from.get(name, i))
+                passed.add((name, i))
+            passed.update((name, k.arg) for k in call.keywords)
+    unset = []
+    for module, tree in _package_trees():
+        for name, param, index in _defaulted_parameters(tree):
+            by_position = index is not None and (
+                (name, index) in passed or star_from.get(name, index + 1) <= index)
+            if not (by_position or {(name, param), (name, None)} & passed):
+                unset.append(f"{module}.{name}({param})")
+    assert passed
+    assert not unset, "defaulted parameters no call passes: " + ", ".join(unset)
