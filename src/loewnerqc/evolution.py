@@ -182,7 +182,7 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                 K = np.empty((7,) + y.shape, dtype=complex)
                 Kf = K.reshape(7, -1)
             K[0] = k1
-            for stage in range(1, 7):
+            for stage in range(1, 6):
                 acc = (_A[stage] @ Kf[:stage]).reshape(y.shape)
                 K[stage] = _rhs(pair_fn, t + _C[stage] * h, y + h * acc)
             y_new = y + h * (_A[6] @ Kf[:6]).reshape(y.shape)
