@@ -3,13 +3,15 @@
 
 Each (scenario, command) cell goes through ``run_pipeline`` into
 DIR/<scenario>/<command>/.  ``DIR/matrix.json`` then records, per cell, the
-exit code, the pass flag and the sha256 of every artifact the cell wrote.
-The summary is hashed without its ``runtime_ms`` field and a CSV without a
-``runtime_ms`` column, so two runs of the same code hash alike.
+exit code, the pass flag, the numeric summary metrics (null where the
+summary holds a non-finite value) and the sha256 of every artifact the cell
+wrote.  The summary is hashed without its ``runtime_ms`` field and a CSV
+without a ``runtime_ms`` column, so two runs of the same code hash alike.
 
 With ``--compare BASE/matrix.json`` the run then prints every cell whose
 exit code, pass flag or artifact hashes differ from that base matrix, and
-exits with status 1 when an exit code or a pass flag differs.
+under it every metric that moved, as old -> new with its relative change.
+It exits with status 1 when an exit code or a pass flag differs.
 
 Usage: python scripts/pipeline_matrix.py --out DIR [--compare BASE/matrix.json]
 """
@@ -47,14 +49,29 @@ def run_cell(name: str, command: str, out: Path) -> dict:
     cfg = builtin_scenario(name)
     code, summary = run_pipeline(cfg, command, out)
     summary_name = cfg.outputs.json_summary
+    written = json.loads((out / summary_name).read_text())["metrics"]
     return {"exit": code, "pass": bool(summary["pass"]),
+            "metrics": {k: v for k, v in written.items() if v is None or type(v) in (int, float)},
             "artifacts": {p.name: _digest(p, summary_name)
                           for p in sorted(out.iterdir()) if p.is_file()}}
 
 
+def _moved(old: dict, new: dict) -> list[str]:
+    """One line per metric that differs: old -> new, and the relative change."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        rel = f" ({(b - a) / abs(a):+.1e})" if a and b is not None else ""
+        lines.append(f"  {name} {a!r} -> {b!r}{rel}")
+    return lines
+
+
 def compare(base: dict, matrix: dict) -> tuple[list[str], bool]:
-    """(one line per differing cell, whether an exit code or a pass flag differs)."""
-    lines, broken = [], False
+    """(a line per differing cell, each followed by its moved metrics;
+    whether an exit code or a pass flag differs)."""
+    lines, broken, unlisted = [], False, False
     for key in sorted(set(base) | set(matrix)):
         old, new = base.get(key), matrix.get(key)
         if old is None or new is None:
@@ -70,6 +87,12 @@ def compare(base: dict, matrix: dict) -> tuple[list[str], bool]:
             what.append("artifacts " + ", ".join(changed))
         if what:
             lines.append(f"{key}: " + "; ".join(what))
+            if "metrics" in old:
+                lines += _moved(old["metrics"], new["metrics"])
+            else:
+                unlisted = True
+    if unlisted:
+        lines.insert(0, "the base matrix stores no metrics: moved metrics are not listed")
     return lines, broken
 
 

@@ -149,8 +149,9 @@ def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
         w = start + seg[:, None] * (lo[:, None] + (hi - lo)[:, None] * x[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             h = integrand(w)
-            # one panel alone would take a dot product, rounded unlike the batched rows
-            s = (np.concatenate([h, h]) @ wts)[:1] if seg.size == 1 else h @ wts
+            # numpy's own loop, not BLAS: it rounds a row alike at any block
+            # size, and never wakes the BLAS thread pool
+            s = np.einsum("ij,j->i", h, wts)
             return np.where(seg == 0, 0.0, seg * (hi - lo) * s)
 
     for b0 in range(0, z.size, block):

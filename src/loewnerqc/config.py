@@ -401,6 +401,8 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError([f"config file {path} is not UTF-8 text: {e.reason}"]) from e
     except json.JSONDecodeError as e:
         raise ConfigError([f"not valid JSON: {e}"]) from e
+    except RecursionError as e:
+        raise ConfigError([f"config file {path} nests too deeply to parse"]) from e
     cfg, errors = validate_config(doc, name=path.stem)
     if errors:
         raise ConfigError(errors)

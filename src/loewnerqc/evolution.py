@@ -14,7 +14,8 @@ live seeds, so each seed still meets the tolerance), step boundaries
 aligned to the field's stops (the jumps of tau and the table nodes of
 the data), first-same-as-last reuse of the accepted step's last stage
 kept apart from the trial buffer, so a rejected step restarts from the
-stored f(t, y), and honest truncation
+stored f(t, y) and every trial step costs six new field evaluations
+(stages 2-7), stage sums formed outside BLAS, and honest truncation
 when a trajectory reaches the boundary guard or a point where the field
 is not finite.  Truncation is per seed: the healthy seeds of the batch go
 on.
@@ -30,9 +31,12 @@ import numpy as np
 from .grids import DELTA_GUARD, SeedGrid, hyperbolic_distance, past_guard, time_row
 from .herglotz import VectorFieldHandle
 
-# Dormand-Prince 5(4) tableau (complex dtype keeps the stage products in BLAS).
+# Dormand-Prince 5(4) tableau.  The stage sums are taken by einsum over the
+# real view of the stages, never by BLAS: on large batches OpenBLAS hands a
+# gemv to a second thread, which then spin-waits between the steps' small
+# calls and burns a core for nothing.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = tuple(np.array(row, dtype=complex) for row in (
+_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -42,8 +46,7 @@ _A = tuple(np.array(row, dtype=complex) for row in (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ))
 # fifth-order minus embedded fourth-order weights
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-              dtype=complex)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _H_MIN_FACTOR = 1e-13
 _H_MAX = 4.0
@@ -91,6 +94,11 @@ def _rhs(pair_fn, t, y):
     out[0] = g
     out[1] = dzg * y[1]
     return out
+
+
+def _combine(weights, Kr):
+    """sum_i weights[i] K[i] from the real view Kr of the stages K."""
+    return np.einsum("i,i...->...", weights, Kr[:weights.size]).view(complex)
 
 
 def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
@@ -152,7 +160,7 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
         h = min(h, b - a)
         k1 = _rhs(pair_fn, t, y)
         K = np.empty((7,) + y.shape, dtype=complex)
-        Kf = K.reshape(7, -1)
+        Kr = K.view(float)
         bad = np.zeros(active.size, dtype=bool)
         while t < b - 1e-14 * max(1.0, abs(b)):
             if active.size == 0:
@@ -180,15 +188,14 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                 break
             if K.shape[1:] != y.shape:
                 K = np.empty((7,) + y.shape, dtype=complex)
-                Kf = K.reshape(7, -1)
+                Kr = K.view(float)
             K[0] = k1
             for stage in range(1, 6):
-                acc = (_A[stage] @ Kf[:stage]).reshape(y.shape)
-                K[stage] = _rhs(pair_fn, t + _C[stage] * h, y + h * acc)
-            y_new = y + h * (_A[6] @ Kf[:6]).reshape(y.shape)
-            # stage 7 is evaluated at y_new (FSAL)
+                K[stage] = _rhs(pair_fn, t + _C[stage] * h, y + h * _combine(_A[stage], Kr))
+            y_new = y + h * _combine(_A[6], Kr)
+            # the last stage is f(t + h, y_new): the next step's first (FSAL)
             K[6] = _rhs(pair_fn, t + h, y_new)
-            err_vec = h * (_E @ Kf).reshape(y.shape)
+            err_vec = h * _combine(_E, Kr)
             abs_new = np.abs(y_new)
             scale = atol + rtol * np.maximum(np.abs(y), abs_new)
             with np.errstate(invalid="ignore"):

@@ -589,3 +589,12 @@ def test_table_driving_runs_along_the_circle(tmp_path):
                                        rtol=1e-14)
     code, summary = run_pipeline(cfg, "evolve", tmp_path)
     assert code == 0 and summary["pass"], summary
+
+
+@pytest.mark.parametrize("prefix", ["", '{"p": '])
+def test_deeply_nested_json_is_a_config_error(tmp_path, capsys, prefix):
+    bad = tmp_path / "deep.json"
+    bad.write_text(prefix + "[" * 100_000 + "]" * 100_000 + ("}" if prefix else ""))
+    assert main(["check", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config file {bad} nests too deeply to parse\n"

@@ -266,3 +266,80 @@ def test_rejected_step_restarts_from_the_accepted_stage():
     exact = 1 - 1 / (1 / (1 - pts) + 0.5)
     assert np.max(np.abs(tr.at(0.5) - exact) / np.abs(exact)) <= 1e-6
     assert tr.steps_rejected <= 10
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_step_costs_six_field_evaluations(monkeypatch, reverse):
+    # first-same-as-last: each segment evaluates f(t, y) once, and each
+    # trial step, accepted or rejected, six more stages
+    from loewnerqc.herglotz import VectorFieldHandle
+
+    calls = {"segments": 0, "evals": 0}
+    segment_rhs = VectorFieldHandle.segment_rhs
+
+    def counted_segment(self, a, b):
+        calls["segments"] += 1
+        pair = segment_rhs(self, a, b)
+
+        def counted(z, t):
+            calls["evals"] += 1
+            return pair(z, t)
+        return counted
+
+    monkeypatch.setattr(VectorFieldHandle, "segment_rhs", counted_segment)
+    fld = assemble_field(HerglotzSpec.constant(1),
+                         DenjoyWolffSpec.step([0.5, 1.0], [0.3, 0.6j, 1.0]))
+    seeds = 0.95 * np.exp(2j * np.pi * np.arange(16) / 16)
+    tr = (solve_reverse(fld, 2.0, seeds, checkpoints=[0.25]) if reverse else
+          solve_forward(fld, 0.0, 2.0, seeds, checkpoints=[0.25]))
+    assert tr.live().all() and tr.steps_rejected > 0
+    steps = set(tr.steps_accepted.tolist())
+    assert len(steps) == 1
+    assert calls["segments"] == 4       # the stops 0.25, 0.5 and 1 cut [0, 2] in four
+    assert calls["evals"] == 6 * (steps.pop() + tr.steps_rejected) + calls["segments"]
+
+
+_THREAD_CPU_PROBE = """
+import os
+import numpy as np
+from loewnerqc import chains
+from loewnerqc.evolution import solve_forward
+from loewnerqc.herglotz import assemble_field
+from loewnerqc.scenarios import builtin_scenario
+
+def cpu_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            rest = f.read().rsplit(")", 1)[1].split()
+        ticks[int(tid)] = int(rest[11]) + int(rest[12])     # utime + stime
+    return ticks
+
+cfg = builtin_scenario("measurable-tau")
+fld = assemble_field(cfg.p, cfg.tau)
+seeds = 0.9 * np.sqrt(np.linspace(0.01, 1.0, 1200)) * np.exp(2.4j * np.arange(1200))
+before = cpu_ticks()
+for _ in range(20):
+    solve_forward(fld, 0.0, 2.0, seeds)
+chains._panel_quadrature(lambda w: -2.0 / (1.0 + w), 0.0, 1.05 * seeds[:1024], 1e-10)
+after = cpu_ticks()
+main = os.getpid()
+print(after[main] - before.get(main, 0),
+      sum(v - before.get(tid, 0) for tid, v in after.items() if tid != main))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs per-thread CPU times and a second core")
+def test_the_hot_loops_leave_the_blas_pool_idle():
+    # on large batches a BLAS gemv wakes the library's worker threads, which
+    # then spin between the integrator's small calls and burn a core; the
+    # stage sums and the panel sums must keep the work on the main thread
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _THREAD_CPU_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    main, others = map(int, proc.stdout.split())
+    assert main > 0 and others <= 0.1 * main, (main, others)

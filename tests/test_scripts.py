@@ -58,3 +58,19 @@ def test_pipeline_matrix_hashes_ignore_wall_time(tmp_path):
     assert broken and lines == ["exponential/approx: exit 0 -> 1; artifacts summary.json"]
     lines, broken = matrix.compare(base, {"exponential/approx": dict(b, **{"pass": False})})
     assert broken and lines == ["exponential/approx: pass True -> False"]
+    # the numeric metrics are stored, and every moved one is listed under its cell
+    assert a["metrics"] == {"chain_final_error": None, "deviation_worst_ratio": 0.902199189248392,
+                            "ef_final_error": 0.0, "fitted_order": None}
+    drift = dict(moved, metrics=dict(b["metrics"], deviation_worst_ratio=0.9022,
+                                     fitted_order=2.0, ef_final_error=1e-9))
+    assert matrix.compare(base, {"exponential/approx": drift}) == ([
+        "exponential/approx: artifacts summary.json",
+        "  deviation_worst_ratio 0.902199189248392 -> 0.9022 (+9.0e-07)",
+        "  ef_final_error 0.0 -> 1e-09",
+        "  fitted_order None -> 2.0"], False)
+    # a base matrix written before metrics were stored is named, not a crash
+    old = {"exponential/approx": {k: v for k, v in a.items() if k != "metrics"}}
+    assert matrix.compare(old, {"exponential/approx": b}) == ([], False)
+    assert matrix.compare(old, {"exponential/approx": drift}) == ([
+        "the base matrix stores no metrics: moved metrics are not listed",
+        "exponential/approx: artifacts summary.json"], False)
