@@ -149,8 +149,7 @@ def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
         w = start + seg[:, None] * (lo[:, None] + (hi - lo)[:, None] * x[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             h = integrand(w)
-            # numpy's own loop, not BLAS: it rounds a row alike at any block
-            # size, and never wakes the BLAS thread pool
+            # numpy's loop, not BLAS: a row rounds alike in any block, and no thread wakes
             s = np.einsum("ij,j->i", h, wts)
             return np.where(seg == 0, 0.0, seg * (hi - lo) * s)
 

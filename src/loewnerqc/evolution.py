@@ -9,16 +9,15 @@ carry the variational derivative d/dz alongside, so first derivatives of
 the flow never come from finite-differencing trajectories.
 
 The stepper is an embedded Dormand-Prince 5(4) pair with a shared
-adaptive step across all seeds of a batch (the error norm maxes over
-live seeds, so each seed still meets the tolerance), step boundaries
-aligned to the field's stops (the jumps of tau and the table nodes of
-the data), first-same-as-last reuse of the accepted step's last stage
-kept apart from the trial buffer, so a rejected step restarts from the
-stored f(t, y) and every trial step costs six new field evaluations
-(stages 2-7), stage sums formed outside BLAS, and honest truncation
-when a trajectory reaches the boundary guard or a point where the field
-is not finite.  Truncation is per seed: the healthy seeds of the batch go
-on.
+adaptive step across all seeds of a batch (the error norm maxes over live
+seeds, so each seed still meets the tolerance), step boundaries aligned to
+the field's stops (the jumps of tau and the table nodes of the data),
+first-same-as-last reuse of the accepted step's last stage kept apart
+from the trial buffer, so a rejected step restarts from the stored
+f(t, y) and a trial step costs six field evaluations, stage sums formed
+outside BLAS, and honest truncation when a trajectory reaches the
+boundary guard or a point where the field is not finite.  Truncation is
+per seed: the healthy seeds of the batch go on.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ import numpy as np
 from .grids import DELTA_GUARD, SeedGrid, hyperbolic_distance, past_guard, time_row
 from .herglotz import VectorFieldHandle
 
-# Dormand-Prince 5(4) tableau.  The stage sums are taken by einsum over the
-# real view of the stages, never by BLAS: on large batches OpenBLAS hands a
-# gemv to a second thread, which then spin-waits between the steps' small
-# calls and burns a core for nothing.
+# Dormand-Prince 5(4) tableau.  Stage sums are einsums over the real view of the
+# stages, not BLAS: a large-batch gemv wakes a BLAS thread that then spin-waits.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = tuple(np.array(row) for row in (
     (),
@@ -94,11 +91,6 @@ def _rhs(pair_fn, t, y):
     out[0] = g
     out[1] = dzg * y[1]
     return out
-
-
-def _combine(weights, Kr):
-    """sum_i weights[i] K[i] from the real view Kr of the stages K."""
-    return np.einsum("i,i...->...", weights, Kr[:weights.size]).view(complex)
 
 
 def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
@@ -191,11 +183,12 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                 Kr = K.view(float)
             K[0] = k1
             for stage in range(1, 6):
-                K[stage] = _rhs(pair_fn, t + _C[stage] * h, y + h * _combine(_A[stage], Kr))
-            y_new = y + h * _combine(_A[6], Kr)
+                acc = np.einsum("i,i...->...", _A[stage], Kr[:stage]).view(complex)
+                K[stage] = _rhs(pair_fn, t + _C[stage] * h, y + h * acc)
+            y_new = y + h * np.einsum("i,i...->...", _A[6], Kr[:6]).view(complex)
             # the last stage is f(t + h, y_new): the next step's first (FSAL)
             K[6] = _rhs(pair_fn, t + h, y_new)
-            err_vec = h * _combine(_E, Kr)
+            err_vec = h * np.einsum("i,i...->...", _E, Kr).view(complex)
             abs_new = np.abs(y_new)
             scale = atol + rtol * np.maximum(np.abs(y), abs_new)
             with np.errstate(invalid="ignore"):
