@@ -4,14 +4,17 @@
 Each (scenario, command) cell goes through ``run_pipeline`` into
 DIR/<scenario>/<command>/.  ``DIR/matrix.json`` then records, per cell, the
 exit code, the pass flag, the numeric summary metrics (null where the
-summary holds a non-finite value) and the sha256 of every artifact the cell
-wrote.  The summary is hashed without its ``runtime_ms`` field and a CSV
-without a ``runtime_ms`` column, so two runs of the same code hash alike.
+summary holds a non-finite value), the sha256 of every artifact the cell
+wrote and the cell's wall time ``runtime_ms``.  The summary is hashed
+without its ``runtime_ms`` field and a CSV without a ``runtime_ms`` column,
+so two runs of the same code hash alike.
 
 With ``--compare BASE/matrix.json`` the run then prints every cell whose
 exit code, pass flag or artifact hashes differ from that base matrix, and
 under it every metric that moved, as old -> new with its relative change.
-It exits with status 1 when an exit code or a pass flag differs.
+It exits with status 1 when an exit code or a pass flag differs.  Last it
+prints each cell's wall time, base -> new: one run each, so it informs
+and decides nothing.
 
 Usage: python scripts/pipeline_matrix.py --out DIR [--compare BASE/matrix.json]
 """
@@ -53,7 +56,8 @@ def run_cell(name: str, command: str, out: Path) -> dict:
     return {"exit": code, "pass": bool(summary["pass"]),
             "metrics": {k: v for k, v in written.items() if v is None or type(v) in (int, float)},
             "artifacts": {p.name: _digest(p, summary_name)
-                          for p in sorted(out.iterdir()) if p.is_file()}}
+                          for p in sorted(out.iterdir()) if p.is_file()},
+            "runtime_ms": summary["runtime_ms"]}
 
 
 def _moved(old: dict, new: dict) -> list[str]:
@@ -96,6 +100,12 @@ def compare(base: dict, matrix: dict) -> tuple[list[str], bool]:
     return lines, broken
 
 
+def wall_times(base: dict, matrix: dict) -> list[str]:
+    """Base -> new wall time of every cell both matrices timed."""
+    keys = [k for k in sorted(matrix) if "runtime_ms" in base.get(k, {})]
+    return [f"{k}: {base[k]['runtime_ms']:.0f} -> {matrix[k]['runtime_ms']:.0f} ms" for k in keys]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", type=str, required=True)
@@ -112,8 +122,13 @@ def main():
     (root / "matrix.json").write_text(json.dumps(matrix, indent=2, sort_keys=True) + "\n")
     print(f"matrix under {root}/matrix.json")
     if args.compare:
-        lines, broken = compare(json.loads(Path(args.compare).read_text()), matrix)
+        base = json.loads(Path(args.compare).read_text())
+        lines, broken = compare(base, matrix)
         print("\n".join(lines) if lines else "every cell matches the base")
+        times = wall_times(base, matrix)
+        if times:
+            print("wall time per cell, base -> new (single runs, informational):")
+            print("\n".join(times))
         if broken:
             sys.exit(1)
 

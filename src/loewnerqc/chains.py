@@ -48,9 +48,10 @@ never asserted exact.
 
 A chain is evaluated once, at one time T: the last checkpoint, or with
 an exact tail the checkpoint range's nearest point to T_aut.  Every row
-t < T pushes the frame points to T and uses f_t = f_T o phi_{t,T}; the
-rows t >= T evaluate the points themselves, and past T the tail moves
-them by an affine map of f_T.
+t < T uses f_t = f_T o phi_{t,T}: one staggered batch pushes the frame
+points of every such row from its own t to T, with the origin seed from
+0 in the same batch; the rows t >= T evaluate the points themselves, and
+past T the tail moves them by an affine map of f_T.
 
 Decreasing chains g_t = omega_{0,t} come from direct reverse integration
 and need no limit.
@@ -334,8 +335,8 @@ class ChainLimitResult:
 
 
 def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = DEFAULT_TOL,
-                t_inf: float = DEFAULT_T_INF,
-                tol_limit: float = DEFAULT_TOL_LIMIT) -> ChainLimitResult:
+                t_inf: float = DEFAULT_T_INF, tol_limit: float = DEFAULT_TOL_LIMIT,
+                seed=None) -> ChainLimitResult:
     """Evaluate f_t at the given interior points.
 
     With an exact autonomous tail (see the module docstring) and t < T_aut
@@ -351,26 +352,34 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = DEFAULT
     the schedule is exhausted; in the last two cases extrapolation in
     x = 1/(u - t) supplies the returned values.
 
-    Either way the normalizer rides along: phi_{0,s}(0), from one short
-    0 -> s solve (s = t, or min(t, T_aut) on the exact tail), is one more
-    seed of every leg.  It counts for nothing in the result.  If it
-    truncates, or phi'_{0,.}(0) vanishes or goes non-finite, where it is
-    read, NormalizationError is raised.
+    Either way the normalizer rides along: the origin seed (phi_{0,s}(0),
+    phi'_{0,s}(0)), s = t or min(t, T_aut) on the exact tail, is one more
+    seed of every leg and counts for nothing in the result.  ``seed`` passes
+    it from the caller's own batch; by default one short 0 -> s solve
+    supplies it.  If it is lost (NaN), or phi'_{0,.}(0) vanishes or goes
+    non-finite, where it is read, NormalizationError is raised.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     tail = _autonomous_tail(field, t_inf, tol)
+    if seed is None:
+        seed = _origin_seed(field, t if tail is None else min(t, tail.t_aut), tol)
     if tail is None:
-        return _scaling_limit(field, t, pts, _origin_seed(field, t, tol), tol, t_inf, tol_limit)
-    return _tail_frame(field, tail, t, pts, _origin_seed(field, min(t, tail.t_aut), tol), tol,
-                       tol_limit)
+        return _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit)
+    return _tail_frame(field, tail, t, pts, seed, tol, tol_limit)
+
+
+def _push(field: VectorFieldHandle, starts, seeds: np.ndarray, t: float, tol: float):
+    """Images at t of seeds that start at their starts, and their derivatives; NaN once lost."""
+    if np.min(starts) >= t:                  # nothing moves
+        return seeds, np.ones_like(seeds)
+    o = solve_forward(field, starts, t, seeds, tol=tol, atol=_ATOL_FLOOR)
+    return np.where(o.live(), o.at(t), np.nan), o.deriv_at(t)
 
 
 def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
-    """(phi_{0,t}(0), phi'_{0,t}(0)) from one short solve; NaN once truncated."""
-    if t == 0.0:
-        return 0j, 1.0 + 0j
-    o = solve_forward(field, 0.0, t, np.zeros(1, complex), tol=tol, atol=_ATOL_FLOOR)
-    return o.at(t)[0], o.deriv_at(t)[0]
+    """(phi_{0,t}(0), phi'_{0,t}(0)) from one short solve."""
+    vals, ders = _push(field, 0.0, np.zeros(1, complex), t, tol)
+    return vals[0], ders[0]
 
 
 def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
@@ -396,14 +405,13 @@ def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
     # invalid points sit where the quadrature starts: tau for K, 0 for h
     u, du, err = _linearize(field, tail, np.where(ok, vals, 0.0 if lam is None else tv),
                             1e-2 * tol_limit)
-    a = 1.0 / (du[n] * dphi)
-    b = -a * u[n]
-    if lam is None:
-        b = b - a * (t - s)
-    else:
-        a = a * np.exp(lam * (t - s))
+    # f_t = c (e u - u_n - shift): the Koenigs form has e = e^{lambda (t - s)}, the
+    # Abel form shift = t - s; at t = s a point whose u is u_n's maps to 0 exactly
+    c = 1.0 / (du[n] * dphi)
+    e, shift = (1.0, t - s) if lam is None else (np.exp(lam * (t - s)), 0.0)
+    a, b = c * e, -c * (u[n] + shift)
     with np.errstate(invalid="ignore", over="ignore"):
-        values = a * u[:n] + b
+        values = c * (e * u[:n] - u[n] - shift)
         derivs = a * du[:n] * ders[:n]
         pdelta = (abs(a) * (err[:n] + err[n]) if lam is None else
                   np.abs(a * u[:n]) * err[:n] + (np.abs(values) + abs(b)) * err[n])
@@ -604,12 +612,15 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     delta_trace and the origin.  One ``limit_frame`` evaluation at one time
     T serves every row; it carries the normalizer with the frame points and
     raises NormalizationError if it breaks down.  T is the last checkpoint,
-    or with an exact autonomous tail min(max(T_aut, t_0), t_last).  Each
-    row t < T pushes the frame points to T by one integration and uses
-    f_t = f_T o phi_{t,T}; the rows t >= T evaluate the points themselves.
-    The rows past T (then T >= T_aut) are affine maps of f_T with the
-    (A, B) of the evaluation at T: B + e^{lambda (t - T)} (f_T - B), deltas
-    scaled alike, on the Koenigs form and f_T - A (t - T) on the Abel form.
+    or with an exact autonomous tail min(max(T_aut, t_0), t_last).  The
+    rows t < T use f_t = f_T o phi_{t,T}: one ``solve_forward`` with a start
+    per seed carries each such row's frame points from t and the origin
+    seed from 0, so with t_0 = 0 the frame origin and the normalizer are
+    one trajectory and f_0(0) = 0 holds exactly.  The rows t >= T evaluate
+    the points themselves; those past T (then T >= T_aut) are affine maps
+    of f_T with the (A, B) of the evaluation at T: B + e^{lambda (t - T)}
+    (f_T - B), deltas scaled alike, on the Koenigs form and f_T - A (t - T)
+    on the Abel form.
 
     ``verify_transitions`` evaluates f_t afresh at every pair, so only
     pairs whose later time is T compare the evaluation at T with itself,
@@ -621,18 +632,20 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     t_last = float(cps[-1])
     t_eval = t_last if tail is None else min(max(tail.t_aut, float(cps[0])), t_last)
     pts = _frame_points(grid, n_theta, delta_trace)
-    legs = [solve_forward(field, float(t), t_eval, pts, tol=tol, atol=_ATOL_FLOOR)
-            for t in cps[cps < t_eval]]
-    images = np.stack([leg.at(t_eval) for leg in legs] + [pts])
-    leg_ders = np.stack([leg.deriv_at(t_eval) for leg in legs] + [np.ones_like(pts)])
-    leg_ok = np.stack([leg.live() for leg in legs] + [np.ones(pts.shape, bool)]) \
-        & np.isfinite(images)
-    k = len(legs)                            # rows k, k + 1, ... sit at or past T
-    res = limit_frame(field, t_eval, images.ravel(), tol, t_inf, tol_limit)
+    early = cps[cps < t_eval]
+    k = early.size                           # rows k, k + 1, ... sit at or past T
+    # one staggered batch: the origin seed from 0, the points from each early row
+    ends, end_ders = _push(field, np.append(0.0, np.repeat(early, pts.size)),
+                           np.append(0j, np.tile(pts, k)),
+                           t_eval if tail is None else min(t_eval, tail.t_aut), tol)
+    images = np.append(ends[1:], pts).reshape(k + 1, pts.size)
+    leg_ders = np.append(end_ders[1:], np.ones_like(pts)).reshape(images.shape)
+    res = limit_frame(field, t_eval, images.ravel(), tol, t_inf, tol_limit,
+                      seed=(ends[0], end_ders[0]))
     row = np.minimum(np.arange(cps.size), k)
     vals = res.values.reshape(images.shape)[row]
     ders = (res.derivs.reshape(images.shape) * leg_ders)[row]
-    ok = (res.valid.reshape(images.shape) & leg_ok)[row]
+    ok = res.valid.reshape(images.shape)[row]        # lost legs hold NaN, never valid
     delta = res.point_delta.reshape(images.shape)[row]
     if t_last > t_eval:                      # only with an exact tail
         a, b = res.affine
@@ -783,7 +796,8 @@ def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> Tra
     tail or scaling limit) at the integrated image points, with the field
     and settings the frames were built with.  The origin is among the
     points, so the pairs (0, t) also check the stored f_0(0) against
-    f_t(phi_{0,t}(0)) from a batch of its own.
+    f_t(phi_{0,t}(0)) from a batch of its own.  A pair with nothing to
+    compare reads NaN, and so does the residual: the report fails.
     """
     if frames.tag != "range-normalized":
         raise ValueError("transition identity applies to range-normalized frames")
@@ -800,11 +814,13 @@ def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> Tra
         img = traj.at(float(t))
         valid = np.append(frames.grid_valid[i], np.isfinite(stored[-1]))
         ok = traj.live() & valid & np.isfinite(img)
-        if not ok.any():
-            continue
-        res = limit_frame(field, float(t), img[ok], tol, frames.t_inf, frames.tol_limit)
-        detail.append((float(s), float(t), float(np.nanmax(np.abs(res.values - stored[ok])))))
-    worst = max([0.0] + [r for *_, r in detail])
+        gap = np.zeros(0)
+        if ok.any():
+            res = limit_frame(field, float(t), img[ok], tol, frames.t_inf, frames.tol_limit)
+            gap = np.abs(res.values - stored[ok])
+        # the largest finite gap; a pair with none is NaN, which fails the report
+        detail.append((float(s), float(t), float(np.fmax.reduce(gap, initial=np.nan))))
+    worst = float(np.max([r for *_, r in detail], initial=0.0))
     return TransitionReport(worst, detail, worst <= tol_chain)
 
 

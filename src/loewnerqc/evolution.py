@@ -17,7 +17,8 @@ from the trial buffer, so a rejected step restarts from the stored
 f(t, y) and a trial step costs six field evaluations, stage sums formed
 outside BLAS, and honest truncation when a trajectory reaches the
 boundary guard or a point where the field is not finite.  Truncation is
-per seed: the healthy seeds of the batch go on.
+per seed: the healthy seeds of the batch go on.  Forward seeds may
+start apart: each joins the batch at its own start, a stop.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class TrajectorySet:
     """Discretized evolution (or reverse evolution) family on a seed batch.
 
     values/derivs have shape [n_times, n_seeds].  Forward, the rows run
-    over t >= s and the seeds sit in row 0; reverse, the rows run over s in
-    [0, t] ascending and the seeds sit in the last row.  Truncated seeds
-    hold NaN at every stored time past their truncation.
+    over t >= min(s), and a seed holds NaN at the times before its own
+    start; reverse, the rows run over s in [0, t] ascending and the
+    seeds sit in the last row.  Truncated seeds hold NaN at every stored
+    time past their truncation.
     """
 
     times: np.ndarray
@@ -93,15 +95,17 @@ def _rhs(pair_fn, t, y):
     return out
 
 
-def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
+def _drive(segment_rhs: Callable, starts: np.ndarray, t1: float, seeds: np.ndarray,
            rtol: float, atol: float, record_times: np.ndarray, breakpoints):
-    """March the augmented system from t0 to t1, recording at record_times.
+    """March the augmented system to t1, recording at record_times.
 
+    Each seed joins the live batch at its own start, which is a stop.
     segment_rhs(a, b) must return an evaluator pair(z, t) -> (G, dG/dz)
     valid on [a, b]; segments never straddle a breakpoint.  Returns
     per-seed outputs in the original seed order.
     """
     n = seeds.size
+    t0 = float(np.min(starts, initial=t1))
     rec = np.asarray(record_times, dtype=float)
     values = np.full((rec.size, n), np.nan + 0j, dtype=complex)
     derivs = np.full((rec.size, n), np.nan + 0j, dtype=complex)
@@ -111,16 +115,16 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
     rejected = 0
     warnings: list[str] = []
 
-    stops = np.unique(np.concatenate([rec, [b for b in breakpoints if t0 < b < t1]]))
+    begin = np.unique(starts)
+    stops = np.unique(np.concatenate([rec, begin, [b for b in breakpoints if t0 < b < t1]]))
     stops = stops[(stops >= t0 - 1e-15) & (stops <= t1 + 1e-15)]
     rec_lookup = {}
     for i, tr in enumerate(rec):
         rec_lookup[int(np.argmin(np.abs(stops - tr)))] = i
 
-    active = np.arange(n)
-    y = np.empty((2, n), dtype=complex)
-    y[0] = seeds
-    y[1] = 1.0
+    joins = {int(np.searchsorted(stops, u)): np.flatnonzero(starts == u) for u in begin}
+    active = np.empty(0, dtype=int)
+    y = np.empty((2, 0), dtype=complex)
 
     def record(stop_idx):
         i = rec_lookup.get(stop_idx)
@@ -129,7 +133,6 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
         values[i, active] = y[0]
         derivs[i, active] = y[1]
 
-    record(0)
     h = min(max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
 
     def drop(mask, t_now):
@@ -143,10 +146,16 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
         y = y[:, keep]
         k1 = k1[:, keep]
 
-    for si in range(len(stops) - 1):
-        a, b = float(stops[si]), float(stops[si + 1])
-        if active.size == 0:
+    for si in range(len(stops)):
+        new = joins.get(si)
+        if new is not None:                  # recorded exactly, and k1 below covers them
+            active = np.concatenate([active, new])
+            y = np.concatenate([y, np.broadcast_to(seeds[new], (2, new.size))], axis=1)
+            y[1, -new.size:] = 1.0
+        record(si)
+        if si + 1 == len(stops) or active.size == 0:
             continue
+        a, b = float(stops[si]), float(stops[si + 1])
         pair_fn = segment_rhs(a, b)
         t = a
         h = min(h, b - a)
@@ -218,47 +227,51 @@ def _drive(segment_rhs: Callable, t0: float, t1: float, seeds: np.ndarray,
                     h *= 0.2
                 else:
                     h *= min(1.0, max(0.2, 0.9 * errmax ** -0.2))
-        record(si + 1)
 
     return values, derivs, truncated, trunc_time, steps, rejected, warnings
 
 
-def _solve(segment_rhs, a: float, b: float, seeds, rtol: float, atol: float, checkpoints,
+def _solve(segment_rhs, s, b: float, seeds, rtol: float, atol: float, checkpoints,
            stops, reverse: bool) -> TrajectorySet:
-    """The shared body of the solves: the seeds start at a and ride to b.
+    """The shared body of the solves: each seed starts at its s and rides to b.
 
-    A reverse solve (a = 0) drives in sigma = b - s; its rows are then
-    re-indexed ascending in s, so the seeds sit in the last row.
+    s broadcasts against the seeds.  A reverse solve (s = 0) drives in
+    sigma = b - s; its rows are then re-indexed ascending in s, so the
+    seeds sit in the last row.
     """
     pts = seeds.points.copy() if isinstance(seeds, SeedGrid) else \
         np.atleast_1d(np.asarray(seeds, dtype=complex))
     if np.any(past_guard(pts)):
         raise ValueError("seed modulus reaches the boundary guard")
+    starts = np.broadcast_to(np.asarray(s, dtype=float), pts.shape)
+    a = float(np.min(s))
     rec = np.unique(np.concatenate(
         [[a, b], np.asarray(checkpoints if checkpoints is not None else [], dtype=float)]))
     if rec[0] < a - 1e-12 or rec[-1] > b + 1e-12:
         raise ValueError(f"checkpoints outside [{a}, {b}]")
 
     values, derivs, truncated, ttime, steps, rej, warn = _drive(
-        segment_rhs, a, b, pts, rtol, atol, np.sort(b - rec) if reverse else rec, stops)
+        segment_rhs, starts, b, pts, rtol, atol, np.sort(b - rec) if reverse else rec, stops)
     if reverse:
         values, derivs, ttime = values[::-1].copy(), derivs[::-1].copy(), b - ttime
-    seed_row = -1 if reverse else 0           # EF1 / REF1 exactly
-    values[seed_row], derivs[seed_row] = pts, 1.0
     return TrajectorySet(rec, pts, values, derivs, truncated, ttime, steps, rej, warn)
 
 
-def solve_forward(field: VectorFieldHandle, s: float, t_end: float, seeds,
+def solve_forward(field: VectorFieldHandle, s, t_end: float, seeds,
                   tol: float = DEFAULT_TOL, checkpoints=None,
                   atol: float | None = None) -> TrajectorySet:
     """Integrate d phi/dt = G(phi, t) from t = s to t_end for every seed.
+
+    s broadcasts against the seeds.  The stored times are min(s), t_end and
+    the checkpoints; a seed holds NaN at those before its start, and at its
+    start, if stored, the seed itself with derivative 1.
 
     By default the controller uses rtol = atol = tol.  The chain limits pass
     an explicit near-zero atol: they divide exponentially small quantities,
     so the error control must stay relative all the way down.
     """
-    if t_end < s:
-        raise ValueError(f"t_end = {t_end} < s = {s}")
+    if np.any(np.asarray(s) > t_end):
+        raise ValueError(f"t_end = {t_end} < s = {np.max(s)}")
     return _solve(field.segment_rhs, s, t_end, seeds, tol, tol if atol is None else atol,
                   checkpoints, field.stops, reverse=False)
 

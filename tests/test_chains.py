@@ -99,8 +99,8 @@ def test_frames_match_per_time_limit_frame(name, cps):
 
 
 def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
-    # T_aut = 1: rows before it push the frame points to 1, the origin seed
-    # runs 0 -> 1 once, and rows past 1 integrate nothing
+    # T_aut = 1: one staggered batch carries the origin seed from 0 and the
+    # frame points from each row before 1 to 1, and rows past 1 integrate nothing
     calls = []
 
     def spy(field, s, t_end, seeds, *args, **kwargs):
@@ -113,7 +113,10 @@ def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
     fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=16)
     n = len(GRID) + 16 + 1
     assert fr.converged.all()
-    assert calls == [(t, 1.0, n) for t in cps[cps < 1.0]] + [(0.0, 1.0, 1)]
+    assert len(calls) == 1
+    starts, t_end, size = calls[0]
+    assert np.array_equal(starts, np.append(0.0, np.repeat(cps[cps < 1.0], n)))
+    assert t_end == 1.0 and size == 1 + 4 * n
 
 
 def test_transition_identity():
@@ -126,6 +129,17 @@ def test_transition_identity():
     rep = chains.verify_transitions(fr)
     assert not rep.passed
     assert rep.residual == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_transitions_fail_on_pairs_with_nothing_to_compare():
+    # no valid grid point and a lost origin: every pair is NaN, not skipped
+    fr = chains.range_normalized_chain(BECKER, [0.0, 0.4, 0.8], GRID, n_theta=16)
+    fr.grid_valid[:] = False
+    fr.origin_values[:] = np.nan
+    rep = chains.verify_transitions(fr)
+    assert not rep.passed and np.isnan(rep.residual)
+    assert [(s, t) for s, t, _ in rep.per_pair] == [(0.0, 0.4), (0.4, 0.8), (0.0, 0.8)]
+    assert all(np.isnan(r) for *_, r in rep.per_pair)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
@@ -505,6 +519,33 @@ def test_exact_tail_raises_when_the_origin_seed_is_lost(monkeypatch):
     monkeypatch.setattr(chains, "solve_forward", lose_seed)
     with pytest.raises(chains.NormalizationError):
         chains.limit_frame(fld, 0.5, GRID.points[:5])
+
+
+@pytest.mark.parametrize("n_theta", [16, 7])
+@pytest.mark.parametrize("name", ["measurable-tau", "step-tau"])
+def test_f0_is_normalized_exactly_from_the_leg_batch(name, n_theta):
+    # with a first checkpoint at 0 the origin seed and the frame's origin at
+    # row 0 are one trajectory of one batch, so f_0(0) = 0 holds exactly
+    cfg, fld = _builtin_field(name)
+    cps = cfg.time.checkpoint_array(9)
+    assert cps[0] == 0.0 and fld.t_aut > cps[1]
+    fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=n_theta)
+    assert fr.origin_values[0] == 0.0
+    assert abs(fr.origin_derivs[0] - 1.0) <= 1e-15
+
+
+def test_chain_raises_when_the_leg_batch_loses_the_origin_seed(monkeypatch):
+    # step-tau: the origin seed rides from 0 to T_aut = 1 as seed 0 of the batch
+    _, fld = _builtin_field("step-tau")
+
+    def lose_origin(*args, **kwargs):
+        traj = solve_forward(*args, **kwargs)
+        traj.truncated[0] = True
+        return traj
+
+    monkeypatch.setattr(chains, "solve_forward", lose_origin)
+    with pytest.raises(chains.NormalizationError):
+        chains.range_normalized_chain(fld, [0.0, 0.5, 1.5], GRID, n_theta=16)
 
 
 def test_exact_tail_pushes_points_and_seed_in_one_batch(monkeypatch):

@@ -226,6 +226,73 @@ def test_checkpoint_validation():
         solve_forward(EXP, 1.0, 0.5, SEEDS)
 
 
+# one start time per seed: each seed joins the batch at its own start
+STARTS = np.array([0.0, 0.3, 0.3, 1.1])
+
+
+def test_staggered_starts_match_separate_solves():
+    from loewnerqc.scenarios import builtin_scenario
+
+    cfg = builtin_scenario("measurable-tau")
+    fld = assemble_field(cfg.p, cfg.tau)
+    tol = 1e-10
+    tr = solve_forward(fld, STARTS, 2.0, SEEDS, tol=tol, checkpoints=[1.5])
+    for i, (s, z) in enumerate(zip(STARTS, SEEDS)):
+        one = solve_forward(fld, s, 2.0, [z], tol=tol, checkpoints=[1.5])
+        for t in (1.5, 2.0):
+            assert abs(tr.at(t)[i] - one.at(t)[0]) <= 10 * tol * abs(one.at(t)[0])
+            assert abs(tr.deriv_at(t)[i] - one.deriv_at(t)[0]) <= 10 * tol * abs(one.deriv_at(t)[0])
+
+
+def test_a_seed_sits_at_its_start_and_holds_nan_before_it():
+    # the starts are stops, stored only when asked for: a batch that needs
+    # its end row alone keeps two rows, not one per start
+    assert np.array_equal(solve_forward(CHORDAL, STARTS, 2.0, SEEDS).times, [0.0, 2.0])
+    tr = solve_forward(CHORDAL, STARTS, 2.0, SEEDS, tol=1e-10, checkpoints=STARTS)
+    assert np.array_equal(tr.times, [0.0, 0.3, 1.1, 2.0])
+    assert tr.live().all()
+    for i, s in enumerate(STARTS):
+        r = tr.row(s)
+        assert tr.values[r, i] == SEEDS[i] and tr.derivs[r, i] == 1.0
+        assert np.isnan(tr.values[:r, i]).all() and np.isnan(tr.derivs[:r, i]).all()
+    assert np.abs(tr.at(2.0) - riccati(SEEDS, STARTS, 2.0)).max() < 1e-9
+
+
+def test_a_start_after_t_end_raises():
+    with pytest.raises(ValueError, match="t_end = 1.0 < s = 1.5"):
+        solve_forward(EXP, np.array([0.0, 0.5, 1.5, 0.2]), 1.0, SEEDS)
+
+
+def test_a_staggered_step_costs_six_field_evaluations(monkeypatch):
+    # seeds that join at 0.25 take their first stage from the segment's one
+    # f(t, y) call, so the count is the one of a batch that starts together
+    from loewnerqc.herglotz import VectorFieldHandle
+
+    calls = {"segments": 0, "evals": 0}
+    segment_rhs = VectorFieldHandle.segment_rhs
+
+    def counted_segment(self, a, b):
+        calls["segments"] += 1
+        pair = segment_rhs(self, a, b)
+
+        def counted(z, t):
+            calls["evals"] += 1
+            return pair(z, t)
+        return counted
+
+    monkeypatch.setattr(VectorFieldHandle, "segment_rhs", counted_segment)
+    fld = assemble_field(HerglotzSpec.constant(1),
+                         DenjoyWolffSpec.step([0.5, 1.0], [0.3, 0.6j, 1.0]))
+    seeds = 0.95 * np.exp(2j * np.pi * np.arange(16) / 16)
+    starts = np.where(np.arange(16) % 2, 0.25, 0.0)
+    tr = solve_forward(fld, starts, 2.0, seeds)
+    assert tr.live().all() and tr.steps_rejected > 0
+    first, late = tr.steps_accepted[starts == 0.0], tr.steps_accepted[starts == 0.25]
+    assert len(set(first.tolist())) == 1 and (late < first[0]).all()
+    assert calls["segments"] == 4       # the stops 0.25, 0.5 and 1 cut [0, 2] in four
+    assert calls["evals"] == 6 * (first[0] + tr.steps_rejected) + calls["segments"]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.1, 0.9), st.floats(0.0, np.pi))
 def test_exponential_flow_property(r, angle):

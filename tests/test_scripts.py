@@ -47,7 +47,9 @@ def test_pipeline_matrix_hashes_ignore_wall_time(tmp_path):
     b = matrix.run_cell("exponential", "approx", tmp_path / "b")
     assert a["exit"] == 0 and a["pass"]
     assert set(a["artifacts"]) == {"error_table.csv", "summary.json"}
-    assert a == b
+    # each cell stores its wall time, which no hash and no comparison reads
+    assert a["runtime_ms"] > 0 and b["runtime_ms"] > 0
+    assert dict(a, runtime_ms=0) == dict(b, runtime_ms=0)
     # --compare reports differing cells, and fails only on exit codes and pass flags
     base = {"exponential/approx": a}
     assert matrix.compare(base, {"exponential/approx": b}) == ([], False)
@@ -68,6 +70,11 @@ def test_pipeline_matrix_hashes_ignore_wall_time(tmp_path):
         "  deviation_worst_ratio 0.902199189248392 -> 0.9022 (+9.0e-07)",
         "  ef_final_error 0.0 -> 1e-09",
         "  fitted_order None -> 2.0"], False)
+    # the wall times are listed base -> new, for the cells both matrices timed
+    assert matrix.wall_times(base, {"exponential/approx": b}) == [
+        f"exponential/approx: {a['runtime_ms']:.0f} -> {b['runtime_ms']:.0f} ms"]
+    untimed = {"exponential/approx": {k: v for k, v in a.items() if k != "runtime_ms"}}
+    assert matrix.wall_times(untimed, {"exponential/approx": b}) == []
     # a base matrix written before metrics were stored is named, not a crash
     old = {"exponential/approx": {k: v for k, v in a.items() if k != "metrics"}}
     assert matrix.compare(old, {"exponential/approx": b}) == ([], False)
