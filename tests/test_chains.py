@@ -521,15 +521,18 @@ def test_exact_tail_raises_when_the_origin_seed_is_lost(monkeypatch):
         chains.limit_frame(fld, 0.5, GRID.points[:5])
 
 
-@pytest.mark.parametrize("n_theta", [16, 7])
+@pytest.mark.parametrize("grid, n_theta", [
+    pytest.param(GRID, 16, id="3x8-16"),
+    pytest.param(circle_grid((0.2, 0.8), 5), 7, id="2x5-7"),   # A u + B rounded off 0 here
+])
 @pytest.mark.parametrize("name", ["measurable-tau", "step-tau"])
-def test_f0_is_normalized_exactly_from_the_leg_batch(name, n_theta):
+def test_f0_is_normalized_exactly_from_the_leg_batch(name, grid, n_theta):
     # with a first checkpoint at 0 the origin seed and the frame's origin at
     # row 0 are one trajectory of one batch, so f_0(0) = 0 holds exactly
     cfg, fld = _builtin_field(name)
     cps = cfg.time.checkpoint_array(9)
     assert cps[0] == 0.0 and fld.t_aut > cps[1]
-    fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=n_theta)
+    fr = chains.range_normalized_chain(fld, cps, grid, n_theta=n_theta)
     assert fr.origin_values[0] == 0.0
     assert abs(fr.origin_derivs[0] - 1.0) <= 1e-15
 
