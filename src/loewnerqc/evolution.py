@@ -133,7 +133,7 @@ def _drive(segment_rhs: Callable, starts: np.ndarray, t1: float, seeds: np.ndarr
         values[i, active] = y[0]
         derivs[i, active] = y[1]
 
-    h = min(max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
+    h = h0 = min(max(stops[-1] - stops[0], 1e-12) * 0.05, 0.1)
 
     def drop(mask, t_now):
         """Truncate the active seeds selected by mask at t_now."""
@@ -158,12 +158,13 @@ def _drive(segment_rhs: Callable, starts: np.ndarray, t1: float, seeds: np.ndarr
         a, b = float(stops[si]), float(stops[si + 1])
         pair_fn = segment_rhs(a, b)
         t = a
-        h = min(h, b - a)
         k1 = _rhs(pair_fn, t, y)
         K = np.empty((7,) + y.shape, dtype=complex)
         Kr = K.view(float)
         bad = np.zeros(active.size, dtype=bool)
-        while t < b - 1e-14 * max(1.0, abs(b)):
+        # what is left of a segment below the step floor is not stepped, and
+        # clamping h only here keeps a segment too short to step from shrinking it
+        while t < b - _H_MIN_FACTOR * max(1.0, abs(b)):
             if active.size == 0:
                 break
             h = min(h, b - t)
@@ -183,9 +184,8 @@ def _drive(segment_rhs: Callable, starts: np.ndarray, t1: float, seeds: np.ndarr
                 continue
             if h < h_min:
                 warnings.append(f"step size underflow at t = {t}; live seeds truncated")
-                truncated[active] = True
-                trunc_time[active] = t
-                active = np.empty(0, dtype=int)
+                drop(np.ones(active.size, dtype=bool), t)
+                h = h0                       # seeds that join later start afresh
                 break
             if K.shape[1:] != y.shape:
                 K = np.empty((7,) + y.shape, dtype=complex)

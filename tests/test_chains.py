@@ -119,6 +119,18 @@ def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
     assert t_end == 1.0 and size == 1 + 4 * n
 
 
+def test_a_row_next_to_a_breakpoint_keeps_the_chain_going():
+    # linspace puts row 3 at 0.30000000000000004, one ulp past the jump at
+    # 0.3: the segment between them takes no step and must not starve the batch
+    fld = assemble_field(HerglotzSpec.constant(1),
+                         DenjoyWolffSpec.step([0.3, 0.6], [0.5, -0.5j, 0.2]))
+    cps = np.linspace(0.0, 0.8, 9)
+    assert 0.3 < cps[3] < 0.3 + 1e-15
+    fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=16)
+    assert fr.converged.all()
+    assert chains.verify_transitions(fr).passed
+
+
 def test_transition_identity():
     fr = chains.range_normalized_chain(BECKER, [0.0, 0.4, 0.8], GRID, n_theta=64)
     rep = chains.verify_transitions(fr)

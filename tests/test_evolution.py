@@ -13,6 +13,7 @@ from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc.evolution import (solve_forward, solve_reverse, verify_semigroup,
                                  schwarz_pick_check, derivative_at_origin)
 from loewnerqc.config import GridConfig
+from loewnerqc import evolution
 
 EXP = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0))
 CHORDAL = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(1))
@@ -261,6 +262,32 @@ def test_a_seed_sits_at_its_start_and_holds_nan_before_it():
 def test_a_start_after_t_end_raises():
     with pytest.raises(ValueError, match="t_end = 1.0 < s = 1.5"):
         solve_forward(EXP, np.array([0.0, 0.5, 1.5, 0.2]), 1.0, SEEDS)
+
+
+def test_a_stop_next_to_a_breakpoint_keeps_the_batch_going():
+    # starts or checkpoints an ulp to 5e-14 from the jump at 1 make segments
+    # shorter than the step floor; they are not stepped, and they must not
+    # shrink the step the batch carries on with
+    fld = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.step([1.0], [0.0, 1.0]))
+    starts = np.array([0.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 + 5e-14])
+    at_one = np.where(starts == 0.0, SEEDS * np.exp(-1), SEEDS)
+    tr = solve_forward(fld, starts, 2.0, SEEDS, tol=1e-11)
+    assert tr.live().all() and not tr.warnings
+    assert np.abs(tr.at(2.0) - riccati(at_one, np.maximum(starts, 1.0), 2.0)).max() < 1e-9
+    tr = solve_forward(fld, 0.0, 2.0, SEEDS, tol=1e-11, checkpoints=[1.0 + 5e-14])
+    assert tr.live().all() and not tr.warnings
+    assert np.abs(tr.at(2.0) - riccati(SEEDS * np.exp(-1), 1.0, 2.0)).max() < 1e-9
+
+
+def test_an_underflow_truncates_the_batch_and_later_seeds_join_afresh(monkeypatch):
+    # an error estimate no step can meet shrinks h below the floor, so each
+    # seed is truncated where it joins, and the next joiners start from a fresh h
+    monkeypatch.setattr(evolution, "_E", evolution._E * 1e30)
+    tr = solve_forward(EXP, STARTS, 2.0, SEEDS)
+    assert tr.truncated.all() and np.array_equal(tr.truncation_time[1:], STARTS[1:])
+    assert sum("underflow" in w for w in tr.warnings) == 3
+    # the joiners tried steps of their own before the floor stopped them
+    assert tr.steps_rejected > solve_forward(EXP, 0.0, 2.0, SEEDS[:1]).steps_rejected
 
 
 def test_a_staggered_step_costs_six_field_evaluations(monkeypatch):
