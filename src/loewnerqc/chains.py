@@ -8,17 +8,18 @@ past which p and tau no longer depend on t (0 for constants, the last
 breakpoint of step data, the last node of a table; None for an arbitrary
 callable).  From T_aut on the evolution is the semigroup of
 G = G(., T_aut); a chain whose Loewner range is the plane is unique up to
-an affine map, so it is an affine map of a linearizer of G:
+an affine map, so it is an affine map of a linearizer u of G carried
+by one model map m:
 
-    f_t = A e^{lambda (t - T_aut)} K + B   (interior tau, Koenigs),
-    f_t = A (h - (t - T_aut)) + B          (boundary tau, Abel),
-    f_t = f_{T_aut} o phi_{t,T_aut}        for t < T_aut.
+    f_t = A m_{t - T_aut}(u) + B,   m_d(w) = e^{lambda d} w - drift d,
+    f_t = f_{T_aut} o phi_{t,T_aut}   for t < T_aut.
 
-K' G = -lambda K with K(tau) = 0, K'(tau) = 1, for an interior tau and
-Re lambda > 0, lambda = (1 - |tau|^2) p(tau); h' G = 1 for a tau on the
-circle whose chain ``beta_limit`` finds to fill the plane (the parabolic
-case; a hyperbolic tail, p with a pole at tau, or a group of
-automorphisms does not qualify).  One adaptive Gauss-Legendre panel
+An interior tau with Re lambda > 0, lambda = (1 - |tau|^2) p(tau), has
+the Koenigs function u = K (K' G = -lambda K, K(tau) = 0, K'(tau) = 1)
+and drift 0; a tau on the circle whose chain ``beta_limit`` finds to fill
+the plane (the parabolic case; a hyperbolic tail, p with a pole at tau,
+or a group of automorphisms does not qualify) has the Abel function u = h
+(h' G = 1), lambda 0 and drift 1.  One adaptive Gauss-Legendre panel
 quadrature integrates both, and A and B follow from f_0(0) = 0 and
 f_0'(0) = 1 through the origin's image phi_{0,T_aut}(0).
 
@@ -51,7 +52,8 @@ an exact tail the checkpoint range's nearest point to T_aut.  Every row
 t < T uses f_t = f_T o phi_{t,T}: one staggered batch pushes the frame
 points of every such row from its own t to T, with the origin seed from
 0 in the same batch; the rows t >= T evaluate the points themselves, and
-past T the tail moves them by an affine map of f_T.
+past T the model map moves f_T: f_t = B + e (f_T - B) - A shift, with
+(e, shift) = (e^{lambda (t - T)}, drift (t - T)).
 
 Decreasing chains g_t = omega_{0,t} come from direct reverse integration
 and need no limit.
@@ -105,8 +107,9 @@ def _gauss01(n: int):
 _PANEL_SPLITS = 40
 
 
-# from t_aut on the field is autonomous; lam is the Koenigs multiplier, None on the Abel form
-_Tail = namedtuple("_Tail", "t_aut tau lam")
+# from t_aut on the field is autonomous and its chain moves by the model map
+# w -> e^{lam d} w - drift d: lam and drift 0 for Koenigs, lam 0 and drift 1 for Abel
+_Tail = namedtuple("_Tail", "t_aut tau lam drift")
 
 
 def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
@@ -128,9 +131,14 @@ def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
         key = ("plane", t_inf, tol)
         if key not in field.memo:
             field.memo[key] = beta_limit(field, t_inf=t_inf, tol=tol).classification == "plane"
-        return _Tail(t_aut, tv, None) if field.memo[key] else None
+        return _Tail(t_aut, tv, 0.0, 1.0) if field.memo[key] else None
     lam = complex(inside * field.p.evaluate(np.array([tv]), t_aut)[0])
-    return _Tail(t_aut, tv, lam) if lam.real > 0.0 else None
+    return _Tail(t_aut, tv, lam, 0.0) if lam.real > 0.0 else None
+
+
+def _model_map(tail: _Tail, d):
+    """(e, shift) of the tail's model map w -> e w - shift over the time d."""
+    return np.exp(tail.lam * d), tail.drift * d
 
 
 def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
@@ -174,23 +182,25 @@ def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
 
 
 def _linearize(field: VectorFieldHandle, tail: _Tail, z: np.ndarray, tol_q: float):
-    """(u, u', error estimates) of the tail's linearizer at the points z.
+    """(u, u', error of u, relative error of u') of the tail's linearizer at z.
 
-    Koenigs: log(K(z) / (z - tau)) integrates -lambda / G(w) - 1 / (w - tau)
-    over tau -> z, and the estimates are absolute in log K.  Abel: h
-    integrates 1 / G over 0 -> z, absolute estimates under a relative panel
-    tolerance, since |h| ~ 1 / |z - tau| grows toward the boundary tau.
+    The one place that reads the tail's kind.  Abel: h integrates 1 / G over
+    0 -> z, with a relative panel tolerance since |h| ~ 1 / |z - tau| grows
+    toward the boundary tau, and h' = 1 / G is exact.  Koenigs:
+    log(K(z) / (z - tau)) integrates -lambda / G(w) - 1 / (w - tau) over
+    tau -> z, so its absolute error is the relative error of K and of K'.
+    A NaN point comes back NaN.
     """
-    t_aut, tv, lam = tail
+    t_aut, tv, lam, drift = tail
     p = field.p
     tconj = np.conj(tv)
-    if lam is None:
+    if drift:
         def inv_g(w):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return 1.0 / field_value(w, tv, p.evaluate(w, t_aut))
 
         h, err = _panel_quadrature(inv_g, 0.0, z, tol_q, relative=True)
-        return h, inv_g(z), err
+        return h, inv_g(z), err, np.zeros_like(err)
 
     def integrand(w):
         return (-lam / ((tconj * w - 1.0) * p.evaluate(w, t_aut)) - 1.0) / (w - tv)
@@ -202,7 +212,7 @@ def _linearize(field: VectorFieldHandle, tail: _Tail, z: np.ndarray, tol_q: floa
         kd = -lam * e / ((tconj * z - 1.0) * p.evaluate(z, t_aut))
     at_tau = z == tv
     k[at_tau], kd[at_tau] = 0.0, 1.0
-    return k, kd, err
+    return k, kd, np.abs(k) * err, err
 
 
 def horizon_offsets(t_inf: float = DEFAULT_T_INF) -> np.ndarray:
@@ -317,11 +327,11 @@ class ChainLimitResult:
     error estimate; ``point_converged`` compares it against tol_limit scaled
     by the local value.  ``converged`` aggregates over all valid points and
     ``horizon_used`` reports where the iteration stopped.  ``affine`` is (A, B)
-    of f_t = A u + B on an exact tail, u its K or h; None from the scaling limit.
+    of f_t = A u + B on an exact tail, u the linearizer moved by the model
+    map to t; None from the scaling limit.
     """
 
     t: float
-    points: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
     valid: np.ndarray
@@ -341,9 +351,10 @@ def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = DEFAULT
 
     With an exact autonomous tail (see the module docstring) and t < T_aut
     the points and the origin seed are pushed to T_aut in one batch; for
-    t >= T_aut nothing moves, the seed stops at T_aut and the tail flow
+    t >= T_aut nothing moves, the seed stops at T_aut and the model map
     carries the rest.  ``point_delta`` is then the quadrature's error
-    estimate, ``horizon_used`` is max(t, T_aut), and nothing is accelerated.
+    estimate carried through the map, ``horizon_used`` is max(t, T_aut),
+    and nothing is accelerated.
 
     Otherwise the scaling limit runs on the doubling horizons
     u = t + horizon_offsets(t_inf).  The iteration stops once the
@@ -385,44 +396,43 @@ def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
 def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
     """f_t at pts through the exact tail, from the origin seed at s = min(t, T_aut).
 
-    A and B put f_0 in S: f_s(phi_{0,s}(0)) = 0 and f_s'(phi_{0,s}(0)) phi'_{0,s}(0) = 1.
+    f_t = c (e u - u_n - shift), (e, shift) the model map's over t - s and u_n the origin
+    seed's u; c = 1 / (u_n' phi'_{0,s}(0)) puts f_0 in S, and f_s(phi_{0,s}(0)) = 0 exactly.
     """
-    t_aut, tv, lam = tail
-    s = min(t, t_aut)
+    s = min(t, tail.t_aut)
     n = pts.size
     vals = np.append(pts, seed[0])
-    ders = np.append(np.ones_like(pts), seed[1])
     ok = np.isfinite(vals)
-    if t < t_aut and ok[n]:
-        leg = solve_forward(field, t, t_aut, np.where(ok, vals, 0.0), tol=tol,
-                            atol=_ATOL_FLOOR)
-        vals, ders = leg.at(t_aut), leg.deriv_at(t_aut) * ders
-        ok &= leg.live() & np.isfinite(vals) & np.isfinite(ders)
+    ends, ders = _push(field, t, np.where(ok, vals, 0.0), tail.t_aut, tol)
+    vals = np.where(ok, ends, np.nan)
+    ders = ders * np.append(np.ones_like(pts), seed[1])
     alpha, dphi = vals[n], ders[n]
-    if not (ok[n] and np.isfinite(dphi) and dphi != 0):
+    if not (np.isfinite(alpha) and np.isfinite(dphi) and dphi != 0):
         raise NormalizationError(
-            f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {t_aut}")
-    # invalid points sit where the quadrature starts: tau for K, 0 for h
-    u, du, err = _linearize(field, tail, np.where(ok, vals, 0.0 if lam is None else tv),
-                            1e-2 * tol_limit)
-    # f_t = c (e u - u_n - shift): the Koenigs form has e = e^{lambda (t - s)}, the
-    # Abel form shift = t - s; at t = s a point whose u is u_n's maps to 0 exactly
+            f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {tail.t_aut}")
+    u, du, u_err, du_rel = _linearize(field, tail, vals, 1e-2 * tol_limit)
     c = 1.0 / (du[n] * dphi)
-    e, shift = (1.0, t - s) if lam is None else (np.exp(lam * (t - s)), 0.0)
+    e, shift = _model_map(tail, t - s)
     a, b = c * e, -c * (u[n] + shift)
     with np.errstate(invalid="ignore", over="ignore"):
         values = c * (e * u[:n] - u[n] - shift)
         derivs = a * du[:n] * ders[:n]
-        pdelta = (abs(a) * (err[:n] + err[n]) if lam is None else
-                  np.abs(a * u[:n]) * err[:n] + (np.abs(values) + abs(b)) * err[n])
-    valid = ok[:n] & np.isfinite(values) & np.isfinite(derivs)
-    values = np.where(valid, values, np.nan + 0j)
-    derivs = np.where(valid, derivs, np.nan + 0j)
+        pdelta = abs(c) * (abs(e) * u_err[:n] + u_err[n]) + np.abs(values) * du_rel[n]
+    return _limit_result(t, values, derivs, pdelta, tol_limit, max(t, tail.t_aut),
+                         affine=(a, b))
+
+
+def _limit_result(t, values, derivs, pdelta, tol_limit, horizon, accelerated=False,
+                  affine=None, ok=True) -> ChainLimitResult:
+    """The result of either evaluator: points not ok or not finite are masked to
+    NaN, and each point is judged against tol_limit max(1, |f|)."""
+    valid = ok & np.isfinite(values) & np.isfinite(derivs)
+    values, derivs, pdelta = (np.where(valid, x, np.nan) for x in (values, derivs, pdelta))
     point_conv = valid & (pdelta <= tol_limit * np.maximum(1.0, np.abs(values)))
-    converged = bool(point_conv[valid].all()) if valid.any() else False
+    converged = bool(valid.any() and point_conv[valid].all())
     acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
-    return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv, converged,
-                            acc_delta, max(t, t_aut), False, (a, b))
+    return ChainLimitResult(t, values, derivs, valid, pdelta, point_conv, converged,
+                            acc_delta, horizon, accelerated, affine)
 
 
 def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResult:
@@ -494,26 +504,17 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
                 certified = (v_try, ve, d_try)
                 break
 
-    valid = live & np.isfinite(its[-1])
     accelerated = not stopped_raw and len(its) >= 3
     if not accelerated:
-        values = its[-1]
-        derivs = dits[-1]
+        values, derivs = its[-1], dits[-1]
         pdelta = np.abs(its[-1] - its[-2]) if len(its) >= 2 else np.full(pts.shape, np.nan)
-        acc_delta = last_delta
+    elif certified is None:
+        values, pdelta = _best_extrapolant(np.stack(its), xs[:len(its)])
+        derivs, _ = _best_extrapolant(np.stack(dits), xs[:len(its)])
     else:
-        if certified is None:
-            values, pdelta = _best_extrapolant(np.stack(its), xs[:len(its)])
-            derivs, _ = _best_extrapolant(np.stack(dits), xs[:len(its)])
-        else:
-            values, pdelta, derivs = certified
-        acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
-    values = np.where(valid, values, np.nan + 0j)
-    derivs = np.where(valid, derivs, np.nan + 0j)
-    point_conv = valid & (pdelta <= tol_limit * np.maximum(1.0, np.abs(values)))
-    converged = bool(point_conv[valid].all()) if valid.any() else False
-    return ChainLimitResult(t, pts, values, derivs, valid, pdelta, point_conv,
-                            converged, acc_delta, used, accelerated)
+        values, pdelta, derivs = certified
+    return _limit_result(t, values, derivs, pdelta, tol_limit, used, accelerated,
+                         ok=live & np.isfinite(its[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +618,10 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     per seed carries each such row's frame points from t and the origin
     seed from 0, so with t_0 = 0 the frame origin and the normalizer are
     one trajectory and f_0(0) = 0 holds exactly.  The rows t >= T evaluate
-    the points themselves; those past T (then T >= T_aut) are affine maps
-    of f_T with the (A, B) of the evaluation at T: B + e^{lambda (t - T)}
-    (f_T - B), deltas scaled alike, on the Koenigs form and f_T - A (t - T)
-    on the Abel form.
+    the points themselves; those past T (then T >= T_aut) move f_T by the
+    model map with the (A, B) of the evaluation at T: f_t = B + e (f_T - B)
+    - A shift, (e, shift) = (e^{lambda (t - T)}, drift (t - T)), derivatives
+    and deltas scaled by e and |e|.
 
     ``verify_transitions`` evaluates f_t afresh at every pair, so only
     pairs whose later time is T compare the evaluation at T with itself,
@@ -649,13 +650,10 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     delta = res.point_delta.reshape(images.shape)[row]
     if t_last > t_eval:                      # only with an exact tail
         a, b = res.affine
-        if tail.lam is None:
-            vals[k:] -= a * (cps[k:] - t_eval)[:, None]
-        else:
-            scale = np.exp(tail.lam * (cps[k:] - t_eval))[:, None]
-            vals[k:] = b + scale * (vals[k:] - b)
-            ders[k:] *= scale
-            delta[k:] *= np.abs(scale)
+        e, shift = _model_map(tail, (cps[k:] - t_eval)[:, None])
+        vals[k:] = b + e * (vals[k:] - b) - a * shift
+        ders[k:] *= e
+        delta[k:] *= np.abs(e)
     conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
     acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
@@ -797,11 +795,14 @@ def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> Tra
     and settings the frames were built with.  The origin is among the
     points, so the pairs (0, t) also check the stored f_0(0) against
     f_t(phi_{0,t}(0)) from a batch of its own.  A pair with nothing to
-    compare reads NaN, and so does the residual: the report fails.
+    compare reads NaN, and so does the residual: the report fails.  Fewer
+    than two checkpoints, and so no pair, raise ValueError.
     """
     if frames.tag != "range-normalized":
         raise ValueError("transition identity applies to range-normalized frames")
     field, tol, cps = frames.vector_field, frames.tol, frames.checkpoints
+    if cps.size < 2:
+        raise ValueError("need >= 2 checkpoints for a transition pair")
     pairs = [(cps[i], cps[i + 1]) for i in range(len(cps) - 1)]
     if len(cps) > 2:
         pairs.append((cps[0], cps[-1]))

@@ -508,8 +508,6 @@ class DilatationReport:
     agreement: float
     passed: bool
     sense_preserving: bool
-    k: float
-    tol: float
     n_masked: int
 
 
@@ -534,4 +532,4 @@ def dilatation_report(ext: ExtensionAtlas | BeckerExtension, k: float,
     passed = bool(np.isfinite(md) and md <= k + tol_dilat
                   and (ext.formula_withheld or (np.isfinite(mf) and mf <= k + tol_dilat)))
     n_masked = ext.valid.size - int(np.count_nonzero(ext.valid))
-    return DilatationReport(mf, md, agree, passed, sense, k, tol_dilat, n_masked)
+    return DilatationReport(mf, md, agree, passed, sense, n_masked)

@@ -82,6 +82,9 @@ def test_rotation_frames_never_grow():
     pytest.param("chordal", [0.0, 0.5, 1.0], id="chordal"),     # every row translated from T = 0
     pytest.param("chordal-sampled", [0.0, 0.5, 1.0],            # legs into the extrapolated limit
                  id="chordal-sampled"),
+    # T = 0.5 past T_aut = 0: the later rows move by the model map, e != 1 or shift != 0
+    pytest.param("becker", [0.5, 1.0, 1.5], id="becker-late"),
+    pytest.param("chordal", [0.5, 1.0, 1.5], id="chordal-late"),
 ])
 def test_frames_match_per_time_limit_frame(name, cps):
     fld = {"becker": BECKER, "becker-sampled": BECKER_SAMPLED, "chordal": CHORDAL,
@@ -152,6 +155,12 @@ def test_transitions_fail_on_pairs_with_nothing_to_compare():
     assert not rep.passed and np.isnan(rep.residual)
     assert [(s, t) for s, t, _ in rep.per_pair] == [(0.0, 0.4), (0.4, 0.8), (0.0, 0.8)]
     assert all(np.isnan(r) for *_, r in rep.per_pair)
+
+
+def test_transitions_need_two_checkpoints():
+    fr = chains.range_normalized_chain(EXP, [0.5], GRID, n_theta=16)
+    with pytest.raises(ValueError, match="2 checkpoints"):
+        chains.verify_transitions(fr)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
@@ -533,6 +542,37 @@ def test_exact_tail_raises_when_the_origin_seed_is_lost(monkeypatch):
         chains.limit_frame(fld, 0.5, GRID.points[:5])
 
 
+def test_exact_tail_masks_a_point_lost_on_the_push(monkeypatch):
+    # step-tau at t = 0.5: the first point is truncated on its push to
+    # T_aut = 1; it comes back invalid and NaN, the others bit for bit as before
+    _, fld = _builtin_field("step-tau")
+    ref = chains.limit_frame(fld, 0.5, GRID.points[:5])
+
+    def lose_point(field, s, t_end, seeds, *args, **kwargs):
+        traj = solve_forward(field, s, t_end, seeds, *args, **kwargs)
+        if t_end == 1.0:
+            traj.truncated[0] = True
+        return traj
+
+    monkeypatch.setattr(chains, "solve_forward", lose_point)
+    res = chains.limit_frame(fld, 0.5, GRID.points[:5])
+    assert not res.valid[0] and np.isnan(res.values[0]) and np.isnan(res.derivs[0])
+    assert res.valid[1:].all() and res.converged
+    for got, want in ((res.values, ref.values), (res.derivs, ref.derivs),
+                      (res.point_delta, ref.point_delta)):
+        assert np.array_equal(got[1:], want[1:])
+
+
+def test_abel_tail_masks_a_nan_point():
+    pts = GRID.points[:5]
+    ref = chains.limit_frame(CHORDAL, 0.75, pts)
+    res = chains.limit_frame(CHORDAL, 0.75, np.append(np.nan, pts))
+    assert not res.valid[0] and np.isnan(res.values[0]) and np.isnan(res.derivs[0])
+    assert res.valid[1:].all() and res.converged
+    assert np.array_equal(res.values[1:], ref.values)
+    assert np.array_equal(res.derivs[1:], ref.derivs)
+
+
 @pytest.mark.parametrize("grid, n_theta", [
     pytest.param(GRID, 16, id="3x8-16"),
     pytest.param(circle_grid((0.2, 0.8), 5), 7, id="2x5-7"),   # A u + B rounded off 0 here
@@ -668,7 +708,7 @@ def test_only_a_plane_filling_boundary_tail_takes_the_abel_form(name):
     assert (tail is not None) == abel
     if abel:
         # h = z / ((1 + i)(1 - z)), so f_t = z / (1 - z) - (1 + i) t
-        assert tail.lam is None
+        assert tail.drift == 1
         res = chains.limit_frame(fld, 0.75, GRID.points)
         ref = GRID.points / (1 - GRID.points) - (1 + 1j) * 0.75
         assert res.converged and res.affine is not None

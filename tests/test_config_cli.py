@@ -345,7 +345,7 @@ def test_specs_declare_their_autonomy_time():
         # fills the plane, so its tail takes the Abel form
         tail = chains._autonomous_tail(fld)
         assert (tail is None) == (name == "rotation")
-        assert (tail is not None and tail.lam is None) == (name == "chordal")
+        assert (tail is not None and tail.drift == 1) == (name == "chordal")
     cfg, errors = validate_config({
         "p": {"kind": "mobius_kernel",
               "driving": {"type": "table", "points": [[0.0, 1.0], [0.5, [0.0, 1.0]]]}},
