@@ -36,24 +36,18 @@ followed by
     h_s(z) = lim_{u -> inf} psi_{s,u}(z) / psi'_{0,u}(0),
     f_t = h_t o M_t^{-1}.
 
-Either evaluator carries the origin's image phi_{0,.}(0) as one more seed
-of its batch and reads alpha and phi'_{0,.}(0) from it, so no caller
-tabulates a normalizer.
+Each point carries its own time t.  Either evaluator starts the origin at
+0 as one more seed of the points' first solve and reads alpha and
+phi'_{0,.}(0) from it, so no caller tabulates a normalizer, and a whole
+chain is one evaluation.
 
-The horizons of the limit, u = t + 1, 2, 4, ..., t_inf, double.  For
-boundary Denjoy-Wolff data the raw iterates converge only like O(1/u),
-far too slowly for the verification tolerances, so they are accelerated
-by polynomial (Neville) and rational (Bulirsch-Stoer) extrapolation in
-the node x = 1/(u - t).  Raw and accelerated deltas are both reported,
-never asserted exact.
-
-A chain is evaluated once, at one time T: the last checkpoint, or with
-an exact tail the checkpoint range's nearest point to T_aut.  Every row
-t < T uses f_t = f_T o phi_{t,T}: one staggered batch pushes the frame
-points of every such row from its own t to T, with the origin seed from
-0 in the same batch; the rows t >= T evaluate the points themselves, and
-past T the model map moves f_T: f_t = B + e (f_T - B) - A shift, with
-(e, shift) = (e^{lambda (t - T)}, drift (t - T)).
+The horizons of the limit, u = T + 1, 2, 4, ..., t_inf with T the latest
+time, double; a point at t < T reaches them through f_t = f_T o phi_{t,T}.
+For boundary Denjoy-Wolff data the raw iterates converge only like
+O(1/u), far too slowly for the verification tolerances, so they are
+accelerated by polynomial (Neville) and rational (Bulirsch-Stoer)
+extrapolation in the node x = 1/(u - T).  Raw and accelerated deltas are
+both reported, never asserted exact.
 
 Decreasing chains g_t = omega_{0,t} come from direct reverse integration
 and need no limit.
@@ -134,11 +128,6 @@ def _autonomous_tail(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
         return _Tail(t_aut, tv, 0.0, 1.0) if field.memo[key] else None
     lam = complex(inside * field.p.evaluate(np.array([tv]), t_aut)[0])
     return _Tail(t_aut, tv, lam, 0.0) if lam.real > 0.0 else None
-
-
-def _model_map(tail: _Tail, d):
-    """(e, shift) of the tail's model map w -> e w - shift over the time d."""
-    return np.exp(tail.lam * d), tail.drift * d
 
 
 def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
@@ -321,14 +310,13 @@ def _best_extrapolant(its: np.ndarray, xs: np.ndarray):
 
 @dataclass
 class ChainLimitResult:
-    """One chain frame: f_t (and d f_t/dz) at the requested points.
+    """f_t (and d f_t/dz) at the requested points, each at its own t.
 
-    ``point_delta`` is the per-point successive-estimate (or extrapolation)
-    error estimate; ``point_converged`` compares it against tol_limit scaled
-    by the local value.  ``converged`` aggregates over all valid points and
-    ``horizon_used`` reports where the iteration stopped.  ``affine`` is (A, B)
-    of f_t = A u + B on an exact tail, u the linearizer moved by the model
-    map to t; None from the scaling limit.
+    ``t`` is the latest point time.  ``point_delta`` is the per-point
+    successive-estimate (or extrapolation) error estimate; ``point_converged``
+    compares it against tol_limit scaled by the local value.  ``converged``
+    aggregates over all valid points and ``horizon_used`` reports where the
+    iteration stopped.
     """
 
     t: float
@@ -341,89 +329,76 @@ class ChainLimitResult:
     acc_delta: float
     horizon_used: float
     accelerated: bool
-    affine: tuple[complex, complex] | None = None
 
 
-def limit_frame(field: VectorFieldHandle, t: float, points, tol: float = DEFAULT_TOL,
-                t_inf: float = DEFAULT_T_INF, tol_limit: float = DEFAULT_TOL_LIMIT,
-                seed=None) -> ChainLimitResult:
-    """Evaluate f_t at the given interior points.
+def limit_frame(field: VectorFieldHandle, t, points, tol: float = DEFAULT_TOL,
+                t_inf: float = DEFAULT_T_INF, tol_limit: float = DEFAULT_TOL_LIMIT
+                ) -> ChainLimitResult:
+    """Evaluate f_t at the given interior points; t broadcasts against them.
 
-    With an exact autonomous tail (see the module docstring) and t < T_aut
-    the points and the origin seed are pushed to T_aut in one batch; for
-    t >= T_aut nothing moves, the seed stops at T_aut and the model map
-    carries the rest.  ``point_delta`` is then the quadrature's error
-    estimate carried through the map, ``horizon_used`` is max(t, T_aut),
-    and nothing is accelerated.
+    With an exact autonomous tail (see the module docstring) one solve
+    pushes each point from min(t, T_aut), and the origin from 0, to T_aut;
+    the model map carries each point on over t - min(t, T_aut).
+    ``point_delta`` is then the quadrature's error estimate carried through
+    the map, ``horizon_used`` is max(T, T_aut) with T the latest t, and
+    nothing is accelerated.
 
     Otherwise the scaling limit runs on the doubling horizons
-    u = t + horizon_offsets(t_inf).  The iteration stops once the
-    raw iterates agree to tol_limit in sup norm (the plain limit), once
-    the extrapolants certify every point (from five horizons on), or when
-    the schedule is exhausted; in the last two cases extrapolation in
-    x = 1/(u - t) supplies the returned values.
+    u = T + horizon_offsets(t_inf), its first leg starting each point at its
+    own t and the origin at 0.  The iteration stops once the raw iterates
+    agree to tol_limit in sup norm (the plain limit), once the extrapolants
+    certify every point (from five horizons on), or when the schedule is
+    exhausted; in the last two cases extrapolation in x = 1/(u - T)
+    supplies the returned values.
 
-    Either way the normalizer rides along: the origin seed (phi_{0,s}(0),
-    phi'_{0,s}(0)), s = t or min(t, T_aut) on the exact tail, is one more
-    seed of every leg and counts for nothing in the result.  ``seed`` passes
-    it from the caller's own batch; by default one short 0 -> s solve
-    supplies it.  If it is lost (NaN), or phi'_{0,.}(0) vanishes or goes
-    non-finite, where it is read, NormalizationError is raised.
+    Either way the origin seed counts for nothing in the result.  If it is
+    lost, or phi'_{0,.}(0) vanishes or goes non-finite, where it is read,
+    NormalizationError is raised.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    ts, pts = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                  np.atleast_1d(np.asarray(points, dtype=complex)))
+    t_last = float(np.max(t))
     tail = _autonomous_tail(field, t_inf, tol)
-    if seed is None:
-        seed = _origin_seed(field, t if tail is None else min(t, tail.t_aut), tol)
     if tail is None:
-        return _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit)
-    return _tail_frame(field, tail, t, pts, seed, tol, tol_limit)
+        return _scaling_limit(field, ts, t_last, pts, tol, t_inf, tol_limit)
+    return _tail_frame(field, tail, ts, t_last, pts, tol, tol_limit)
 
 
-def _push(field: VectorFieldHandle, starts, seeds: np.ndarray, t: float, tol: float):
-    """Images at t of seeds that start at their starts, and their derivatives; NaN once lost."""
-    if np.min(starts) >= t:                  # nothing moves
-        return seeds, np.ones_like(seeds)
-    o = solve_forward(field, starts, t, seeds, tol=tol, atol=_ATOL_FLOOR)
-    return np.where(o.live(), o.at(t), np.nan), o.deriv_at(t)
+def _tail_frame(field, tail, ts, t_last, pts, tol, tol_limit) -> ChainLimitResult:
+    """f_t at pts through the exact tail; each point at its own t.
 
-
-def _origin_seed(field: VectorFieldHandle, t: float, tol: float):
-    """(phi_{0,t}(0), phi'_{0,t}(0)) from one short solve."""
-    vals, ders = _push(field, 0.0, np.zeros(1, complex), t, tol)
-    return vals[0], ders[0]
-
-
-def _tail_frame(field, tail, t, pts, seed, tol, tol_limit) -> ChainLimitResult:
-    """f_t at pts through the exact tail, from the origin seed at s = min(t, T_aut).
-
-    f_t = c (e u - u_n - shift), (e, shift) the model map's over t - s and u_n the origin
-    seed's u; c = 1 / (u_n' phi'_{0,s}(0)) puts f_0 in S, and f_s(phi_{0,s}(0)) = 0 exactly.
+    f_t = c (e u - u_n - shift), (e, shift) the model map's over t - min(t, T_aut) and
+    u_n the origin seed's u; c = 1 / (u_n' phi'_{0,T_aut}(0)) puts f_0 in S.  Points
+    past T_aut do not move, so the distinct ones are linearized once.
     """
-    s = min(t, tail.t_aut)
     n = pts.size
-    vals = np.append(pts, seed[0])
+    starts = np.append(np.minimum(ts, tail.t_aut), 0.0)
+    vals = np.append(pts, 0j)
     ok = np.isfinite(vals)
-    ends, ders = _push(field, t, np.where(ok, vals, 0.0), tail.t_aut, tol)
-    vals = np.where(ok, ends, np.nan)
-    ders = ders * np.append(np.ones_like(pts), seed[1])
+    ders = np.ones_like(vals)
+    if starts.min() < tail.t_aut:
+        o = solve_forward(field, starts, tail.t_aut, np.where(ok, vals, 0.0), tol=tol,
+                          atol=_ATOL_FLOOR)
+        ok &= o.live()
+        vals, ders = np.where(ok, o.at(tail.t_aut), np.nan), o.deriv_at(tail.t_aut)
     alpha, dphi = vals[n], ders[n]
     if not (np.isfinite(alpha) and np.isfinite(dphi) and dphi != 0):
         raise NormalizationError(
             f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {tail.t_aut}")
-    u, du, u_err, du_rel = _linearize(field, tail, vals, 1e-2 * tol_limit)
+    distinct, back = np.unique(vals, return_inverse=True)
+    u, du, u_err, du_rel = (x[back] for x in _linearize(field, tail, distinct, 1e-2 * tol_limit))
     c = 1.0 / (du[n] * dphi)
-    e, shift = _model_map(tail, t - s)
-    a, b = c * e, -c * (u[n] + shift)
+    d = ts - starts[:n]                      # the model map's time: w -> e w - shift
+    e, shift = np.exp(tail.lam * d), tail.drift * d
     with np.errstate(invalid="ignore", over="ignore"):
         values = c * (e * u[:n] - u[n] - shift)
-        derivs = a * du[:n] * ders[:n]
-        pdelta = abs(c) * (abs(e) * u_err[:n] + u_err[n]) + np.abs(values) * du_rel[n]
-    return _limit_result(t, values, derivs, pdelta, tol_limit, max(t, tail.t_aut),
-                         affine=(a, b))
+        derivs = c * e * du[:n] * ders[:n]
+        pdelta = abs(c) * (np.abs(e) * u_err[:n] + u_err[n]) + np.abs(values) * du_rel[n]
+    return _limit_result(t_last, values, derivs, pdelta, tol_limit, max(t_last, tail.t_aut))
 
 
 def _limit_result(t, values, derivs, pdelta, tol_limit, horizon, accelerated=False,
-                  affine=None, ok=True) -> ChainLimitResult:
+                  ok=True) -> ChainLimitResult:
     """The result of either evaluator: points not ok or not finite are masked to
     NaN, and each point is judged against tol_limit max(1, |f|)."""
     valid = ok & np.isfinite(values) & np.isfinite(derivs)
@@ -432,38 +407,38 @@ def _limit_result(t, values, derivs, pdelta, tol_limit, horizon, accelerated=Fal
     converged = bool(valid.any() and point_conv[valid].all())
     acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
     return ChainLimitResult(t, values, derivs, valid, pdelta, point_conv, converged,
-                            acc_delta, horizon, accelerated, affine)
+                            acc_delta, horizon, accelerated)
 
 
-def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResult:
-    """The horizon loop of ``limit_frame``, from the origin seed at t."""
+def _scaling_limit(field, ts, t_last, pts, tol, t_inf, tol_limit) -> ChainLimitResult:
+    """The horizon loop of ``limit_frame``: the first leg starts each point at
+    its own t and the origin seed at 0."""
     n = pts.size
     offsets = horizon_offsets(t_inf)
     xs = 1.0 / offsets
-    horizons = t + offsets
-    # a truncated origin leaves NaN, which the first horizon rejects
-    alpha, dphi = seed
-    vals = np.append(pts, alpha)
-    ders = np.append(np.ones_like(pts), dphi)
+    horizons = t_last + offsets
+    vals = np.append(pts, 0j)
+    ders = np.ones_like(vals)
     carried = np.ones(n + 1, bool)
     live = carried[:n]                       # the points; the last entry is the seed
     its, dits = [], []
     last_delta = np.nan
-    prev_u = t
+    starts = np.append(ts, 0.0)
     used = float(horizons[-1])
     stopped_raw = False
     certified = None                         # (values, deltas, derivs) of the extrapolants
     for u in horizons:
         u = float(u)
         if live.any():
-            leg = solve_forward(field, prev_u, u, vals[carried], tol=tol, atol=_ATOL_FLOOR)
+            leg = solve_forward(field, starts[carried], u, vals[carried], tol=tol,
+                                atol=_ATOL_FLOOR)
             lv, ld = leg.at(u), leg.deriv_at(u)
             ok = leg.live() & np.isfinite(lv) & np.isfinite(ld)
             upd = np.flatnonzero(carried)
             vals[upd[ok]] = lv[ok]
             ders[upd[ok]] = ld[ok] * ders[upd[ok]]
             carried[upd[~ok]] = False
-        prev_u = u
+        starts[:] = u
         alpha, dphi = vals[n], ders[n]
         if not (carried[n] and np.isfinite(dphi) and dphi != 0):
             raise NormalizationError(f"phi'_{{0,u}}(0) lost, vanished or non-finite at u = {u}")
@@ -513,7 +488,7 @@ def _scaling_limit(field, t, pts, seed, tol, t_inf, tol_limit) -> ChainLimitResu
         derivs, _ = _best_extrapolant(np.stack(dits), xs[:len(its)])
     else:
         values, pdelta, derivs = certified
-    return _limit_result(t, values, derivs, pdelta, tol_limit, used, accelerated,
+    return _limit_result(t_last, values, derivs, pdelta, tol_limit, used, accelerated,
                          ok=live & np.isfinite(its[-1]))
 
 
@@ -610,51 +585,22 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     """Frames of the range-normalized chain f_t at every checkpoint.
 
     Every frame samples the seed grid, one trace ring at |z| = 1 -
-    delta_trace and the origin.  One ``limit_frame`` evaluation at one time
-    T serves every row; it carries the normalizer with the frame points and
-    raises NormalizationError if it breaks down.  T is the last checkpoint,
-    or with an exact autonomous tail min(max(T_aut, t_0), t_last).  The
-    rows t < T use f_t = f_T o phi_{t,T}: one ``solve_forward`` with a start
-    per seed carries each such row's frame points from t and the origin
-    seed from 0, so with t_0 = 0 the frame origin and the normalizer are
-    one trajectory and f_0(0) = 0 holds exactly.  The rows t >= T evaluate
-    the points themselves; those past T (then T >= T_aut) move f_T by the
-    model map with the (A, B) of the evaluation at T: f_t = B + e (f_T - B)
-    - A shift, (e, shift) = (e^{lambda (t - T)}, drift (t - T)), derivatives
-    and deltas scaled by e and |e|.
+    delta_trace and the origin.  The whole chain is one ``limit_frame``
+    evaluation with each row's points at the row's time, which carries the
+    normalizer with them and raises NormalizationError if it breaks down.
+    With t_0 = 0 the frame origin at row 0 and the origin seed start alike
+    in one solve, so f_0(0) = 0 holds exactly.
 
-    ``verify_transitions`` evaluates f_t afresh at every pair, so only
-    pairs whose later time is T compare the evaluation at T with itself,
-    from another batch.  The caller checks f_0(0) = 0 and f_0'(0) = 1
-    against its own tolerance.
+    ``verify_transitions`` evaluates f_t afresh at every pair, from another
+    batch.  The caller checks f_0(0) = 0 and f_0'(0) = 1 against its own
+    tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
-    tail = _autonomous_tail(field, t_inf, tol)
-    t_last = float(cps[-1])
-    t_eval = t_last if tail is None else min(max(tail.t_aut, float(cps[0])), t_last)
     pts = _frame_points(grid, n_theta, delta_trace)
-    early = cps[cps < t_eval]
-    k = early.size                           # rows k, k + 1, ... sit at or past T
-    # one staggered batch: the origin seed from 0, the points from each early row
-    ends, end_ders = _push(field, np.append(0.0, np.repeat(early, pts.size)),
-                           np.append(0j, np.tile(pts, k)),
-                           t_eval if tail is None else min(t_eval, tail.t_aut), tol)
-    images = np.append(ends[1:], pts).reshape(k + 1, pts.size)
-    leg_ders = np.append(end_ders[1:], np.ones_like(pts)).reshape(images.shape)
-    res = limit_frame(field, t_eval, images.ravel(), tol, t_inf, tol_limit,
-                      seed=(ends[0], end_ders[0]))
-    row = np.minimum(np.arange(cps.size), k)
-    vals = res.values.reshape(images.shape)[row]
-    ders = (res.derivs.reshape(images.shape) * leg_ders)[row]
-    ok = res.valid.reshape(images.shape)[row]        # lost legs hold NaN, never valid
-    delta = res.point_delta.reshape(images.shape)[row]
-    if t_last > t_eval:                      # only with an exact tail
-        a, b = res.affine
-        e, shift = _model_map(tail, (cps[k:] - t_eval)[:, None])
-        vals[k:] = b + e * (vals[k:] - b) - a * shift
-        ders[k:] *= e
-        delta[k:] *= np.abs(e)
-    conv = ok & (delta <= tol_limit * np.maximum(1.0, np.abs(vals)))
+    res = limit_frame(field, np.repeat(cps, pts.size), np.tile(pts, cps.size), tol, t_inf,
+                      tol_limit)
+    vals, ders, ok, delta, conv = (x.reshape(cps.size, pts.size) for x in (
+        res.values, res.derivs, res.valid, res.point_delta, res.point_converged))
     acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
                    vals, ders, ok, conv, acc, (field, tol, t_inf, tol_limit))
@@ -672,9 +618,6 @@ def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
     pts = _frame_points(grid, n_theta, delta_trace)
     rows = []
     for t in cps:
-        if t == 0.0:
-            rows.append((pts, np.ones_like(pts), np.ones(pts.shape, bool)))
-            continue
         traj = solve_reverse(field, float(t), pts, tol=tol)
         vals = traj.at(0.0)
         rows.append((vals, traj.deriv_at(0.0), traj.live() & np.isfinite(vals)))

@@ -27,22 +27,28 @@ def chordal_chain(z, t):
     return 1.0 / (1.0 - z) - (1.0 + t)
 
 
+def origin_image(field, t, tol):
+    """(phi_{0,t}(0), phi'_{0,t}(0)) from a direct solve."""
+    o = solve_forward(field, 0.0, t, np.zeros(1, complex), tol=tol, atol=chains._ATOL_FLOOR)
+    return o.at(t)[0], o.deriv_at(t)[0]
+
+
 def test_normalizer_exponential_trivial():
-    alpha, dphi = chains._origin_seed(EXP, 1.0, 1e-10)
+    alpha, dphi = origin_image(EXP, 1.0, 1e-10)
     assert alpha == 0.0
     assert abs(dphi / abs(dphi) - 1.0) < 1e-12
     assert chains._psi_prime0(alpha, dphi) == pytest.approx(np.exp(-1), abs=1e-9)
 
 
 def test_normalizer_chordal_alpha_half():
-    alpha, dphi = chains._origin_seed(CHORDAL, 1.0, 1e-10)
+    alpha, dphi = origin_image(CHORDAL, 1.0, 1e-10)
     assert alpha == pytest.approx(0.5, abs=1e-9)
     # M_t^{-1}(alpha) = 0 for beta = phi'_{0,t}(0) / |phi'_{0,t}(0)|
     assert abs(chains._m_inv(alpha, dphi / abs(dphi), alpha)) < 1e-14
 
 
 def test_normalizer_rotation_beta():
-    alpha, dphi = chains._origin_seed(ROTATION, 1.0, 1e-11)
+    alpha, dphi = origin_image(ROTATION, 1.0, 1e-11)
     assert alpha == 0.0
     assert dphi == pytest.approx(np.exp(-1j), abs=1e-9)
 
@@ -74,15 +80,15 @@ def test_rotation_frames_never_grow():
 
 
 @pytest.mark.parametrize("name, cps", [
-    pytest.param("becker", [0.0, 0.5, 1.0], id="becker"),       # every row scaled from T = 0
-    pytest.param("step-tau", [0.0, 0.5, 1.0, 1.5, 2.0],         # legs to T_aut = 1, then scaled
+    pytest.param("becker", [0.0, 0.5, 1.0], id="becker"),       # every row scaled from T_aut = 0
+    pytest.param("step-tau", [0.0, 0.5, 1.0, 1.5, 2.0],         # pushes to T_aut = 1, then scaled
                  id="step-tau"),
-    pytest.param("becker-sampled", [0.0, 0.06, 0.12],           # legs into the scaling limit
+    pytest.param("becker-sampled", [0.0, 0.06, 0.12],           # the scaling limit
                  id="becker-sampled"),
-    pytest.param("chordal", [0.0, 0.5, 1.0], id="chordal"),     # every row translated from T = 0
-    pytest.param("chordal-sampled", [0.0, 0.5, 1.0],            # legs into the extrapolated limit
+    pytest.param("chordal", [0.0, 0.5, 1.0], id="chordal"),     # every row shifted from T_aut = 0
+    pytest.param("chordal-sampled", [0.0, 0.5, 1.0],            # the extrapolated scaling limit
                  id="chordal-sampled"),
-    # T = 0.5 past T_aut = 0: the later rows move by the model map, e != 1 or shift != 0
+    # no row at T_aut = 0: every row moves by the model map, e != 1 or shift != 0
     pytest.param("becker", [0.5, 1.0, 1.5], id="becker-late"),
     pytest.param("chordal", [0.5, 1.0, 1.5], id="chordal-late"),
 ])
@@ -102,13 +108,14 @@ def test_frames_match_per_time_limit_frame(name, cps):
 
 
 def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
-    # T_aut = 1: one staggered batch carries the origin seed from 0 and the
-    # frame points from each row before 1 to 1, and rows past 1 integrate nothing
+    # T_aut = 1: one staggered batch carries the frame points from each row's
+    # min(t, 1) and the origin seed from 0 to 1, and rows past 1 take no step
     calls = []
 
     def spy(field, s, t_end, seeds, *args, **kwargs):
-        calls.append((s, t_end, np.atleast_1d(seeds).size))
-        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+        traj = solve_forward(field, s, t_end, seeds, *args, **kwargs)
+        calls.append((s, t_end, np.atleast_1d(seeds).size, traj.steps_accepted))
+        return traj
 
     _, fld = _builtin_field("step-tau")
     monkeypatch.setattr(chains, "solve_forward", spy)
@@ -117,9 +124,10 @@ def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
     n = len(GRID) + 16 + 1
     assert fr.converged.all()
     assert len(calls) == 1
-    starts, t_end, size = calls[0]
-    assert np.array_equal(starts, np.append(0.0, np.repeat(cps[cps < 1.0], n)))
-    assert t_end == 1.0 and size == 1 + 4 * n
+    starts, t_end, size, steps = calls[0]
+    assert np.array_equal(starts, np.append(np.repeat(np.minimum(cps, 1.0), n), 0.0))
+    assert t_end == 1.0 and size == 9 * n + 1
+    assert (steps[:-1][starts[:-1] == 1.0] == 0).all() and (steps[starts < 1.0] > 0).all()
 
 
 def test_a_row_next_to_a_breakpoint_keeps_the_chain_going():
@@ -165,8 +173,8 @@ def test_transitions_need_two_checkpoints():
 
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_limit_frame_carries_its_normalizer(monkeypatch, t):
-    # every solve is the short 0 -> t origin solve or a leg carrying the
-    # points plus the origin seed; no separate normalizer runs past t
+    # every solve is a leg carrying the points plus the origin seed; no
+    # separate normalizer runs
     calls = []
 
     def spy(field, s, t_end, seeds, *args, **kwargs):
@@ -178,7 +186,7 @@ def test_limit_frame_carries_its_normalizer(monkeypatch, t):
     res = chains.limit_frame(BECKER_SAMPLED, t, pts)
     assert res.converged
     assert calls
-    assert all(end == t or n == pts.size + 1 for _, end, n in calls), calls
+    assert all(n == pts.size + 1 for _, end, n in calls), calls
 
 
 def test_limit_frame_raises_when_the_origin_seed_is_lost(monkeypatch):
@@ -250,7 +258,7 @@ EXP_UNDECLARED = assemble_field(dataclasses.replace(HerglotzSpec.constant(1), t_
 
 @pytest.mark.parametrize("build", [
     pytest.param(lambda cps: chains.range_normalized_chain(EXP, cps, GRID, n_theta=16),
-                 id="direct"),        # every row from one evaluation at T = 0
+                 id="direct"),        # every row from the exact tail at T_aut = 0
     pytest.param(lambda cps: chains.range_normalized_chain(EXP_UNDECLARED, cps, GRID,
                                                            n_theta=16),
                  id="composition"),   # f_t = f_T o phi_{t,T} with T = 0.5
@@ -590,12 +598,12 @@ def test_f0_is_normalized_exactly_from_the_leg_batch(name, grid, n_theta):
 
 
 def test_chain_raises_when_the_leg_batch_loses_the_origin_seed(monkeypatch):
-    # step-tau: the origin seed rides from 0 to T_aut = 1 as seed 0 of the batch
+    # step-tau: the origin seed rides from 0 to T_aut = 1 as the last seed of the batch
     _, fld = _builtin_field("step-tau")
 
     def lose_origin(*args, **kwargs):
         traj = solve_forward(*args, **kwargs)
-        traj.truncated[0] = True
+        traj.truncated[-1] = True
         return traj
 
     monkeypatch.setattr(chains, "solve_forward", lose_origin)
@@ -607,19 +615,66 @@ def test_exact_tail_pushes_points_and_seed_in_one_batch(monkeypatch):
     calls = []
 
     def spy(field, s, t_end, seeds, *args, **kwargs):
-        calls.append((s, t_end, np.atleast_1d(seeds).size))
-        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+        traj = solve_forward(field, s, t_end, seeds, *args, **kwargs)
+        calls.append((s, t_end, np.atleast_1d(seeds).size, traj.steps_accepted))
+        return traj
 
     _, fld = _builtin_field("step-tau")
     monkeypatch.setattr(chains, "solve_forward", spy)
     res = chains.limit_frame(fld, 0.5, GRID.points[:5])
     assert res.converged and not res.accelerated and res.horizon_used == 1.0
-    assert calls == [(0.0, 0.5, 1), (0.5, 1.0, 6)]
+    # one solve: the points from t = 0.5 and the origin seed from 0
+    (starts, t_end, size, _), = calls
+    assert np.array_equal(starts, [0.5] * 5 + [0.0]) and t_end == 1.0 and size == 6
     calls.clear()
-    # past T_aut nothing moves: the seed stops at T_aut and e^{lambda (t - T_aut)} scales
+    # past T_aut nothing moves: the points join the seed's solve at T_aut, take
+    # no step, and e^{lambda (t - T_aut)} scales
     res = chains.limit_frame(fld, 1.5, GRID.points[:5])
-    assert res.horizon_used == 1.5 and calls == [(0.0, 1.0, 1)]
+    assert res.horizon_used == 1.5
+    (starts, t_end, size, steps), = calls
+    assert np.array_equal(starts, [1.0] * 5 + [0.0]) and t_end == 1.0 and size == 6
+    assert (steps[:5] == 0).all()
 
+
+
+@pytest.mark.parametrize("name, times", [
+    pytest.param("step-tau", [0.25, 0.5, 1.0, 1.5, 2.0], id="step-tau"),  # both sides of T_aut = 1
+    pytest.param("chordal", [0.0, 0.5, 1.0, 1.5], id="chordal"),            # the Abel tail
+    pytest.param("rotation-interior", [0.0, 0.5, 1.0], id="scaling-limit"),
+])
+def test_mixed_time_limit_frame_matches_per_time_calls(name, times):
+    # each point is evaluated at its own time: one call over the rows equals
+    # one call per time, up to the integrator's rounding at a tight tol
+    fld = {"step-tau": _builtin_field("step-tau")[1], "chordal": CHORDAL,
+           "rotation-interior": assemble_field(HerglotzSpec.constant(1j),
+                                               DenjoyWolffSpec.constant(0.3 + 0.2j))}[name]
+    pts = chains._frame_points(circle_grid((0.3, 0.6), 8), 16, 1e-3)
+    res = chains.limit_frame(fld, np.repeat(times, pts.size), np.tile(pts, len(times)),
+                             tol=1e-12)
+    assert res.converged and res.t == times[-1]
+    for i, t in enumerate(times):
+        ref = chains.limit_frame(fld, t, pts, tol=1e-12)
+        rows = slice(i * pts.size, (i + 1) * pts.size)
+        for got, want in ((res.values[rows], ref.values), (res.derivs[rows], ref.derivs)):
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
+def test_exact_tail_linearizes_each_distinct_point_once(monkeypatch):
+    # becker (T_aut = 0): no point moves, so the 65 rows share one set of
+    # frame points, and the origin seed is the frame's origin
+    sizes = []
+    real = chains._linearize
+
+    def spy(field, tail, z, tol_q):
+        sizes.append(z.size)
+        return real(field, tail, z, tol_q)
+
+    monkeypatch.setattr(chains, "_linearize", spy)
+    cfg, fld = _builtin_field("becker")
+    grid = cfg.grid.seed_grid()
+    fr = chains.range_normalized_chain(fld, cfg.time.checkpoint_array(65), grid, n_theta=256)
+    assert fr.converged.all() and fr.values.shape == (65, len(grid))
+    assert sizes == [len(grid) + 256 + 1]
 
 def test_mobius_kernel_tail_agrees_or_is_flagged():
     # p = (1 + z)/(1 - z), tau = 0: the Koebe chain f_t = e^t z/(1 + z)^2,
@@ -711,7 +766,7 @@ def test_only_a_plane_filling_boundary_tail_takes_the_abel_form(name):
         assert tail.drift == 1
         res = chains.limit_frame(fld, 0.75, GRID.points)
         ref = GRID.points / (1 - GRID.points) - (1 + 1j) * 0.75
-        assert res.converged and res.affine is not None
+        assert res.converged
         assert np.abs(res.values - ref).max() <= 1e-11
 
 

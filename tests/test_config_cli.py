@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from loewnerqc.config import parse_config, validate_config, ConfigError
 from loewnerqc.herglotz import HerglotzSpec
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
-from loewnerqc import artifacts, chains, cli
+from loewnerqc import artifacts, chains, cli, evolution
 from loewnerqc.cli import run_pipeline, main
 
 
@@ -376,6 +376,24 @@ def test_chain_transition_residual_is_tight(tmp_path, name):
     assert code == 0 and summary["pass"]
     assert summary["metrics"]["transition_residual"] <= _TRANSITION_BOUND[name]
 
+
+
+def test_measurable_tau_chain_solves_once_per_evaluation(tmp_path, monkeypatch):
+    # one solve builds the chain (T_aut past the rows, so every row and the
+    # origin seed ride one staggered batch to T_aut); each of the 9 transition
+    # pairs takes its s -> t leg and one push with the origin seed in it
+    real = evolution.solve_forward
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    for mod in (evolution, chains, cli):
+        monkeypatch.setattr(mod, "solve_forward", spy)
+    code, summary = run_pipeline(builtin_scenario("measurable-tau"), "chain", tmp_path)
+    assert code == 0 and summary["pass"]
+    assert len(calls) == 1 + 2 * 9
 
 def test_chain_checks_evaluate_at_the_configured_limit_tolerance(tmp_path, monkeypatch):
     # the frames and the transition check's fresh evaluations both read
