@@ -374,13 +374,13 @@ def _tail_frame(field, tail, ts, t_last, pts, tol, tol_limit) -> ChainLimitResul
     n = pts.size
     starts = np.append(np.minimum(ts, tail.t_aut), 0.0)
     vals = np.append(pts, 0j)
-    ok = np.isfinite(vals)
     ders = np.ones_like(vals)
     if starts.min() < tail.t_aut:
+        ok = np.isfinite(vals)
         o = solve_forward(field, starts, tail.t_aut, np.where(ok, vals, 0.0), tol=tol,
                           atol=_ATOL_FLOOR)
-        ok &= o.live()
-        vals, ders = np.where(ok, o.at(tail.t_aut), np.nan), o.deriv_at(tail.t_aut)
+        vals = np.where(ok & o.live(), o.at(tail.t_aut), np.nan)
+        ders = o.deriv_at(tail.t_aut)
     alpha, dphi = vals[n], ders[n]
     if not (np.isfinite(alpha) and np.isfinite(dphi) and dphi != 0):
         raise NormalizationError(
