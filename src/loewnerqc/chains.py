@@ -38,8 +38,8 @@ followed by
 
 Each point carries its own time t.  Either evaluator starts the origin at
 0 as one more seed of the points' first solve and reads alpha and
-phi'_{0,.}(0) from it, so no caller tabulates a normalizer, and a whole
-chain is one evaluation.
+phi'_{0,.}(0) from it, so no caller tabulates a normalizer: a whole
+chain is one evaluation, and so is a whole transition check.
 
 The horizons of the limit, u = T + 1, 2, 4, ..., t_inf with T the latest
 time, double; a point at t < T reaches them through f_t = f_T o phi_{t,T}.
@@ -591,9 +591,9 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
     With t_0 = 0 the frame origin at row 0 and the origin seed start alike
     in one solve, so f_0(0) = 0 holds exactly.
 
-    ``verify_transitions`` evaluates f_t afresh at every pair, from another
-    batch.  The caller checks f_0(0) = 0 and f_0'(0) = 1 against its own
-    tolerance.
+    ``verify_transitions`` evaluates f_t afresh at the images of every
+    pair, in one batch of its own.  The caller checks f_0(0) = 0 and
+    f_0'(0) = 1 against its own tolerance.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
     pts = _frame_points(grid, n_theta, delta_trace)
@@ -733,39 +733,42 @@ def verify_transitions(frames: ChainFrames, tol_chain: float = TOL_CHAIN) -> Tra
 
     The pairs are the consecutive checkpoints and, with more than two, the
     first and the last.  Both sides come from independent computations: the
-    stored frame at s against a fresh ``limit_frame`` evaluation (exact
-    tail or scaling limit) at the integrated image points, with the field
-    and settings the frames were built with.  The origin is among the
-    points, so the pairs (0, t) also check the stored f_0(0) against
-    f_t(phi_{0,t}(0)) from a batch of its own.  A pair with nothing to
-    compare reads NaN, and so does the residual: the report fails.  Fewer
-    than two checkpoints, and so no pair, raise ValueError.
+    stored frame at s against f_t at the points' images under phi_{s,t},
+    one s -> t solve per pair.  One ``limit_frame`` call (exact tail or
+    scaling limit) evaluates the images of every pair, each at its pair's
+    t, with the field and settings the frames were built with.  The origin
+    is among the points, so the pairs (0, t) also check the stored f_0(0)
+    against f_t(phi_{0,t}(0)) from a batch of its own.  A pair with nothing
+    to compare reads NaN, and so does the residual: the report fails.
+    Fewer than two checkpoints, and so no pair, raise ValueError.
     """
     if frames.tag != "range-normalized":
         raise ValueError("transition identity applies to range-normalized frames")
     field, tol, cps = frames.vector_field, frames.tol, frames.checkpoints
     if cps.size < 2:
         raise ValueError("need >= 2 checkpoints for a transition pair")
-    pairs = [(cps[i], cps[i + 1]) for i in range(len(cps) - 1)]
-    if len(cps) > 2:
-        pairs.append((cps[0], cps[-1]))
+    pairs = [(i, i + 1) for i in range(cps.size - 1)]
+    if cps.size > 2:
+        pairs.append((0, cps.size - 1))
+    first, last = np.transpose(pairs)
+    s, t = cps[first], cps[last]
     pts = np.append(frames.grid.points, 0.0)
-    detail = []
-    for s, t in pairs:
-        i, j = frames.row(s), frames.row(t)
-        stored = np.append(frames.values[i], frames.origin_values[i])
-        traj = solve_forward(field, float(s), float(t), pts, tol=tol, atol=_ATOL_FLOOR)
-        img = traj.at(float(t))
-        valid = np.append(frames.grid_valid[i], np.isfinite(stored[-1]))
-        ok = traj.live() & valid & np.isfinite(img)
-        gap = np.zeros(0)
-        if ok.any():
-            res = limit_frame(field, float(t), img[ok], tol, frames.t_inf, frames.tol_limit)
-            gap = np.abs(res.values - stored[ok])
-        # the largest finite gap; a pair with none is NaN, which fails the report
-        detail.append((float(s), float(t), float(np.fmax.reduce(gap, initial=np.nan))))
-    worst = float(np.max([r for *_, r in detail], initial=0.0))
-    return TransitionReport(worst, detail, worst <= tol_chain)
+    stored = np.column_stack([frames.values, frames.origin_values])[first]
+    img = np.empty_like(stored)
+    for k in range(len(pairs)):
+        traj = solve_forward(field, float(s[k]), float(t[k]), pts, tol=tol, atol=_ATOL_FLOOR)
+        img[k] = np.where(traj.live(), traj.at(float(t[k])), np.nan)
+    ok = np.column_stack([frames.grid_valid[first], np.isfinite(stored[:, -1])]) & np.isfinite(img)
+    gap = np.full(img.shape, np.nan)
+    if ok.any():
+        res = limit_frame(field, np.repeat(t, ok.sum(1)), img[ok], tol, frames.t_inf,
+                          frames.tol_limit)
+        gap[ok] = np.abs(res.values - stored[ok])
+    # the largest finite gap per pair; a pair with none is NaN, which fails the report
+    per_pair = np.fmax.reduce(gap, axis=1, initial=np.nan)
+    worst = float(np.max(per_pair))
+    return TransitionReport(worst, list(zip(s.tolist(), t.tolist(), per_pair.tolist())),
+                            worst <= tol_chain)
 
 
 @dataclass

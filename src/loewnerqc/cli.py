@@ -28,10 +28,6 @@ from .config import ScenarioConfig, parse_config, ConfigError
 from .scenarios import builtin_scenario, scenario_names
 
 
-def _field(cfg: ScenarioConfig):
-    return assemble_field(cfg.p, cfg.tau)
-
-
 def _check_times(cfg: ScenarioConfig):
     return np.linspace(0.0, cfg.time.t_end, 9)
 
@@ -57,7 +53,7 @@ def _is_degenerate(cfg: ScenarioConfig) -> bool:
 
 
 def _cmd_evolve(cfg, out, summary):
-    fld = _field(cfg)
+    fld = assemble_field(cfg.p, cfg.tau)
     cps = cfg.time.checkpoint_array()
     traj = solve_forward(fld, 0.0, cfg.time.t_end, cfg.grid.seed_grid(),
                          tol=cfg.time.tol, checkpoints=cps)
@@ -81,7 +77,7 @@ def _cmd_evolve(cfg, out, summary):
 def _build_frames(cfg, n_default: int = 9):
     cps = cfg.time.checkpoint_array(n_default)
     return range_normalized_chain(
-        _field(cfg), cps, cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
+        assemble_field(cfg.p, cfg.tau), cps, cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
         delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol,
         t_inf=cfg.criteria.t_inf, tol_limit=cfg.criteria.tol_limit)
 
@@ -120,7 +116,7 @@ def _cmd_chain(cfg, out, summary):
 
 
 def _cmd_range(cfg, out, summary):
-    rep = beta_limit(_field(cfg), t_inf=cfg.criteria.t_inf, tol=cfg.time.tol,
+    rep = beta_limit(assemble_field(cfg.p, cfg.tau), t_inf=cfg.criteria.t_inf, tol=cfg.time.tol,
                      tol_beta=cfg.criteria.tol_beta)
     summary["metrics"].update({
         "classification": rep.classification,

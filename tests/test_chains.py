@@ -165,6 +165,19 @@ def test_transitions_fail_on_pairs_with_nothing_to_compare():
     assert all(np.isnan(r) for *_, r in rep.per_pair)
 
 
+def test_a_pair_with_nothing_to_compare_leaves_the_others_finite():
+    # one shared evaluation serves every pair: a blank row at 0.4 makes only
+    # the pair (0.4, 0.8) NaN, and the report still fails
+    fr = chains.range_normalized_chain(BECKER, [0.0, 0.4, 0.8], GRID, n_theta=16)
+    fr.grid_valid[1] = False
+    fr.origin_values[1] = np.nan
+    rep = chains.verify_transitions(fr)
+    assert not rep.passed and np.isnan(rep.residual)
+    gaps = {(s, t): r for s, t, r in rep.per_pair}
+    assert np.isnan(gaps[0.4, 0.8])
+    assert gaps[0.0, 0.4] < 1e-6 and gaps[0.0, 0.8] < 1e-6
+
+
 def test_transitions_need_two_checkpoints():
     fr = chains.range_normalized_chain(EXP, [0.5], GRID, n_theta=16)
     with pytest.raises(ValueError, match="2 checkpoints"):

@@ -381,7 +381,8 @@ def test_chain_transition_residual_is_tight(tmp_path, name):
 def test_measurable_tau_chain_solves_once_per_evaluation(tmp_path, monkeypatch):
     # one solve builds the chain (T_aut past the rows, so every row and the
     # origin seed ride one staggered batch to T_aut); each of the 9 transition
-    # pairs takes its s -> t leg and one push with the origin seed in it
+    # pairs takes its s -> t leg, and one push carries every pair's images
+    # and the origin seed to T_aut
     real = evolution.solve_forward
     calls = []
 
@@ -393,7 +394,25 @@ def test_measurable_tau_chain_solves_once_per_evaluation(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "solve_forward", spy)
     code, summary = run_pipeline(builtin_scenario("measurable-tau"), "chain", tmp_path)
     assert code == 0 and summary["pass"]
-    assert len(calls) == 1 + 2 * 9
+    assert len(calls) == 1 + 9 + 1
+
+
+@pytest.mark.parametrize("name", ["chordal", "measurable-tau", "rotation"])
+def test_chain_evaluates_once_for_the_frames_and_once_for_the_check(tmp_path, monkeypatch, name):
+    # the Abel tail, the exact tail past the rows and the scaling limit: the
+    # frames are one limit_frame call, and so are all the transition pairs
+    real = chains.limit_frame
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "limit_frame", spy)
+    code, summary = run_pipeline(builtin_scenario(name), "chain", tmp_path)
+    assert code == 0 and summary["pass"]
+    assert len(calls) == 2
+
 
 def test_chain_checks_evaluate_at_the_configured_limit_tolerance(tmp_path, monkeypatch):
     # the frames and the transition check's fresh evaluations both read

@@ -148,3 +148,36 @@ def test_every_defaulted_parameter_is_passed():
                 unset.append(f"{module}.{name}({param})")
     assert passed
     assert not unset, "defaulted parameters no call passes: " + ", ".join(unset)
+
+
+def _own_scope(f):
+    """The nodes of function f outside the functions, lambdas and classes nested in it."""
+    stack = list(ast.iter_child_nodes(f))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_local_name_is_read():
+    # a name a function assigns counts as read when the function, or one
+    # nested in it, loads it; _ and nonlocal or global names are exempt
+    unread, paths = [], sorted(PACKAGE.glob("*.py"))
+    for path in paths:
+        for f in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_scope(f))
+            stored = {}
+            for n in own:
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    stored.setdefault(n.id, n.lineno)
+            read = {n.id for n in ast.walk(f) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            read |= {"_"} | {name for n in own if isinstance(n, (ast.Nonlocal, ast.Global))
+                             for name in n.names}
+            unread += [f"{path.name}:{line} {f.name} {name}"
+                       for name, line in stored.items() if name not in read]
+    assert paths
+    assert not unread, "local names nothing reads: " + ", ".join(unread)
