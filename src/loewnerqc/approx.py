@@ -26,7 +26,7 @@ import numpy as np
 from .grids import SeedGrid, criteria_grid
 from .herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field, time_samples, field_value
 from .evolution import DEFAULT_TOL, solve_forward
-from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, range_normalized_chain
+from .chains import DEFAULT_T_INF, DEFAULT_TOL_LIMIT, limit_frame
 
 DEVIATION_TOL = 1e-12
 _LEVEL_PANELS = 1024        # trapezoid panels of a level's envelope in convergence_table
@@ -195,7 +195,8 @@ def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
     criteria grid, the evolution-family sup error at 9 uniform times on
     [0, checkpoints[-1]] with its Gronwall envelope (integrated field
     deviation, numeric Lipschitz bound on an enclosing compact), and the
-    chain sup difference at the checkpoints.
+    chain sup difference on the seed grid at the checkpoints, each chain one
+    ``limit_frame`` evaluation of exactly those points.
     """
     cps = np.asarray(checkpoints, dtype=float)
     t_end = float(cps[-1])
@@ -205,13 +206,12 @@ def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
 
     def measure(fld):
         return (solve_forward(fld, 0.0, t_end, grid, tol=tol, checkpoints=ef_times),
-                range_normalized_chain(fld, cps, grid, n_theta=64, tol=tol,
-                                       t_inf=t_inf, tol_limit=tol_limit))
+                limit_frame(fld, np.repeat(cps, len(grid)), np.tile(grid.points, cps.size),
+                            tol, t_inf, tol_limit))
 
     exact = assemble_field(p, tau)
     ef_ref, chain_ref = measure(exact)
     ref_max = float(np.nanmax(np.abs(ef_ref.values)))
-    ref_noise = float(np.nanmax(chain_ref.acc_delta))
 
     rows = []
     warnings = []
@@ -233,18 +233,18 @@ def convergence_table(p: HerglotzSpec, tau: DenjoyWolffSpec, levels, grid: SeedG
         ef_err = float(np.nanmax(np.abs(traj.values[:, live] - ef_ref.values[:, live])))
         r_compact = min(0.999, max(ref_max, float(np.nanmax(np.abs(traj.values)))) + 0.05)
         env = _level_envelope(exact, tau, tau_n, t_end, r_compact)
-        ok = chain_ref.grid_valid & fr.grid_valid
+        ok = chain_ref.valid & fr.valid
         chain_err = np.nan
         if not ok.any():
             warnings.append(f"level {n}: no valid grid points, level excluded")
         else:
             chain_err = float(np.nanmax(np.abs(np.where(ok, fr.values - chain_ref.values, 0.0))))
-            # the differences must dominate the noise floor of the frame
+            # the differences must dominate the noise floor of the chain
             # evaluation (limit or quadrature) and of the integration, which
             # gets the same 10 tol relative margin as the ef column; otherwise
             # the level says nothing about chain convergence
             f_max = float(np.abs(np.where(ok, chain_ref.values, 0.0)).max())
-            noise = 10.0 * (ref_noise + float(np.nanmax(fr.acc_delta))) + 10.0 * tol * f_max
+            noise = 10.0 * (chain_ref.acc_delta + fr.acc_delta) + 10.0 * tol * f_max
             if chain_err <= noise:
                 warnings.append(
                     f"level {n}: chain difference {chain_err:.3g} at the noise floor "

@@ -635,7 +635,7 @@ class RangeReport:
     """Loewner-range classification from the beta limit.
 
     beta0 is the reported estimate at the origin probe: the raw value once
-    it stabilizes or drops under tol_beta, otherwise the Richardson limit
+    it stabilizes or drops under TOL_BETA, otherwise the Richardson limit
     of the doubling sequence clipped to [0, last raw value] (the raw
     estimates are non-increasing, so the true limit lives there).
     """
@@ -650,12 +650,12 @@ class RangeReport:
 
 
 def beta_limit(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
-               tol: float = DEFAULT_TOL, tol_beta: float = TOL_BETA) -> RangeReport:
+               tol: float = DEFAULT_TOL) -> RangeReport:
     """Estimate beta(z) = lim |phi'_{0,t}(z)| / (1 - |phi_{0,t}(z)|^2) at _BETA_PROBES.
 
     The sequence along the doubling horizons is non-increasing (Schwarz-Pick),
     so each probe is classified as zero when the raw tail or its Richardson
-    limit falls under tol_beta, nonzero when the tail has changed by at most
+    limit falls under TOL_BETA, nonzero when the tail has changed by at most
     _TOL_STABLE over the last doubling, and inconclusive otherwise.  The
     plane/disk verdict requires all probes to agree; the theory makes beta
     vanish either everywhere or nowhere.  beta0 is read at probe 0, the origin.
@@ -684,12 +684,12 @@ def beta_limit(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
             classes.append("inconclusive")
             warnings.append(f"non-finite beta estimates at probe {probes[j]}")
             continue
-        if raw_last[j] <= tol_beta:
+        if raw_last[j] <= TOL_BETA:
             classes.append("zero")
             continue
         tail = b[-4:]
         ratios = tail[1:] / np.maximum(tail[:-1], 1e-300)
-        if np.all(ratios <= 0.9) and extrap[j] <= tol_beta:
+        if np.all(ratios <= 0.9) and extrap[j] <= TOL_BETA:
             classes.append("zero")
             continue
         rel_change = abs(b[-1] - b[-2]) / max(b[-1], 1e-300)
@@ -703,7 +703,7 @@ def beta_limit(field: VectorFieldHandle, t_inf: float = DEFAULT_T_INF,
 
     if all(c == "zero" for c in classes):
         cls = "plane"
-        beta0 = float(raw_last[0] if raw_last[0] <= tol_beta else extrap[0])
+        beta0 = float(raw_last[0] if raw_last[0] <= TOL_BETA else extrap[0])
         radius = None
     elif all(c == "nonzero" for c in classes):
         cls = "disk"

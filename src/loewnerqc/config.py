@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .chains import (DEFAULT_DELTA_TRACE, DEFAULT_N_THETA, DEFAULT_T_INF, DEFAULT_TOL_LIMIT,
-                     TOL_BETA, TOL_CHAIN)
+                     TOL_CHAIN)
 from .evolution import DEFAULT_TOL
 from .extension import TOL_DILAT
 from .grids import DELTA_GUARD, SeedGrid, circle_grid
-from .herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError, TOL_CRITERION, TOL_HERGLOTZ,
-                       TOL_HOLO, phase_table, time_samples, time_table)
+from .herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError, phase_table, time_samples,
+                       time_table)
 
 
 class ConfigError(ValueError):
@@ -133,11 +133,7 @@ class GridConfig:
 @dataclass
 class CriteriaConfig:
     k: float = 0.5
-    tol_criterion: float = TOL_CRITERION
-    tol_herglotz: float = TOL_HERGLOTZ
-    tol_holo: float = TOL_HOLO
     tol_chain: float = TOL_CHAIN
-    tol_beta: float = TOL_BETA
     tol_limit: float = DEFAULT_TOL_LIMIT
     tol_dilat: float = TOL_DILAT
     t_inf: float = DEFAULT_T_INF
@@ -145,8 +141,6 @@ class CriteriaConfig:
 
 @dataclass
 class OutputConfig:
-    svg: bool = True
-    csv: bool = True
     json_summary: str = "summary.json"
 
 
@@ -160,9 +154,7 @@ class ScenarioConfig:
     grid: GridConfig = dc_field(default_factory=GridConfig)
     criteria: CriteriaConfig = dc_field(default_factory=CriteriaConfig)
     outputs: OutputConfig = dc_field(default_factory=OutputConfig)
-    rng_seed: int = 20240601
     approx_levels: list = dc_field(default_factory=lambda: [4, 8, 16, 32])
-    approx_horizon: float = 4.0
 
     def q_or_default(self) -> HerglotzSpec:
         return self.q if self.q is not None else HerglotzSpec.constant(1.0)
@@ -346,8 +338,7 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
     cc.k = _real(cd.get("k", cc.k), "criteria.k", errors, cc.k)
     if not 0.0 <= cc.k < 1.0:
         errors.append("criteria.k must lie in [0,1)")
-    for name_ in ("tol_criterion", "tol_herglotz", "tol_holo", "tol_chain",
-                  "tol_beta", "tol_limit", "tol_dilat"):
+    for name_ in ("tol_chain", "tol_limit", "tol_dilat"):
         default = getattr(cc, name_)
         v = _real(cd.get(name_, default), f"criteria.{name_}", errors, default)
         if v <= 0:
@@ -360,10 +351,6 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
 
     oc = OutputConfig()
     od = _section(doc, "outputs", errors, OutputConfig)
-    for key in ("svg", "csv"):
-        setattr(oc, key, od.get(key, getattr(oc, key)))
-        if not isinstance(getattr(oc, key), bool):
-            errors.append(f"outputs.{key} must be true or false")
     oc.json_summary = js = od.get("json_summary", oc.json_summary)
     # the summary is written inside the output directory, never below or above
     # it, and never over an artifact: every artifact is a .csv or an .svg
@@ -380,11 +367,6 @@ def validate_config(doc: dict, name: str = "scenario") -> tuple[ScenarioConfig, 
     elif any(b <= a for a, b in zip(levels, levels[1:])):
         errors.append("approx_levels must be strictly increasing")
     cfg.approx_levels = [int(n) for n in levels]
-    cfg.approx_horizon = _real(doc.get("approx_horizon", cfg.approx_horizon),
-                               "approx_horizon", errors, cfg.approx_horizon)
-    if cfg.approx_horizon <= 0:
-        errors.append("approx_horizon must be positive")
-    cfg.rng_seed = _integer(doc.get("rng_seed", cfg.rng_seed), "rng_seed", errors, cfg.rng_seed)
     return cfg, errors
 
 

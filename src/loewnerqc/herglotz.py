@@ -41,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-# Default tolerances for the grid checks.  Criteria are suprema over the
-# disk and a.e. time; sampling plus these margins stands in for them.
+# Tolerances of the grid checks.  Criteria are suprema over the disk and
+# a.e. time; sampling plus these margins stands in for them.
 TOL_CRITERION = 1e-6
 TOL_HERGLOTZ = 1e-6
 TOL_HOLO = 1e-6
@@ -456,21 +456,21 @@ def _sample_set(grid, times):
     return *time_samples(grid, times), times
 
 
-def check_herglotz(p: HerglotzSpec, grid: np.ndarray, times, tol: float = TOL_HERGLOTZ) -> CheckReport:
-    """min Re p over the sample set; passes iff >= -tol at a.e. node."""
+def check_herglotz(p: HerglotzSpec, grid: np.ndarray, times) -> CheckReport:
+    """min Re p over the sample set; passes iff >= -TOL_HERGLOTZ at a.e. node."""
     z, t, times = _sample_set(grid, times)
     vals = p.evaluate(z, t)
     finite = np.isfinite(vals)
     re = np.where(finite, vals.real, np.inf)
     rep = CheckReport(float(re.min()), True, nonfinite=int(np.count_nonzero(~finite)))
-    _node_verdict(times, ~finite.all(axis=1) | (re.min(axis=1) < -tol), rep, "Re p >= 0")
+    _node_verdict(times, ~finite.all(axis=1) | (re.min(axis=1) < -TOL_HERGLOTZ), rep, "Re p >= 0")
     if rep.nonfinite:
         rep.passed = False
         rep.warnings.append(f"{rep.nonfinite} non-finite p samples")
     return rep
 
 
-def _ratio_check(parts, grid, times, k, tol, label) -> CheckReport:
+def _ratio_check(parts, grid, times, k, label) -> CheckReport:
     """max |num| / |den| over the sample set, ``num, den = parts(z, t)``.
 
     Samples where both vanish are skipped; a non-finite num or den counts
@@ -487,7 +487,7 @@ def _ratio_check(parts, grid, times, k, tol, label) -> CheckReport:
     ratio = np.where(finite & ~both_zero, ratio, -np.inf)
     rep = CheckReport(max(0.0, float(ratio.max())), True,
                       nonfinite=int(np.count_nonzero(~finite)))
-    _node_verdict(times, ~finite.all(axis=1) | (ratio.max(axis=1) > k + tol), rep, label)
+    _node_verdict(times, ~finite.all(axis=1) | (ratio.max(axis=1) > k + TOL_CRITERION), rep, label)
     if rep.nonfinite:
         rep.passed = False
         rep.warnings.append(f"{rep.nonfinite} non-finite samples of {label}")
@@ -499,17 +499,16 @@ def pair_parts(pv, qv):
     return pv - np.conj(qv), pv + qv
 
 
-def check_becker(p: HerglotzSpec, grid, times, k: float, tol: float = TOL_CRITERION) -> CheckReport:
+def check_becker(p: HerglotzSpec, grid, times, k: float) -> CheckReport:
     """max |p - 1| / |p + 1| over samples; the radial extension criterion."""
-    return _ratio_check(lambda z, t: pair_parts(p.evaluate(z, t), 1.0), grid, times, k, tol,
+    return _ratio_check(lambda z, t: pair_parts(p.evaluate(z, t), 1.0), grid, times, k,
                         f"|p-1| <= {k}|p+1|")
 
 
-def check_pair(p: HerglotzSpec, q: HerglotzSpec, grid, times, k: float,
-               tol: float = TOL_CRITERION) -> CheckReport:
+def check_pair(p: HerglotzSpec, q: HerglotzSpec, grid, times, k: float) -> CheckReport:
     """max |p - conj(q)| / |p + q| over samples; the two-chain criterion."""
     return _ratio_check(lambda z, t: pair_parts(p.evaluate(z, t), q.evaluate(z, t)),
-                        grid, times, k, tol, f"|p-conj(q)| <= {k}|p+q|")
+                        grid, times, k, f"|p-conj(q)| <= {k}|p+q|")
 
 
 def sector_bound(opening: float) -> float:

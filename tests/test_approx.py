@@ -183,6 +183,23 @@ def test_convergence_table_excludes_chain_integration_noise():
     assert all("noise floor" in w for w in tab.warnings[:2])
 
 
+def test_convergence_table_evaluates_only_the_compared_grid(monkeypatch):
+    # every chain evaluation of the study gets the seed grid at each
+    # checkpoint and nothing else: no trace ring, no origin frame point
+    sizes = []
+
+    def spy(field, t, points, *args):
+        sizes.append(np.size(points))
+        return real(field, t, points, *args)
+
+    real = approx.limit_frame
+    monkeypatch.setattr(approx, "limit_frame", spy)
+    grid = circle_grid((0.3, 0.6), 8)
+    cps = [0.5, 1.0, 2.0]
+    convergence_table(ONE, TAU_MEASURABLE, [4, 8], grid, cps)
+    assert sizes == [len(grid) * len(cps)] * 3
+
+
 def test_convergence_table_measurable_table():
     # the config-built table takes the exact tail: its levels stay above the
     # floor and strictly decreasing

@@ -3,12 +3,15 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loewnerqc.config import parse_config, validate_config, ConfigError
+from loewnerqc.config import (parse_config, validate_config, ConfigError, CriteriaConfig,
+                              GridConfig, OutputConfig, ScenarioConfig, TimeConfig)
 from loewnerqc.herglotz import HerglotzSpec
 from loewnerqc.scenarios import builtin_scenario, scenario_names, builtin_document
 from loewnerqc import artifacts, chains, cli, evolution
@@ -190,10 +193,38 @@ def test_misspelt_keys_are_errors():
      "p.profile.values"),
     ({"tau": {"kind": "step", "breakpoints": [1.0], "values": [0.1, 0.2], "value": 0.3}},
      "tau.value"),
+    # settings that are fixed: the criteria and Herglotz margins, the deviation
+    # trial's seed, the approximants' horizon and whether artifacts are written
+    ({"criteria": {"tol_criterion": 1e-6}}, "criteria.tol_criterion"),
+    ({"criteria": {"tol_herglotz": 1e-6}}, "criteria.tol_herglotz"),
+    ({"criteria": {"tol_holo": 1e-6}}, "criteria.tol_holo"),
+    ({"criteria": {"tol_beta": 1e-6}}, "criteria.tol_beta"),
+    ({"rng_seed": 20240601}, "rng_seed"),
+    ({"approx_horizon": 4.0}, "approx_horizon"),
+    ({"outputs": {"svg": True}}, "outputs.svg"),
+    ({"outputs": {"csv": True}}, "outputs.csv"),
 ])
 def test_unknown_keys_are_reported_with_their_path(doc, path):
     _, errors = validate_config(doc)
     assert errors == [f"{path} is not a recognised key"]
+
+
+def test_every_setting_is_named_in_the_readme():
+    # a key the config accepts is named in a code span, alone or under its
+    # section, or as a key of the README's example scenario file
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sections = {"": ScenarioConfig, "time": TimeConfig, "grid": GridConfig,
+                "criteria": CriteriaConfig, "outputs": OutputConfig}
+    unnamed = []
+    for section, cls in sections.items():
+        keys = {f.name for f in fields(cls)}
+        if not section:     # the top level holds the name under "scenario"
+            keys = keys - {"name"} | {"scenario"}
+        for key in sorted(keys):
+            path = f"{section}.{key}" if section else key
+            if not any(s in readme for s in (f"`{key}`", f"`{path}`", f'"{key}":')):
+                unnamed.append(path)
+    assert not unnamed, "settings the README does not name: " + ", ".join(unnamed)
 
 
 def test_run_pipeline_check_writes_summary(tmp_path):
