@@ -49,8 +49,9 @@ accelerated by polynomial (Neville) and rational (Bulirsch-Stoer)
 extrapolation in the node x = 1/(u - T).  Raw and accelerated deltas are
 both reported, never asserted exact.
 
-Decreasing chains g_t = omega_{0,t} come from direct reverse integration
-and need no limit.
+Decreasing chains g_t = omega_{0,t} come from direct reverse integration,
+or from one forward solve when the field is autonomous from 0, and need
+no limit.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def _gauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# levels of panel bisection per integral
+# levels of panel bisection per integral, and a panel's rounding error per unit scale
 _PANEL_SPLITS = 40
+_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
 # from t_aut on the field is autonomous and its chain moves by the model map
@@ -134,11 +136,16 @@ def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
                       relative: bool = False, block: int = 256):
     """Integrals of integrand(w) dw over the segments start -> z, and their error estimates.
 
-    |Q48 - Q24| of the 48- and 24-node Gauss-Legendre rules is a panel's
-    estimate; a panel is bisected while it exceeds tol_q times its share of
-    the segment, or with ``relative`` the larger of that share and |Q48|.
-    The points go through in blocks; a point's panels, and their summation
-    order, depend on that point alone, so no result depends on the block size.
+    A panel is bisected while |Q48 - Q24| of the 48- and 24-node
+    Gauss-Legendre rules exceeds tol_q times its scale: its share of the
+    segment, or with ``relative`` the larger of that share and |Q48|.
+    |Q48 - Q24| is the error of Q24, not of the Q48 the panel returns.  A
+    Gauss rule on an analytic integrand converges geometrically in its
+    nodes, so doubling them squares the error relative to the scale: the
+    panel reports min(1, |Q48 - Q24| / scale) |Q48 - Q24| plus a rounding
+    floor of 50 eps scale (QUADPACK's 50 eps).  The points go through in
+    blocks; a point's panels, and their summation order, depend on that
+    point alone, so no result depends on the block size.
     """
     total, err = np.zeros(z.size, dtype=complex), np.zeros(z.size)
 
@@ -158,10 +165,11 @@ def _panel_quadrature(integrand, start: complex, z: np.ndarray, tol_q: float,
             seg = z[idx] - start
             q48 = quad(48, seg, lo, hi)
             est = np.abs(q48 - quad(24, seg, lo, hi))
-            share = np.maximum(hi - lo, np.abs(q48)) if relative else hi - lo
-            done = ~(est > tol_q * share) | (level == _PANEL_SPLITS)
+            scale = np.maximum(hi - lo, np.abs(q48)) if relative else hi - lo
+            done = ~(est > tol_q * scale) | (level == _PANEL_SPLITS)
+            est48 = np.minimum(est, est * est / scale) + _ROUNDING_FLOOR * scale
             np.add.at(total, idx[done], q48[done])
-            np.add.at(err, idx[done], est[done])
+            np.add.at(err, idx[done], est48[done])
             if done.all():
                 break
             idx, lo, hi = idx[~done], lo[~done], hi[~done]
@@ -545,19 +553,19 @@ def _frame_points(grid: SeedGrid, n_theta: int, delta_trace: float) -> np.ndarra
 
 
 def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, acc,
-            settings) -> ChainFrames:
+            settings, solve_warnings=()) -> ChainFrames:
     """ChainFrames from (checkpoint x frame point) arrays in _frame_points order.
 
     ok marks valid (finite, untruncated) data and conv per-point limit
     convergence, or is None for a chain built without a limit.  settings
     is (vector_field, tol, t_inf, tol_limit) of the build.  A row
     counts as converged when every valid grid point converged and at least
-    one grid point is valid; unconverged rows and masked trace nodes are
-    reported as warnings.
+    one grid point is valid.  The warnings are the solves' own, each once,
+    then per row an unconverged row and its masked trace nodes.
     """
     n_grid = len(grid)
     g, r = slice(0, n_grid), slice(n_grid, n_grid + n_theta)
-    warnings: list[str] = []
+    warnings = list(dict.fromkeys(solve_warnings))
     if conv is None:
         tvalid = ok[:, r]
         converged = np.ones(cps.size, bool)
@@ -565,13 +573,13 @@ def _frames(tag, cps, grid, n_theta, delta_trace, vals, ders, ok, conv, acc,
         # trace nodes also need per-point convergence: atlases consume them blindly
         tvalid = ok[:, r] & conv[:, r]
         converged = (conv[:, g] | ~ok[:, g]).all(axis=1) & ok[:, g].any(axis=1)
-        for i, t in enumerate(cps):
-            if not converged[i]:
-                warnings.append(f"chain limit unconverged on the grid at t = {t} "
-                                f"(delta {acc[i]:.3g})")
-            n_masked = int(np.count_nonzero(~tvalid[i]))
-            if n_masked:
-                warnings.append(f"{n_masked} trace node(s) masked at t = {t}")
+    for i, t in enumerate(cps):
+        if not converged[i]:
+            warnings.append(f"chain limit unconverged on the grid at t = {t} "
+                            f"(delta {acc[i]:.3g})")
+        n_masked = int(np.count_nonzero(~tvalid[i]))
+        if n_masked:
+            warnings.append(f"{n_masked} trace node(s) masked at t = {t}")
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return ChainFrames(tag, cps, grid, vals[:, g], ders[:, g], ok[:, g],
                        theta, 1.0 - delta_trace, vals[:, r], ders[:, r], tvalid,
@@ -609,21 +617,34 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,
                      n_theta: int = DEFAULT_N_THETA, delta_trace: float = DEFAULT_DELTA_TRACE,
                      tol: float = DEFAULT_TOL) -> ChainFrames:
-    """Decreasing chain g_t = omega_{0,t} by reverse integration per checkpoint.
+    """Decreasing chain g_t = omega_{0,t} at every checkpoint.
+
+    omega_{0,t} integrates the fields G(., s), s in [0, t], in reverse
+    order.  A field autonomous from 0 (T_aut = 0) has one G, whose flow
+    commutes with itself, so omega_{0,t} = phi_{0,t}: one forward solve
+    records every row.  Any other field takes one reverse solve per
+    checkpoint.  A point is valid in a row where its value and derivative
+    are finite: a seed the forward solve truncates at s keeps its rows
+    before s, as the reverse solves keep them.
 
     The frames sample the same points as ``range_normalized_chain``: the
     seed grid, one trace ring at |z| = 1 - delta_trace and the origin.
+    They carry the solves' warnings and each row's masked trace nodes.
     """
     cps = np.unique(np.asarray(checkpoints, dtype=float))
     pts = _frame_points(grid, n_theta, delta_trace)
-    rows = []
-    for t in cps:
-        traj = solve_reverse(field, float(t), pts, tol=tol)
-        vals = traj.at(0.0)
-        rows.append((vals, traj.deriv_at(0.0), traj.live() & np.isfinite(vals)))
-    vals, ders, ok = (np.stack(col) for col in zip(*rows))
+    if field.t_aut == 0.0:
+        traj = solve_forward(field, 0.0, float(cps[-1]), pts, tol=tol, checkpoints=cps)
+        rows = [traj.row(t) for t in cps]
+        vals, ders, warnings = traj.values[rows], traj.derivs[rows], traj.warnings
+    else:
+        trajs = [solve_reverse(field, float(t), pts, tol=tol) for t in cps]
+        vals = np.stack([tr.at(0.0) for tr in trajs])
+        ders = np.stack([tr.deriv_at(0.0) for tr in trajs])
+        warnings = [w for tr in trajs for w in tr.warnings]
+    ok = np.isfinite(vals) & np.isfinite(ders)
     return _frames("decreasing", cps, grid, n_theta, delta_trace, vals, ders, ok, None,
-                   np.zeros(cps.size), (field, tol, None, None))
+                   np.zeros(cps.size), (field, tol, None, None), warnings)
 
 
 # ---------------------------------------------------------------------------

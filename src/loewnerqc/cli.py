@@ -178,7 +178,7 @@ def _cmd_extend(cfg, out, summary):
         "containment_violations": cont.violations,
         "lambda_diameter": cont.lambda_diameter,
     })
-    summary["warnings"].extend(atlas.warnings + f_frames.warnings)
+    summary["warnings"].extend(atlas.warnings + f_frames.warnings + g_frames.warnings)
     return rep.passed
 
 

@@ -115,6 +115,31 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     return FormulaSamples(mu, mu_pair, valid, prefactor_valid)
 
 
+def _surely_conditioned(M: np.ndarray) -> np.ndarray:
+    """Where the Hermitian stack M certainly passes eigvalsh's conditioning test.
+
+    That is where M - 2e-10 tr(M) I has a Cholesky factor, all its pivots
+    positive; like eigvalsh (UPLO='L') the factorization reads the lower
+    triangle and the real diagonal alone.  A factor puts every eigenvalue
+    of M above 2e-10 tr(M) >= 2e-10 lambda_max, up to the backward error
+    of the factorization, and eigvalsh's eigenvalues err by its own; for a
+    6x6 matrix each is of order 1e-14 ||M|| <= 1e-14 tr(M), four orders
+    below the margin the factor of 2 leaves over the test's 1e-10.
+    """
+    n = M.shape[-1]
+    d = np.arange(n)
+    A = M.transpose(1, 2, 0).copy()          # the stack along the last axis
+    diag = A[d, d].real
+    A[d, d] = diag - 2e-10 * diag.sum(axis=0)
+    ok = np.ones(M.shape[0], bool)
+    for j in range(n):                       # the upper triangle is updated, never read
+        pivot = A[j, j].real
+        ok &= pivot > 0.0
+        col = A[j + 1:, j] / np.sqrt(np.where(ok, pivot, 1.0))
+        A[j + 1:, j + 1:] -= col[:, None] * np.conj(col)
+    return ok
+
+
 def _fit_mu(d: np.ndarray, values: np.ndarray, fit: np.ndarray):
     """mu = c2/c1 and fit diagnostics from stencil fits against offsets d.
 
@@ -123,7 +148,9 @@ def _fit_mu(d: np.ndarray, values: np.ndarray, fit: np.ndarray):
     matrix is the leading 3x3 block of the quadratic one and, by Cauchy
     interlacing, conditioned no worse, so one eigvalsh test of M (Hermitian
     positive semidefinite: its eigenvalues are its singular values) decides
-    both.  Only the cells in ``fit`` with a finite M are factored, and each
+    both.  A Cholesky screen clears the matrices that certainly pass it, and
+    eigvalsh sees only the rest, so the verdict is eigvalsh's bit for bit.
+    Only the cells in ``fit`` with a finite M are factored, and each
     model is solved once with one right-hand side per target chart.
     Returns (mu_quadratic, residual, ok), each with a last target axis:
     residual is the quadratic model's relative misfit and ok requires M well
@@ -139,8 +166,10 @@ def _fit_mu(d: np.ndarray, values: np.ndarray, fit: np.ndarray):
         M = np.einsum("iakl,jakl->klij", np.conj(A), A)
         b = np.einsum("iakl,aklc->klic", np.conj(A), values)
         cond = fit & np.isfinite(M).all(axis=(-2, -1))
-        ev = np.linalg.eigvalsh(M[cond])
-        cond[cond] = ev[:, 0] > 1e-10 * ev[:, -1]
+        unsure = cond.copy()
+        unsure[cond] = ~_surely_conditioned(M[cond])
+        ev = np.linalg.eigvalsh(M[unsure])
+        cond[unsure] = ev[:, 0] > 1e-10 * ev[:, -1]
         M_ok, b_ok = M[cond], b[cond]
 
         def solve(cols):

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from loewnerqc.grids import circle_grid
+from loewnerqc.grids import circle_grid, trace_ring
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
-from loewnerqc.evolution import solve_forward
+from loewnerqc.evolution import solve_forward, solve_reverse
 from loewnerqc import chains
 from loewnerqc.scenarios import builtin_scenario
 
@@ -300,6 +300,96 @@ def test_chain_frames_closed_form_exponential(build):
     assert fr.warnings == []
     if fr.tag == "decreasing":
         assert np.array_equal(fr.acc_delta, np.zeros(3))
+
+
+def _reverse_rows(field, cps, pts, tol=1e-9):
+    """(values, derivs) of the decreasing chain, one reverse solve per checkpoint."""
+    trajs = [solve_reverse(field, float(t), pts, tol=tol) for t in cps]
+    return (np.stack([tr.at(0.0) for tr in trajs]), np.stack([tr.deriv_at(0.0) for tr in trajs]))
+
+
+def _frame_columns(fr):
+    """(values, derivs, valid) of frames in frame-point order: grid | ring | origin."""
+    return (np.concatenate([fr.values, fr.traces, fr.origin_values[:, None]], axis=1),
+            np.concatenate([fr.derivs, fr.trace_derivs, fr.origin_derivs[:, None]], axis=1),
+            np.concatenate([fr.grid_valid, fr.trace_valid,
+                            np.isfinite(fr.origin_values)[:, None]], axis=1))
+
+
+def _count_solves(monkeypatch):
+    calls = {"forward": 0, "reverse": 0}
+
+    def counted(kind, solve):
+        def spy(*args, **kwargs):
+            calls[kind] += 1
+            return solve(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(chains, "solve_forward", counted("forward", solve_forward))
+    monkeypatch.setattr(chains, "solve_reverse", counted("reverse", solve_reverse))
+    return calls
+
+
+def _builtin_g_chain(name, monkeypatch, n_theta=64):
+    """(frames, reverse-solve rows, solve counts) of a builtin's g chain on 9 checkpoints."""
+    cfg = builtin_scenario(name)
+    fld = assemble_field(cfg.q_or_default(), cfg.tau)
+    cps, grid = cfg.time.checkpoint_array(9), cfg.grid.seed_grid()
+    ref = _reverse_rows(fld, cps, chains._frame_points(grid, n_theta, cfg.grid.delta_trace),
+                        cfg.time.tol)
+    calls = _count_solves(monkeypatch)
+    fr = chains.decreasing_chain(fld, cps, grid, n_theta=n_theta,
+                                 delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
+    return fr, ref, calls
+
+
+@pytest.mark.parametrize("name", ["becker", "chordal", "exponential"])
+def test_an_autonomous_g_chain_is_one_forward_solve(name, monkeypatch):
+    # T_aut = 0: omega_{0,t} = phi_{0,t}, every row from one forward solve
+    fr, (vals, ders), calls = _builtin_g_chain(name, monkeypatch)
+    assert calls == {"forward": 1, "reverse": 0}
+    got_v, got_d, ok = _frame_columns(fr)
+    assert ok.all() and np.isfinite(vals).all() and np.isfinite(ders).all()
+    assert (np.abs(got_v - vals) <= 1e-9 * np.maximum(1.0, np.abs(vals))).all()
+    assert (np.abs(got_d - ders) <= 1e-9 * np.maximum(1.0, np.abs(ders))).all()
+    assert fr.warnings == []
+
+
+@pytest.mark.parametrize("name", ["measurable-tau", "sector", "step-tau"])
+def test_a_time_dependent_g_chain_keeps_one_reverse_solve_per_checkpoint(name, monkeypatch):
+    fr, (vals, ders), calls = _builtin_g_chain(name, monkeypatch)
+    assert calls == {"forward": 0, "reverse": fr.checkpoints.size}
+    got_v, got_d, ok = _frame_columns(fr)
+    assert np.array_equal(got_v, vals) and np.array_equal(got_d, ders)
+    assert np.array_equal(ok, np.isfinite(vals))
+
+
+@pytest.mark.parametrize("field", [EXP, assemble_field(
+    HerglotzSpec.constant(1), DenjoyWolffSpec.step([0.5], [0.0, 0.3]))], ids=["autonomous", "step"])
+def test_a_g_chain_at_t_0_is_the_identity(field):
+    fr = chains.decreasing_chain(field, [0.0], GRID, n_theta=16)
+    vals, ders, ok = _frame_columns(fr)
+    assert np.array_equal(vals[0], chains._frame_points(GRID, 16, 1e-3))
+    assert np.array_equal(ders[0], np.ones(vals.shape[1])) and ok.all()
+
+
+# p = -1 is no Herglotz function: G = z pushes every point out, and the
+# solves truncate each seed at the boundary guard
+OUTWARD = assemble_field(HerglotzSpec(lambda z, t: (-1 + 0j, 0.0), t_aut=0.0),
+                         DenjoyWolffSpec.constant(0))
+
+
+def test_an_autonomous_g_chain_masks_what_the_reverse_solves_mask():
+    # rows 0.05 apart: the ring leaves at t ~ 1e-3, the 0.8 circle at t ~ 0.22,
+    # so the forward solve keeps the rows of a seed before its truncation
+    cps = np.linspace(0.0, 0.4, 9)
+    fr = chains.decreasing_chain(OUTWARD, cps, GRID, n_theta=64)
+    vals, _ = _reverse_rows(OUTWARD, cps, chains._frame_points(GRID, 64, 1e-3))
+    _, _, ok = _frame_columns(fr)
+    assert np.array_equal(ok, np.isfinite(vals))
+    assert fr.grid_valid[0].all() and fr.grid_valid[4].all() and not fr.grid_valid[5].all()
+    assert fr.trace_valid[0].all() and not fr.trace_valid[1:].any()
+    assert fr.warnings == [f"64 trace node(s) masked at t = {t}" for t in fr.checkpoints[1:]]
 
 
 def test_decreasing_chain_chordal_lambda_collapses():
@@ -817,3 +907,22 @@ def test_panel_quadrature_is_independent_of_the_block_size(relative):
         assert np.array_equal(many, one) and np.array_equal(err, err1)
     exact = pts / (1.0 - pts) if relative else -2.0 * np.log1p(pts)
     assert (np.abs(one - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact))).all()
+
+
+@pytest.mark.parametrize("name", ["chordal", "becker"])
+def test_quadrature_error_estimate_covers_the_observed_error(name):
+    # the ring's error estimate is at least the error against the closed
+    # form at every point, and for chordal (f_t = z/(1 - z) - t, |f| ~ 1e3
+    # near z = 1) within 100 times its largest
+    cfg = builtin_scenario(name)
+    fld = assemble_field(cfg.p, cfg.tau)
+    cps = cfg.time.checkpoint_array(9)
+    ring = trace_ring(256, cfg.grid.delta_trace)
+    t, z = np.repeat(cps, ring.size), np.tile(ring, cps.size)
+    res = chains.limit_frame(fld, t, z, cfg.time.tol, cfg.criteria.t_inf, cfg.criteria.tol_limit)
+    exact = chordal_chain(z, t) if name == "chordal" else np.exp(t) * z / (1 + 0.5 * z) ** 2
+    err = np.abs(res.values - exact)
+    assert res.valid.all()
+    assert (res.point_delta >= err).all()
+    if name == "chordal":
+        assert res.acc_delta <= 100.0 * err.max()

@@ -485,6 +485,18 @@ def test_both_extensions_reach_one_dilatation_verdict(tmp_path, monkeypatch):
     assert seen == ["BeckerExtension", "ExtensionAtlas"]
 
 
+def test_extend_reports_the_g_chains_warnings(tmp_path, monkeypatch):
+    def flagged(*args, **kwargs):
+        frames = chains.decreasing_chain(*args, **kwargs)
+        frames.warnings.append("3 trace node(s) masked at t = 0.5")
+        return frames
+
+    monkeypatch.setattr(cli, "decreasing_chain", flagged)
+    code, summary = run_pipeline(builtin_scenario("exponential"), "extend", tmp_path)
+    assert code == 0
+    assert summary["warnings"][-1] == "3 trace node(s) masked at t = 0.5"
+
+
 def test_becker_builds_no_decreasing_chain(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the radial extension needs no g-chain")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loewnerqc import cli
+from loewnerqc import cli, extension
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
@@ -341,6 +341,74 @@ def test_one_gram_fit_matches_per_target_svd_fits(seed, kind, monkeypatch):
         r = np.concatenate(ratios)
         assert np.count_nonzero((r > 1e-12) & (r < 1e-10)) > 100
         assert np.count_nonzero((r >= 1e-10) & (r < 1e-8)) > 100
+
+
+def _count_eigvalsh(monkeypatch):
+    """A running count of the matrices np.linalg.eigvalsh is given."""
+    seen = [0]
+    real = np.linalg.eigvalsh
+
+    def counted(M):
+        seen[0] += len(M)
+        return real(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return seen
+
+
+def _screen_off(monkeypatch):
+    """Send every Gram matrix to eigvalsh, as the fit did before its Cholesky screen."""
+    monkeypatch.setattr(extension, "_surely_conditioned", lambda M: np.zeros(len(M), bool))
+
+
+def test_the_cholesky_screen_clears_only_what_eigvalsh_passes():
+    # Hermitian PSD 6x6 stacks whose conditioning ratio spans 1e-12 .. 1e-8
+    rng = np.random.default_rng(11)
+    n = 4000
+    q, _ = np.linalg.qr(rng.standard_normal((n, 6, 6)) + 1j * rng.standard_normal((n, 6, 6)))
+    ratio = 10 ** rng.uniform(-12, -8, n)
+    powers = np.sort(rng.uniform(0, 1, (n, 6)), axis=1)
+    powers[:, 0], powers[:, -1] = 0.0, 1.0
+    lam = ratio[:, None] ** powers[:, ::-1] * 10 ** rng.uniform(-6, 6, n)[:, None]
+    M = np.einsum("nij,nj,nkj->nik", q, lam, np.conj(q))
+    ev = np.linalg.eigvalsh(M)
+    passes = ev[:, 0] > 1e-10 * ev[:, -1]
+    cleared = extension._surely_conditioned(M)
+    assert passes.any() and not passes.all()
+    assert not (cleared & ~passes).any()
+    assert cleared[ratio > 2e-9].all()
+
+
+def test_the_screened_fit_is_eigvalsh_bit_for_bit(monkeypatch):
+    # near-conic stencils put the Gram ratio on both sides of 1e-10
+    rng = np.random.default_rng(0)
+    atlases = [_random_atlas(rng, "near-conic") for _ in range(12)]
+    seen = _count_eigvalsh(monkeypatch)
+    got = [beltrami_fd(*a) for a in atlases]
+    screened = seen[0]
+    _screen_off(monkeypatch)
+    for a, (mu, ok) in zip(atlases, got):
+        mu_ref, ok_ref = beltrami_fd(*a)
+        assert np.array_equal(ok, ok_ref) and np.array_equal(mu, mu_ref, equal_nan=True)
+    assert 0 < screened < seen[0] - screened
+
+
+@pytest.mark.parametrize("name", ["becker", "chordal"])
+def test_the_screened_fit_is_eigvalsh_bit_for_bit_on_the_builtin_atlases(name, monkeypatch):
+    cfg = builtin_scenario(name)
+    ff = cli._build_frames(cfg, n_default=65)
+    gf = chains.decreasing_chain(assemble_field(cfg.q_or_default(), cfg.tau), ff.checkpoints,
+                                 cfg.grid.seed_grid(), n_theta=cfg.grid.theta_nodes,
+                                 delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
+    seen = _count_eigvalsh(monkeypatch)
+    atlas = build_extension(ff, gf)
+    fallback = seen[0]
+    _screen_off(monkeypatch)
+    mu, ok = beltrami_fd(atlas.source, atlas.target, atlas.valid)
+    assert np.array_equal(ok, atlas.fd_valid) and ok.any()
+    assert np.array_equal(mu, atlas.mu_fd, equal_nan=True)
+    # becker's Gram matrices all clear the screen; chordal sends a few hundred on
+    assert (fallback == 0) if name == "becker" else (0 < fallback < 0.05 * seen[0])
 
 
 @pytest.mark.parametrize("chart", ["target", "source"])
