@@ -23,6 +23,17 @@ or a group of automorphisms does not qualify) has the Abel function u = h
 quadrature integrates both, and A and B follow from f_0(0) = 0 and
 f_0'(0) = 1 through the origin's image phi_{0,T_aut}(0).
 
+The push phi_{t,T_aut} of the points before T_aut depends on p alone.  A
+p free of z (``VectorFieldHandle.quadratic``: the constant, sector and
+time-table specs) makes G(., t) = conj(tau) p z^2 - (1 + |tau|^2) p z + tau p
+quadratic, so every phi_{s,t} is a Mobius map, the flow of M' = A(t) M
+with A = [[b/2, a], [-c, -b/2]] for G = a + b z + c z^2.  One solve of
+three anchor seeds from 0 then fixes Phi_t = phi_{0,t} at every start and
+at T_aut, and phi_{s,T_aut} = Phi_{T_aut} Phi_s^{-1}: no frame point is
+integrated, and an image at or past the boundary guard is masked at
+T_aut.  Any other p pushes every point, and the origin, in one staggered
+solve.
+
 The scaling limit, the fallback for a callable with no declared T_aut,
 for Re lambda = 0 (rotations) and for a boundary tau whose range is not
 certified as the plane: the Mobius normalization
@@ -62,7 +73,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row
+from .grids import (SeedGrid, trace_ring, winding_number, nonuniform_centered, time_row,
+                    past_guard)
 from .herglotz import VectorFieldHandle, field_value, time_samples
 from .evolution import DEFAULT_TOL, solve_forward, solve_reverse
 
@@ -324,7 +336,8 @@ class ChainLimitResult:
     successive-estimate (or extrapolation) error estimate; ``point_converged``
     compares it against tol_limit scaled by the local value.  ``converged``
     aggregates over all valid points and ``horizon_used`` reports where the
-    iteration stopped.
+    iteration stopped.  ``warnings`` are those of the solves behind it, each
+    once.
     """
 
     t: float
@@ -337,6 +350,7 @@ class ChainLimitResult:
     acc_delta: float
     horizon_used: float
     accelerated: bool
+    warnings: list[str]
 
 
 def limit_frame(field: VectorFieldHandle, t, points, tol: float = DEFAULT_TOL,
@@ -377,35 +391,99 @@ def _tail_frame(field, tail, ts, t_last, pts, tol, tol_limit) -> ChainLimitResul
 
     f_t = c (e u - u_n - shift), (e, shift) the model map's over t - min(t, T_aut) and
     u_n the origin seed's u; c = 1 / (u_n' phi'_{0,T_aut}(0)) puts f_0 in S.  Points
-    past T_aut do not move, so the distinct ones are linearized once.
+    past T_aut do not move, so the distinct ones are linearized once, and the model
+    map is formed once per distinct time.
+
+    The push to T_aut takes one of two paths, by the field alone.  A quadratic
+    field (p free of z) takes the Mobius push: phi_{s,T} = Phi_T Phi_s^{-1} from
+    ``_mobius_push``, so no point is integrated, and an image at or past the
+    boundary guard is masked at T_aut.  Any other field pushes every point, and
+    the origin seed, in one staggered solve.  Either way a non-finite point stays
+    masked and a point starting at T_aut passes through exactly.
     """
     n = pts.size
     starts = np.append(np.minimum(ts, tail.t_aut), 0.0)
     vals = np.append(pts, 0j)
     ders = np.ones_like(vals)
+    warnings = []
     if starts.min() < tail.t_aut:
         ok = np.isfinite(vals)
-        o = solve_forward(field, starts, tail.t_aut, np.where(ok, vals, 0.0), tol=tol,
-                          atol=_ATOL_FLOOR)
-        vals = np.where(ok & o.live(), o.at(tail.t_aut), np.nan)
-        ders = o.deriv_at(tail.t_aut)
+        if field.quadratic:
+            if np.any(past_guard(vals)):
+                raise ValueError("seed modulus reaches the boundary guard")
+            moved = ok & (starts < tail.t_aut)
+            vals[moved], ders[moved] = _mobius_push(field, starts[moved], tail.t_aut,
+                                                    vals[moved], tol)
+            vals[~ok | past_guard(vals)] = np.nan
+        else:
+            o = solve_forward(field, starts, tail.t_aut, np.where(ok, vals, 0.0), tol=tol,
+                              atol=_ATOL_FLOOR)
+            vals = np.where(ok & o.live(), o.at(tail.t_aut), np.nan)
+            ders, warnings = o.deriv_at(tail.t_aut), o.warnings
     alpha, dphi = vals[n], ders[n]
     if not (np.isfinite(alpha) and np.isfinite(dphi) and dphi != 0):
         raise NormalizationError(
             f"phi'_{{0,T}}(0) lost, vanished or non-finite at T = {tail.t_aut}")
     distinct, back = np.unique(vals, return_inverse=True)
-    u, du, u_err, du_rel = (x[back] for x in _linearize(field, tail, distinct, 1e-2 * tol_limit))
-    c = 1.0 / (du[n] * dphi)
-    d = ts - starts[:n]                      # the model map's time: w -> e w - shift
-    e, shift = np.exp(tail.lam * d), tail.drift * d
+    u, du, u_err, du_rel = _linearize(field, tail, distinct, 1e-2 * tol_limit)
+    un, dun, un_err, dun_rel = (x[back[n]] for x in (u, du, u_err, du_rel))
+    c = 1.0 / (dun * dphi)
+    # the model map w -> e w - shift over each distinct time t - min(t, T_aut)
+    times, at = np.unique(ts - starts[:n], return_inverse=True)
+    e, shift = np.exp(tail.lam * times), tail.drift * times
+    pt = back[:n]
     with np.errstate(invalid="ignore", over="ignore"):
-        values = c * (e * u[:n] - u[n] - shift)
-        derivs = c * e * du[:n] * ders[:n]
-        pdelta = abs(c) * (np.abs(e) * u_err[:n] + u_err[n]) + np.abs(values) * du_rel[n]
-    return _limit_result(t_last, values, derivs, pdelta, tol_limit, max(t_last, tail.t_aut))
+        values = c * (e[at] * u[pt] - un - shift[at])
+        derivs = c * e[at] * du[pt] * ders[:n]
+        pdelta = abs(c) * (np.abs(e)[at] * u_err[pt] + un_err) + np.abs(values) * dun_rel
+    return _limit_result(t_last, values, derivs, pdelta, tol_limit, max(t_last, tail.t_aut),
+                         warnings)
 
 
-def _limit_result(t, values, derivs, pdelta, tol_limit, horizon, accelerated=False,
+# the Mobius push: three anchor seeds fix phi_{0,t}; they integrate at a tenth of the tol
+_ANCHORS = 0.6 * np.exp(2j * np.pi * np.arange(3) / 3)
+_ANCHOR_TOL = 0.1
+
+
+def _cross_ratio(x1, x2, x3):
+    """Entries (a, b, c, d) of the map z -> (z - x1)(x2 - x3) / ((z - x3)(x2 - x1)),
+    which sends x1, x2, x3 to 0, 1, inf."""
+    return x2 - x3, -x1 * (x2 - x3), x2 - x1, -x3 * (x2 - x1)
+
+
+def _mobius_push(field, starts, t_aut, z, tol):
+    """(phi_{s,T}(z), phi'_{s,T}(z)) of a quadratic field, each point z from its
+    start s to T = t_aut.
+
+    The Riccati flow of G = a + b z + c z^2 is M' = A(t) M with
+    A = [[b/2, a], [-c, -b/2]], read through w = (M11 z + M12) / (M21 z + M22),
+    so three points fix Phi_t = phi_{0,t}.  One solve carries the ``_ANCHORS``
+    from 0 at ``_ANCHOR_TOL`` times tol and records them at every distinct
+    start and at T.  Each Phi_t is adj(S_w) S_z, with S_z and S_w the
+    cross-ratio maps of the anchors and of their images
+    (adj [[a, b], [c, d]] = [[d, -b], [-c, a]]; no LAPACK), scaled to det 1.
+    Then phi_{s,T} = Phi_T adj(Phi_s) = [[a, b], [c, d]] and
+    phi' = 1 / (c z + d)^2.  A lost anchor, or a non-finite or singular
+    matrix, raises NormalizationError.
+    """
+    times, at = np.unique(np.append(starts, t_aut), return_inverse=True)
+    traj = solve_forward(field, 0.0, t_aut, _ANCHORS, tol=_ANCHOR_TOL * tol,
+                         checkpoints=times, atol=_ATOL_FLOOR)
+    a, b, c, d = _cross_ratio(*np.stack([traj.at(t) for t in times], axis=1))
+    e, f, g, h = _cross_ratio(*_ANCHORS)
+    m = np.array([[d * e - b * g, d * f - b * h], [a * g - c * e, a * h - c * f]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        m = m / np.sqrt(det)
+    if traj.truncated.any() or not (np.isfinite(m).all() and np.all(det != 0)):
+        raise NormalizationError(f"Mobius anchors lost, or their map singular, on [0, {t_aut}]")
+    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    (a, b), (c, d) = np.einsum("ij,jkn->ikn", m[:, :, -1], adj)[:, :, at[:-1]]
+    den = c * z + d
+    return (a * z + b) / den, 1.0 / den ** 2
+
+
+def _limit_result(t, values, derivs, pdelta, tol_limit, horizon, warnings, accelerated=False,
                   ok=True) -> ChainLimitResult:
     """The result of either evaluator: points not ok or not finite are masked to
     NaN, and each point is judged against tol_limit max(1, |f|)."""
@@ -415,7 +493,7 @@ def _limit_result(t, values, derivs, pdelta, tol_limit, horizon, accelerated=Fal
     converged = bool(valid.any() and point_conv[valid].all())
     acc_delta = float(pdelta[valid].max()) if valid.any() else np.nan
     return ChainLimitResult(t, values, derivs, valid, pdelta, point_conv, converged,
-                            acc_delta, horizon, accelerated)
+                            acc_delta, horizon, accelerated, list(dict.fromkeys(warnings)))
 
 
 def _scaling_limit(field, ts, t_last, pts, tol, t_inf, tol_limit) -> ChainLimitResult:
@@ -435,12 +513,14 @@ def _scaling_limit(field, ts, t_last, pts, tol, t_inf, tol_limit) -> ChainLimitR
     used = float(horizons[-1])
     stopped_raw = False
     certified = None                         # (values, deltas, derivs) of the extrapolants
+    warnings = []
     for u in horizons:
         u = float(u)
         if live.any():
             leg = solve_forward(field, starts[carried], u, vals[carried], tol=tol,
                                 atol=_ATOL_FLOOR)
             lv, ld = leg.at(u), leg.deriv_at(u)
+            warnings += leg.warnings
             ok = leg.live() & np.isfinite(lv) & np.isfinite(ld)
             upd = np.flatnonzero(carried)
             vals[upd[ok]] = lv[ok]
@@ -496,7 +576,7 @@ def _scaling_limit(field, ts, t_last, pts, tol, t_inf, tol_limit) -> ChainLimitR
         derivs, _ = _best_extrapolant(np.stack(dits), xs[:len(its)])
     else:
         values, pdelta, derivs = certified
-    return _limit_result(t_last, values, derivs, pdelta, tol_limit, used, accelerated,
+    return _limit_result(t_last, values, derivs, pdelta, tol_limit, used, warnings, accelerated,
                          ok=live & np.isfinite(its[-1]))
 
 
@@ -611,7 +691,7 @@ def range_normalized_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid
         res.values, res.derivs, res.valid, res.point_delta, res.point_converged))
     acc = np.array([float(d[v].max()) if v.any() else np.nan for d, v in zip(delta, ok)])
     return _frames("range-normalized", cps, grid, n_theta, delta_trace,
-                   vals, ders, ok, conv, acc, (field, tol, t_inf, tol_limit))
+                   vals, ders, ok, conv, acc, (field, tol, t_inf, tol_limit), res.warnings)
 
 
 def decreasing_chain(field: VectorFieldHandle, checkpoints, grid: SeedGrid,

@@ -128,12 +128,15 @@ class HerglotzSpec:
     centered difference of step ``DZ_STEP``.  ``evaluate(z, t)`` is the
     value alone shaped like z, from ``value`` where it is cheaper than
     ``pair``; ``t_aut`` and ``nodes`` are described in the module docstring.
+    ``z_free`` declares that p does not depend on z; the ``constant``,
+    ``sector`` and ``from_time_table`` constructors set it.
     """
 
     pair: Callable[[np.ndarray, float | np.ndarray], tuple[np.ndarray, np.ndarray]]
     t_aut: float | None = None
     nodes: tuple[float, ...] = ()
     value: Callable[[np.ndarray, float | np.ndarray], np.ndarray] | None = None
+    z_free: bool = False
 
     def evaluate(self, z, t) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -145,7 +148,7 @@ class HerglotzSpec:
         c = complex(c)
         if c.real < 0:
             raise SpecError(f"constant Herglotz value {c} has Re < 0")
-        return cls(lambda z, t: (c, 0.0), t_aut=0.0)
+        return cls(lambda z, t: (c, 0.0), t_aut=0.0, z_free=True)
 
     @classmethod
     def mobius_kernel(cls, driving: Callable[[float], complex], t_aut: float | None = None,
@@ -186,7 +189,7 @@ class HerglotzSpec:
                 raise SpecError(f"sector profile value {c[out][0]} leaves |arg| <= {half}")
             return c, 0.0
 
-        return cls(pair, t_aut=t_aut, nodes=tuple(nodes))
+        return cls(pair, t_aut=t_aut, nodes=tuple(nodes), z_free=True)
 
     @classmethod
     def rational(cls, numerator, denominator) -> "HerglotzSpec":
@@ -221,7 +224,7 @@ class HerglotzSpec:
     def from_time_table(cls, ts, values) -> "HerglotzSpec":
         """z-independent samples p(t), linearly interpolated between nodes."""
         f, t_aut, nodes = time_table(ts, values)
-        return cls(lambda z, t: (f(t), 0.0), t_aut=t_aut, nodes=nodes)
+        return cls(lambda z, t: (f(t), 0.0), t_aut=t_aut, nodes=nodes, z_free=True)
 
 
 @dataclass
@@ -367,6 +370,9 @@ class VectorFieldHandle:
     each of them, so the error control never works across a corner of the
     data.  ``t_aut`` is the autonomy time of
     the field: the later of p's and tau's, or None if either is unknown.
+    ``quadratic`` is true where p declares itself free of z: then
+    G(., t) = conj(tau) p z^2 - (1 + |tau|^2) p z + tau p is a quadratic
+    polynomial and every phi_{s,t} is a Mobius map.
     ``memo`` keeps what callers derive once per field.
     """
 
@@ -380,6 +386,10 @@ class VectorFieldHandle:
         if self.p.t_aut is None or self.tau.t_aut is None:
             return None
         return max(self.p.t_aut, self.tau.t_aut)
+
+    @property
+    def quadratic(self) -> bool:
+        return self.p.z_free
 
     def pair(self, z: np.ndarray, t):
         """(G, dG/dz) at a float time t or at times broadcasting to z's shape."""

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from loewnerqc.grids import circle_grid, trace_ring
+from loewnerqc.grids import circle_grid, past_guard, trace_ring
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc.evolution import solve_forward, solve_reverse
 from loewnerqc import chains
+from loewnerqc.approx import step_approximate
 from loewnerqc.scenarios import builtin_scenario
 
 EXP = assemble_field(HerglotzSpec.constant(1), DenjoyWolffSpec.constant(0))
@@ -21,6 +22,10 @@ BECKER_SAMPLED = assemble_field(HerglotzSpec.sampled(BECKER.p.evaluate),
                                 DenjoyWolffSpec.constant(0))
 CHORDAL_SAMPLED = assemble_field(HerglotzSpec.sampled(lambda z, t: np.ones_like(z)),
                                  DenjoyWolffSpec.constant(1))
+# the Becker p, which depends on z, with the step-tau tau (T_aut = 1): its
+# exact tail pushes every point, where step-tau's own p = 1 takes the Mobius push
+PUSHED = assemble_field(HerglotzSpec.rational([1, 0.5], [1, -0.5]),
+                        builtin_scenario("step-tau").tau)
 
 
 def chordal_chain(z, t):
@@ -108,8 +113,9 @@ def test_frames_match_per_time_limit_frame(name, cps):
 
 
 def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
-    # T_aut = 1: one staggered batch carries the frame points from each row's
-    # min(t, 1) and the origin seed from 0 to 1, and rows past 1 take no step
+    # T_aut = 1 with a z-dependent p: one staggered batch carries the frame
+    # points from each row's min(t, 1) and the origin seed from 0 to 1, and
+    # rows past 1 take no step
     calls = []
 
     def spy(field, s, t_end, seeds, *args, **kwargs):
@@ -117,7 +123,7 @@ def test_step_tau_chain_integrates_legs_only_to_t_aut(monkeypatch):
         calls.append((s, t_end, np.atleast_1d(seeds).size, traj.steps_accepted))
         return traj
 
-    _, fld = _builtin_field("step-tau")
+    fld = PUSHED
     monkeypatch.setattr(chains, "solve_forward", spy)
     cps = np.linspace(0.0, 2.0, 9)
     fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=16)
@@ -640,8 +646,8 @@ def test_exact_tail_agrees_with_the_scaling_limit(name):
 
 
 def test_exact_tail_raises_when_the_origin_seed_is_lost(monkeypatch):
-    # step-tau at t = 0.5: the origin seed rides in the push to T_aut = 1
-    _, fld = _builtin_field("step-tau")
+    # at t = 0.5: the origin seed rides in the push to T_aut = 1
+    fld = PUSHED
 
     def lose_seed(*args, **kwargs):
         traj = solve_forward(*args, **kwargs)
@@ -654,9 +660,9 @@ def test_exact_tail_raises_when_the_origin_seed_is_lost(monkeypatch):
 
 
 def test_exact_tail_masks_a_point_lost_on_the_push(monkeypatch):
-    # step-tau at t = 0.5: the first point is truncated on its push to
-    # T_aut = 1; it comes back invalid and NaN, the others bit for bit as before
-    _, fld = _builtin_field("step-tau")
+    # at t = 0.5: the first point is truncated on its push to T_aut = 1; it
+    # comes back invalid and NaN, the others bit for bit as before
+    fld = PUSHED
     ref = chains.limit_frame(fld, 0.5, GRID.points[:5])
 
     def lose_point(field, s, t_end, seeds, *args, **kwargs):
@@ -701,8 +707,8 @@ def test_f0_is_normalized_exactly_from_the_leg_batch(name, grid, n_theta):
 
 
 def test_chain_raises_when_the_leg_batch_loses_the_origin_seed(monkeypatch):
-    # step-tau: the origin seed rides from 0 to T_aut = 1 as the last seed of the batch
-    _, fld = _builtin_field("step-tau")
+    # the origin seed rides from 0 to T_aut = 1 as the last seed of the batch
+    fld = PUSHED
 
     def lose_origin(*args, **kwargs):
         traj = solve_forward(*args, **kwargs)
@@ -722,7 +728,7 @@ def test_exact_tail_pushes_points_and_seed_in_one_batch(monkeypatch):
         calls.append((s, t_end, np.atleast_1d(seeds).size, traj.steps_accepted))
         return traj
 
-    _, fld = _builtin_field("step-tau")
+    fld = PUSHED
     monkeypatch.setattr(chains, "solve_forward", spy)
     res = chains.limit_frame(fld, 0.5, GRID.points[:5])
     assert res.converged and not res.accelerated and res.horizon_used == 1.0
@@ -737,6 +743,130 @@ def test_exact_tail_pushes_points_and_seed_in_one_batch(monkeypatch):
     (starts, t_end, size, steps), = calls
     assert np.array_equal(starts, [1.0] * 5 + [0.0]) and t_end == 1.0 and size == 6
     assert (steps[:5] == 0).all()
+
+
+# the Mobius push of a quadratic field (p free of z)
+
+def test_a_quadratic_tail_pushes_by_one_anchor_solve(monkeypatch):
+    # step-tau (p = 1, T_aut = 1): one solve carries the three anchors from 0
+    # and records them at every distinct start and at T_aut; no frame point
+    # is integrated, and the rows past T_aut reach the linearizer unmoved
+    calls, linearized = [], []
+
+    def spy(field, s, t_end, seeds, *args, **kwargs):
+        calls.append((s, t_end, np.atleast_1d(seeds).size, kwargs.get("checkpoints")))
+        return solve_forward(field, s, t_end, seeds, *args, **kwargs)
+
+    def lin_spy(field, tail, z, tol_q):
+        linearized.append(z)
+        return real_linearize(field, tail, z, tol_q)
+
+    real_linearize = chains._linearize
+    _, fld = _builtin_field("step-tau")
+    assert fld.quadratic and not PUSHED.quadratic
+    monkeypatch.setattr(chains, "solve_forward", spy)
+    monkeypatch.setattr(chains, "_linearize", lin_spy)
+    cps = np.linspace(0.0, 2.0, 9)
+    fr = chains.range_normalized_chain(fld, cps, GRID, n_theta=16)
+    assert fr.converged.all() and fr.grid_valid.all() and fr.trace_valid.all()
+    (s, t_end, size, rec), = calls
+    assert s == 0.0 and t_end == 1.0 and size == 3
+    assert np.array_equal(rec, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.isin(chains._frame_points(GRID, 16, 1e-3), linearized[0]).all()
+
+
+@pytest.mark.parametrize("fault", ["lost", "non-finite", "singular"])
+def test_the_mobius_push_raises_on_a_bad_anchor(monkeypatch, fault):
+    _, fld = _builtin_field("step-tau")
+
+    def spoil(*args, **kwargs):
+        traj = solve_forward(*args, **kwargs)
+        if fault == "lost":
+            traj.truncated[1] = True
+        elif fault == "non-finite":
+            traj.values[-1, 1] = np.nan
+        else:                                # two images coincide
+            traj.values[-1, 1] = traj.values[-1, 0]
+        return traj
+
+    monkeypatch.setattr(chains, "solve_forward", spoil)
+    with pytest.raises(chains.NormalizationError, match="anchors"):
+        chains.limit_frame(fld, 0.5, GRID.points[:5])
+
+
+def test_the_mobius_push_masks_a_nan_point():
+    _, fld = _builtin_field("step-tau")
+    pts = GRID.points[:5]
+    ref = chains.limit_frame(fld, 0.5, pts)
+    res = chains.limit_frame(fld, 0.5, np.append(np.nan, pts))
+    assert not res.valid[0] and np.isnan(res.values[0]) and np.isnan(res.derivs[0])
+    assert res.valid[1:].all() and res.converged
+    assert np.array_equal(res.values[1:], ref.values)
+    assert np.array_equal(res.derivs[1:], ref.derivs)
+
+
+def test_the_mobius_push_masks_an_image_past_the_guard():
+    # tau = 1 and p = 5i up to t = 1: in zeta = 1/(1 - z) the flow is the
+    # shift zeta - 5i t, which carries the point next to -1 to within 1e-7 of
+    # the circle by T_aut.  The Mobius push masks that image at T_aut; the
+    # per-point push truncates its trajectory at the guard.
+    p = HerglotzSpec.from_time_table([0.0, 1.0, 1.0 + 1e-7], [5j, 5j, 1.0])
+    mobius = assemble_field(p, DenjoyWolffSpec.constant(1))
+    per_point = assemble_field(dataclasses.replace(p, z_free=False), mobius.tau)
+    assert mobius.quadratic and not per_point.quadratic
+    pts = np.array([-(1 - 1e-5), 0.3, 0.5j])
+    image = 1.0 - 1.0 / (1.0 / (1.0 - pts) - 5j)
+    assert np.array_equal(past_guard(image), [True, False, False])
+    res, ref = (chains.limit_frame(f, 0.0, pts) for f in (mobius, per_point))
+    assert np.array_equal(res.valid, [False, True, True]) and np.array_equal(ref.valid, res.valid)
+    assert np.isnan(res.values[0]) and np.isnan(res.derivs[0])
+    assert np.abs(res.values[1:] - ref.values[1:]).max() < 1e-9
+
+
+def _mobius_data(name):
+    """(config, p, tau) of a builtin, or of the level-32 approximant of measurable-tau."""
+    if name == "level-32":
+        cfg = builtin_scenario("measurable-tau")
+        return cfg, cfg.p, step_approximate(cfg.tau, 32, 4.0)[0]
+    cfg = builtin_scenario(name)
+    return cfg, cfg.p, cfg.tau
+
+
+@pytest.mark.parametrize("name", ["measurable-tau", "step-tau", "sector", "level-32"])
+def test_the_mobius_push_is_as_accurate_as_the_per_point_push(name):
+    # chain frames at tol 1e-9 through either push, against a tol-1e-13
+    # per-point reference: the Mobius error is at most twice the per-point
+    # error (or tol / 100), and the two paths agree within 1e-9 relative
+    cfg, p, tau = _mobius_data(name)
+    mobius = assemble_field(p, tau)
+    per_point = assemble_field(dataclasses.replace(p, z_free=False), tau)
+    assert mobius.quadratic and not per_point.quadratic and mobius.t_aut > 1.0 - 1e-12
+    cps, grid = cfg.time.checkpoint_array(9), cfg.grid.seed_grid()
+    ref, pp, mob = (chains.range_normalized_chain(f, cps, grid, n_theta=256, tol=tol)
+                    for f, tol in ((per_point, 1e-13), (per_point, 1e-9), (mobius, 1e-9)))
+    for fr in (pp, mob):
+        assert fr.converged.all() and fr.grid_valid.all() and fr.trace_valid.all()
+
+    def rel(a, b):
+        return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+    for col in ("values", "derivs", "traces"):
+        m, q, r = (getattr(fr, col) for fr in (mob, pp, ref))
+        assert rel(m, r) <= max(2.0 * rel(q, r), 1e-11), col
+        assert rel(m, q) <= 1e-9, col
+
+
+@pytest.mark.parametrize("t_aut", [None, 0.5], ids=["scaling-limit", "exact-tail"])
+def test_f_frames_carry_the_warnings_of_the_solves_inside_the_limit(t_aut):
+    # p = 1 inside |z| < 0.95 and NaN outside: the 16 trace nodes are
+    # truncated at once, and the frames say why as well as where
+    p = HerglotzSpec.sampled(lambda z, t: np.where(np.abs(z) < 0.95, 1.0, np.nan) + 0j)
+    fld = assemble_field(dataclasses.replace(p, t_aut=t_aut), DenjoyWolffSpec.constant(0))
+    fr = chains.range_normalized_chain(fld, [0.0, 0.5], GRID, n_theta=16)
+    assert fr.grid_valid.all() and not fr.trace_valid.any()
+    assert "non-finite field at t = 0.0; 16 seed(s) truncated" in fr.warnings
+    assert "16 trace node(s) masked at t = 0.5" in fr.warnings
+    assert len(fr.warnings) == len(set(fr.warnings))
 
 
 
