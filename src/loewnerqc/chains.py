@@ -375,10 +375,13 @@ def limit_frame(field: VectorFieldHandle, t, points, tol: float = DEFAULT_TOL,
 
     Either way the origin seed counts for nothing in the result.  If it is
     lost, or phi'_{0,.}(0) vanishes or goes non-finite, where it is read,
-    NormalizationError is raised.
+    NormalizationError is raised.  A non-finite point is masked, never
+    integrated; a point at or past the boundary guard raises ValueError.
     """
     ts, pts = np.broadcast_arrays(np.asarray(t, dtype=float),
                                   np.atleast_1d(np.asarray(points, dtype=complex)))
+    if np.any(past_guard(pts)):
+        raise ValueError("seed modulus reaches the boundary guard")
     t_last = float(np.max(t))
     tail = _autonomous_tail(field, t_inf, tol)
     if tail is None:
@@ -409,8 +412,6 @@ def _tail_frame(field, tail, ts, t_last, pts, tol, tol_limit) -> ChainLimitResul
     if starts.min() < tail.t_aut:
         ok = np.isfinite(vals)
         if field.quadratic:
-            if np.any(past_guard(vals)):
-                raise ValueError("seed modulus reaches the boundary guard")
             moved = ok & (starts < tail.t_aut)
             vals[moved], ders[moved] = _mobius_push(field, starts[moved], tail.t_aut,
                                                     vals[moved], tol)
@@ -505,7 +506,7 @@ def _scaling_limit(field, ts, t_last, pts, tol, t_inf, tol_limit) -> ChainLimitR
     horizons = t_last + offsets
     vals = np.append(pts, 0j)
     ders = np.ones_like(vals)
-    carried = np.ones(n + 1, bool)
+    carried = np.append(np.isfinite(pts), True)
     live = carried[:n]                       # the points; the last entry is the seed
     its, dits = [], []
     last_delta = np.nan

@@ -175,6 +175,7 @@ def _cmd_extend(cfg, out, summary):
         "sense_preserving": rep.sense_preserving,
         "min_source_separation": atlas.min_separation,
         "coverage_fraction": atlas.coverage,
+        "fd_coverage_fraction": float(np.count_nonzero(atlas.fd_valid)) / atlas.fd_valid.size,
         "containment_violations": cont.violations,
         "lambda_diameter": cont.lambda_diameter,
     })

@@ -111,8 +111,8 @@ class TimeConfig:
         """Configured checkpoints, or a uniform default grid.
 
         Atlas-building commands ask for a dense default (65 cells): the
-        finite-difference dilatation estimator is first-order in the
-        stencil diameter, so coarse time rows poison it.
+        error of the finite-difference dilatation estimator grows with the
+        row spacing, so coarse time rows poison it.
         """
         if self.checkpoints:
             return np.asarray(self.checkpoints, dtype=float)

@@ -7,9 +7,9 @@ chain with the boundary trace of the chain at equal time,
 
 and is quasiconformal with dilatation controlled by the pair inequality.
 Two independent Beltrami estimators certify this numerically: the closed
-formula built from (p, q, tau), and Wirtinger derivatives recovered by
-least-squares fits of Phi on local atlas stencils.  The two never share
-ingredients, so their agreement is evidence rather than tautology.
+formula built from (p, q, tau), and the Wirtinger quotient read by the
+chain rule from finite differences of the sampled atlas.  The two never
+share ingredients, so their agreement is evidence rather than tautology.
 
 Becker's radial case (tau = 0) needs no second chain: the extension
 F(r e^{i theta}) = f_{log r}(e^{i theta}) has the closed Beltrami
@@ -115,127 +115,67 @@ def beltrami_formula(p: HerglotzSpec, q: HerglotzSpec, tau,
     return FormulaSamples(mu, mu_pair, valid, prefactor_valid)
 
 
-def _surely_conditioned(M: np.ndarray) -> np.ndarray:
-    """Where the Hermitian stack M certainly passes eigvalsh's conditioning test.
+def _chart_mu(s1, s2, t1, t2):
+    """b / a, where dT = a dS + b conj(dS) holds for both pairs (s1, t1) and (s2, t2)."""
+    return (s1 * t2 - t1 * s2) / (t1 * np.conj(s2) - np.conj(s1) * t2)
 
-    That is where M - 2e-10 tr(M) I has a Cholesky factor, all its pivots
-    positive; like eigvalsh (UPLO='L') the factorization reads the lower
-    triangle and the real diagonal alone.  A factor puts every eigenvalue
-    of M above 2e-10 tr(M) >= 2e-10 lambda_max, up to the backward error
-    of the factorization, and eigvalsh's eigenvalues err by its own; for a
-    6x6 matrix each is of order 1e-14 ||M|| <= 1e-14 tr(M), four orders
-    below the margin the factor of 2 leaves over the test's 1e-10.
+
+def _chart_fd(sp, tp):
+    """(mu, residual, ok) of the interior cells in one source and one target chart.
+
+    sp and tp hold the charts' samples, padded by two columns at either end
+    of the periodic theta axis.  mu solves dT = a dS + b conj(dS) along the
+    time rows and, to fourth order, around theta; residual is the relative
+    misfit of that linear model at the four diagonal neighbours.  ok asks
+    for no welding pinch (the source directions' |sin| above 1e-2) and for
+    mu within 0.02 of both the second-order theta and the diagonal estimate.
     """
-    n = M.shape[-1]
-    d = np.arange(n)
-    A = M.transpose(1, 2, 0).copy()          # the stack along the last axis
-    diag = A[d, d].real
-    A[d, d] = diag - 2e-10 * diag.sum(axis=0)
-    ok = np.ones(M.shape[0], bool)
-    for j in range(n):                       # the upper triangle is updated, never read
-        pivot = A[j, j].real
-        ok &= pivot > 0.0
-        col = A[j + 1:, j] / np.sqrt(np.where(ok, pivot, 1.0))
-        A[j + 1:, j + 1:] -= col[:, None] * np.conj(col)
-    return ok
+    nt, nw = sp.shape
 
+    def at(x, di, dj):          # x[i + di, j + dj] over the interior cells (i, j)
+        return x[1 + di:nt - 1 + di, 2 + dj:nw - 2 + dj]
 
-def _fit_mu(d: np.ndarray, values: np.ndarray, fit: np.ndarray):
-    """mu = c2/c1 and fit diagnostics from stencil fits against offsets d.
+    def diff(x, di, dj):        # the centred difference in direction (di, dj)
+        return at(x, di, dj) - at(x, -di, -dj)
 
-    values stacks the target charts along a last axis; they share one Gram
-    matrix M = A^H A, which depends on d alone.  The affine model's Gram
-    matrix is the leading 3x3 block of the quadratic one and, by Cauchy
-    interlacing, conditioned no worse, so one eigvalsh test of M (Hermitian
-    positive semidefinite: its eigenvalues are its singular values) decides
-    both.  A Cholesky screen clears the matrices that certainly pass it, and
-    eigvalsh sees only the rest, so the verdict is eigvalsh's bit for bit.
-    Only the cells in ``fit`` with a finite M are factored, and each
-    model is solved once with one right-hand side per target chart.
-    Returns (mu_quadratic, residual, ok), each with a last target axis:
-    residual is the quadratic model's relative misfit and ok requires M well
-    conditioned and both models agreeing about mu to 0.05: stencils that
-    reach past a pole, where no local expansion holds, reject themselves.
-    """
-    # conj(d) * d, not d * conj(d): NumPy evaluates the latter in place with
-    # its operands swapped once the array reaches 256 KiB, and complex
-    # products (fused multiply-add) round differently in the two orders
-    A = np.stack([np.ones_like(d), d, np.conj(d), d * d, np.conj(d) ** 2,
-                  np.conj(d) * d])
-    with np.errstate(all="ignore"):
-        M = np.einsum("iakl,jakl->klij", np.conj(A), A)
-        b = np.einsum("iakl,aklc->klic", np.conj(A), values)
-        cond = fit & np.isfinite(M).all(axis=(-2, -1))
-        unsure = cond.copy()
-        unsure[cond] = ~_surely_conditioned(M[cond])
-        ev = np.linalg.eigvalsh(M[unsure])
-        cond[unsure] = ev[:, 0] > 1e-10 * ev[:, -1]
-        M_ok, b_ok = M[cond], b[cond]
-
-        def solve(cols):
-            coef = np.full(b[..., :cols, :].shape, np.nan + 0j)
-            coef[cond] = np.linalg.solve(M_ok[:, :cols, :cols], b_ok[:, :cols])
-            c1, c2 = coef[..., 1, :], coef[..., 2, :]
-            ok_ = cond[..., None] & (np.abs(c1) > 1e-300) & np.isfinite(c1) & np.isfinite(c2)
-            return np.where(ok_, c2 / c1, np.nan + 0j), coef, ok_
-
-        mu_a, _, ok_a = solve(3)
-        mu_q, coef_q, ok_q = solve(6)
-        model = np.einsum("iakl,klic->aklc", A, coef_q)
-        res2 = (np.abs(values - model) ** 2).sum(axis=0)
-        spread2 = (np.abs(values - values.mean(axis=0)) ** 2).sum(axis=0)
-        residual = np.sqrt(res2 / np.maximum(spread2, 1e-300))
-    ok = ok_a & ok_q & (np.abs(mu_q - mu_a) < 0.05)
-    return mu_q, np.where(np.isfinite(residual), residual, np.inf), ok
-
-
-def _offsets(points: np.ndarray, centers: np.ndarray):
-    """Normalized stencil offsets and their isotropy.
-
-    Near-collinear source points make d and conj(d) linearly dependent
-    (a welding pinch collapses stencils onto a ray), measured by the
-    eigenvalue ratio of the 2x2 scatter.
-    """
-    ds = points - centers[None]
-    scale = np.maximum(np.abs(ds).max(axis=0), 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = ds / scale        # non-finite in the stencils of a non-finite point
-        a, b = d.real, d.imag
-        sxx = (a * a).sum(axis=0)
-        syy = (b * b).sum(axis=0)
-        sxy = (a * b).sum(axis=0)
-        half_tr = 0.5 * (sxx + syy)
-        disc = np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy ** 2, 0.0))
-        anisotropy = (half_tr - disc) / np.maximum(half_tr + disc, 1e-300)
-    finite = np.isfinite(d).all(axis=0)
-    return d, finite & (anisotropy > 1e-4)
-
-
-# interior time rows per stencil-fit block: the 9-point stencil stacks and
-# the two source charts' fits (one Gram matrix each, with the two target
-# charts as right-hand sides) are the transient memory of the fit: its heap
-# peak on a 256-node atlas is 4.7 MB at 4 rows and 18 MB at 16.  The fit's
-# results do not depend on the block size
-_FIT_ROWS = 4
+    s1, t1 = diff(sp, 1, 0), diff(tp, 1, 0)
+    s2, t2 = diff(sp, 0, 1), diff(tp, 0, 1)
+    mu2 = _chart_mu(s1, s2, t1, t2)
+    s2 = (8.0 * s2 - diff(sp, 0, 2)) / 6.0
+    t2 = (8.0 * t2 - diff(tp, 0, 2)) / 6.0
+    det = s1 * np.conj(s2) - np.conj(s1) * s2
+    a = (t1 * np.conj(s2) - np.conj(s1) * t2) / det
+    b = (s1 * t2 - t1 * s2) / det
+    mu = b / a
+    ok = (np.abs(det) > 2e-2 * np.abs(s1) * np.abs(s2)) & (np.abs(mu2 - mu) < 2e-2)
+    del s1, s2, t1, t2, det, mu2
+    ok &= np.abs(_chart_mu(diff(sp, 1, 1), diff(sp, 1, -1),
+                           diff(tp, 1, 1), diff(tp, 1, -1)) - mu) < 2e-2
+    miss, spread = np.zeros(mu.shape), np.zeros(mu.shape)
+    for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        ds, dt = at(sp, di, dj) - at(sp, 0, 0), at(tp, di, dj) - at(tp, 0, 0)
+        miss += np.abs(dt - a * ds - b * np.conj(ds))
+        spread += np.abs(dt)
+    return mu, miss / spread, ok
 
 
 def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None = None):
-    """Per-cell Wirtinger quotient of target(source), fit on 3x3 stencils.
+    """Per-cell Wirtinger quotient of target(source) by the chain rule on the atlas grid.
 
-    The welding map is a homeomorphism between sphere domains, so both its
-    sources and its values may legitimately run through infinity; the
-    Beltrami quotient is invariant under Mobius postcomposition and its
-    modulus under precomposition (the phase picks up the unimodular twist
-    w^2/conj(w)^2).  Every cell is therefore fit in both source charts (w
-    and 1/w) against both target charts (Phi and 1/Phi), and the chart pair
-    whose quadratic model leaves the least residual wins.  Each source chart
-    builds and tests one Gram matrix per cell and solves it for both target
-    charts at once (_fit_mu).  The surviving estimate must
-    pass model-order cross-validation; everything else is masked, and cells
-    whose stencil holds an invalid point (by default a non-finite one) are
-    never factored.  Cells are fitted in blocks of _FIT_ROWS time rows,
-    which bounds the transient memory.  Raw arrays, synthetic atlases
-    among them, go in as they are.  Returns (mu, fit_valid).
+    Centred differences of source S and target T along the time rows
+    (second order) and around the periodic theta axis (fourth order) give
+    dS and dT in two directions; solving dT = a dS + b conj(dS) in both gives
+    mu = b / a, whatever the grid's parametrization.  The welding map is a
+    homeomorphism between sphere domains, so both its sources and its values
+    may legitimately run through infinity; the Beltrami quotient is invariant
+    under Mobius postcomposition and its modulus under precomposition (the
+    phase picks up the unimodular twist w^2/conj(w)^2).  Every cell is
+    therefore read in the source chart (w or 1/w) and target chart (Phi or
+    1/Phi) whose linear model best predicts its four diagonal neighbours, and
+    masked when that chart fails the checks of ``_chart_fd`` or its 3x5
+    neighbourhood holds an invalid point (by default a non-finite one).  Raw
+    arrays, synthetic atlases among them, go in as they are.  Returns
+    (mu, fd_valid).
     """
     source = np.asarray(source, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -244,52 +184,28 @@ def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None
     nt, ntheta = source.shape
     mu = np.full((nt, ntheta), np.nan + 0j)
     ok = np.zeros((nt, ntheta), bool)
-    if nt < 3 or ntheta < 3:
+    if nt < 3 or ntheta < 5:
         return mu, ok
-    for r0 in range(1, nt - 1, _FIT_ROWS):
-        rows = slice(r0, min(r0 + _FIT_ROWS, nt - 1))
-        mu[rows], ok[rows] = _fit_rows(source, target, valid, rows)
+
+    def padded(x):
+        return np.concatenate([x[:, -2:], x, x[:, :2]], axis=1)
+
+    inner, inner_ok = mu[1:-1], ok[1:-1]
+    best = np.full(inner.shape, np.inf)
+    with np.errstate(all="ignore"):
+        for s, sp in enumerate((padded(source), padded(1.0 / source))):
+            for tp in (padded(target), padded(1.0 / target)):
+                m, res, good = _chart_fd(sp, tp)
+                win = res < best
+                best[win] = res[win]
+                if s:                        # the 1/w chart: mu takes the twist
+                    m *= source[1:-1] ** 2 / np.conj(source[1:-1]) ** 2
+                inner[win], inner_ok[win] = m[win], good[win]
+    near = padded(valid)
+    inner_ok &= np.isfinite(inner) & np.all(
+        [near[i:nt - 2 + i, j:ntheta + j] for i in range(3) for j in range(5)], axis=0)
+    mu[~ok] = np.nan
     return mu, ok
-
-
-def _fit_rows(source, target, valid, rows: slice):
-    """(mu, ok) of the interior cells in the given rows; see beltrami_fd."""
-    stn_s, stn_v, stn_ok = [], [], []
-    for di in (-1, 0, 1):
-        near = slice(rows.start + di, rows.stop + di)
-        for dj in (-1, 0, 1):
-            stn_s.append(np.roll(source[near], -dj, axis=1))
-            stn_v.append(np.roll(target[near], -dj, axis=1))
-            stn_ok.append(np.roll(valid[near], -dj, axis=1))
-    S = np.stack(stn_s)            # [9, rows, ntheta]
-    V = np.stack(stn_v)
-    OK = np.stack(stn_ok).all(axis=0)
-
-    centers = source[rows]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S_inv = np.where(np.abs(S) > 1e-300, 1.0 / S, np.nan + 0j)
-        c_inv = np.where(np.abs(centers) > 1e-300, 1.0 / centers, np.nan + 0j)
-        twist = centers ** 2 / np.conj(centers) ** 2   # unimodular
-        V_inv = np.where(np.abs(V) > 1e-300, 1.0 / V, np.nan + 0j)
-
-    d_dir, iso_dir = _offsets(S, centers)
-    d_inv, iso_inv = _offsets(S_inv, c_inv)
-
-    # all four charts, source-major along the last axis; the residuals of a
-    # chart containing a pole and of a smooth chart differ by orders of
-    # magnitude, so argmin is decisive
-    targets = np.stack([V, V_inv], axis=-1)
-    cand_mu, cand_res = [], []
-    for d, iso, tw in ((d_dir, iso_dir, None), (d_inv, iso_inv, twist)):
-        m, r, g = _fit_mu(d, targets, OK)
-        cand_mu.append(m if tw is None else m * tw[..., None])
-        cand_res.append(np.where(g & iso[..., None], r, np.inf))
-    res = np.concatenate(cand_res, axis=-1)
-    pick = np.argmin(res, axis=-1)[..., None]
-    best = np.take_along_axis(np.concatenate(cand_mu, axis=-1), pick, -1)[..., 0]
-    best_res = np.take_along_axis(res, pick, -1)[..., 0]
-    cell_ok = OK & np.isfinite(best_res) & (best_res < 0.02) & np.isfinite(best)
-    return np.where(cell_ok, best, np.nan + 0j), cell_ok
 
 
 @dataclass

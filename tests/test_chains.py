@@ -1056,3 +1056,86 @@ def test_quadrature_error_estimate_covers_the_observed_error(name):
     assert (res.point_delta >= err).all()
     if name == "chordal":
         assert res.acc_delta <= 100.0 * err.max()
+
+
+# ---------------------------------------------------------------------------
+# non-finite and past-guard points on every evaluator
+
+# p = 1 hiding its autonomy time, with a step tau: the scaling limit
+SCALING_STEP = assemble_field(dataclasses.replace(HerglotzSpec.constant(1), t_aut=None),
+                              DenjoyWolffSpec.step([0.5], [0.0, 0.2]))
+
+
+@pytest.mark.parametrize("path", ["scaling-limit", "mobius-push", "per-point-push"])
+def test_every_evaluator_masks_a_nan_point_silently_and_refuses_one_past_the_guard(path):
+    fld = {"scaling-limit": SCALING_STEP, "mobius-push": _builtin_field("step-tau")[1],
+           "per-point-push": PUSHED}[path]
+    # only a declared autonomy time selects the exact tail, and there only a
+    # quadratic field the Mobius push
+    assert (fld.t_aut is None, fld.quadratic) == {
+        "scaling-limit": (True, True), "mobius-push": (False, True),
+        "per-point-push": (False, False)}[path]
+    pts = np.array([0.3, 0.5j])
+    ref = chains.limit_frame(fld, 0.25, pts)
+    res = chains.limit_frame(fld, 0.25, np.array([0.3, np.nan, 0.5j]))
+    assert np.array_equal(res.valid, [True, False, True])
+    assert np.isnan(res.values[1]) and np.isnan(res.derivs[1])
+    assert res.warnings == ref.warnings == []
+    # the integrating paths step the batch together, so the others agree to tol
+    assert np.abs(res.values[[0, 2]] - ref.values).max() < 1e-9
+    with pytest.raises(ValueError, match="boundary guard"):
+        chains.limit_frame(fld, 0.25, np.array([0.3, 1.0 - 1e-7]))
+
+
+# ---------------------------------------------------------------------------
+# containment failures
+
+def _nested_g_frames():
+    return chains.decreasing_chain(EXP, [0.0, 0.25, 0.5, 0.75], GRID, n_theta=64)
+
+
+def test_containment_counts_a_broken_nesting():
+    # swapping the traces of rows 1 and 2 puts the wider curve inside the
+    # narrower one for the pair (1, 2); the pairs (0, 1) and (2, 3) still nest
+    fr = _nested_g_frames()
+    assert chains.verify_containment(fr).passed
+    fr.traces[[1, 2]] = fr.traces[[2, 1]]
+    rep = chains.verify_containment(fr)
+    assert rep.checked_pairs == 3
+    assert rep.violations == 1 and not rep.passed
+
+
+def test_containment_skips_the_pairs_of_a_masked_trace_node():
+    fr = _nested_g_frames()
+    fr.trace_valid[2, 5] = False
+    rep = chains.verify_containment(fr)
+    assert rep.checked_pairs == 1 and rep.violations == 0 and rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the scaling limit for an interior tau
+
+def test_the_scaling_limit_cannot_converge_for_an_interior_tau():
+    # p = 1 without a declared autonomy time and tau = 0.5: w - alpha cancels
+    # once both points are near tau, the horizon deltas re-diverge at about
+    # 1e-5 and the loop discards the rest.  The flags must say so; the exact
+    # tail converges on the same data
+    cps = [0.0, 0.5, 1.0]
+    tau = DenjoyWolffSpec.constant(0.5)
+    hidden = assemble_field(dataclasses.replace(HerglotzSpec.constant(1), t_aut=None), tau)
+    fr = chains.range_normalized_chain(hidden, cps, GRID, n_theta=16)
+    assert not fr.converged.any() and not fr.trace_valid.any()
+    assert (1e-6 < fr.acc_delta).all() and (fr.acc_delta < 1e-4).all()
+    for t in fr.checkpoints:
+        assert any(w.startswith(f"chain limit unconverged on the grid at t = {t} ")
+                   for w in fr.warnings)
+        assert f"16 trace node(s) masked at t = {t}" in fr.warnings
+    assert not chains.verify_transitions(fr).passed
+    # unconverged, yet stopped before the last horizon: only the
+    # re-divergence discard ends the horizon loop there
+    res = chains.limit_frame(hidden, np.repeat(cps, len(GRID)), np.tile(GRID.points, 3))
+    assert not res.converged
+    assert res.horizon_used < cps[-1] + chains.horizon_offsets()[-1]
+    exact = chains.range_normalized_chain(assemble_field(HerglotzSpec.constant(1), tau), cps,
+                                          GRID, n_theta=16)
+    assert exact.converged.all() and exact.acc_delta.max() <= 1e-12

@@ -18,7 +18,7 @@ def _load(name):
 
 
 @pytest.mark.parametrize("name", ["approximation_table", "becker_dilatation_study",
-                                  "pipeline_matrix"])
+                                  "delta_ladder", "pipeline_matrix"])
 def test_script_loads(name):
     assert callable(_load(name).main)
 
@@ -28,6 +28,24 @@ def test_becker_dilatation_study_small_grid():
     assert np.isfinite([mu_f, mu_fd, agree, secs]).all()
     # |mu| = k |zeta| on the trace ring |zeta| = 1 - 1e-3
     assert mu_f == pytest.approx(0.4995, abs=1e-12)
+
+
+def test_the_fd_excess_over_k_falls_down_the_delta_ladder():
+    # the baseline data: p = (1 + 0.5z)/(1 - 0.5z), q = 1, k = 0.5, constant tau
+    ladder = _load("delta_ladder")
+    rows = ladder.ladder(ladder.BASELINE)
+    assert [(r["tau"], r["delta"]) for r in rows] == [
+        (tau, delta) for tau in ladder.TAUS for delta in ladder.DELTAS]
+    # the chain-rule estimator's excess at delta <= 1e-3 stays within that of
+    # the stencil fit it replaced, and so does its FD coverage
+    before = {1.0: ([2.15e-3, 1.24e-3, 8.36e-4], 0.923),
+              0.9: ([1.67e-3, 1.01e-3, 6.84e-4], 0.939)}
+    for tau, (excess, coverage) in before.items():
+        row = [r for r in rows if r["tau"] == tau]
+        fd = [r["fd_excess"] for r in row]
+        assert all(a > b for a, b in zip(fd, fd[1:]))
+        assert all(got <= bound for got, bound in zip(fd[2:], excess))
+        assert min(r["fd_coverage"] for r in row) >= coverage
 
 
 def test_approximation_table_writes_one_row_per_level(tmp_path, monkeypatch):
