@@ -110,9 +110,10 @@ class TimeConfig:
     def checkpoint_array(self, n_default: int = 9) -> np.ndarray:
         """Configured checkpoints, or a uniform default grid.
 
-        Atlas-building commands ask for a dense default (65 cells): the
-        error of the finite-difference dilatation estimator grows with the
-        row spacing, so coarse time rows poison it.
+        Atlas-building commands ask for a dense default (65 rows): the
+        finite-difference dilatation estimator reads the rows' own times
+        and is second order on any spacing, but its error still grows with
+        the square of the widest spacing, so coarse time rows poison it.
         """
         if self.checkpoints:
             return np.asarray(self.checkpoints, dtype=float)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import nonuniform_centered, periodic_centered
-from .herglotz import HerglotzSpec, DenjoyWolffSpec, pair_parts, time_samples
+from .herglotz import HerglotzSpec, DenjoyWolffSpec, time_samples
 from .chains import ChainFrames
 
 TOL_DILAT = 0.02
@@ -120,12 +119,13 @@ def _chart_mu(s1, s2, t1, t2):
     return (s1 * t2 - t1 * s2) / (t1 * np.conj(s2) - np.conj(s1) * t2)
 
 
-def _chart_fd(sp, tp):
+def _chart_fd(sp, tp, s1, t1):
     """(mu, residual, ok) of the interior cells in one source and one target chart.
 
     sp and tp hold the charts' samples, padded by two columns at either end
-    of the periodic theta axis.  mu solves dT = a dS + b conj(dS) along the
-    time rows and, to fourth order, around theta; residual is the relative
+    of the periodic theta axis; s1 and t1 hold their derivatives along the
+    time rows at the interior cells.  mu solves dT = a dS + b conj(dS) along
+    the time rows and, to fourth order, around theta; residual is the relative
     misfit of that linear model at the four diagonal neighbours.  ok asks
     for no welding pinch (the source directions' |sin| above 1e-2) and for
     mu within 0.02 of both the second-order theta and the diagonal estimate.
@@ -138,7 +138,6 @@ def _chart_fd(sp, tp):
     def diff(x, di, dj):        # the centred difference in direction (di, dj)
         return at(x, di, dj) - at(x, -di, -dj)
 
-    s1, t1 = diff(sp, 1, 0), diff(tp, 1, 0)
     s2, t2 = diff(sp, 0, 1), diff(tp, 0, 1)
     mu2 = _chart_mu(s1, s2, t1, t2)
     s2 = (8.0 * s2 - diff(sp, 0, 2)) / 6.0
@@ -148,7 +147,7 @@ def _chart_fd(sp, tp):
     b = (s1 * t2 - t1 * s2) / det
     mu = b / a
     ok = (np.abs(det) > 2e-2 * np.abs(s1) * np.abs(s2)) & (np.abs(mu2 - mu) < 2e-2)
-    del s1, s2, t1, t2, det, mu2
+    del s2, t2, det, mu2
     ok &= np.abs(_chart_mu(diff(sp, 1, 1), diff(sp, 1, -1),
                            diff(tp, 1, 1), diff(tp, 1, -1)) - mu) < 2e-2
     miss, spread = np.zeros(mu.shape), np.zeros(mu.shape)
@@ -159,23 +158,26 @@ def _chart_fd(sp, tp):
     return mu, miss / spread, ok
 
 
-def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None = None):
+def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None = None,
+                times: np.ndarray | None = None):
     """Per-cell Wirtinger quotient of target(source) by the chain rule on the atlas grid.
 
-    Centred differences of source S and target T along the time rows
-    (second order) and around the periodic theta axis (fourth order) give
-    dS and dT in two directions; solving dT = a dS + b conj(dS) in both gives
-    mu = b / a, whatever the grid's parametrization.  The welding map is a
-    homeomorphism between sphere domains, so both its sources and its values
-    may legitimately run through infinity; the Beltrami quotient is invariant
-    under Mobius postcomposition and its modulus under precomposition (the
-    phase picks up the unimodular twist w^2/conj(w)^2).  Every cell is
-    therefore read in the source chart (w or 1/w) and target chart (Phi or
-    1/Phi) whose linear model best predicts its four diagonal neighbours, and
-    masked when that chart fails the checks of ``_chart_fd`` or its 3x5
-    neighbourhood holds an invalid point (by default a non-finite one).  Raw
-    arrays, synthetic atlases among them, go in as they are.  Returns
-    (mu, fd_valid).
+    Differences of source S and target T along the time rows and around the
+    periodic theta axis give dS and dT in two directions; solving
+    dT = a dS + b conj(dS) in both gives mu = b / a, whatever the grid's
+    parametrization.  Along the rows, numpy's three-point gradient over the
+    rows' ``times`` (unit-spaced when None, as for synthetic atlases) is
+    second order on any row spacing; around theta the centred difference is
+    fourth order.  The welding map is a homeomorphism between sphere
+    domains, so both its sources and its values may legitimately run through
+    infinity; the Beltrami quotient is invariant under Mobius postcomposition
+    and its modulus under precomposition (the phase picks up the unimodular
+    twist w^2/conj(w)^2).  Every cell is therefore read in the source chart
+    (w or 1/w) and target chart (Phi or 1/Phi) whose linear model best
+    predicts its four diagonal neighbours, and masked when that chart fails
+    the checks of ``_chart_fd`` or its 3x5 neighbourhood holds an invalid
+    point (by default a non-finite one).  Raw arrays, synthetic atlases
+    among them, go in as they are.  Returns (mu, fd_valid).
     """
     source = np.asarray(source, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -190,12 +192,19 @@ def beltrami_fd(source: np.ndarray, target: np.ndarray, valid: np.ndarray | None
     def padded(x):
         return np.concatenate([x[:, -2:], x, x[:, :2]], axis=1)
 
+    times = np.arange(nt) if times is None else times
+
+    def charts(x):      # per chart (x, 1/x): its padded samples and interior row derivative
+        return ((padded(c), np.gradient(c, times, axis=0, edge_order=1)[1:-1])
+                for c in (x, 1.0 / x))
+
     inner, inner_ok = mu[1:-1], ok[1:-1]
     best = np.full(inner.shape, np.inf)
     with np.errstate(all="ignore"):
-        for s, sp in enumerate((padded(source), padded(1.0 / source))):
-            for tp in (padded(target), padded(1.0 / target)):
-                m, res, good = _chart_fd(sp, tp)
+        targets = list(charts(target))
+        for s, (sp, s1) in enumerate(charts(source)):
+            for tp, t1 in targets:
+                m, res, good = _chart_fd(sp, tp, s1, t1)
                 win = res < best
                 best[win] = res[win]
                 if s:                        # the 1/w chart: mu takes the twist
@@ -341,7 +350,7 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         warnings.append("measurable tau: closed-form dilatation unavailable, "
                         "certification rests on the finite-difference estimator "
                         "and the approximation experiments")
-    mu_fd, fd_ok = beltrami_fd(source, target, valid)
+    mu_fd, fd_ok = beltrami_fd(source, target, valid, t_grid)
     # fd stencils must not straddle a tau jump either: the two welding
     # pieces meet there and the affine model mixes them
     lo = np.concatenate([t_grid[:1], t_grid[:-1]])
@@ -386,11 +395,12 @@ class BeckerExtension:
 def _polar_mu(values: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """e^{2i theta} (F_r + i F_theta / r) / (F_r - i F_theta / r) on a polar grid.
 
-    values[i, j] = F(r_i e^{i theta_j}) with theta uniform and periodic;
-    both partials are centered differences.
+    values[i, j] = F(r_i e^{i theta_j}) with theta uniform and periodic.
+    F_r is numpy's three-point gradient over r, second order on any radial
+    spacing; F_theta is the periodic centered difference.
     """
-    fr = nonuniform_centered(values, r, axis=0)
-    ft = periodic_centered(values, 2.0 * np.pi / theta.size, axis=1)
+    fr = np.gradient(values, r, axis=0, edge_order=1)
+    ft = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (4.0 * np.pi / theta.size)
     e2 = np.exp(2j * theta)[None, :]
     num = fr + 1j * ft / r[:, None]
     den = fr - 1j * ft / r[:, None]
@@ -407,11 +417,12 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
     checkpoint: with F(e^{t + i theta}) = f_t(e^{i theta}) and d_t f = z f' p,
     the Wirtinger derivatives in w = log z are z f' (p + 1)/2 and
     z f' (p - 1)/2, and z = e^w adds the phase z / conj(z).  ``mu_pair`` is
-    the bare ratio, which the unimodular phase leaves unchanged.  Formula
-    cells where |p + 1| falls below FORMULA_DENOM_FLOOR or mu is not finite
-    are masked; the traces do not enter, so their validity does not.  The
-    Wirtinger quotient mu_fd comes from polar centered differences of the
-    samples, an estimator fully independent of the Herglotz data.
+    the bare ratio, which the unimodular phase leaves unchanged; it is
+    ``beltrami_formula``'s pair ratio with q = 1 and tau = 0, where phi_tau
+    is 1, masked as there.  The traces do not enter, so their validity does
+    not.  The Wirtinger quotient mu_fd comes from polar differences of the
+    samples (``_polar_mu``), an estimator fully independent of the Herglotz
+    data.
     ``continuity_mismatch`` = (delta / 2) max |f_0'| on the trace ring,
     delta = 1 - trace_radius: to first order in delta the distance between
     f_0 on the ring and on the ring at half the offset, the gap the trace
@@ -426,13 +437,8 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
     # fmax skips lost (NaN) points, and is NaN without a warning when all are
     mismatch = float(0.5 * delta * np.fmax.reduce(np.abs(frames.trace_derivs[frames.row(0.0)])))
 
-    zeta = frames.trace_radius * np.exp(1j * frames.theta)
-    pv = frames.vector_field.p.evaluate(*time_samples(zeta, frames.checkpoints))
-    num, den = pair_parts(pv, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-    formula_ok = (np.abs(den) >= FORMULA_DENOM_FLOOR) & np.isfinite(ratio)
-    ratio = np.where(formula_ok, ratio, np.nan + 0j)
+    fs = beltrami_formula(frames.vector_field.p, HerglotzSpec.constant(1.0), 0.0,
+                          frames.checkpoints, frames.theta, frames.trace_radius)
 
     mu_fd = np.full(values.shape, np.nan + 0j)
     fd_ok = np.zeros(values.shape, bool)
@@ -442,8 +448,8 @@ def becker_extension(frames: ChainFrames) -> BeckerExtension:
         fd_ok[inner] = valid[inner] & np.isfinite(mu_fd[inner])
         mu_fd[~fd_ok] = np.nan + 0j
 
-    return BeckerExtension(r, frames.theta, values, np.exp(2j * frames.theta) * ratio, ratio,
-                           formula_ok, mu_fd, fd_ok, valid, mismatch)
+    return BeckerExtension(r, frames.theta, values, np.exp(2j * frames.theta) * fs.mu_pair,
+                           fs.mu_pair, fs.valid, mu_fd, fd_ok, valid, mismatch)
 
 
 @dataclass

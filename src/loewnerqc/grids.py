@@ -95,29 +95,3 @@ def winding_number(polygon: np.ndarray, points: np.ndarray) -> np.ndarray:
     total = angles.sum(axis=1) / (2.0 * np.pi)
     return np.rint(total).astype(int)
 
-
-def nonuniform_centered(values: np.ndarray, coords: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Second-order centered first derivative on a nonuniform 1-d grid.
-
-    Interior points use the unequal-spacing three-point formula; the two
-    boundary points use one-sided differences.
-    """
-    v = np.moveaxis(np.asarray(values), axis, 0)
-    x = np.asarray(coords, dtype=float)
-    if v.shape[0] != x.size or x.size < 3:
-        raise ValueError("need >= 3 samples along the differencing axis")
-    out = np.empty_like(v)
-    hm = (x[1:-1] - x[:-2]).reshape((-1,) + (1,) * (v.ndim - 1))
-    hp = (x[2:] - x[1:-1]).reshape((-1,) + (1,) * (v.ndim - 1))
-    out[1:-1] = (hm ** 2 * v[2:] - hp ** 2 * v[:-2] + (hp ** 2 - hm ** 2) * v[1:-1]) / (
-        hm * hp * (hm + hp)
-    )
-    out[0] = (v[1] - v[0]) / (x[1] - x[0])
-    out[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
-    return np.moveaxis(out, 0, axis)
-
-
-def periodic_centered(values: np.ndarray, spacing: float, axis: int = -1) -> np.ndarray:
-    """Centered first derivative on a uniform periodic grid."""
-    v = np.asarray(values)
-    return (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2.0 * spacing)

@@ -432,6 +432,14 @@ def test_chain_pde_second_order_in_dt():
     assert order > 1.9
 
 
+def test_pde_resolution_is_judged_by_the_coarsest_row():
+    # ten rows 0.01 apart, then one of 0.1: the mean spacing is 0.018, but
+    # the residual is a max over rows, so the coarse row sets it
+    cps = np.append(np.linspace(0.0, 0.1, 11), 0.2)
+    rep = chains.verify_chain_pde(chains.range_normalized_chain(EXP, cps, GRID, n_theta=16))
+    assert rep.resolution_limited
+
+
 def test_unconverged_frames_are_flagged():
     # measurable tau with boundary limit: honest convergence flags at default tol
     tau = DenjoyWolffSpec.sampled(lambda t: t / (1 + t))

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from loewnerqc import cli
+from loewnerqc.config import validate_config
 from loewnerqc.grids import circle_grid
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc import chains
 from loewnerqc.extension import (build_extension, becker_extension, beltrami_formula,
                                  beltrami_fd, dilatation_report, phi_tau, AtlasRejected,
                                  _injectivity_witness)
-from loewnerqc.scenarios import builtin_scenario
+from loewnerqc.scenarios import builtin_scenario, builtin_document
 
 ONE = HerglotzSpec.constant(1)
 EXPF = assemble_field(ONE, DenjoyWolffSpec.constant(0))
@@ -254,19 +255,76 @@ def test_a_non_finite_source_masks_its_neighbourhood():
     assert np.array_equal(atlas.mu_fd[~near], clean.mu_fd[~near], equal_nan=True)
 
 
-def test_fd_error_falls_at_second_order_on_polar_grids():
-    # T = S + k conj(S) + 0.05 S^2 has mu = k / (1 + 0.1 S); each doubling of
-    # both grid axes must cut the largest error about fourfold
+def _polar_map_errors(rows, with_times=False):
+    """Largest FD error on the polar grids S = e^{t + i theta}, t = rows(nt), at
+    17x64, 33x128 and 65x256, where T = S + k conj(S) + 0.05 S^2 has
+    mu = k / (1 + 0.1 S); every interior cell must be read, no boundary row."""
     k = 0.3
     errs = []
     for nt, nth in ((17, 64), (33, 128), (65, 256)):
-        t = np.linspace(0.0, 0.8, nt)
+        t = rows(nt)
         th = 2 * np.pi * np.arange(nth) / nth
         src = np.exp(t)[:, None] * np.exp(1j * th)[None, :]
-        mu, ok = beltrami_fd(src, src + k * np.conj(src) + 0.05 * src ** 2)
+        mu, ok = beltrami_fd(src, src + k * np.conj(src) + 0.05 * src ** 2,
+                             times=t if with_times else None)
         assert ok[1:-1].all() and not ok[[0, -1]].any()
         errs.append(np.abs(mu[ok] - k / (1 + 0.1 * src[ok])).max())
+    return np.array(errs)
+
+
+def _alternating_rows(nt, t_end=0.8):
+    """nt times on [0, t_end] whose spacings alternate 1 : 1.3."""
+    c = np.concatenate([[0.0], np.cumsum(np.resize([1.0, 1.3], nt - 1))])
+    return t_end * c / c[-1]
+
+
+def _uniform_rows(nt):
+    return np.linspace(0.0, 0.8, nt)
+
+
+def _graded_rows(nt):
+    return 0.8 * np.linspace(0.0, 1.0, nt) ** 1.5
+
+
+def test_fd_error_falls_at_second_order_on_polar_grids():
+    # each doubling of both grid axes must cut the largest error about fourfold
+    errs = _polar_map_errors(_uniform_rows)
     assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
+
+@pytest.mark.parametrize("rows", [_alternating_rows, _graded_rows], ids=["alternating", "graded"])
+def test_fd_error_falls_at_second_order_on_uneven_rows(rows):
+    # the row differences read the rows' own times, so uneven rows keep the
+    # fourfold fall per doubling that index differences lose
+    errs = _polar_map_errors(rows, with_times=True)
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+    if rows is _alternating_rows:
+        assert (errs <= 1.25 * _polar_map_errors(_uniform_rows, with_times=True)).all()
+
+
+def test_unit_spaced_rows_are_the_default_bit_for_bit():
+    t = _alternating_rows(17)
+    th = 2 * np.pi * np.arange(64) / 64
+    src = np.exp(t)[:, None] * np.exp(1j * th)[None, :]
+    dst = src + 0.3 * np.conj(src) + 0.05 * src ** 2
+    mu, ok = beltrami_fd(src, dst)
+    mu_unit, ok_unit = beltrami_fd(src, dst, times=np.arange(17))
+    assert ok[1:-1].all()
+    assert np.array_equal(ok, ok_unit) and np.array_equal(mu, mu_unit, equal_nan=True)
+
+
+def test_sector_extend_agrees_on_alternating_checkpoints(tmp_path):
+    # the welding atlas hands its checkpoint times to the FD side: on rows
+    # whose spacings alternate 1 : 1.3 the two estimators still agree to
+    # second order in the row spacing
+    doc = builtin_document("sector")
+    doc["time"]["checkpoints"] = _alternating_rows(65, 1.0).tolist()
+    cfg, errors = validate_config(doc, name="sector")
+    assert not errors
+    code, summary = cli.run_pipeline(cfg, "extend", tmp_path)
+    m = summary["metrics"]
+    assert code == 0 and m["fd_coverage_fraction"] > 0.9
+    assert m["mu_agreement"] <= 2e-4
 
 
 def test_extend_reports_the_fd_coverage(tmp_path, monkeypatch):
