@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SeedGrid, trace_ring, winding_number, time_row, past_guard
+from .grids import SeedGrid, trace_ring, winding_number, time_row, past_guard, rows_across_jumps
 from .herglotz import VectorFieldHandle, field_value, time_samples
 from .evolution import DEFAULT_TOL, solve_forward, solve_reverse
 
@@ -884,9 +884,10 @@ def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeRepo
     d f_t / dt comes from numpy's three-point gradient of the frames over
     the checkpoint times, second order on any spacing; d f_t / dz is the
     stored variational derivative.  The residual is reported relative to
-    |d f/dz| * sup|p|.  Checkpoints within a step of a jump of tau are left
-    out.  The residual is a max over rows, so the coarsest row sets it:
-    ``resolution_limited`` says the largest spacing exceeds 0.05.
+    |d f/dz| * sup|p|.  Rows whose stencil holds a jump of tau are left
+    out (``rows_across_jumps``).  The residual is a max over rows, so the
+    coarsest row sets it: ``resolution_limited`` says the largest spacing
+    exceeds 0.05.
     """
     field = frames.vector_field
     cps = frames.checkpoints
@@ -899,7 +900,6 @@ def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeRepo
     vals = frames.values[:, sel]
     dfs = frames.derivs[:, sel]
 
-    dt_all = np.diff(cps)
     lhs = np.gradient(vals, cps, axis=0, edge_order=1)
 
     zs, t = time_samples(z, cps)
@@ -912,16 +912,13 @@ def verify_chain_pde(frames: ChainFrames, r_max: float | None = None) -> PdeRepo
         a = (zs - tv) * (np.conj(tv) * zs - 1.0)
     rhs = a * dfs * pv
 
-    interior = np.arange(1, cps.size - 1)
-    # keep a full step away from tau's switching times
-    for b in field.tau.breakpoints:
-        interior = interior[np.abs(cps[interior] - b) > dt_all.max() + 1e-12]
+    interior = np.flatnonzero(~rows_across_jumps(cps, field.tau.breakpoints)[1:-1]) + 1
     resid = np.abs(lhs[interior] - rhs[interior])
     denom = np.abs(dfs[interior]) * max(sup_p, 1e-300)
     with np.errstate(invalid="ignore"):
         rel = resid / denom
     rel_res = float(np.nanmax(rel)) if rel.size else np.nan
-    return PdeReport(rel_res, bool(dt_all.max() > 0.05))
+    return PdeReport(rel_res, bool(np.diff(cps).max() > 0.05))
 
 
 @dataclass

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .grids import criteria_grid
 from .herglotz import (TOL_HOLO, assemble_field, check_herglotz, check_becker, check_pair,
                        holomorphy_residual, rotation_only, sector_bound)
 from .evolution import solve_forward, verify_semigroup, schwarz_pick_check
@@ -31,27 +30,13 @@ from .scenarios import builtin_scenario, scenario_names
 _DEVIATION_SEED = 20240601
 
 
-def _check_times(cfg: ScenarioConfig):
-    return np.linspace(0.0, cfg.time.t_end, 9)
-
-
-def _herglotz_report(cfg: ScenarioConfig, spec):
-    """check_herglotz of spec on the check command's sample set."""
-    return check_herglotz(spec, criteria_grid(n_angles=cfg.grid.theta_nodes), _check_times(cfg))
-
-
 def _herglotz_verdict(cfg: ScenarioConfig, summary) -> bool:
-    """True when p, and q if set, pass ``_herglotz_report``; one warning per failure."""
+    """True when p, and q if set, pass the Herglotz check; one warning per failure."""
     bad = [name for name, spec in (("p", cfg.p), ("q", cfg.q))
-           if spec is not None and not _herglotz_report(cfg, spec).passed]
+           if spec is not None and not check_herglotz(spec, *cfg.hypothesis_samples()).passed]
     summary["warnings"].extend(
         f"{name} fails the Herglotz check (Re {name} >= 0 on the check samples)" for name in bad)
     return not bad
-
-
-def _is_degenerate(cfg: ScenarioConfig) -> bool:
-    grid = criteria_grid(n_angles=64)
-    return rotation_only(cfg.p, grid, _check_times(cfg))
 
 
 def _cmd_evolve(cfg, out, summary):
@@ -134,7 +119,8 @@ _FEW_CHECKPOINTS = "the dilatation estimate needs at least 3 checkpoints"
 
 
 def _cmd_extend(cfg, out, summary):
-    if _is_degenerate(cfg):
+    grid, times = cfg.hypothesis_samples()
+    if rotation_only(cfg.p, grid, times):
         summary["metrics"]["degenerate"] = True
         summary["metrics"]["reason"] = (
             "p is purely imaginary at every sample: chain images never grow, "
@@ -149,13 +135,16 @@ def _cmd_extend(cfg, out, summary):
     g_frames = decreasing_chain(
         assemble_field(q, cfg.tau), cfg.time.checkpoint_array(65), cfg.grid.seed_grid(),
         n_theta=cfg.grid.theta_nodes, delta_trace=cfg.grid.delta_trace, tol=cfg.time.tol)
-    pair_rep = check_pair(cfg.p, q, criteria_grid(n_angles=64), _check_times(cfg), cfg.criteria.k)
+    pair_rep = check_pair(cfg.p, q, grid, times, cfg.criteria.k)
+    if not pair_rep.passed:
+        summary["warnings"].append(
+            "pair inequality was not certified for this data; atlas built anyway")
     if cfg.tau.breakpoints:
         summary["warnings"].append(
             "step tau: formula-side dilatation evaluated piecewise per "
             "constancy interval, never across breakpoints")
     try:
-        atlas = build_extension(f_frames, g_frames, pair_checked=pair_rep.passed)
+        atlas = build_extension(f_frames, g_frames)
     except AtlasRejected as e:
         summary["warnings"].append(str(e))
         summary["metrics"]["atlas_rejected"] = True
@@ -216,9 +205,8 @@ def _cmd_becker(cfg, out, summary):
 
 
 def _cmd_check(cfg, out, summary):
-    grid = criteria_grid(n_angles=cfg.grid.theta_nodes)
-    times = _check_times(cfg)
-    hg = _herglotz_report(cfg, cfg.p)
+    grid, times = cfg.hypothesis_samples()
+    hg = check_herglotz(cfg.p, grid, times)
     bk = check_becker(cfg.p, grid, times, cfg.criteria.k)
     holo = holomorphy_residual(cfg.p, grid[np.abs(grid) <= 0.8], times)
     summary["metrics"].update({
@@ -228,7 +216,7 @@ def _cmd_check(cfg, out, summary):
         "becker_passed": bk.passed,
         "holomorphy_residual": holo,
         "sector_bound_at_k": sector_bound(cfg.criteria.k),
-        "degenerate_rotation_only": _is_degenerate(cfg),
+        "degenerate_rotation_only": rotation_only(cfg.p, grid, times),
     })
     ok = hg.passed and bk.passed and holo <= TOL_HOLO
     if cfg.q is not None:

@@ -20,7 +20,7 @@ from .chains import (DEFAULT_DELTA_TRACE, DEFAULT_N_THETA, DEFAULT_T_INF, DEFAUL
                      TOL_CHAIN)
 from .evolution import DEFAULT_TOL
 from .extension import TOL_DILAT
-from .grids import DELTA_GUARD, SeedGrid, circle_grid
+from .grids import DELTA_GUARD, SeedGrid, circle_grid, criteria_grid
 from .herglotz import (HerglotzSpec, DenjoyWolffSpec, SpecError, phase_table, time_samples,
                        time_table)
 
@@ -159,6 +159,11 @@ class ScenarioConfig:
 
     def q_or_default(self) -> HerglotzSpec:
         return self.q if self.q is not None else HerglotzSpec.constant(1.0)
+
+    def hypothesis_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, times) on which every command checks the hypotheses on p and q."""
+        return (criteria_grid(n_angles=max(64, self.grid.theta_nodes)),
+                np.linspace(0.0, self.time.t_end, 9))
 
 
 def _time_table(rows, path, errors, build):

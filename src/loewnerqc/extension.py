@@ -24,6 +24,7 @@ import numpy as np
 
 from .herglotz import HerglotzSpec, DenjoyWolffSpec, time_samples
 from .chains import ChainFrames
+from .grids import rows_across_jumps
 
 TOL_DILAT = 0.02
 FORMULA_DENOM_FLOOR = 1e-12
@@ -303,8 +304,7 @@ def _injectivity_witness(points: np.ndarray):
     return float(np.min(d, initial=u)), threshold, np.union1d(i[close], j[close]).size
 
 
-def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
-                    pair_checked: bool = False) -> ExtensionAtlas:
+def build_extension(f_frames: ChainFrames, g_frames: ChainFrames) -> ExtensionAtlas:
     """Assemble the welding atlas from matching f and g frames.
 
     Sources are the reflected g traces 1/conj(g_t), targets the f traces.
@@ -332,10 +332,6 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
         raise ValueError("f and g frames must share the Denjoy-Wolff function")
 
     warnings = []
-    if not pair_checked:
-        warnings.append("pair inequality was not certified for this data; "
-                        "atlas built anyway")
-
     theta = f_frames.theta
     g_tr = g_frames.traces
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,12 +347,7 @@ def build_extension(f_frames: ChainFrames, g_frames: ChainFrames,
                         "certification rests on the finite-difference estimator "
                         "and the approximation experiments")
     mu_fd, fd_ok = beltrami_fd(source, target, valid, t_grid)
-    # fd stencils must not straddle a tau jump either: the two welding
-    # pieces meet there and the affine model mixes them
-    lo = np.concatenate([t_grid[:1], t_grid[:-1]])
-    hi = np.concatenate([t_grid[1:], t_grid[-1:]])
-    b = np.array(tau.breakpoints, dtype=float)[:, None]
-    fd_ok[((lo - 1e-12 <= b) & (b <= hi + 1e-12)).any(axis=0)] = False
+    fd_ok[rows_across_jumps(t_grid, tau.breakpoints)] = False
 
     min_sep, threshold, collisions = _injectivity_witness(source[valid])
     n_valid = int(np.count_nonzero(valid))

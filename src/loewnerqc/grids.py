@@ -71,6 +71,18 @@ def time_row(times: np.ndarray, t: float, missing: str) -> int:
     return i
 
 
+def rows_across_jumps(times: np.ndarray, jumps) -> np.ndarray:
+    """Mask of the rows whose three-point stencil [t_{i-1}, t_{i+1}] holds a jump, within 1e-12.
+
+    The end rows' stencils are one-sided.  Time differences across a jump of
+    tau mix two welding pieces, so the checks leave these rows out.
+    """
+    lo = np.concatenate([times[:1], times[:-1]])
+    hi = np.concatenate([times[1:], times[-1:]])
+    b = np.asarray(jumps, dtype=float)[:, None]
+    return ((lo - 1e-12 <= b) & (b <= hi + 1e-12)).any(axis=0)
+
+
 def hyperbolic_distance(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Poincare distance on the disk, arctanh of the pseudo-hyperbolic ratio."""
     z = np.asarray(z, dtype=complex)

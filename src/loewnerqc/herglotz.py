@@ -227,6 +227,14 @@ class HerglotzSpec:
         return cls(lambda z, t: (f(t), 0.0), t_aut=t_aut, nodes=nodes, z_free=True)
 
 
+def _refuse_off_disk(values, name: str) -> None:
+    """SpecError "name = |tau| > 1" at the first value i past 1 + 1e-12; ``{i}`` in name is i."""
+    mod = np.abs(np.asarray(values, dtype=complex))
+    off = np.flatnonzero(mod > 1.0 + 1e-12)
+    if off.size:
+        raise SpecError(f"{name.format(i=off[0])} = {mod[off[0]]} > 1")
+
+
 @dataclass
 class DenjoyWolffSpec:
     """Denjoy-Wolff function tau(t) into the closed unit disk.
@@ -251,10 +259,7 @@ class DenjoyWolffSpec:
 
     @classmethod
     def constant(cls, tau) -> "DenjoyWolffSpec":
-        tau = complex(tau)
-        if abs(tau) > 1.0 + 1e-12:
-            raise SpecError(f"|tau| = {abs(tau)} > 1")
-        return cls(lambda t: np.full(np.shape(t), tau), t_aut=0.0, frozen_on=lambda a, b: tau)
+        return cls.step([], [tau])
 
     @classmethod
     def step(cls, breakpoints, values) -> "DenjoyWolffSpec":
@@ -264,9 +269,7 @@ class DenjoyWolffSpec:
             raise SpecError("step breakpoints must be strictly increasing")
         if len(vals) != len(bps) + 1:
             raise SpecError("step needs exactly one more value than breakpoints")
-        for i, v in enumerate(vals):
-            if abs(v) > 1.0 + 1e-12:
-                raise SpecError(f"step value {i} has |tau| = {abs(v)} > 1")
+        _refuse_off_disk(vals, "value {i} has |tau|")
         arr_b = np.asarray(bps, float)
         arr_v = np.asarray(vals, complex)
 
@@ -286,8 +289,7 @@ class DenjoyWolffSpec:
 
         def at(z, t):
             v = complex(fn(t))
-            if abs(v) > 1.0 + 1e-12:
-                raise SpecError(f"|tau({t})| = {abs(v)} > 1")
+            _refuse_off_disk([v], f"|tau({t})|")
             return v
 
         ev = _per_time(at)    # z only carries the shape of t
@@ -297,9 +299,7 @@ class DenjoyWolffSpec:
     def from_time_table(cls, ts, values) -> "DenjoyWolffSpec":
         """Sampled tau(t), linearly interpolated between the nodes ts."""
         f, t_aut, nodes = time_table(ts, values)
-        worst = max(abs(complex(v)) for v in values)
-        if worst > 1.0 + 1e-12:
-            raise SpecError(f"table value with |tau| = {worst} > 1")
+        _refuse_off_disk(values, "table value with |tau|")
         return cls(f, t_aut=t_aut, nodes=nodes)
 
     @classmethod

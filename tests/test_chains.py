@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from loewnerqc.grids import circle_grid, past_guard, trace_ring
+from loewnerqc.grids import circle_grid, past_guard, rows_across_jumps, trace_ring
 from loewnerqc.herglotz import HerglotzSpec, DenjoyWolffSpec, assemble_field
 from loewnerqc.evolution import solve_forward, solve_reverse
 from loewnerqc import chains
@@ -438,6 +438,27 @@ def test_pde_resolution_is_judged_by_the_coarsest_row():
     cps = np.append(np.linspace(0.0, 0.1, 11), 0.2)
     rep = chains.verify_chain_pde(chains.range_normalized_chain(EXP, cps, GRID, n_theta=16))
     assert rep.resolution_limited
+
+
+def test_pde_residual_reads_the_rows_clear_of_a_jump():
+    # one spacing of 1.0 past the jump at t = 1 leaves the rows near it to
+    # their own stencils: only t = 0.9, 1.0 and 1.1 straddle the jump
+    cps = np.append(np.linspace(0.0, 2.0, 21), 3.0)
+    cfg = builtin_scenario("step-tau")
+    fld = assemble_field(cfg.p, cfg.tau)
+    rep = chains.verify_chain_pde(chains.range_normalized_chain(fld, cps, GRID, n_theta=16))
+    assert np.isfinite(rep.rel_residual) and rep.resolution_limited
+    assert np.flatnonzero(rows_across_jumps(cps, cfg.tau.breakpoints)).tolist() == [9, 10, 11]
+
+
+def test_jump_rows_on_uniform_checkpoints_are_within_one_spacing():
+    # on uniform rows a stencil holds the jump iff the row is within one spacing of it
+    for n in (5, 9, 21, 65):
+        cps = np.linspace(0.0, 1.0, n)
+        for jump in (0.5, 0.3, 0.0, 1.0):
+            near = np.abs(cps - jump) <= np.diff(cps).max() + 1e-12
+            assert np.array_equal(rows_across_jumps(cps, [jump]), near)
+        assert not rows_across_jumps(cps, []).any()
 
 
 def test_unconverged_frames_are_flagged():

@@ -678,3 +678,60 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, capsys, prefix):
     assert main(["check", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: config file {bad} nests too deeply to parse\n"
+
+
+def _blaschke_becker_doc(zeros, rotation, k, tau, t_end):
+    """p = (1 + kB)/(1 - kB) for the Blaschke product B of the zeros, as a rational_table."""
+    P = np.polynomial.polynomial
+    num, den = np.array([rotation + 0j]), np.array([1.0 + 0j])
+    for a in zeros:
+        num, den = P.polymul(num, [-a, 1.0]), P.polymul(den, [1.0, -np.conj(a)])
+    pairs = [[[c.real, c.imag] for c in P.polyadd(den, s * k * num)] for s in (1, -1)]
+    return {"p": {"kind": "rational_table", "numerator": pairs[0], "denominator": pairs[1]},
+            "tau": {"kind": "constant", "value": [tau.real, tau.imag]},
+            "time": {"t_end": t_end}, "criteria": {"k": k}}
+
+
+def _validated(doc):
+    cfg, errors = validate_config(doc)
+    assert not errors
+    return cfg
+
+
+def test_check_and_extend_read_one_pair_sample_set(tmp_path):
+    # |B| peaks at angle 2 pi 130/256, on the 256-angle criteria grid and
+    # off the 64-angle one, so a coarser pair grid would read a smaller ratio
+    a = 0.7 * np.exp(2j * np.pi * (130 / 256 - 0.5))
+    doc = _blaschke_becker_doc([a], 1.0, 0.5, 0j, 0.64)
+    doc["q"] = {"kind": "constant", "value": 1.0}
+    ratios = {}
+    for command in ("check", "extend"):
+        code, summary = run_pipeline(_validated(doc), command, tmp_path / command)
+        assert code == 0 and summary["pass"], summary["warnings"]
+        ratios[command] = summary["metrics"]["pair_max_ratio"]
+    assert ratios["check"] == ratios["extend"]
+
+
+def test_a_degree_two_blaschke_product_passes_check_chain_and_extend(tmp_path):
+    doc = _blaschke_becker_doc([0.5 + 0.2j, -0.3 + 0.6j], np.exp(0.7j), 0.5, 0.3 - 0.2j, 1.0)
+    cfg = _validated(doc)
+    for command in ("check", "chain", "extend"):
+        code, summary = run_pipeline(cfg, command, tmp_path / command)
+        assert code == 0 and summary["pass"], (command, summary["warnings"])
+    assert summary["metrics"]["max_mu_fd"] <= 0.5 + cfg.criteria.tol_dilat
+
+
+def test_a_rejected_atlas_fails_extend_and_still_writes_its_summary(tmp_path, monkeypatch):
+    real = cli.build_extension
+
+    def collapsed(ff, gf):      # every source point on one spot
+        gf.traces[:] = 0.5 + 0.2j
+        return real(ff, gf)
+
+    monkeypatch.setattr(cli, "build_extension", collapsed)
+    code, summary = run_pipeline(builtin_scenario("exponential"), "extend", tmp_path)
+    assert code == 1 and summary["pass"] is False
+    assert summary["metrics"]["atlas_rejected"] is True
+    assert any("source points collide" in w for w in summary["warnings"])
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["metrics"]["atlas_rejected"] is True and data["warnings"] == summary["warnings"]

@@ -116,10 +116,21 @@ def test_field_pair_matches_closed_form(kind, regime):
 
 
 def test_tau_modulus_rejected():
-    with pytest.raises(SpecError):
-        DenjoyWolffSpec.constant(1.2)
-    with pytest.raises(SpecError):
-        DenjoyWolffSpec.step([1.0], [0.5, 1.01])
+    # one rule refuses |tau| > 1 + 1e-12, naming the value by its index, time or table
+    for build, message in (
+            (lambda: DenjoyWolffSpec.constant(1.2), "value 0 has |tau| = 1.2 > 1"),
+            (lambda: DenjoyWolffSpec.step([1.0], [0.5, 1.01]), "value 1 has |tau| = 1.01 > 1"),
+            (lambda: DenjoyWolffSpec.sampled(lambda t: 1.5).value(0.7), "|tau(0.7)| = 1.5 > 1"),
+            (lambda: DenjoyWolffSpec.from_time_table([0.0, 1.0], [0.1, 1.01j]),
+             "table value with |tau| = 1.01 > 1")):
+        with pytest.raises(SpecError) as err:
+            build()
+        assert str(err.value) == message
+    # the rule admits the circle's rounding margin
+    edge = 1.0 + 5e-13
+    DenjoyWolffSpec.step([1.0], [0.1, edge])
+    DenjoyWolffSpec.from_time_table([0.0], [edge])
+    assert DenjoyWolffSpec.sampled(lambda t: edge).value(0.3) == edge
 
 
 def test_sampled_tau_outside_the_disk_is_refused_where_it_is_read():
@@ -132,6 +143,21 @@ def test_sampled_tau_outside_the_disk_is_refused_where_it_is_read():
     with pytest.raises(SpecError):
         tau.value(np.linspace(0.0, 1.0, 11))
     assert tau.value(0.5) == 0.1
+
+
+def test_a_constant_tau_is_one_step_cell():
+    const = DenjoyWolffSpec.constant(0.3 - 0.2j)
+    t = np.array([[0.0, 0.5], [2.0, 1e6]])
+    assert np.array_equal(const.value(t), np.full(t.shape, 0.3 - 0.2j))
+    assert const.breakpoints == () and const.nodes == () and const.t_aut == 0.0
+    assert const.frozen_on(0.0, 5.0) == const.frozen_on(7.0, 7.0) == 0.3 - 0.2j
+
+
+def test_a_tail_spec_is_not_frozen_across_its_horizon():
+    tau = DenjoyWolffSpec.step_with_tail([0.08], [0.1, 0.2j], 0.16, DenjoyWolffSpec.constant(0.3))
+    assert tau.frozen_on(0.1, 0.2) is None
+    assert tau.frozen_on(0.0, 0.05) == 0.1 and tau.frozen_on(0.1, 0.16) == 0.2j
+    assert tau.frozen_on(0.16, 0.2) == 0.3
 
 
 def test_step_spec_shape_validation():
